@@ -17,7 +17,6 @@ from .model import (
     StructureViolation,
     from_tilde,
     solve,
-    step,
     to_tilde,
     validate_forcing,
     validate_structure,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,12 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -91,11 +91,31 @@ def _standard_init(spec):
     return FhnState(0.0, u0, v0)
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
+# the task of the running _map_ordered; forked workers inherit it, so the
+# closures mapped need no pickling (only their arguments and results do)
+_TASK = None
+
+
+def _run_task(item):
+    return _TASK(item)
+
+
+def _map_ordered(fn, items, workers):
+    """[fn(x) for x in items], spread over forked worker processes.
+
+    The work is many small numpy calls that hold the GIL, so threads would
+    run it slower than one; processes do not share it.  Results come back in
+    item order, so reductions over them do not depend on the worker count.
+    """
+    global _TASK
+    if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    _TASK = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(min(workers, len(items))) as pool:
+            return pool.map(_run_task, items)
+    finally:
+        _TASK = None
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +400,8 @@ def build_parser():
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes over independent seeds (verify)")
         if name == "simulate":
             p.add_argument("--duration", type=float, default=8.0)
     return parser

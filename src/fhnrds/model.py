@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
@@ -36,6 +36,12 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t={t} (max|u|={max_u:.3e})")
         self.t = t
         self.max_u = max_u
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone; workers of
+        # `cli --threads` send exceptions back pickled, and a multiprocessing
+        # pool waits forever on one it cannot unpickle
+        return (type(self), (self.t, self.max_u))
 
 
 class StructureViolation(ValueError):
@@ -216,7 +222,8 @@ class _ImplicitOperator:
             if grid.boundary == "neumann0":
                 ab[1, 0] -= d
                 ab[1, -1] -= d
-            self._cho = (cholesky_banded(ab, check_finite=False), False)
+            self._cb = cholesky_banded(ab, check_finite=False)
+            (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._cb,))
             self._mode = "banded"
         else:
             l1 = _laplacian_matrix_1d(n, grid.boundary)
@@ -231,8 +238,12 @@ class _ImplicitOperator:
         self.shape = grid.shape
 
     def solve(self, rhs):
+        """Solution of the system; the banded path overwrites `rhs` with it."""
         if self._mode == "banded":
-            return cho_solve_banded(self._cho, rhs, check_finite=False)
+            x, info = self._pbtrs(self._cb, rhs, lower=0, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of pbtrs")
+            return x
         return self._lu.solve(rhs.ravel()).reshape(self.shape)
 
 
@@ -259,32 +270,6 @@ class SolverSpec:
             raise ValueError("dt must be positive")
         if self.scheme != "imex":
             raise ValueError("only the IMEX scheme is supported")
-
-
-def step(state, spec, solver, z1, z2, forcing_time):
-    """One IMEX step from state.t to state.t + dt."""
-    dt = solver.dt
-    u = state.u.values
-    v = state.v.values
-    op = _implicit_operator(state.grid, spec.lam, dt)
-    h1 = spec.h1.values
-    f_val = spec.nonlin(u + h1 * z1)
-    rhs = u + dt * (
-        f_val
-        + spec.g.values_at(forcing_time)
-        - spec.alpha * v
-        + spec.lap_h1 * z1
-        - (spec.alpha * z2) * spec.h2.values
-    )
-    u_new = op.solve(rhs)
-    m = float(np.max(np.abs(u_new)))
-    if not np.isfinite(m) or m > BLOWUP_THRESHOLD:
-        raise BlowUpError(state.t + dt, m)
-    ev = np.exp(-spec.sigma * dt)
-    gain = (1.0 - ev) / spec.sigma
-    v_new = ev * v + gain * (spec.beta * u + spec.h.values_at(forcing_time) + (spec.beta * z1) * h1)
-    g = state.grid
-    return FhnState(state.t + dt, ScalarField(g, u_new), ScalarField(g, v_new))
 
 
 @dataclass
@@ -369,24 +354,60 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_strid
         if n in snap_set:
             snapshots.append((tn, un.copy()))
 
-    _record(0, u, v, z1s[0], z2s[0], k0 * dt)
+    # The loop below evaluates, into preallocated buffers and in the same
+    # order of floating-point operations,
+    #   rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
+    #   v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
+    # so the result is bitwise that of the allocating expressions.  For the
+    # canonical f(s) = -s^3, f + gf*G is computed as gf*G - s^3, which IEEE
+    # defines as gf*G + (-s^3).
+    cubic = nl.p == 4 and nl.sign == -1.0 and not nl.eps and nl.shift is None
+    z1l = z1s.tolist()
+    z2l = z2s.tolist()
+    gfactor, hfactor = spec.g.factor, spec.h.factor
+    shifted = np.empty_like(u)
+    acc = np.empty_like(u)
+    tmp = np.empty_like(u)
+    rhs = np.empty_like(u)
 
+    _record(0, u, v, z1l[0], z2l[0], k0 * dt)
     for n in range(nsteps):
         tn = (k0 + n) * dt
-        z1n = z1s[n]
-        z2n = z2s[n]
-        gf = spec.g.factor(tn)
-        hf = spec.h.factor(tn)
-        f_val = nl(u + h1 * z1n)
-        rhs = u + dt * (f_val + gf * gprof - alpha * v + lap_h1 * z1n - (alpha * z2n) * h2)
+        z1n = z1l[n]
+        z2n = z2l[n]
+        np.multiply(h1, z1n, out=shifted)
+        np.add(u, shifted, out=shifted)
+        np.multiply(gprof, gfactor(tn), out=acc)
+        if cubic:
+            np.multiply(shifted, shifted, out=tmp)
+            np.multiply(tmp, shifted, out=tmp)
+            np.subtract(acc, tmp, out=acc)
+        else:
+            np.add(nl(shifted), acc, out=acc)
+        np.multiply(v, alpha, out=tmp)
+        np.subtract(acc, tmp, out=acc)
+        np.multiply(lap_h1, z1n, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.multiply(h2, alpha * z2n, out=tmp)
+        np.subtract(acc, tmp, out=acc)
+        np.multiply(acc, dt, out=acc)
+        np.add(u, acc, out=rhs)
         u_new = op.solve(rhs)
-        mx = float(np.max(np.abs(u_new)))
+        mx = float(np.abs(u_new, out=tmp).max())
         if not mx <= BLOWUP_THRESHOLD:  # catches NaN as well
             raise BlowUpError((k0 + n + 1) * dt, mx)
-        v = ev * v + gain * (beta * u + hf * hprof + (beta * z1n) * h1)
-        u = u_new
+        np.multiply(u, beta, out=acc)
+        np.multiply(hprof, hfactor(tn), out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.multiply(h1, beta * z1n, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.multiply(acc, gain, out=acc)
+        np.multiply(v, ev, out=v)
+        np.add(v, acc, out=v)
+        # the old u is not needed any more: it becomes the next rhs buffer
+        u, rhs = u_new, u
         if (n + 1) in rec_set:
-            _record(n + 1, u, v, z1s[n + 1], z2s[n + 1], (k0 + n + 1) * dt)
+            _record(n + 1, u, v, z1l[n + 1], z2l[n + 1], (k0 + n + 1) * dt)
 
     arr = {k: np.asarray(vv) for k, vv in rec.items()}
     energy = alpha * arr["v"] + beta * arr["u"]

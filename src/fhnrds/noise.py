@@ -166,16 +166,20 @@ class OuProcess:
 
     def _compute_blocks(self, ms):
         """Fill the cache for the block indices in `ms` with one batched filter."""
-        ms = [m for m in ms if m not in self._blocks]
+        ms = sorted(m for m in ms if m not in self._blocks)
         if not ms:
             return
         B = self.B
-        ks = np.concatenate(
-            [np.arange((m - 1) * B, (m + 1) * B - 1, dtype=np.int64) for m in ms]
-        ).reshape(len(ms), 2 * B - 1)
+        # block m filters the 2B-1 increments from step (m-1)*B; consecutive
+        # windows overlap by B-1 steps, so each increment of the span is
+        # drawn once and the windows are views into it
+        ks = np.arange((ms[0] - 1) * B, (ms[-1] + 1) * B - 1, dtype=np.int64)
         xi = self._damp * wiener_increment(self.seed, ks, self.dt)
+        windows = np.lib.stride_tricks.sliding_window_view(xi, 2 * B - 1)[::B]
+        if len(ms) != len(windows):  # holes: keep only the missing blocks
+            windows = windows[[m - ms[0] for m in ms]]
         a = self._decay
-        y = lfilter([1.0], [1.0, -a], xi, axis=1)
+        y = lfilter([1.0], [1.0, -a], windows, axis=1)
         # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
         # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
         pows = a ** np.arange(B, 2 * B)

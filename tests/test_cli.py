@@ -118,6 +118,37 @@ def test_cli_simulate_blowup_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
 
 
+def test_cli_verify_blowup_in_worker_exit_2(tmp_path):
+    # a coarse step blows up the pullback runs, here inside worker processes
+    cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.1\nexperiment.seed_count = 2\n"
+                     "experiment.energy_seed_count = 2\n")
+    out = tmp_path / "blow2"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out), "--threads", "2"]) == 2
+
+
+def _pass_fields(obj):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k == "pass":
+                yield v
+            yield from _pass_fields(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _pass_fields(v)
+
+
+def test_verify_report_pass_fields_are_json_booleans(tmp_path):
+    cfgp = write_cfg(tmp_path, ZERO_DYNAMICS)
+    out = tmp_path / "verify_bool"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    found = list(_pass_fields(report))
+    assert len(found) == len(report["checks"]) + 1
+    assert all(type(v) is bool for v in found), found
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(type(v) is bool for v in manifest["checks"].values())
+
+
 def test_cli_verify_zero_dynamics_all_trivial(tmp_path):
     cfgp = write_cfg(tmp_path, ZERO_DYNAMICS)
     out = tmp_path / "verify0"

@@ -1,9 +1,12 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import cho_solve_banded, expm
 
 from fhnrds.config import default_config
-from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq
+from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, lp_p
 from fhnrds.model import (
     BlowUpError,
     FhnState,
@@ -12,15 +15,15 @@ from fhnrds.model import (
     Nonlinearity,
     SolverSpec,
     StructureViolation,
+    _implicit_operator,
     from_tilde,
     solve,
-    step,
     to_tilde,
     validate_forcing,
     validate_structure,
     young_shift_constant,
 )
-from fhnrds.noise import WienerPath
+from fhnrds.noise import WienerPath, get_ou, step_index
 
 
 def linear_spec(grid, lam=1.0, alpha=1.0, beta=1.0, sigma=1.0):
@@ -107,13 +110,107 @@ def test_validate_forcing_convergence_flag():
     assert not converged
 
 
-def test_step_advances_time_one_dt():
+def test_solve_one_step_advances_time_one_dt():
     grid = Grid(n=16, half_width=2.0)
     spec = linear_spec(grid)
     solver = SolverSpec(dt=1e-2, grid=grid)
     st = FhnState(0.5, ScalarField.zeros(grid), ScalarField.zeros(grid))
-    st2 = step(st, spec, solver, 0.0, 0.0, 0.5)
-    assert st2.t == pytest.approx(0.51)
+    traj = solve(spec, solver, WienerPath(seed=0, dt=1e-2), 0.5, 0.51, st)
+    assert traj.final.t == pytest.approx(0.51)
+    assert len(traj.t) == 2
+
+
+def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
+    """The IMEX loop of `solve` written with allocating expressions.
+
+    Same scheme and operation order as `solve`, without its buffers, its
+    cubic fold or its direct LAPACK call.  Returns the final u and v, the
+    records, and a snapshot of u at every record.
+    """
+    dt = solver.dt
+    k0 = step_index(tau0, dt)
+    nsteps = step_index(tau1, dt) - k0
+    z1s = get_ou(path.seed, 1, spec.lam, dt).values(path.offset, path.offset + nsteps)
+    z2s = get_ou(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
+    grid = init.grid
+    op = _implicit_operator(grid, spec.lam, dt)
+    if op._mode == "banded":
+        def implicit(rhs):
+            return cho_solve_banded((op._cb, False), rhs, check_finite=False)
+    else:
+        def implicit(rhs):
+            return op._lu.solve(rhs.ravel()).reshape(grid.shape)
+    h1, h2 = spec.h1.values, spec.h2.values
+    gprof, hprof = spec.g.profile.values, spec.h.profile.values
+    alpha, beta = spec.alpha, spec.beta
+    ev = np.exp(-spec.sigma * dt)
+    gain = (1.0 - ev) / spec.sigma
+    rec = {k: [] for k in ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p",
+                           "z1", "z2", "g_l2sq", "h_l2sq")}
+    snapshots = []
+
+    def record(u, v, n):
+        tn = (k0 + n) * dt
+        for key, value in (
+            ("t", tn), ("u_l2sq", l2_sq(u, grid)), ("v_l2sq", l2_sq(v, grid)),
+            ("u_lp_p", lp_p(u, grid, spec.p)), ("utilde_lp_p", lp_p(u + h1 * z1s[n], grid, spec.p)),
+            ("z1", z1s[n]), ("z2", z2s[n]),
+            ("g_l2sq", spec.g.l2sq_at(tn)), ("h_l2sq", spec.h.l2sq_at(tn)),
+        ):
+            rec[key].append(value)
+        snapshots.append((tn, u.copy()))
+
+    u, v = init.u.values.copy(), init.v.values.copy()
+    record(u, v, 0)
+    for n in range(nsteps):
+        tn = (k0 + n) * dt
+        z1n, z2n = z1s[n], z2s[n]
+        gf, hf = spec.g.factor(tn), spec.h.factor(tn)
+        f_val = spec.nonlin(u + h1 * z1n)
+        rhs = u + dt * (f_val + gf * gprof - alpha * v + spec.lap_h1 * z1n - (alpha * z2n) * h2)
+        u_new = implicit(rhs)
+        v = ev * v + gain * (beta * u + hf * hprof + (beta * z1n) * h1)
+        u = u_new
+        if (n + 1) % record_stride == 0 or n + 1 == nsteps:
+            record(u, v, n + 1)
+    rec = {k: np.asarray(vv) for k, vv in rec.items()}
+    rec["energy"] = alpha * rec["v_l2sq"] + beta * rec["u_l2sq"]
+    return u, v, rec, snapshots
+
+
+SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, generic, t1",
+    [
+        ({}, False, 0.4),  # banded path, cubic fold
+        ({"grid.boundary": "neumann0"}, False, 0.4),
+        ({}, True, 0.4),  # generic nonlinearity branch
+        ({"grid.boundary": "periodic"}, False, 0.4),  # sparse path
+        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),  # sparse path in 2-D
+    ],
+    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d"],
+)
+def test_solve_bitwise_matches_reference(overrides, generic, t1):
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec = cfg.model_spec()
+    if generic:
+        shift = bump_field(spec.grid, amplitude=0.1, width=2.0)
+        spec = dataclasses.replace(spec, p=3.0, nonlin=Nonlinearity(3.0, shift=shift, eps=0.1))
+    solver = cfg.solver_spec()
+    path = WienerPath(seed=23, dt=solver.dt).shift(-0.5)
+    init = FhnState(0.0, bump_field(spec.grid, amplitude=1.5, width=3.0),
+                    bump_field(spec.grid, center=1.0, amplitude=0.5))
+    traj = solve(spec, solver, path, 0.0, t1, init, snapshot_stride=10)
+    u, v, rec, snapshots = reference_solve(spec, solver, path, 0.0, t1, init)
+    assert np.array_equal(traj.final.u.values, u)
+    assert np.array_equal(traj.final.v.values, v)
+    for key, expected in rec.items():
+        assert np.array_equal(getattr(traj, key), expected), key
+    assert len(traj.snapshots) == len(snapshots)
+    for (t, snap), (t_ref, snap_ref) in zip(traj.snapshots, snapshots):
+        assert t == t_ref and np.array_equal(snap, snap_ref)
 
 
 def test_linear_decay_matches_matrix_exponential():
@@ -181,6 +278,14 @@ def test_blow_up_detected():
     with pytest.raises(BlowUpError) as exc:
         solve(spec, solver, WienerPath(seed=0, dt=solver.dt), 0.0, 8.0, init)
     assert exc.value.t > 0.0
+
+
+def test_blow_up_error_pickles():
+    # worker processes of `cli --threads` send it back pickled
+    exc = pickle.loads(pickle.dumps(BlowUpError(1.5, 3.0e9)))
+    assert isinstance(exc, BlowUpError)
+    assert (exc.t, exc.max_u) == (1.5, 3.0e9)
+    assert str(exc) == str(BlowUpError(1.5, 3.0e9))
 
 
 def test_trajectory_records_transformed_norms():

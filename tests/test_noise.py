@@ -120,6 +120,19 @@ def test_ou_values_pure_across_instances():
     assert np.array_equal(a.values(-100, 100), va[4900:5101])
 
 
+def test_ou_blocks_independent_of_fill_order():
+    # block by block: each block hashes only its own 2B-1 window
+    a = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
+    for m in range(-3, 4):
+        a._compute_blocks([m])
+    # one batch over a span whose middle block is already cached
+    b = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
+    b._compute_blocks([1])
+    b._compute_blocks(range(-3, 4))
+    for m in range(-3, 4):
+        assert np.array_equal(a._blocks[m], b._blocks[m]), m
+
+
 def test_ou_within_block_recursion():
     proc = OuProcess(seed=4, component=2, rate=1.0, dt=1e-3)
     j0 = proc.B + 1  # strictly inside the second block
