@@ -67,6 +67,7 @@ class Manifest:
         self.t0 = time.time()
         self.artifacts = []
         self.summary = {}
+        self.error = None
 
     def add(self, path):
         self.artifacts.append(str(path))
@@ -80,6 +81,7 @@ class Manifest:
             "threads": self.threads,
             "wall_clock_seconds": time.time() - self.t0,
             "checks": self.summary,
+            "error": self.error,
             "artifacts": sorted(self.artifacts),
         }
         write_json(out / "manifest.json", payload)
@@ -179,8 +181,8 @@ def cmd_pullback(cfg, out, args, manifest):
         d2 = dp = float("nan")
         if prev is not None and (prev, r.sample_id) in by_key:
             q = by_key[(prev, r.sample_id)]
-            d2 = dg._pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde))
-            dp = dg._pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), spec.p)
+            d2 = dg.pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde))
+            dp = dg.pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), spec.p)
         rows.append(
             (r.t, r.sample_id, r.seed, r.traj.u_l2sq[-1], r.traj.v_l2sq[-1],
              r.traj.u_lp_p[-1], d2, dp)
@@ -420,8 +422,9 @@ def main(argv=None):
     try:
         status = COMMANDS[args.command](cfg, out, args, manifest)
     except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 2
+        manifest.error = f"blow-up: {exc}"
+        print(manifest.error, file=sys.stderr)
+        status = 2
     manifest.write(out)
     return status
 

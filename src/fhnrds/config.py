@@ -49,7 +49,6 @@ DEFAULTS = {
     "grid.n": (int, 1024),
     "grid.boundary": (str, "dirichlet0"),
     "solver.dt": (float, 1e-3),
-    "solver.record_stride": (int, 10),
     "solver.snapshot_stride": (int, 2000),
     "noise.enabled": (lambda s: str(s).lower() in ("1", "true", "yes"), True),
     "noise.h1.amplitude": (float, 1.0),

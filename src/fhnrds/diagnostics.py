@@ -20,7 +20,7 @@ import numpy as np
 
 from .cocycle import pullback, sample_family
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integral, truncate_plus
-from .model import _trapezoid
+from .model import trapezoid
 from .noise import get_ou, step_index
 
 CALIBRATION_CAP = 1e6
@@ -180,8 +180,8 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
     w = np.exp(d * (s - tau))
     gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
     hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-    f_int = w * (gf * gf * spec.g._profile_l2sq + hf * hf * spec.h._profile_l2sq)
-    forcing_quad = _trapezoid(f_int, dt)
+    f_int = w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq)
+    forcing_quad = trapezoid(f_int, dt)
     # OU moment history over [-horizon, 0] along the realized path; the
     # drivers enter the estimates only through h1/h2, so zero couplings
     # remove the whole term
@@ -203,12 +203,12 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
         const = 1.0 + z1[-1] ** 2 + z2[-1] ** 2
     else:
         raise ValueError(f"unknown radius kind {kind!r}")
-    ou_quad = _trapezoid(wz * moments, dt)
+    ou_quad = trapezoid(wz * moments, dt)
     early = slice(0, max(2, n // 10))
     conv = True
     for integ in (f_int, wz * moments):
-        tot = _trapezoid(integ, dt)
-        if tot > 0 and _trapezoid(integ[early], dt) >= 0.01 * tot:
+        tot = trapezoid(integ, dt)
+        if tot > 0 and trapezoid(integ[early], dt) >= 0.01 * tot:
             conv = False
     return AbsorbingSetSpec(c_cal, const, forcing_quad, ou_quad, conv)
 
@@ -395,7 +395,8 @@ def truncation_tail_report(runs, spec, M_schedule, eta):
 # attractor approximation and bi-spatial equality
 
 
-def _pair_dist(a, b, p=None):
+def pair_dist(a, b, p=None):
+    """Distance of state pairs (u, v): L2xL2, or LpxL2 when `p` is given."""
     grid = a[0].grid
     du = a[0].values - b[0].values
     dv = a[1].values - b[1].values
@@ -441,8 +442,8 @@ def attractor_from_runs(runs, tau, seed, p):
     plp = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            pl2[i, j] = pl2[j, i] = _pair_dist(points[i], points[j])
-            plp[i, j] = plp[j, i] = _pair_dist(points[i], points[j], p)
+            pl2[i, j] = pl2[j, i] = pair_dist(points[i], points[j])
+            plp[i, j] = plp[j, i] = pair_dist(points[i], points[j], p)
     if flagged:
         d2 = dp = float("nan")
     else:
@@ -451,8 +452,8 @@ def attractor_from_runs(runs, tau, seed, p):
         for (t, sid), r in by_key.items():
             if t == t_max and (t_prev, sid) in by_key:
                 q = by_key[(t_prev, sid)]
-                d2 = max(d2, _pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde)))
-                dp = max(dp, _pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), p))
+                d2 = max(d2, pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde)))
+                dp = max(dp, pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), p))
     return AttractorApprox(tau, seed, points, prov, pl2, plp, d2, dp, flagged, list(runs))
 
 
@@ -469,8 +470,8 @@ def defect_sequences(runs, p):
             ra, rb = by_key.get((a, sid)), by_key.get((b, sid))
             if ra is None or rb is None:
                 continue
-            m2 = max(m2, _pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde)))
-            mp = max(mp, _pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde), p))
+            m2 = max(m2, pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde)))
+            mp = max(mp, pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde), p))
         d_l2.append(m2)
         d_lp.append(mp)
     return ts, d_l2, d_lp
@@ -519,30 +520,3 @@ def containment_check(approx, rho):
         "worst_l2sq": worst,
         "rho": rho,
     }
-
-
-# ---------------------------------------------------------------------------
-# convenience entry points that generate their own runs
-
-
-def absorption_experiment(tau, path, fam, spec, solver, t_schedule, c_cal, horizon):
-    runs = run_pullback_ensemble(tau, path, fam, spec, solver, t_schedule)
-    radius = absorbing_radius(tau, path, spec, c_cal, horizon).radius
-    return absorption_report(runs, radius, fam, t_schedule)
-
-
-def compact_interval_bounds(tau, path, fam, spec, solver, t, radius_l2, radius_lp):
-    if t < 2:
-        raise ValueError("compact-interval check needs elapsed time >= 2")
-    runs = run_pullback_ensemble(tau, path, fam, spec, solver, [t])
-    return compact_interval_report(runs, spec, radius_l2, radius_lp, tau)
-
-
-def truncation_tail_experiment(tau, path, fam, spec, solver, t_schedule, M_schedule, eta):
-    runs = run_pullback_ensemble(tau, path, fam, spec, solver, t_schedule)
-    return truncation_tail_report(runs, spec, M_schedule, eta)
-
-
-def attractor_approximation(tau, path, fam, spec, solver, t_schedule):
-    runs = run_pullback_ensemble(tau, path, fam, spec, solver, t_schedule)
-    return attractor_from_runs(runs, tau, path.seed, spec.p)

@@ -106,7 +106,7 @@ class Forcing:
         self.kind = kind
         self.a = float(a)
         self.c = float(c)
-        self._profile_l2sq = l2_sq(profile.values, profile.grid)
+        self.profile_l2sq = l2_sq(profile.values, profile.grid)
 
     @classmethod
     def zero(cls, grid):
@@ -124,7 +124,7 @@ class Forcing:
 
     def l2sq_at(self, t):
         f = self.factor(t)
-        return f * f * self._profile_l2sq
+        return f * f * self.profile_l2sq
 
 
 @dataclass
@@ -263,13 +263,10 @@ def _implicit_operator(grid, lam, dt):
 class SolverSpec:
     dt: float
     grid: Grid
-    scheme: str = "imex"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme != "imex":
-            raise ValueError("only the IMEX scheme is supported")
 
 
 @dataclass
@@ -520,15 +517,16 @@ def validate_forcing(spec, tau, horizon, dt=None):
     w = np.exp(spec.delta * (s - tau))
     gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
     hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-    integrand = w * (gf * gf * spec.g._profile_l2sq + hf * hf * spec.h._profile_l2sq)
-    total = float(_trapezoid(integrand, dt))
+    integrand = w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq)
+    total = float(trapezoid(integrand, dt))
     early = s <= tau - 0.9 * horizon
-    early_part = float(_trapezoid(integrand[early], dt)) if np.count_nonzero(early) > 1 else 0.0
+    early_part = float(trapezoid(integrand[early], dt)) if np.count_nonzero(early) > 1 else 0.0
     converged = total == 0.0 or early_part < 0.01 * total
     return total, converged
 
 
-def _trapezoid(y, dx):
+def trapezoid(y, dx):
+    """Composite trapezoid rule for samples `y` at uniform spacing `dx`."""
     if len(y) < 2:
         return 0.0
     return dx * (np.sum(y) - 0.5 * (y[0] + y[-1]))

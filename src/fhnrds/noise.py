@@ -122,14 +122,6 @@ class WienerPath:
         return WienerPath(self.seed, self.dt, self.offset + step_index(s, self.dt))
 
 
-def ou_recursion(z0, rate, dt, xi):
-    """z_{n+1} = exp(-rate*dt) * z_n + xi_n, returned for n = 1..len(xi)."""
-    a = np.exp(-rate * dt)
-    n = len(xi)
-    decayed = z0 * a ** np.arange(1, n + 1)
-    return lfilter([1.0], [1.0, -a], xi) + decayed
-
-
 def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 

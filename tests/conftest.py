@@ -1,18 +1,18 @@
 """Shared fixtures.
 
-The expensive session fixtures (the 10-seed pullback ensemble and the
-20-seed energy ensemble on the canonical configuration) are computed once
-and shared by the acceptance tests; unit tests use small grids instead.
+The acceptance gate reads the report of one canonical `fhnrds verify` run,
+made once per session, so it checks the pipeline users run; unit tests use
+small grids instead.
 """
 
-import numpy as np
+import json
+
 import pytest
 
+from fhnrds import cli
 from fhnrds.config import default_config
-from fhnrds.fields import Grid, ScalarField, bump_field
-from fhnrds.model import FhnState, solve
-from fhnrds.noise import WienerPath
-from fhnrds import diagnostics as dg
+
+_REPORT_LINES = pytest.StashKey[list]()
 
 
 @pytest.fixture(scope="session")
@@ -31,60 +31,36 @@ def solver(cfg):
 
 
 @pytest.fixture(scope="session")
-def fam(cfg, spec):
-    return cfg.family_spec(spec.delta)
+def canonical_verify(tmp_path_factory):
+    """(output directory, parsed report.json) of canonical `fhnrds verify`."""
+    out = tmp_path_factory.mktemp("verify")
+    status = cli.main(["verify", "--out", str(out), "--threads", "1"])
+    assert status in (0, 1), f"canonical verify exited {status} (2 is a blow-up)"
+    return out, json.loads((out / "report.json").read_text())
 
 
-@pytest.fixture(scope="session")
-def small_cfg():
-    return default_config(**{"grid.n": 64, "grid.half_width": 8.0})
+@pytest.fixture
+def report(request):
+    """report(num, name, ok, detail): one PASS/FAIL line per criterion.
+
+    The line is the assertion message of a failure, and every line is shown
+    again in the terminal summary, where output capture does not hide it.
+    """
+    lines = request.config.stash.setdefault(_REPORT_LINES, [])
+
+    def report(num, name, ok, detail=""):
+        line = f"criterion {num:2d} ({name}): {'PASS' if ok else 'FAIL'}"
+        if detail:
+            line += f"  [{detail}]"
+        lines.append(line)
+        assert ok, line
+
+    return report
 
 
-@pytest.fixture(scope="session")
-def small_spec(small_cfg):
-    return small_cfg.model_spec()
-
-
-@pytest.fixture(scope="session")
-def small_solver(small_cfg):
-    return small_cfg.solver_spec()
-
-
-def standard_init(spec):
-    u0 = bump_field(spec.grid, amplitude=1.0, width=6.0)
-    v0 = bump_field(spec.grid, center=4.0, amplitude=1.0, width=6.0)
-    return FhnState(0.0, u0, v0)
-
-
-@pytest.fixture(scope="session")
-def energy_trajs(cfg, spec, solver):
-    """20-seed forward ensemble on [0, 4] from an O(1) initial state."""
-    seeds = range(cfg.seed, cfg.seed + cfg["experiment.energy_seed_count"])
-    out = []
-    for seed in seeds:
-        path = WienerPath(seed=seed, dt=solver.dt)
-        out.append(solve(spec, solver, path, 0.0, 4.0, standard_init(spec)))
-    return out
-
-
-@pytest.fixture(scope="session")
-def pullback_ensembles(cfg, spec, solver, fam):
-    """(seed, path, runs) for the 10-seed canonical pullback schedule."""
-    tau = cfg["experiment.tau"]
-    out = []
-    for seed in range(cfg.seed, cfg.seed + cfg["experiment.seed_count"]):
-        path = WienerPath(seed=seed, dt=solver.dt)
-        runs = dg.run_pullback_ensemble(
-            tau, path, fam, spec, solver, cfg.t_schedule(),
-            snapshot_stride=cfg["solver.snapshot_stride"],
-        )
-        out.append((seed, path, runs))
-    return out
-
-
-@pytest.fixture(scope="session")
-def c_cal(cfg, spec, pullback_ensembles):
-    trajs = [r.traj for _, _, runs in pullback_ensembles for r in runs]
-    c, degenerate = dg.calibrate_constant(trajs, spec, cfg["experiment.tau"])
-    assert not degenerate
-    return c
+def pytest_terminal_summary(terminalreporter, config):
+    lines = config.stash.get(_REPORT_LINES, [])
+    if lines:
+        terminalreporter.section("acceptance criteria")
+        for line in lines:
+            terminalreporter.write_line(line)

@@ -116,6 +116,7 @@ def test_cli_simulate_blowup_exit_2(tmp_path):
     )
     out = tmp_path / "blow"
     assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+    assert json.loads((out / "manifest.json").read_text())["error"].startswith("blow-up: ")
 
 
 def test_cli_verify_blowup_in_worker_exit_2(tmp_path):
@@ -124,6 +125,9 @@ def test_cli_verify_blowup_in_worker_exit_2(tmp_path):
                      "experiment.energy_seed_count = 2\n")
     out = tmp_path / "blow2"
     assert cli.main(["verify", "--config", cfgp, "--out", str(out), "--threads", "2"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith("blow-up: ")
+    assert "report.json" not in {Path(p).name for p in manifest["artifacts"]}
 
 
 def _pass_fields(obj):

@@ -262,13 +262,6 @@ def test_absorption_report_zero_family():
     assert rep["pass"] and rep["absorption_time"] == 2.0
 
 
-def test_compact_interval_requires_t_at_least_two(small):
-    cfg, spec, solver, fam = small
-    path = WienerPath(seed=5, dt=solver.dt)
-    with pytest.raises(ValueError):
-        dg.compact_interval_bounds(0.0, path, fam, spec, solver, 1.0, 1.0, 1.0)
-
-
 def test_compact_interval_sup_dominates_endpoint(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs

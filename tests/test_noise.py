@@ -7,7 +7,6 @@ from fhnrds.noise import (
     OuProcess,
     WienerPath,
     get_ou,
-    ou_recursion,
     stationary_variance,
     step_index,
     temperedness_probe,
@@ -93,17 +92,6 @@ def test_path_values_match_pointwise_value():
     ts, vals = path.values(2, -0.05, 0.05)
     for t, v in zip(ts, vals):
         assert v == pytest.approx(path.value(2, round(t, 10)), abs=1e-12)
-
-
-def test_ou_recursion_closed_form():
-    rate, dt = 1.5, 0.01
-    xi = np.array([0.3, -0.2, 0.1])
-    z = ou_recursion(2.0, rate, dt, xi)
-    a = np.exp(-rate * dt)
-    expected = [2.0 * a + 0.3]
-    expected.append(expected[0] * a - 0.2)
-    expected.append(expected[1] * a + 0.1)
-    np.testing.assert_allclose(z, expected, rtol=1e-13)
 
 
 def test_stationary_variance():
