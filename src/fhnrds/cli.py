@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics as dg
-from .config import default_config, load_config, resolve
+from .config import read_config, resolve
 from .fields import bump_field, write_snapshot
-from .model import BlowUpError, FhnState, solve
-from .noise import WienerPath, get_ou, step_index, temperedness_probe
+from .model import BlowUpError, FhnState, solve, solve_batch
+from .noise import WienerPath, get_ou, merge_ou_blocks, ou_blocks, step_index, temperedness_probe
 
 
 def _fmt(x):
@@ -87,10 +87,26 @@ class Manifest:
         write_json(out / "manifest.json", payload)
 
 
-def _standard_init(spec):
+def _standard_init(spec, t=0.0):
     u0 = bump_field(spec.grid, amplitude=1.0, width=6.0)
     v0 = bump_field(spec.grid, center=4.0, amplitude=1.0, width=6.0)
-    return FhnState(0.0, u0, v0)
+    return FhnState(t, u0, v0)
+
+
+class WorkerError(RuntimeError):
+    """An exception of a worker process, carried back as its type name and message.
+
+    Any exception pickles this way; one whose class the parent cannot
+    rebuild from its pickle would leave the parent's pool waiting forever.
+    """
+
+    def __init__(self, type_name, message):
+        super().__init__(f"{type_name} in a worker process: {message}")
+        self.type_name = type_name
+        self.message = message
+
+    def __reduce__(self):
+        return (type(self), (self.type_name, self.message))
 
 
 # the task of the running _map_ordered; forked workers inherit it, so the
@@ -98,26 +114,46 @@ def _standard_init(spec):
 _TASK = None
 
 
-def _run_task(item):
-    return _TASK(item)
+def _run_task(chunk):
+    known = ou_blocks()
+    try:
+        results = _TASK(chunk)
+    except BlowUpError:  # pickles with its fields; main() turns it into exit code 2
+        raise
+    except Exception as exc:
+        raise WorkerError(type(exc).__name__, str(exc)) from None
+    filled = {key: {m: b for m, b in blocks.items() if m not in known.get(key, {})}
+              for key, blocks in ou_blocks().items()}
+    return results, filled
 
 
 def _map_ordered(fn, items, workers):
-    """[fn(x) for x in items], spread over forked worker processes.
+    """fn(items) for an `fn` that returns one result per item, over worker processes.
 
-    The work is many small numpy calls that hold the GIL, so threads would
-    run it slower than one; processes do not share it.  Results come back in
-    item order, so reductions over them do not depend on the worker count.
+    Each forked worker gets one contiguous chunk of the items, so the worker
+    count changes only how many items one call of `fn` handles.  The work
+    is many small numpy calls that hold the GIL, so threads would run it
+    slower than one; processes do not share it.  Results come back in item
+    order, so reductions over them do not depend on the worker count.  The
+    OU blocks the workers filled join this process's cache.
     """
     global _TASK
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return fn(items)
+    n = len(items)
+    chunks = [items[n * i // workers : n * (i + 1) // workers] for i in range(workers)]
     _TASK = fn
     try:
-        with multiprocessing.get_context("fork").Pool(min(workers, len(items))) as pool:
-            return pool.map(_run_task, items)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_run_task, chunks)
     finally:
         _TASK = None
+    results = []
+    for part, blocks in parts:
+        results.extend(part)
+        merge_ou_blocks(blocks)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +208,7 @@ def cmd_pullback(cfg, out, args, manifest):
     fam = cfg.family_spec(spec.delta)
     tau = cfg["experiment.tau"]
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
-    runs = dg.run_pullback_ensemble(tau, path, fam, spec, solver, cfg.t_schedule())
+    (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
     by_key = {(r.t, r.sample_id): r for r in runs}
     ts = sorted(set(r.t for r in runs))
     rows = []
@@ -210,11 +246,12 @@ def _verify_checks(cfg, out, manifest, threads):
     # energy inequality over the seed ensemble
     energy_seeds = list(range(cfg.seed, cfg.seed + cfg["experiment.energy_seed_count"]))
 
-    def energy_traj(seed):
-        path = WienerPath(seed=seed, dt=solver.dt)
-        return solve(spec, solver, path, tau, tau + 4.0, _standard_init(spec))
+    def energy_trajs_of(seeds):
+        init = _standard_init(spec, tau)
+        members = [(WienerPath(seed=seed, dt=solver.dt), init) for seed in seeds]
+        return solve_batch(spec, solver, members, tau + 4.0)
 
-    energy_trajs = _map_ordered(energy_traj, energy_seeds, threads)
+    energy_trajs = _map_ordered(energy_trajs_of, energy_seeds, threads)
     c_noise = dg.calibrate_noise_constant(energy_trajs, spec)
     worst = -np.inf
     energy_pass = True
@@ -239,11 +276,11 @@ def _verify_checks(cfg, out, manifest, threads):
     pull_seeds = list(range(cfg.seed, cfg.seed + cfg["experiment.seed_count"]))
     snapshot_stride = cfg["solver.snapshot_stride"]
 
-    def seed_runs(seed):
-        path = WienerPath(seed=seed, dt=solver.dt)
-        return path, dg.run_pullback_ensemble(
-            tau, path, fam, spec, solver, t_schedule, snapshot_stride=snapshot_stride
-        )
+    def seed_runs(seeds):
+        paths = [WienerPath(seed=seed, dt=solver.dt) for seed in seeds]
+        return list(zip(paths, dg.run_pullback_ensemble(
+            tau, paths, fam, spec, solver, t_schedule, snapshot_stride=snapshot_stride
+        )))
 
     ensembles = _map_ordered(seed_runs, pull_seeds, threads)
     all_runs = [r for _, runs in ensembles for r in runs]
@@ -359,7 +396,7 @@ def cmd_attractor(cfg, out, args, manifest):
     fam = cfg.family_spec(spec.delta)
     tau = cfg["experiment.tau"]
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
-    runs = dg.run_pullback_ensemble(tau, path, fam, spec, solver, cfg.t_schedule())
+    (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
     ap = dg.attractor_from_runs(runs, tau, cfg.seed, spec.p)
     bi = dg.bispatial_equality_check(ap, spec.p, tolerance=cfg["tolerances.defect"])
     for i, (u, v) in enumerate(ap.points):
@@ -411,11 +448,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config) if args.config else default_config()
+    values = read_config(args.config) if args.config else {}
     if args.seed is not None:
-        values = dict(cfg.values)
         values["seed"] = args.seed
-        cfg = resolve(values)
+    cfg = resolve(values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(cfg, args.threads)

@@ -5,6 +5,7 @@ variables with the OU values at shift 0 of the supplied path, advances the
 pathwise PDE from tau to tau + t, and converts back with the OU values at
 shift t.  Pullback evaluation reuses phi with anchor tau - t and the path
 shifted by -t, so the same noise realization serves every pullback horizon.
+Evaluations that land at one time can be stepped together (`phi_batch`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .fields import ScalarField, bump_field, l2_sq
-from .model import FhnState, from_tilde, solve, to_tilde
+from .model import FhnState, from_tilde, solve, solve_batch, to_tilde
 from .noise import get_ou, step_index
 
 
@@ -64,28 +65,49 @@ class FamilySpec:
         return self.base_radius * np.exp(self.growth_rate * t)
 
 
+def _untransformed(inp, spec, dt):
+    """The initial pair of `inp` in (u, v), with the OU values at its shift 0."""
+    ou1 = get_ou(inp.path.seed, 1, spec.lam, dt)
+    ou2 = get_ou(inp.path.seed, 2, spec.sigma, dt)
+    z1_0 = ou1.at_step(inp.path.offset)
+    z2_0 = ou2.at_step(inp.path.offset)
+    return from_tilde(inp.u0_tilde, inp.v0_tilde, spec, z1_0, z2_0, t=inp.tau)
+
+
+def _transformed(traj, spec):
+    z1_t, z2_t = traj.final_z
+    return to_tilde(traj.final, spec, z1_t, z2_t)
+
+
 def phi(inp, spec, solver, record_stride=10, snapshot_stride=None):
     """Evaluate the cocycle; returns ((u~, v~) at tau+t, trajectory)."""
-    dt = solver.dt
-    path = inp.path
-    ou1 = get_ou(path.seed, 1, spec.lam, dt)
-    ou2 = get_ou(path.seed, 2, spec.sigma, dt)
-    z1_0 = ou1.at_step(path.offset)
-    z2_0 = ou2.at_step(path.offset)
-    state0 = from_tilde(inp.u0_tilde, inp.v0_tilde, spec, z1_0, z2_0, t=inp.tau)
     traj = solve(
         spec,
         solver,
-        path,
+        inp.path,
         inp.tau,
         inp.tau + inp.t,
-        state0,
+        _untransformed(inp, spec, solver.dt),
         record_stride=record_stride,
         snapshot_stride=snapshot_stride,
     )
-    z1_t, z2_t = traj.final_z
-    u_t, v_t = to_tilde(traj.final, spec, z1_t, z2_t)
-    return (u_t, v_t), traj
+    return _transformed(traj, spec), traj
+
+
+def phi_batch(inputs, spec, solver, record_stride=10, snapshot_stride=None):
+    """`phi` of several inputs that land at one time, stepped as one batch.
+
+    Each result is bitwise the one `phi` gives for its input alone.
+    """
+    if not inputs:
+        return []
+    dt = solver.dt
+    tau1 = inputs[0].tau + inputs[0].t
+    if any(step_index(inp.tau + inp.t, dt) != step_index(tau1, dt) for inp in inputs):
+        raise ValueError("batched cocycle inputs must land at one time")
+    members = [(inp.path, _untransformed(inp, spec, dt)) for inp in inputs]
+    trajs = solve_batch(spec, solver, members, tau1, record_stride, snapshot_stride)
+    return [(_transformed(traj, spec), traj) for traj in trajs]
 
 
 def pullback(t, tau, path, u0_tilde, v0_tilde, spec, solver, **kw):

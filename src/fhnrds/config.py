@@ -211,10 +211,14 @@ def resolve(values):
     return cfg
 
 
-def load_config(path):
+def read_config(path):
+    """The key/value pairs of a config file, parsed but not resolved."""
     with open(path) as fh:
-        text = fh.read()
-    return resolve(parse_config_text(text))
+        return parse_config_text(fh.read())
+
+
+def load_config(path):
+    return resolve(read_config(path))
 
 
 def default_config(**overrides):

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import pullback, sample_family
+# `pullback` is imported for the per-layer tracer of perfbench/spans.py,
+# which wraps it here; the ensemble below steps its runs with `phi_batch`
+from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integral, truncate_plus
 from .model import trapezoid
 from .noise import get_ou, step_index
@@ -245,22 +247,34 @@ class PullbackRun:
         return float(self.traj.u_l2sq[-1] + self.traj.v_l2sq[-1])
 
 
-def run_pullback_ensemble(tau, path, fam, spec, solver, t_schedule, snapshot_stride=None, family_seed=0):
-    """All pullback evaluations needed by the experiment reports.
+def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_stride=None, family_seed=0):
+    """All pullback evaluations needed by the experiment reports, per path.
 
-    One family draw per t (the ball radius grows with t); every run reuses
-    the same noise realization, which is what makes the schedule a pullback
-    sequence rather than independent experiments.
+    One family draw per t (the ball radius grows with t); every run of a
+    path reuses its noise realization, which is what makes the schedule a
+    pullback sequence rather than independent experiments.  All runs land
+    at tau, so the runs of every path are stepped as one batch; each is
+    bitwise what `cocycle.pullback` gives for it alone.  Returns one list of
+    runs per path, ordered by (t, sample id).
     """
-    runs = []
-    for t in sorted(t_schedule):
-        inits = sample_family(fam, tau, t, spec.grid, seed=family_seed)
-        for sid, (u0, v0) in enumerate(inits):
-            (u_t, v_t), traj = pullback(
-                t, tau, path, u0, v0, spec, solver, snapshot_stride=snapshot_stride
-            )
-            runs.append(PullbackRun(t, sid, path.seed, traj, u_t, v_t))
-    return runs
+    ts = sorted(t_schedule)
+    inits = {t: sample_family(fam, tau, t, spec.grid, seed=family_seed) for t in ts}
+    n = step_index(ts[-1], solver.dt)
+    for path in paths:
+        # one OU span per seed: blocks filled together share their increments
+        get_ou(path.seed, 1, spec.lam, solver.dt).values(path.offset - n, path.offset)
+        get_ou(path.seed, 2, spec.sigma, solver.dt).values(path.offset - n, path.offset)
+    keys = [(path, t, sid) for path in paths for t in ts for sid in range(len(inits[t]))]
+    results = phi_batch(
+        [CocycleInput(t, tau - t, path.shift(-t), *inits[t][sid]) for path, t, sid in keys],
+        spec, solver, snapshot_stride=snapshot_stride,
+    )
+    runs = [
+        PullbackRun(t, sid, path.seed, traj, u_t, v_t)
+        for (path, t, sid), ((u_t, v_t), traj) in zip(keys, results)
+    ]
+    per_path = sum(len(inits[t]) for t in ts)
+    return [runs[i * per_path : (i + 1) * per_path] for i in range(len(paths))]
 
 
 def absorption_report(runs, radius, fam, t_schedule):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
@@ -32,16 +32,19 @@ BLOWUP_THRESHOLD = 1e8
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, t, max_u):
-        super().__init__(f"solution blew up at t={t} (max|u|={max_u:.3e})")
+    """A run left the finite range; `member` is its (seed, horizon)."""
+
+    def __init__(self, t, max_u, member=None):
+        where = "" if member is None else f" in the run of seed {member[0]}, horizon t={member[1]}"
+        super().__init__(f"solution blew up at t={t} (max|u|={max_u:.3e}){where}")
         self.t = t
         self.max_u = max_u
+        self.member = member
 
     def __reduce__(self):
         # the default rebuilds from self.args, the message alone; workers of
-        # `cli --threads` send exceptions back pickled, and a multiprocessing
-        # pool waits forever on one it cannot unpickle
-        return (type(self), (self.t, self.max_u))
+        # `cli --threads` send exceptions back pickled
+        return (type(self), (self.t, self.max_u, self.member))
 
 
 class StructureViolation(ValueError):
@@ -215,16 +218,15 @@ class _ImplicitOperator:
         n = grid.n
         d = dt / grid.spacing**2
         if grid.dim == 1 and grid.boundary in ("dirichlet0", "neumann0"):
-            # SPD tridiagonal: banded Cholesky, factored once
-            ab = np.zeros((2, n))
-            ab[0, 1:] = -d
-            ab[1, :] = 1.0 + dt * lam + 2.0 * d
+            # SPD tridiagonal: LDL^T, factored once
+            diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
             if grid.boundary == "neumann0":
-                ab[1, 0] -= d
-                ab[1, -1] -= d
-            self._cb = cholesky_banded(ab, check_finite=False)
-            (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._cb,))
-            self._mode = "banded"
+                diag[0] -= d
+                diag[-1] -= d
+            self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
+            if info != 0:
+                raise ValueError(f"pttrf failed with info {info}")
+            self._mode = "tridiagonal"
         else:
             l1 = _laplacian_matrix_1d(n, grid.boundary)
             if grid.dim == 1:
@@ -238,13 +240,23 @@ class _ImplicitOperator:
         self.shape = grid.shape
 
     def solve(self, rhs):
-        """Solution of the system; the banded path overwrites `rhs` with it."""
-        if self._mode == "banded":
-            x, info = self._pbtrs(self._cb, rhs, lower=0, overwrite_b=1)
+        """Overwrite `rhs`, one right-hand side per row, with the solutions.
+
+        Each row is solved exactly as it would be alone: on the tridiagonal
+        path rhs.T is a Fortran-ordered matrix with one column per row, and
+        dpttrs treats its columns one by one; the sparse path calls SuperLU
+        once per row.
+        """
+        if self._mode == "tridiagonal":
+            x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=1)
             if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of pbtrs")
-            return x
-        return self._lu.solve(rhs.ravel()).reshape(self.shape)
+                raise ValueError(f"illegal value in argument {-info} of pttrs")
+            if not np.may_share_memory(x, rhs):
+                rhs[...] = x.T
+            return rhs
+        for row in rhs:
+            row[...] = self._lu.solve(row.ravel()).reshape(self.shape)
+        return rhs
 
 
 _OPERATOR_CACHE = {}
@@ -294,24 +306,78 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_strid
 
     z1, z2 at PDE time s are the OU drivers evaluated at the path step
     offset + (s - tau0)/dt, i.e. along theta_{s-tau0} of the given path.
+    This is `solve_batch` with one member.
     """
-    dt = solver.dt
-    if abs(path.dt - dt) > 1e-15:
-        raise ValueError("noise path dt must equal the solver dt")
-    k0 = step_index(tau0, dt)
-    k1 = step_index(tau1, dt)
-    if k1 < k0:
-        raise ValueError("tau1 must be >= tau0")
-    if step_index(init.t, dt) != k0:
+    if step_index(init.t, solver.dt) != step_index(tau0, solver.dt):
         raise ValueError("init.t must equal tau0")
-    nsteps = k1 - k0
+    return solve_batch(spec, solver, [(path, init)], tau1, record_stride, snapshot_stride)[0]
 
-    ou1 = get_ou(path.seed, 1, spec.lam, dt)
-    ou2 = get_ou(path.seed, 2, spec.sigma, dt)
-    z1s = ou1.values(path.offset, path.offset + nsteps)
-    z2s = ou2.values(path.offset, path.offset + nsteps)
 
-    grid = init.grid
+_RECORDS = ("t", "u", "v", "up", "utp", "z1", "z2", "g", "h")
+
+
+def _row_norms(X, grid, p=None):
+    """l2_sq (no p) or lp_p of every row of X, bitwise as those give it.
+
+    For p = 4, lp_p is the l2_sq of the squares, which are taken here for
+    all rows in one pass; l2_sq is one 1-D dot per row.
+    """
+    if p == 4:
+        X = X * X
+    elif p is not None:
+        return [lp_p(x, grid, p) for x in X]
+    cm = grid.cell_measure
+    return [float(np.dot(x, x) * cm) for x in X.reshape(len(X), -1)]
+
+
+def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=None):
+    """Advance several runs to tau1 as the rows of one (B, n) array.
+
+    `members` is a list of (path, init) pairs; each run starts at init.t and
+    is driven along its own path exactly as in `solve`.  A row joins the
+    batch at its own start step, so runs of different length (a pullback
+    schedule) land together at tau1, and records and snapshots are counted
+    from each row's own start.  The arithmetic of a row does not depend on
+    the batch: every operation is elementwise, the implicit solve treats
+    each row alone, and the records are per-row dot products.  Each row is
+    therefore bitwise the run `solve` gives on its own.  Returns one
+    Trajectory per member, in order.
+    """
+    if not members:
+        return []
+    dt = solver.dt
+    k1 = step_index(tau1, dt)
+    if snapshot_stride and snapshot_stride % record_stride != 0:
+        raise ValueError("snapshot_stride must be a multiple of record_stride")
+    starts = []
+    for path, init in members:
+        if abs(path.dt - dt) > 1e-15:
+            raise ValueError("noise path dt must equal the solver dt")
+        starts.append(step_index(init.t, dt))
+    if max(starts) > k1:
+        raise ValueError("tau1 must be >= tau0")
+    # rows in order of entry, so the active rows are always a prefix
+    rows = sorted(range(len(members)), key=starts.__getitem__)
+    k0 = [starts[i] for i in rows]
+    kmin = k0[0]
+    B = len(rows)
+
+    # z at every absolute step for each (seed, path step - time step): the
+    # pullback runs of one seed share one series, and OuProcess.values is
+    # asked once for its whole span
+    sources = {}  # key -> (series index, first step)
+    group = []
+    for b, i in enumerate(rows):
+        path = members[i][0]
+        key = (path.seed, path.offset - k0[b])
+        group.append(sources.setdefault(key, (len(sources), k0[b]))[0])
+    Z1 = np.zeros((k1 - kmin + 1, len(sources)))
+    Z2 = np.zeros_like(Z1)
+    for (seed, shift), (g, first) in sources.items():
+        Z1[first - kmin :, g] = get_ou(seed, 1, spec.lam, dt).values(first + shift, k1 + shift)
+        Z2[first - kmin :, g] = get_ou(seed, 2, spec.sigma, dt).values(first + shift, k1 + shift)
+
+    grid = members[0][1].grid
     op = _implicit_operator(grid, spec.lam, dt)
     lap_h1 = spec.lap_h1
     h1 = spec.h1.values
@@ -324,107 +390,131 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_strid
     gain = (1.0 - ev) / spec.sigma
     p = spec.p
 
-    u = init.u.values.copy()
-    v = init.v.values.copy()
+    U = np.empty((B,) + grid.shape)
+    R = np.empty_like(U)
+    V = np.empty_like(U)
+    shifted = np.empty_like(U)
+    acc = np.empty_like(U)
+    tmp = np.empty_like(U)
+    force = np.empty(grid.shape)
+    prod = np.empty((len(sources),) + grid.shape)
+    group = np.array(group)
+    zshape = (-1,) + (1,) * grid.dim
 
-    if snapshot_stride and snapshot_stride % record_stride != 0:
-        raise ValueError("snapshot_stride must be a multiple of record_stride")
-    rec_idx = list(range(0, nsteps + 1, record_stride))
-    if rec_idx[-1] != nsteps:
-        rec_idx.append(nsteps)
-    rec_set = set(rec_idx)
-    snap_set = set(range(0, nsteps + 1, snapshot_stride)) if snapshot_stride else set()
+    recs = [{key: [] for key in _RECORDS} for _ in range(B)]
+    snapshots = [[] for _ in range(B)]
+    # the rows whose own step count is a multiple of the stride at step k
+    # are by_phase[k % record_stride], in row order
+    starts_arr = np.array(k0)
+    by_phase = [np.flatnonzero(starts_arr % record_stride == r) for r in range(record_stride)]
 
-    rec = {k: [] for k in ("t", "u", "v", "up", "utp", "z1", "z2", "g", "h")}
-    snapshots = []
+    def record(due, k):
+        j = k - kmin
+        tn = k * dt
+        u = U[due]
+        z1 = Z1[j][group[due]]
+        cols = zip(
+            _row_norms(u, grid),
+            _row_norms(V[due], grid),
+            _row_norms(u, grid, p),
+            _row_norms(u + h1 * z1.reshape(zshape), grid, p),
+            z1.tolist(),
+            Z2[j][group[due]].tolist(),
+        )
+        g_l2sq, h_l2sq = spec.g.l2sq_at(tn), spec.h.l2sq_at(tn)
+        for b, values in zip(due.tolist(), cols):
+            for key, value in zip(_RECORDS, (tn, *values, g_l2sq, h_l2sq)):
+                recs[b][key].append(value)
+            if snapshot_stride and (k - k0[b]) % snapshot_stride == 0:
+                snapshots[b].append((tn, U[b].copy()))
 
-    def _record(n, un, vn, z1n, z2n, tn):
-        rec["t"].append(tn)
-        rec["u"].append(l2_sq(un, grid))
-        rec["v"].append(l2_sq(vn, grid))
-        rec["up"].append(lp_p(un, grid, p))
-        rec["utp"].append(lp_p(un + h1 * z1n, grid, p))
-        rec["z1"].append(z1n)
-        rec["z2"].append(z2n)
-        rec["g"].append(spec.g.l2sq_at(tn))
-        rec["h"].append(spec.h.l2sq_at(tn))
-        if n in snap_set:
-            snapshots.append((tn, un.copy()))
-
-    # The loop below evaluates, into preallocated buffers and in the same
-    # order of floating-point operations,
+    # The loop below evaluates, for the active rows, into preallocated
+    # buffers and in this order of floating-point operations,
     #   rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
     #   v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
-    # so the result is bitwise that of the allocating expressions.  For the
-    # canonical f(s) = -s^3, f + gf*G is computed as gf*G - s^3, which IEEE
-    # defines as gf*G + (-s^3).
+    # For the canonical f(s) = -s^3, f + gf*G is computed as gf*G - s^3,
+    # which IEEE defines as gf*G + (-s^3).  A profile times z is formed once
+    # per z series and gathered to the rows (prod[gi]): numpy broadcasts a
+    # per-row column several times slower than it runs contiguous arrays.
     cubic = nl.p == 4 and nl.sign == -1.0 and not nl.eps and nl.shift is None
-    z1l = z1s.tolist()
-    z2l = z2s.tolist()
     gfactor, hfactor = spec.g.factor, spec.h.factor
-    shifted = np.empty_like(u)
-    acc = np.empty_like(u)
-    tmp = np.empty_like(u)
-    rhs = np.empty_like(u)
-
-    _record(0, u, v, z1l[0], z2l[0], k0 * dt)
-    for n in range(nsteps):
-        tn = (k0 + n) * dt
-        z1n = z1l[n]
-        z2n = z2l[n]
-        np.multiply(h1, z1n, out=shifted)
-        np.add(u, shifted, out=shifted)
-        np.multiply(gprof, gfactor(tn), out=acc)
+    A = 0
+    for k in range(kmin, k1 + 1):
+        if A < B and k0[A] == k:
+            first = A
+            while A < B and k0[A] == k:
+                init = members[rows[A]][1]
+                U[A] = init.u.values
+                V[A] = init.v.values
+                A += 1
+            record(np.arange(first, A), k)
+            u, v, rhs = U[:A], V[:A], R[:A]
+            sh, ac, tm, gi = shifted[:A], acc[:A], tmp[:A], group[:A]
+        if k == k1:
+            break
+        tn = k * dt
+        z1 = Z1[k - kmin].reshape(zshape)
+        z2 = Z2[k - kmin].reshape(zshape)
+        np.multiply(h1, z1, out=prod)
+        np.add(u, prod[gi], out=sh)
+        np.multiply(gprof, gfactor(tn), out=force)
         if cubic:
-            np.multiply(shifted, shifted, out=tmp)
-            np.multiply(tmp, shifted, out=tmp)
-            np.subtract(acc, tmp, out=acc)
+            np.multiply(sh, sh, out=tm)
+            np.multiply(tm, sh, out=tm)
+            np.subtract(force, tm, out=ac)
         else:
-            np.add(nl(shifted), acc, out=acc)
-        np.multiply(v, alpha, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(lap_h1, z1n, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.multiply(h2, alpha * z2n, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(acc, dt, out=acc)
-        np.add(u, acc, out=rhs)
-        u_new = op.solve(rhs)
-        mx = float(np.abs(u_new, out=tmp).max())
+            np.add(nl(sh), force, out=ac)
+        np.multiply(v, alpha, out=tm)
+        np.subtract(ac, tm, out=ac)
+        np.multiply(lap_h1, z1, out=prod)
+        np.add(ac, prod[gi], out=ac)
+        np.multiply(h2, alpha * z2, out=prod)
+        np.subtract(ac, prod[gi], out=ac)
+        np.multiply(ac, dt, out=ac)
+        np.add(u, ac, out=rhs)
+        op.solve(rhs)
+        mx = float(np.abs(rhs, out=tm).max())
         if not mx <= BLOWUP_THRESHOLD:  # catches NaN as well
-            raise BlowUpError((k0 + n + 1) * dt, mx)
-        np.multiply(u, beta, out=acc)
-        np.multiply(hprof, hfactor(tn), out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.multiply(h1, beta * z1n, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.multiply(acc, gain, out=acc)
+            row_max = tm.reshape(A, -1).max(axis=1)
+            b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
+            path, init = members[rows[b]]
+            raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
+        np.multiply(u, beta, out=ac)
+        np.multiply(hprof, hfactor(tn), out=force)
+        np.add(ac, force, out=ac)
+        np.multiply(h1, beta * z1, out=prod)
+        np.add(ac, prod[gi], out=ac)
+        np.multiply(ac, gain, out=ac)
         np.multiply(v, ev, out=v)
-        np.add(v, acc, out=v)
+        np.add(v, ac, out=v)
         # the old u is not needed any more: it becomes the next rhs buffer
-        u, rhs = u_new, u
-        if (n + 1) in rec_set:
-            _record(n + 1, u, v, z1l[n + 1], z2l[n + 1], (k0 + n + 1) * dt)
+        U, R = R, U
+        u, rhs = rhs, u
+        due = np.arange(A) if k + 1 == k1 else by_phase[(k + 1) % record_stride]
+        if len(due) and due[0] < A:
+            record(due[: np.searchsorted(due, A)], k + 1)
 
-    arr = {k: np.asarray(vv) for k, vv in rec.items()}
-    energy = alpha * arr["v"] + beta * arr["u"]
-    final = FhnState(k1 * dt, ScalarField(grid, u), ScalarField(grid, v))
-    return Trajectory(
-        t=arr["t"],
-        u_l2sq=arr["u"],
-        v_l2sq=arr["v"],
-        u_lp_p=arr["up"],
-        utilde_lp_p=arr["utp"],
-        z1=arr["z1"],
-        z2=arr["z2"],
-        g_l2sq=arr["g"],
-        h_l2sq=arr["h"],
-        energy=energy,
-        final=final,
-        final_z=(float(z1s[-1]), float(z2s[-1])),
-        snapshots=snapshots,
-        dt_sample=record_stride * dt,
-    )
+    trajs = [None] * B
+    j1 = k1 - kmin
+    for b, i in enumerate(rows):
+        arr = {key: np.asarray(vals) for key, vals in recs[b].items()}
+        trajs[i] = Trajectory(
+            t=arr["t"],
+            u_l2sq=arr["u"],
+            v_l2sq=arr["v"],
+            u_lp_p=arr["up"],
+            utilde_lp_p=arr["utp"],
+            z1=arr["z1"],
+            z2=arr["z2"],
+            g_l2sq=arr["g"],
+            h_l2sq=arr["h"],
+            energy=alpha * arr["v"] + beta * arr["u"],
+            final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
+            final_z=(float(Z1[j1, group[b]]), float(Z2[j1, group[b]])),
+            snapshots=snapshots[b],
+            dt_sample=record_stride * dt,
+        )
+    return trajs
 
 
 def validate_structure(spec, sample_count=2000, tol=1e-8):

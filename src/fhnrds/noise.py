@@ -208,6 +208,23 @@ def get_ou(seed, component, rate, dt, burn_in=None):
     return proc
 
 
+def ou_blocks():
+    """The filled blocks of every cached process: {cache key: {block index: values}}."""
+    return {key: dict(proc._blocks) for key, proc in _OU_CACHE.items()}
+
+
+def merge_ou_blocks(blocks):
+    """Add blocks filled elsewhere (in a worker process) to the cache.
+
+    A block is a pure function of its key and index, so a copy made
+    elsewhere is bitwise the block this process would fill.
+    """
+    for key, filled in blocks.items():
+        cached = get_ou(*key)._blocks
+        for m, values in filled.items():
+            cached.setdefault(m, values)
+
+
 def temperedness_probe(proc, delta, exponent, horizon, stride=None):
     """Series t -> exp(-delta*t) * |z(theta_{-t} omega)|^exponent on [0, horizon].
 

@@ -248,7 +248,7 @@ def test_criterion_9_bispatial_attractor(spec, solver, canonical_verify, report)
                     zero, zero, zero, grid)
     fam = FamilySpec(base_radius=1.0, growth_rate=0.0, sample_count=2, delta=det.delta)
     path = WienerPath(seed=0, dt=solver.dt)
-    runs = dg.run_pullback_ensemble(0.0, path, fam, det, solver, [16.0, 32.0])
+    (runs,) = dg.run_pullback_ensemble(0.0, [path], fam, det, solver, [16.0, 32.0])
     ap = dg.attractor_from_runs(runs, 0.0, 0, det.p)
     zero_norm = max(
         np.sqrt(dg.l2_sq(u.values, grid) + dg.l2_sq(v.values, grid)) for u, v in ap.points

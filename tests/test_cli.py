@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fhnrds import cli
+from fhnrds import cli, config
 from fhnrds.config import ConfigError, DEFAULTS, default_config, load_config, parse_config_text
 from fhnrds.model import StructureViolation
 
@@ -128,6 +133,67 @@ def test_cli_verify_blowup_in_worker_exit_2(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"].startswith("blow-up: ")
     assert "report.json" not in {Path(p).name for p in manifest["artifacts"]}
+    # the error names the run that blew up: the pullback runs of horizon 32
+    # start first and blow up before the shorter runs join their batch
+    member = re.search(r"in the run of seed (\d+), horizon t=(\S+)$", manifest["error"])
+    assert member and int(member[1]) in (42, 43) and float(member[2]) == 32.0
+
+
+# a worker raises an exception whose class cannot be rebuilt from its
+# pickled message; the parent must still get it and exit, not wait forever
+WORKER_RAISES = """
+import sys
+from fhnrds import cli
+
+class TwoArgError(Exception):
+    def __init__(self, where, why):
+        super().__init__(f"{where}: {why}")
+
+def broken(*args, **kwargs):
+    raise TwoArgError("energy phase", "injected failure")
+
+cli.solve_batch = broken
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_worker_exception_reaches_parent(tmp_path):
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", WORKER_RAISES, "verify", "--config", cfgp,
+         "--out", str(tmp_path / "out"), "--threads", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("verify --threads 2 hung on a worker exception")
+    assert proc.returncode == 1
+    assert "WorkerError: TwoArgError in a worker process: energy phase: injected failure" in err
+
+
+def test_cli_resolves_config_once(tmp_path, monkeypatch):
+    resolved = []
+    real = config.resolve
+
+    def counting(values):
+        resolved.append(dict(values))
+        return real(values)
+
+    monkeypatch.setattr(config, "resolve", counting)
+    monkeypatch.setattr(cli, "resolve", counting)
+    cfgp = write_cfg(tmp_path, SMALL)
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o"),
+                     "--seed", "5", "--duration", "0.1"]) == 0
+    assert len(resolved) == 1 and resolved[0]["seed"] == 5
+    resolved.clear()
+    assert cli.main(["simulate", "--out", str(tmp_path / "d"), "--duration", "0.1"]) == 0
+    assert resolved == [{}]
 
 
 def _pass_fields(obj):

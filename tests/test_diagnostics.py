@@ -32,9 +32,10 @@ def small_traj(small):
 def small_runs(small):
     cfg, spec, solver, fam = small
     path = WienerPath(seed=5, dt=solver.dt)
-    return path, dg.run_pullback_ensemble(
-        0.0, path, fam, spec, solver, [2.0, 4.0, 8.0], snapshot_stride=1000
+    (runs,) = dg.run_pullback_ensemble(
+        0.0, [path], fam, spec, solver, [2.0, 4.0, 8.0], snapshot_stride=1000
     )
+    return path, runs
 
 
 def zero_spec_and_traj():
@@ -257,7 +258,7 @@ def test_absorption_report_zero_family():
     solver = cfg.solver_spec()
     fam = cfg.family_spec(spec.delta)
     path = WienerPath(seed=0, dt=solver.dt)
-    runs = dg.run_pullback_ensemble(0.0, path, fam, spec, solver, [2.0])
+    (runs,) = dg.run_pullback_ensemble(0.0, [path], fam, spec, solver, [2.0])
     rep = dg.absorption_report(runs, radius=1e-6, fam=fam, t_schedule=[2.0])
     assert rep["pass"] and rep["absorption_time"] == 2.0
 

@@ -3,8 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, expm
+from scipy.linalg import expm
+from scipy.linalg.lapack import dpttrs
 
+from fhnrds import diagnostics as dg
+from fhnrds.cocycle import pullback
 from fhnrds.config import default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, lp_p
 from fhnrds.model import (
@@ -18,6 +21,7 @@ from fhnrds.model import (
     _implicit_operator,
     from_tilde,
     solve,
+    solve_batch,
     to_tilde,
     validate_forcing,
     validate_structure,
@@ -123,8 +127,8 @@ def test_solve_one_step_advances_time_one_dt():
 def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     """The IMEX loop of `solve` written with allocating expressions.
 
-    Same scheme and operation order as `solve`, without its buffers, its
-    cubic fold or its direct LAPACK call.  Returns the final u and v, the
+    Same scheme and operation order as `solve`, without its batch buffers,
+    its cubic fold or its in-place solve.  Returns the final u and v, the
     records, and a snapshot of u at every record.
     """
     dt = solver.dt
@@ -134,9 +138,9 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     z2s = get_ou(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
     grid = init.grid
     op = _implicit_operator(grid, spec.lam, dt)
-    if op._mode == "banded":
+    if op._mode == "tridiagonal":
         def implicit(rhs):
-            return cho_solve_banded((op._cb, False), rhs, check_finite=False)
+            return dpttrs(op._d, op._e, rhs)[0]
     else:
         def implicit(rhs):
             return op._lu.solve(rhs.ravel()).reshape(grid.shape)
@@ -184,7 +188,7 @@ SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
 @pytest.mark.parametrize(
     "overrides, generic, t1",
     [
-        ({}, False, 0.4),  # banded path, cubic fold
+        ({}, False, 0.4),  # tridiagonal path, cubic fold
         ({"grid.boundary": "neumann0"}, False, 0.4),
         ({}, True, 0.4),  # generic nonlinearity branch
         ({"grid.boundary": "periodic"}, False, 0.4),  # sparse path
@@ -211,6 +215,87 @@ def test_solve_bitwise_matches_reference(overrides, generic, t1):
     assert len(traj.snapshots) == len(snapshots)
     for (t, snap), (t_ref, snap_ref) in zip(traj.snapshots, snapshots):
         assert t == t_ref and np.array_equal(snap, snap_ref)
+
+
+TRAJECTORY_ARRAYS = ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2",
+                     "g_l2sq", "h_l2sq", "energy")
+
+
+def assert_same_trajectory(got, expected):
+    assert np.array_equal(got.final.u.values, expected.final.u.values)
+    assert np.array_equal(got.final.v.values, expected.final.v.values)
+    assert got.final.t == expected.final.t and got.final_z == expected.final_z
+    for key in TRAJECTORY_ARRAYS:
+        assert np.array_equal(getattr(got, key), getattr(expected, key)), key
+    assert len(got.snapshots) == len(expected.snapshots)
+    for (t, snap), (t_ref, snap_ref) in zip(got.snapshots, expected.snapshots):
+        assert t == t_ref and np.array_equal(snap, snap_ref)
+
+
+@pytest.mark.parametrize(
+    "overrides, generic, t1",
+    [
+        ({}, False, 0.4),
+        ({"grid.boundary": "neumann0"}, False, 0.4),
+        ({}, True, 0.4),
+        ({"grid.boundary": "periodic"}, False, 0.4),
+        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),
+    ],
+    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d"],
+)
+def test_solve_batch_rows_match_single_solves(overrides, generic, t1):
+    # staggered starts (off the record stride too), two seeds, two runs
+    # sharing one z series, and a run of zero steps
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec = cfg.model_spec()
+    if generic:
+        shift = bump_field(spec.grid, amplitude=0.1, width=2.0)
+        spec = dataclasses.replace(spec, p=3.0, nonlin=Nonlinearity(3.0, shift=shift, eps=0.1))
+    solver = cfg.solver_spec()
+    dt = solver.dt
+    a = WienerPath(seed=23, dt=dt)
+    b = WienerPath(seed=29, dt=dt)
+
+    def state(t, amp, center):
+        return FhnState(t, bump_field(spec.grid, amplitude=amp, width=3.0),
+                        bump_field(spec.grid, center=center, amplitude=0.5))
+
+    members = [
+        (a.shift(-0.5), state(0.0, 1.5, 1.0)),
+        (b.shift(0.2), state(0.037, -1.0, 0.0)),
+        (a.shift(-0.45), state(0.05, 0.7, -1.0)),
+        (b, state(0.0, 1.2, 2.0)),
+        (a, state(t1, 0.3, 0.0)),
+    ]
+    trajs = solve_batch(spec, solver, members, t1, snapshot_stride=20)
+    assert len(trajs) == len(members)
+    for (path, init), traj in zip(members, trajs):
+        alone = solve(spec, solver, path, init.t, t1, init, snapshot_stride=20)
+        assert_same_trajectory(traj, alone)
+
+
+def test_pullback_ensemble_matches_pullback_per_run():
+    cfg = default_config(**SMALL_GRID)
+    spec = cfg.model_spec()
+    solver = cfg.solver_spec()
+    fam = cfg.family_spec(spec.delta)
+    paths = [WienerPath(seed=s, dt=solver.dt) for s in (3, 4)]
+    schedule = [0.5, 0.25, 1.0]
+    ensembles = dg.run_pullback_ensemble(0.0, paths, fam, spec, solver, schedule,
+                                         snapshot_stride=100)
+    assert len(ensembles) == len(paths)
+    for path, runs in zip(paths, ensembles):
+        assert [(r.t, r.sample_id) for r in runs] == [
+            (t, sid) for t in sorted(schedule) for sid in range(fam.sample_count)
+        ]
+        for r in runs:
+            u0, v0 = dg.sample_family(fam, 0.0, r.t, spec.grid)[r.sample_id]
+            (u_t, v_t), traj = pullback(r.t, 0.0, path, u0, v0, spec, solver,
+                                        snapshot_stride=100)
+            assert r.seed == path.seed
+            assert np.array_equal(r.u_tilde.values, u_t.values)
+            assert np.array_equal(r.v_tilde.values, v_t.values)
+            assert_same_trajectory(r.traj, traj)
 
 
 def test_linear_decay_matches_matrix_exponential():
@@ -282,10 +367,25 @@ def test_blow_up_detected():
 
 def test_blow_up_error_pickles():
     # worker processes of `cli --threads` send it back pickled
-    exc = pickle.loads(pickle.dumps(BlowUpError(1.5, 3.0e9)))
+    exc = pickle.loads(pickle.dumps(BlowUpError(1.5, 3.0e9, (7, 16.0))))
     assert isinstance(exc, BlowUpError)
-    assert (exc.t, exc.max_u) == (1.5, 3.0e9)
-    assert str(exc) == str(BlowUpError(1.5, 3.0e9))
+    assert (exc.t, exc.max_u, exc.member) == (1.5, 3.0e9, (7, 16.0))
+    assert str(exc) == str(BlowUpError(1.5, 3.0e9, (7, 16.0)))
+    assert "seed 7, horizon t=16.0" in str(exc)
+
+
+def test_blow_up_names_the_member():
+    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "solver.dt": 0.1})
+    spec = cfg.model_spec()
+    solver = cfg.solver_spec()
+    calm = FhnState(0.0, ScalarField.zeros(spec.grid), ScalarField.zeros(spec.grid))
+    wild = FhnState(0.0, bump_field(spec.grid, amplitude=10.0, width=4.0),
+                    ScalarField.zeros(spec.grid))
+    path = WienerPath(seed=0, dt=solver.dt)
+    members = [(path, calm), (WienerPath(seed=5, dt=solver.dt), wild)]
+    with pytest.raises(BlowUpError) as exc:
+        solve_batch(spec, solver, members, 8.0)
+    assert exc.value.member == (5, 8.0)
 
 
 def test_trajectory_records_transformed_norms():
