@@ -21,7 +21,7 @@ import numpy as np
 # `pullback` is imported for the per-layer tracer of perfbench/spans.py,
 # which wraps it here; the ensemble below steps its runs with `phi_batch`
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
-from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integral, truncate_plus
+from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals, truncate_plus
 from .model import trapezoid
 from .noise import get_ou, step_index
 
@@ -379,8 +379,8 @@ def truncation_tail_report(runs, spec, M_schedule, eta):
     for r in runs:
         u = r.u_tilde
         max_abs = max(max_abs, float(np.max(np.abs(u.values))))
+        np.maximum(sup_tail, tail_integrals(u, M_schedule, p), out=sup_tail)
         for i, M in enumerate(M_schedule):
-            sup_tail[i] = max(sup_tail[i], tail_integral(u, M, p))
             plus = truncate_plus(u, M)
             minus = truncate_plus(ScalarField(u.grid, -u.values), M)
             sup_plus[i] = max(sup_plus[i], lp_p(plus.values, u.grid, p))

@@ -149,15 +149,25 @@ def truncate_plus(f, M):
     return ScalarField(f.grid, np.maximum(f.values - M, 0.0))
 
 
-def tail_integral(f, M, p):
-    """Integral of |f|^p over the superlevel set {|f| >= M} (M = 0 allowed)."""
-    if M < 0:
+def tail_integrals(f, M_values, p):
+    """Integral of |f|^p over {|f| >= M} for each M of `M_values` (M = 0 allowed).
+
+    All are read from one cumulative sum of |f|^p from the largest value
+    down, so they never rise with M, bitwise.
+    """
+    M = np.asarray(M_values, dtype=float)
+    if np.any(M < 0):
         raise ValueError("M must be nonnegative")
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = np.abs(f.values)
-    mask = a >= M
-    return float(np.sum(a[mask] ** p) * f.grid.cell_measure)
+    a = np.sort(np.abs(f.values), axis=None)
+    sums = np.concatenate(([0.0], np.cumsum(a[::-1] ** p)))
+    return (sums[a.size - np.searchsorted(a, M)] * f.grid.cell_measure).tolist()
+
+
+def tail_integral(f, M, p):
+    """`tail_integrals` at one M."""
+    return tail_integrals(f, [M], p)[0]
 
 
 def inner(f, g):

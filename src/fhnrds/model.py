@@ -18,12 +18,12 @@ in two reproduces the single run bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
+from scipy import fft
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import splu
 
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
 from .noise import get_ou, step_index
@@ -122,9 +122,6 @@ class Forcing:
             return np.exp(self.a * t)
         return np.sin(self.a * t) + self.c
 
-    def values_at(self, t):
-        return self.factor(t) * self.profile.values
-
     def l2sq_at(self, t):
         f = self.factor(t)
         return f * f * self.profile_l2sq
@@ -197,27 +194,28 @@ def from_tilde(u_tilde, v_tilde, spec, z1, z2, t=0.0):
     return FhnState(t, u, v)
 
 
-def _laplacian_matrix_1d(n, boundary):
-    """1-D stencil matrix (unscaled by 1/h^2) for the chosen closure."""
-    main = np.full(n, -2.0)
-    if boundary == "neumann0":
-        main[0] = -1.0
-        main[-1] = -1.0
-    off = np.ones(n - 1)
-    m = diags([off, main, off], [-1, 0, 1], format="lil")
-    if boundary == "periodic":
-        m[0, n - 1] = 1.0
-        m[n - 1, 0] = 1.0
-    return m.tocsc()
+_TRANSFORMS = {  # closure -> the transform pair that diagonalises it
+    "dirichlet0": (partial(fft.dstn, type=1), partial(fft.idstn, type=1)),
+    "neumann0": (partial(fft.dctn, type=2), partial(fft.idctn, type=2)),
+    "periodic": (fft.fftn, lambda y, **kw: fft.ifftn(y, **kw).real),
+}
 
 
 class _ImplicitOperator:
-    """Prefactored solver for (1 + dt*lam) I - dt*Lap on a grid."""
+    """Solver for (1 + dt*lam) I - dt*Lap, set up once per (grid, lam, dt).
+
+    1-D dirichlet0 and neumann0 grids factor the SPD tridiagonal matrix as
+    LDL^T.  Every other grid solves in its transform of `_TRANSFORMS`, where
+    h^2*Lap is diagonal with entries -sum over the axes of 2 - 2cos(theta_k):
+    theta_k = pi(k+1)/(n+1) for DST-I, pi*k/n for the cell-centred DCT-II
+    (the `edge` pad of fields) and 2*pi*k/n for the FFT.
+    """
 
     def __init__(self, grid, lam, dt):
         n = grid.n
         d = dt / grid.spacing**2
-        if grid.dim == 1 and grid.boundary in ("dirichlet0", "neumann0"):
+        self._denom = None
+        if grid.dim == 1 and grid.boundary != "periodic":
             # SPD tridiagonal: LDL^T, factored once
             diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
             if grid.boundary == "neumann0":
@@ -226,36 +224,35 @@ class _ImplicitOperator:
             self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
             if info != 0:
                 raise ValueError(f"pttrf failed with info {info}")
-            self._mode = "tridiagonal"
-        else:
-            l1 = _laplacian_matrix_1d(n, grid.boundary)
-            if grid.dim == 1:
-                lap = l1
-            else:
-                eye = identity(n, format="csc")
-                lap = kron(l1, eye) + kron(eye, l1)
-            m = (1.0 + dt * lam) * identity(n**grid.dim, format="csc") - d * lap
-            self._lu = splu(m.tocsc())
-            self._mode = "sparse"
-        self.shape = grid.shape
+            return
+        k = np.arange(n)
+        theta = {"dirichlet0": np.pi * (k + 1) / (n + 1), "neumann0": np.pi * k / n,
+                 "periodic": 2.0 * np.pi * k / n}[grid.boundary]
+        mu = 2.0 - 2.0 * np.cos(theta)
+        if grid.dim == 2:
+            mu = mu[:, None] + mu[None, :]
+        self._denom = 1.0 + dt * lam + d * mu
+        self._transform = _TRANSFORMS[grid.boundary]
+        self._axes = tuple(range(-grid.dim, 0))
 
     def solve(self, rhs):
         """Overwrite `rhs`, one right-hand side per row, with the solutions.
 
-        Each row is solved exactly as it would be alone: on the tridiagonal
-        path rhs.T is a Fortran-ordered matrix with one column per row, and
-        dpttrs treats its columns one by one; the sparse path calls SuperLU
-        once per row.
+        Each row is solved exactly as it would be alone: dpttrs treats the
+        columns of the Fortran-ordered rhs.T one by one, and the transforms
+        act on the spatial axes only, one line at a time.
         """
-        if self._mode == "tridiagonal":
+        if self._denom is None:
             x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=1)
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of pttrs")
             if not np.may_share_memory(x, rhs):
                 rhs[...] = x.T
             return rhs
-        for row in rhs:
-            row[...] = self._lu.solve(row.ravel()).reshape(self.shape)
+        forward, inverse = self._transform
+        y = forward(rhs, axes=self._axes)
+        y /= self._denom
+        rhs[...] = inverse(y, axes=self._axes, overwrite_x=True)
         return rhs
 
 

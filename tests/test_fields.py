@@ -14,6 +14,7 @@ from fhnrds.fields import (
     read_snapshot,
     superlevel_measure,
     tail_integral,
+    tail_integrals,
     truncate_plus,
     write_snapshot,
 )
@@ -102,6 +103,21 @@ def test_superlevel_and_tails():
     # monotone non-increasing in M
     tails = [tail_integral(f, M, 4) for M in (0.5, 1.0, 2.0, 3.0, 4.0)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+
+def test_tails_never_rise_with_M():
+    # smooth bumps have many cells just above 0; summing each superlevel set
+    # on its own can round the tail of a larger M up by an ulp
+    g = Grid(n=1024, half_width=32.0)
+    rng = np.random.default_rng(5)
+    Ms = np.geomspace(1e-7, 1e-2, 50)
+    for _ in range(10):
+        f = bump_field(g, center=rng.uniform(-8, 8), width=rng.uniform(4, 16),
+                       amplitude=rng.uniform(0.5, 2))
+        tails = [tail_integral(f, M, 4) for M in Ms]
+        assert np.all(np.diff(tails) <= 0.0)
+        assert tails == tail_integrals(f, Ms, 4)
+        assert tails[0] == pytest.approx(np.sum(f.values**4) * g.cell_measure, rel=1e-12)
 
 
 def test_truncate_plus():

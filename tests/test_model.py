@@ -4,12 +4,11 @@ import pickle
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.linalg.lapack import dpttrs
 
 from fhnrds import diagnostics as dg
 from fhnrds.cocycle import pullback
 from fhnrds.config import default_config
-from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, lp_p
+from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
 from fhnrds.model import (
     BlowUpError,
     FhnState,
@@ -127,9 +126,10 @@ def test_solve_one_step_advances_time_one_dt():
 def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     """The IMEX loop of `solve` written with allocating expressions.
 
-    Same scheme and operation order as `solve`, without its batch buffers,
-    its cubic fold or its in-place solve.  Returns the final u and v, the
-    records, and a snapshot of u at every record.
+    Same scheme and operation order as `solve`, without its batch buffers
+    or its cubic fold; the implicit solve is the operator's, on a batch of
+    one.  Returns the final u and v, the records, and a snapshot of u at
+    every record.
     """
     dt = solver.dt
     k0 = step_index(tau0, dt)
@@ -138,12 +138,9 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     z2s = get_ou(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
     grid = init.grid
     op = _implicit_operator(grid, spec.lam, dt)
-    if op._mode == "tridiagonal":
-        def implicit(rhs):
-            return dpttrs(op._d, op._e, rhs)[0]
-    else:
-        def implicit(rhs):
-            return op._lu.solve(rhs.ravel()).reshape(grid.shape)
+
+    def implicit(rhs):
+        return op.solve(rhs[None].copy())[0]
     h1, h2 = spec.h1.values, spec.h2.values
     gprof, hprof = spec.g.profile.values, spec.h.profile.values
     alpha, beta = spec.alpha, spec.beta
@@ -191,10 +188,13 @@ SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
         ({}, False, 0.4),  # tridiagonal path, cubic fold
         ({"grid.boundary": "neumann0"}, False, 0.4),
         ({}, True, 0.4),  # generic nonlinearity branch
-        ({"grid.boundary": "periodic"}, False, 0.4),  # sparse path
-        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),  # sparse path in 2-D
+        ({"grid.boundary": "periodic"}, False, 0.4),  # FFT path
+        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),  # DST-I path in 2-D
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, False, 0.1),  # DCT-II
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, False, 0.1),  # 2-D FFT
     ],
-    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d"],
+    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d", "2d-neumann0",
+         "2d-periodic"],
 )
 def test_solve_bitwise_matches_reference(overrides, generic, t1):
     cfg = default_config(**{**SMALL_GRID, **overrides})
@@ -215,6 +215,32 @@ def test_solve_bitwise_matches_reference(overrides, generic, t1):
     assert len(traj.snapshots) == len(snapshots)
     for (t, snap), (t_ref, snap_ref) in zip(traj.snapshots, snapshots):
         assert t == t_ref and np.array_equal(snap, snap_ref)
+
+
+# Residual bound of the implicit solve, relative to |rhs| in the 2-norm.
+# Off the 1-D tridiagonal path the solve is x = T^-1(T(rhs) / denom), with T
+# a real transform that is orthogonal up to scaling.  Each 1-D transform of
+# length n rounds with a normwise relative error of about log2(2n) eps, so
+# the 2*dim transforms and the division leave x within
+# (2*dim*log2(2n) + 1) eps = 25 eps (dim 2, n 32); the LDL^T solve of the
+# 1-D path does better.  The residual multiplies that by
+# |A| <= 1 + dt*lam + 4*dim*dt/h^2 = 1.33 (h = 0.5) and adds the rounding of
+# the stencil, about (4*dim + 2) eps |A|: 47 eps = 1.0e-14 in all, against
+# an observed 4.5e-16.  1e-13 sits above the bound; a wrong eigenvalue
+# (neumann0 solved with the DST-I mu) leaves a residual of 4.9e-3.
+OPERATOR_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", ["dirichlet0", "neumann0", "periodic"])
+def test_implicit_operator_solves_the_stencil(boundary, dim):
+    grid = Grid(dim=dim, half_width=8.0, n=32, boundary=boundary)
+    lam, dt = 1.0, 0.01
+    rhs = np.random.default_rng(11).standard_normal((3,) + grid.shape)
+    x = _implicit_operator(grid, lam, dt).solve(rhs.copy())
+    for xb, rb in zip(x, rhs):
+        residual = (1.0 + dt * lam) * xb - dt * laplacian_values(xb, grid) - rb
+        assert np.linalg.norm(residual) <= OPERATOR_RTOL * np.linalg.norm(rb)
 
 
 TRAJECTORY_ARRAYS = ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2",
@@ -240,8 +266,11 @@ def assert_same_trajectory(got, expected):
         ({}, True, 0.4),
         ({"grid.boundary": "periodic"}, False, 0.4),
         ({"grid.dim": 2, "grid.n": 16}, False, 0.1),
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, False, 0.1),
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, False, 0.1),
     ],
-    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d"],
+    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d", "2d-neumann0",
+         "2d-periodic"],
 )
 def test_solve_batch_rows_match_single_solves(overrides, generic, t1):
     # staggered starts (off the record stride too), two seeds, two runs
