@@ -6,7 +6,7 @@ experiments, and quantitative dissipation/absorption/tail diagnostics.
 
 from .cocycle import CocycleInput, FamilySpec, cocycle_check, phi, pullback, sample_family
 from .config import ConfigError, ExperimentConfig, default_config, load_config
-from .fields import Grid, ScalarField, laplacian, norm_p, superlevel_measure, tail_integral
+from .fields import Grid, ScalarField, superlevel_measure
 from .model import (
     BlowUpError,
     FhnState,

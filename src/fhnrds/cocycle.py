@@ -37,29 +37,23 @@ class CocycleInput:
 class FamilySpec:
     """Tempered ball of initial data: radius(t) = base_radius * exp(gamma*t).
 
-    Membership in the attracting class requires 2*gamma < delta; pass
-    validate=False only to exercise the diagnostic failure path.
+    Membership in the attracting class requires 2*gamma < delta.
     """
 
     base_radius: float
     growth_rate: float
     sample_count: int
     delta: float
-    validate: bool = True
 
     def __post_init__(self):
         if self.base_radius < 0 or self.sample_count < 1:
             raise ValueError("base_radius must be >= 0 and sample_count >= 1")
         if self.growth_rate < 0:
             raise ValueError("growth_rate must be nonnegative")
-        if self.validate and 2.0 * self.growth_rate >= self.delta:
+        if 2.0 * self.growth_rate >= self.delta:
             raise ValueError(
                 f"family is not tempered: 2*gamma = {2 * self.growth_rate} >= delta = {self.delta}"
             )
-
-    @property
-    def tempered(self):
-        return 2.0 * self.growth_rate < self.delta
 
     def radius(self, t):
         return self.base_radius * np.exp(self.growth_rate * t)

@@ -14,15 +14,15 @@ the experiment record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # `pullback` is imported for the per-layer tracer of perfbench/spans.py,
 # which wraps it here; the ensemble below steps its runs with `phi_batch`
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
-from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals, truncate_plus
-from .model import trapezoid
+from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals
+from .model import history_quadrature, validate_forcing
 from .noise import get_ou, step_index
 
 CALIBRATION_CAP = 1e6
@@ -137,17 +137,22 @@ def calibrate_constant(runs, spec, tau):
     return c, degenerate
 
 
+def _calibrated(sup, components, what):
+    """1.1 * sup over the unit radius of `components`, within floor and cap."""
+    denom = components.unit_radius
+    c = 1.1 * sup / denom if denom > 0 else CALIBRATION_FLOOR
+    if c > CALIBRATION_CAP:
+        raise CalibrationError(f"no finite {what} below cap (required {c:.3e})")
+    return max(c, CALIBRATION_FLOOR)
+
+
 def calibrate_rho_constant(runs, components):
     """Constant of the transformed-variable absorbing ball, same 1.1 policy."""
     sup = 0.0
     for r in runs:
         u, v = r.u_tilde, r.v_tilde
         sup = max(sup, l2_sq(u.values, u.grid) + l2_sq(v.values, v.grid))
-    denom = components.constant_term + components.forcing_quad + components.ou_quad
-    c = 1.1 * sup / denom if denom > 0 else CALIBRATION_FLOOR
-    if c > CALIBRATION_CAP:
-        raise CalibrationError(f"no finite constant below cap (required {c:.3e})")
-    return max(c, CALIBRATION_FLOOR)
+    return _calibrated(sup, components, "constant")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,13 @@ class AbsorbingSetSpec:
     converged: bool
 
     @property
+    def unit_radius(self):
+        """The radius at c_cal = 1."""
+        return self.constant_term + self.forcing_quad + self.ou_quad
+
+    @property
     def radius(self):
-        return self.c_cal * (self.constant_term + self.forcing_quad + self.ou_quad)
+        return self.c_cal * self.unit_radius
 
 
 def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
@@ -173,17 +183,12 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
     kind "lemma41": OU-moment integrand |z1|^(2p-2) + |z1|^p + |z1|^2 + |z2|^2
     and unit constant term.  kind "rho": integrand |z1|^p + |z2|^2 and
     constant term 1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
+    Converged when both the forcing and the OU-moment history quadratures
+    are, by the rule of `model.history_quadrature`.
     """
     dt = path.dt
-    d = spec.delta
     n = step_index(horizon, dt)
-    # forcing history over [tau - horizon, tau]
-    s = tau - horizon + np.arange(n + 1) * dt
-    w = np.exp(d * (s - tau))
-    gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
-    hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-    f_int = w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq)
-    forcing_quad = trapezoid(f_int, dt)
+    forcing_quad, forcing_converged = validate_forcing(spec, tau, horizon, dt)
     # OU moment history over [-horizon, 0] along the realized path; the
     # drivers enter the estimates only through h1/h2, so zero couplings
     # remove the whole term
@@ -195,7 +200,7 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
         ou2 = get_ou(path.seed, 2, spec.sigma, dt)
         z1 = ou1.values(path.offset - n, path.offset)
         z2 = ou2.values(path.offset - n, path.offset)
-    wz = np.exp(d * (np.arange(n + 1) - n) * dt)
+    wz = np.exp(spec.delta * (np.arange(n + 1) - n) * dt)
     p = spec.p
     if kind == "lemma41":
         moments = np.abs(z1) ** (2.0 * p - 2.0) + np.abs(z1) ** p + z1**2 + z2**2
@@ -205,14 +210,8 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
         const = 1.0 + z1[-1] ** 2 + z2[-1] ** 2
     else:
         raise ValueError(f"unknown radius kind {kind!r}")
-    ou_quad = trapezoid(wz * moments, dt)
-    early = slice(0, max(2, n // 10))
-    conv = True
-    for integ in (f_int, wz * moments):
-        tot = trapezoid(integ, dt)
-        if tot > 0 and trapezoid(integ[early], dt) >= 0.01 * tot:
-            conv = False
-    return AbsorbingSetSpec(c_cal, const, forcing_quad, ou_quad, conv)
+    ou_quad, ou_converged = history_quadrature(wz * moments, dt)
+    return AbsorbingSetSpec(c_cal, const, forcing_quad, ou_quad, forcing_converged and ou_converged)
 
 
 def radius_temperedness(tau, path, spec, c_cal, horizon, t_max=50.0, stride=2.0, kind="lemma41"):
@@ -247,7 +246,7 @@ class PullbackRun:
         return float(self.traj.u_l2sq[-1] + self.traj.v_l2sq[-1])
 
 
-def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_stride=None, family_seed=0):
+def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_stride=None):
     """All pullback evaluations needed by the experiment reports, per path.
 
     One family draw per t (the ball radius grows with t); every run of a
@@ -258,7 +257,7 @@ def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_st
     runs per path, ordered by (t, sample id).
     """
     ts = sorted(t_schedule)
-    inits = {t: sample_family(fam, tau, t, spec.grid, seed=family_seed) for t in ts}
+    inits = {t: sample_family(fam, tau, t, spec.grid) for t in ts}
     n = step_index(ts[-1], solver.dt)
     for path in paths:
         # one OU span per seed: blocks filled together share their increments
@@ -277,7 +276,7 @@ def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_st
     return [runs[i * per_path : (i + 1) * per_path] for i in range(len(paths))]
 
 
-def absorption_report(runs, radius, fam, t_schedule):
+def absorption_report(runs, radius):
     """Empirical absorption time against the calibrated radius."""
     by_t = {}
     for r in runs:
@@ -295,18 +294,21 @@ def absorption_report(runs, radius, fam, t_schedule):
         "inside_by_t": {str(t): inside[t] for t in sorted(inside)},
         "worst_by_t": {str(t): max(v) for t, v in sorted(by_t.items())},
         "absorption_time": T_emp,
-        "family_tempered": fam.tempered,
     }
 
 
-def compact_interval_report(runs, spec, radius_l2, radius_lp, tau):
-    """Sup over the unit window [tau-1, tau] of the L2 and Lp norms vs radii."""
-    sup_l2 = 0.0
-    sup_lp = 0.0
+def _window_sup(runs, tau, norm):
+    """Largest norm(traj) over the unit window [tau-1, tau] of every run."""
+    sup = 0.0
     for r in runs:
-        window = r.traj.t >= tau - 1.0
-        sup_l2 = max(sup_l2, float(np.max((r.traj.u_l2sq + r.traj.v_l2sq)[window])))
-        sup_lp = max(sup_lp, float(np.max(r.traj.u_lp_p[window])))
+        sup = max(sup, float(np.max(norm(r.traj)[r.traj.t >= tau - 1.0])))
+    return sup
+
+
+def compact_interval_report(runs, radius_l2, radius_lp, tau):
+    """Sup over the unit window [tau-1, tau] of the L2 and Lp norms vs radii."""
+    sup_l2 = _window_sup(runs, tau, lambda traj: traj.u_l2sq + traj.v_l2sq)
+    sup_lp = _window_sup(runs, tau, lambda traj: traj.u_lp_p)
     return {
         "name": "compact_interval_bounds",
         "pass": bool(sup_l2 <= radius_l2 and sup_lp <= radius_lp),
@@ -317,26 +319,9 @@ def compact_interval_report(runs, spec, radius_l2, radius_lp, tau):
     }
 
 
-def calibrate_lp_constant(runs, spec, tau, components):
+def calibrate_lp_constant(runs, tau, components):
     """Structure constant for the Lp-norm bound over [tau-1, tau]."""
-    sup_lp = 0.0
-    for r in runs:
-        window = r.traj.t >= tau - 1.0
-        sup_lp = max(sup_lp, float(np.max(r.traj.u_lp_p[window])))
-    denom = components.constant_term + components.forcing_quad + components.ou_quad
-    c = 1.1 * sup_lp / denom if denom > 0 else CALIBRATION_FLOOR
-    if c > CALIBRATION_CAP:
-        raise CalibrationError(f"no finite Lp constant below cap (required {c:.3e})")
-    return max(c, CALIBRATION_FLOOR)
-
-
-def measure_bound(f, M, R):
-    """Chebyshev: meas(|f| >= M) <= R / M^2, given |f|^2 <= R."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    meas = superlevel_measure(f, M)
-    bound = R / (M * M)
-    return meas, bound, bool(meas <= bound)
+    return _calibrated(_window_sup(runs, tau, lambda traj: traj.u_lp_p), components, "Lp constant")
 
 
 def chebyshev_report(runs, M_values):
@@ -364,44 +349,33 @@ def truncation_tail_report(runs, spec, M_schedule, eta):
     """Tail smallness of the terminal u~ fields over the pullback schedule.
 
     For each M reports sup over runs (all t in the schedule, i.e. t >= T with
-    T the smallest entry) of the superlevel integral of |u~|^p; finds the
-    smallest M pushing the sup below eta; also reports the one-sided
-    truncation integrals (u~ - M)_+^p and (-u~ - M)_+^p.
+    T the smallest entry) of the superlevel integral of |u~|^p and finds the
+    smallest M pushing the sup below eta.  That M_star must lie within ten
+    times max|u~|, unless it is the smallest M of the schedule: then no M
+    nearer the scale of u~ was tried.
     """
     M_schedule = list(M_schedule)
     if any(b <= a for a, b in zip(M_schedule, M_schedule[1:])):
         raise ValueError("M_schedule must be increasing")
     p = spec.p
     sup_tail = np.zeros(len(M_schedule))
-    sup_plus = np.zeros(len(M_schedule))
-    sup_minus = np.zeros(len(M_schedule))
     max_abs = 0.0
     for r in runs:
         u = r.u_tilde
         max_abs = max(max_abs, float(np.max(np.abs(u.values))))
         np.maximum(sup_tail, tail_integrals(u, M_schedule, p), out=sup_tail)
-        for i, M in enumerate(M_schedule):
-            plus = truncate_plus(u, M)
-            minus = truncate_plus(ScalarField(u.grid, -u.values), M)
-            sup_plus[i] = max(sup_plus[i], lp_p(plus.values, u.grid, p))
-            sup_minus[i] = max(sup_minus[i], lp_p(minus.values, u.grid, p))
     monotone = bool(np.all(np.diff(sup_tail) <= 0.0))
-    M_star = None
-    for M, tail in zip(M_schedule, sup_tail):
-        if tail <= eta:
-            M_star = M
-            break
+    M_star = next((M for M, tail in zip(M_schedule, sup_tail) if tail <= eta), None)
+    scaled = M_star is not None and (M_star == M_schedule[0] or M_star <= 10.0 * max_abs)
     return {
         "name": "truncation_tails",
-        "pass": bool(monotone and M_star is not None),
+        "pass": bool(monotone and scaled),
         "monotone_in_M": monotone,
         "M_star": M_star,
         "eta": eta,
         "max_abs_utilde": max_abs,
         "M_schedule": M_schedule,
         "sup_tail": sup_tail.tolist(),
-        "sup_plus_trunc": sup_plus.tolist(),
-        "sup_minus_trunc": sup_minus.tolist(),
     }
 
 
@@ -427,10 +401,17 @@ class AttractorApprox:
     provenance: list  # (t_elapsed, sample_id)
     pairwise_l2: np.ndarray
     pairwise_lp: np.ndarray
-    cauchy_defect_l2: float
-    cauchy_defect_lp: float
-    defect_flagged: bool = False
-    runs: list = field(default_factory=list)
+    schedule: list  # the t of the runs, increasing
+    defects_l2: list  # Cauchy defect between consecutive schedule entries
+    defects_lp: list
+
+    @property
+    def cauchy_defect_l2(self):
+        return self.defects_l2[-1] if self.defects_l2 else float("nan")
+
+    @property
+    def cauchy_defect_lp(self):
+        return self.defects_lp[-1] if self.defects_lp else float("nan")
 
 
 def attractor_from_runs(runs, tau, seed, p):
@@ -438,17 +419,13 @@ def attractor_from_runs(runs, tau, seed, p):
 
     The Cauchy defect compares each sample's terminal at t_max against the
     same sample's terminal at the previous schedule entry (t_max / 2 for a
-    geometric schedule).  A single-entry schedule leaves the defect
-    undefined and flagged.
+    geometric schedule).  A single-entry schedule leaves it undefined (NaN).
     """
-    ts = sorted(set(r.t for r in runs))
-    t_max = ts[-1]
-    flagged = len(ts) < 2
+    ts, d_l2, d_lp = defect_sequences(runs, p)
     points = []
     prov = []
-    by_key = {(r.t, r.sample_id): r for r in runs}
     for r in sorted(runs, key=lambda r: r.sample_id):
-        if r.t == t_max:
+        if r.t == ts[-1]:
             points.append((r.u_tilde, r.v_tilde))
             prov.append((r.t, r.sample_id))
     m = len(points)
@@ -458,17 +435,7 @@ def attractor_from_runs(runs, tau, seed, p):
         for j in range(i + 1, m):
             pl2[i, j] = pl2[j, i] = pair_dist(points[i], points[j])
             plp[i, j] = plp[j, i] = pair_dist(points[i], points[j], p)
-    if flagged:
-        d2 = dp = float("nan")
-    else:
-        t_prev = ts[-2]
-        d2 = dp = 0.0
-        for (t, sid), r in by_key.items():
-            if t == t_max and (t_prev, sid) in by_key:
-                q = by_key[(t_prev, sid)]
-                d2 = max(d2, pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde)))
-                dp = max(dp, pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), p))
-    return AttractorApprox(tau, seed, points, prov, pl2, plp, d2, dp, flagged, list(runs))
+    return AttractorApprox(tau, seed, points, prov, pl2, plp, ts, d_l2, d_lp)
 
 
 def defect_sequences(runs, p):
@@ -491,7 +458,7 @@ def defect_sequences(runs, p):
     return ts, d_l2, d_lp
 
 
-def bispatial_equality_check(approx, p, tolerance=1e-3, slack=1e-12, slack_factor=1.5):
+def bispatial_equality_check(approx, tolerance=1e-3, slack=1e-12, slack_factor=1.5):
     """The same terminal points must converge in both topologies.
 
     PASS when the L2 and Lp defect sequences are both decreasing and their
@@ -500,7 +467,7 @@ def bispatial_equality_check(approx, p, tolerance=1e-3, slack=1e-12, slack_facto
     slack): early entries of the schedule sit in the noise-dominated
     transient, where exact monotonicity is not a consequence of contraction.
     """
-    ts, d_l2, d_lp = defect_sequences(approx.runs, p)
+    ts, d_l2, d_lp = approx.schedule, approx.defects_l2, approx.defects_lp
     if len(d_l2) < 1:
         return {"name": "bispatial_equality", "pass": False, "flagged": "degenerate schedule"}
     offenders = []

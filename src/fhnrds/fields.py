@@ -74,13 +74,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        x = grid.coords()
-        if grid.dim == 1:
-            return cls(grid, fn(x))
-        return cls(grid, fn(x[..., 0], x[..., 1]))
-
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
@@ -108,19 +101,6 @@ def laplacian_values(values, grid):
     return out / h2
 
 
-def laplacian(f):
-    return ScalarField(f.grid, laplacian_values(f.values, f.grid))
-
-
-def norm_p(f, p):
-    """(sum |f_i|^p * h^dim)^(1/p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p == 2:
-        return float(np.sqrt(np.sum(f.values * f.values) * f.grid.cell_measure))
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_measure) ** (1.0 / p))
-
-
 def l2_sq(values, grid):
     v = values.ravel()
     return float(np.dot(v, v) * grid.cell_measure)
@@ -142,13 +122,6 @@ def superlevel_measure(f, M):
     return float(np.count_nonzero(np.abs(f.values) >= M) * f.grid.cell_measure)
 
 
-def truncate_plus(f, M):
-    """(f - M)_+ cellwise."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return ScalarField(f.grid, np.maximum(f.values - M, 0.0))
-
-
 def tail_integrals(f, M_values, p):
     """Integral of |f|^p over {|f| >= M} for each M of `M_values` (M = 0 allowed).
 
@@ -163,15 +136,6 @@ def tail_integrals(f, M_values, p):
     a = np.sort(np.abs(f.values), axis=None)
     sums = np.concatenate(([0.0], np.cumsum(a[::-1] ** p)))
     return (sums[a.size - np.searchsorted(a, M)] * f.grid.cell_measure).tolist()
-
-
-def tail_integral(f, M, p):
-    """`tail_integrals` at one M."""
-    return tail_integrals(f, [M], p)[0]
-
-
-def inner(f, g):
-    return float(np.sum(f.values * g.values) * f.grid.cell_measure)
 
 
 SNAPSHOT_MAGIC = "FHNFIELD"

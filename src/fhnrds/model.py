@@ -57,15 +57,6 @@ class StructureViolation(ValueError):
         self.margin = margin
 
 
-def young_shift_constant(p):
-    """Smallest c with phi*s <= (1/2)|s|^p + c*|phi|^(p/(p-1)).
-
-    Obtained by maximizing s - s^p/2 for a unit shift (1-D optimization in
-    closed form).
-    """
-    return (1.0 - 1.0 / p) * (2.0 / p) ** (1.0 / (p - 1.0))
-
-
 class Nonlinearity:
     """Family f(x, s) = sign*|s|^(p-2) s (+ shift phi(x)) (+ eps*s).
 
@@ -295,7 +286,6 @@ class Trajectory:
     final: FhnState
     final_z: tuple
     snapshots: list  # (t, u values copy) at the snapshot stride
-    dt_sample: float
 
 
 def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_stride=None):
@@ -509,7 +499,6 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
             final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
             final_z=(float(Z1[j1, group[b]]), float(Z2[j1, group[b]])),
             snapshots=snapshots[b],
-            dt_sample=record_stride * dt,
         )
     return trajs
 
@@ -593,8 +582,7 @@ def validate_structure(spec, sample_count=2000, tol=1e-8):
 def validate_forcing(spec, tau, horizon, dt=None):
     """Quadrature of int_{tau-horizon}^tau e^{delta(s-tau)} (|g|^2+|h|^2) ds.
 
-    Returns (value, converged); the flag is true when the oldest decade of
-    the window contributes less than 1% of the total.
+    Returns (value, converged) as `history_quadrature` gives them.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -604,12 +592,18 @@ def validate_forcing(spec, tau, horizon, dt=None):
     w = np.exp(spec.delta * (s - tau))
     gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
     hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-    integrand = w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq)
+    return history_quadrature(w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq), dt)
+
+
+def history_quadrature(integrand, dt):
+    """(trapezoid total, converged) of a history integrand sampled oldest first.
+
+    Converged when the oldest tenth of the window contributes less than 1%
+    of the total.
+    """
     total = float(trapezoid(integrand, dt))
-    early = s <= tau - 0.9 * horizon
-    early_part = float(trapezoid(integrand[early], dt)) if np.count_nonzero(early) > 1 else 0.0
-    converged = total == 0.0 or early_part < 0.01 * total
-    return total, converged
+    early = float(trapezoid(integrand[: (len(integrand) - 1) // 10 + 1], dt))
+    return total, bool(total == 0.0 or early < 0.01 * total)
 
 
 def trapezoid(y, dx):

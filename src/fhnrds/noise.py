@@ -9,7 +9,7 @@ initial time receding to -infinity) well defined at the discrete level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -98,25 +98,6 @@ class WienerPath:
         ks = np.arange(self.offset + k0, self.offset + k1, dtype=np.int64)
         return wiener_increment(NoiseSeed(self.seed, component), ks, self.dt)
 
-    def value(self, component, t):
-        """omega(t) relative to this path's origin, omega(0) = 0."""
-        k = step_index(t, self.dt)
-        if k == 0:
-            return 0.0
-        if k > 0:
-            return float(np.sum(self.increments(component, 0, k)))
-        return -float(np.sum(self.increments(component, k, 0)))
-
-    def values(self, component, t0, t1):
-        """(times, omega) sampled on every grid point of [t0, t1]."""
-        k0 = step_index(t0, self.dt)
-        k1 = step_index(t1, self.dt)
-        ts = np.arange(k0, k1 + 1) * self.dt
-        inc = self.increments(component, min(k0, 0), max(k1, 0))
-        cum = np.concatenate(([0.0], np.cumsum(inc)))
-        base = cum - cum[-min(k0, 0)]
-        return ts, base[k0 - min(k0, 0) : k1 - min(k0, 0) + 1]
-
     def shift(self, s):
         """theta_s omega: the path t -> omega(s + t) - omega(s)."""
         return WienerPath(self.seed, self.dt, self.offset + step_index(s, self.dt))
@@ -131,23 +112,20 @@ class OuProcess:
 
     Values are indexed by the absolute step of the underlying counter stream,
     which makes z a pure function of (seed, component, rate, step).  Each
-    block of `B = burn_in/dt` steps is produced by the exact-decay recursion
-    anchored one block earlier at an independent stationary draw, so the
-    initialization error is bounded by exp(-rate*burn_in) while any two
+    block of `B = 20/(rate*dt)` steps is produced by the exact-decay
+    recursion anchored one block earlier at an independent stationary draw,
+    so the initialization error is bounded by exp(-20) while any two
     evaluations of the same step agree bitwise -- the property the cocycle
     law test relies on.
     """
 
-    def __init__(self, seed, component, rate, dt, burn_in=None):
+    def __init__(self, seed, component, rate, dt):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.seed = NoiseSeed(seed, component)
         self.rate = rate
         self.dt = dt
-        self.burn_in = 20.0 / rate if burn_in is None else burn_in
-        if self.burn_in <= 0:
-            raise ValueError("burn_in must be positive")
-        self.B = max(1, int(round(self.burn_in / dt)))
+        self.B = max(1, int(round(20.0 / rate / dt)))
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
         self._blocks = {}
@@ -190,20 +168,16 @@ class OuProcess:
     def at_step(self, j):
         return float(self.values(j, j)[0])
 
-    def evaluate(self, t):
-        """z(theta_t omega) for a grid-aligned time t."""
-        return self.at_step(step_index(t, self.dt))
-
 
 _OU_CACHE = {}
 
 
-def get_ou(seed, component, rate, dt, burn_in=None):
+def get_ou(seed, component, rate, dt):
     """Shared OuProcess cache; values are pure so sharing is safe."""
-    key = (seed, component, float(rate), float(dt), burn_in)
+    key = (seed, component, float(rate), float(dt))
     proc = _OU_CACHE.get(key)
     if proc is None:
-        proc = OuProcess(seed, component, rate, dt, burn_in)
+        proc = OuProcess(seed, component, rate, dt)
         _OU_CACHE[key] = proc
     return proc
 

@@ -250,6 +250,39 @@ def test_cli_attractor_writes_snapshots(tmp_path):
     assert (out / "attractor_v_001.txt").exists()
 
 
+def test_attractor_json_has_no_bare_nan(tmp_path):
+    # one schedule entry leaves the Cauchy defects undefined; strict JSON
+    # has no NaN, so they are written as null
+    cfgp = write_cfg(tmp_path, SMALL + "schedules.t = 2\n")
+    out = tmp_path / "att1"
+    assert cli.main(["attractor", "--config", cfgp, "--out", str(out)]) == 1
+
+    def reject(name):
+        raise ValueError(f"bare {name} in attractor.json")
+
+    report = json.loads((out / "attractor.json").read_text(), parse_constant=reject)
+    assert report["cauchy_defect_l2"] is None and report["cauchy_defect_lp"] is None
+    assert report["bispatial"]["flagged"] == "degenerate schedule"
+
+
+# perfbench/spans.py wraps fhnrds functions by their module attributes for
+# `perfbench/run.py --trace 1`; each one it names must still be there
+TRACER_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from spans import Tracer
+Tracer().install()
+"""
+
+
+def test_benchmark_tracer_installs():
+    root = Path(cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", TRACER_INSTALL, str(root / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_defaults_table_is_typed():
     scalar = {k: v for k, v in DEFAULTS.items() if not k.startswith("schedules.")}
     for key, (parser, default) in scalar.items():

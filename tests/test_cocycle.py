@@ -17,12 +17,9 @@ def small():
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(base_radius=1.0, growth_rate=0.6, sample_count=2, delta=1.0)
-    bypassed = FamilySpec(1.0, 0.6, 2, 1.0, validate=False)
-    assert not bypassed.tempered
     with pytest.raises(ValueError):
         FamilySpec(-1.0, 0.1, 2, 1.0)
     fam = FamilySpec(2.0, 0.25, 3, 1.0)
-    assert fam.tempered
     assert fam.radius(4.0) == pytest.approx(2.0 * np.e)
 
 

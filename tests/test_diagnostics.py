@@ -5,7 +5,7 @@ import pytest
 
 from fhnrds import diagnostics as dg
 from fhnrds.config import default_config
-from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq
+from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, superlevel_measure
 from fhnrds.model import FhnState, solve
 from fhnrds.noise import WienerPath
 
@@ -171,25 +171,15 @@ def test_absorbing_radius_monotone_in_constant(small, small_runs):
         dg.absorbing_radius(0.0, path, spec, 1.0, horizon=40.0, kind="bogus")
 
 
-def test_measure_bound_arithmetic():
-    g = Grid(n=8, half_width=4.0)
-    f = ScalarField(g, np.zeros(8))
-    meas, bound, ok = dg.measure_bound(f, 2.0, 4.0)
-    assert bound == 1.0 and meas == 0.0 and ok
-    with pytest.raises(ValueError):
-        dg.measure_bound(f, 0.0, 4.0)
-
-
 def test_measure_bound_random_fields():
+    """Chebyshev: meas(|f| >= M) * M^2 <= |f|^2, the bound chebyshev_report checks."""
     g = Grid(n=128, half_width=16.0)
     rng = np.random.default_rng(12)
     for _ in range(100):
         v = rng.standard_normal(128) * rng.uniform(0.1, 3.0)
-        f = ScalarField(g, v)
-        R = l2_sq(v, g)
         for M in (0.5, 1.0, 2.0):
-            meas, bound, ok = dg.measure_bound(f, M, R)
-            assert ok, (meas, bound)
+            meas = superlevel_measure(ScalarField(g, v), M)
+            assert meas * M * M <= l2_sq(v, g), (meas, M)
 
 
 def test_truncation_tail_report_properties(small, small_runs):
@@ -207,14 +197,35 @@ def test_truncation_tail_report_properties(small, small_runs):
         dg.truncation_tail_report(runs, spec, [1.0, 0.5], eta=1e-3)
 
 
+def test_truncation_tails_scale_bound_vacuous_at_smallest_M(small):
+    # every tail is 0, so M_star is the smallest M: nothing nearer the scale
+    # of u~ = 0.02 was tried, and the bound M_star <= 10 max|u~| does not apply
+    _, spec, _, _ = small
+    u = bump_field(spec.grid, amplitude=0.02, width=4.0)
+    run = dg.PullbackRun(2.0, 0, 1, None, u, ScalarField.zeros(spec.grid))
+    rep = dg.truncation_tail_report([run], spec, [0.25, 0.5, 1.0], eta=1e-3)
+    assert rep["M_star"] == 0.25 and rep["max_abs_utilde"] <= 0.02
+    assert rep["pass"]
+
+
+def test_truncation_tails_scale_bound_fails_on_coarse_schedule(small):
+    # the tail at M = 1e-3 exceeds eta, so M_star = 1.0 > 10 max|u~| = 0.5
+    _, spec, _, _ = small
+    u = bump_field(spec.grid, amplitude=0.05, width=4.0)
+    run = dg.PullbackRun(2.0, 0, 1, None, u, ScalarField.zeros(spec.grid))
+    rep = dg.truncation_tail_report([run], spec, [1e-3, 1.0], eta=1e-30)
+    assert rep["M_star"] == 1.0 and rep["monotone_in_M"]
+    assert not rep["pass"]
+
+
 def test_attractor_single_entry_schedule_flagged(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs
     only8 = [r for r in runs if r.t == 8.0]
     ap = dg.attractor_from_runs(only8, 0.0, 5, spec.p)
-    assert ap.defect_flagged
-    assert np.isnan(ap.cauchy_defect_l2)
-    bi = dg.bispatial_equality_check(ap, spec.p)
+    assert ap.schedule == [8.0] and ap.defects_l2 == [] and ap.defects_lp == []
+    assert np.isnan(ap.cauchy_defect_l2) and np.isnan(ap.cauchy_defect_lp)
+    bi = dg.bispatial_equality_check(ap)
     assert not bi["pass"]
 
 
@@ -241,9 +252,8 @@ def test_bispatial_injected_failure(small):
         vals[sl] = amp
         runs.append(dg.PullbackRun(t, 0, 1, None, ScalarField(grid, vals),
                                    ScalarField.zeros(grid)))
-    ap = dg.AttractorApprox(0.0, 1, [(runs[-1].u_tilde, runs[-1].v_tilde)], [(8.0, 0)],
-                            np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 0.0, False, runs)
-    bi = dg.bispatial_equality_check(ap, spec.p)
+    ap = dg.attractor_from_runs(runs, 0.0, 1, spec.p)
+    bi = dg.bispatial_equality_check(ap)
     assert not bi["pass"]
     assert any(o["norm"] == "lp" for o in bi["offending_pairs"])
 
@@ -259,14 +269,14 @@ def test_absorption_report_zero_family():
     fam = cfg.family_spec(spec.delta)
     path = WienerPath(seed=0, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(0.0, [path], fam, spec, solver, [2.0])
-    rep = dg.absorption_report(runs, radius=1e-6, fam=fam, t_schedule=[2.0])
+    rep = dg.absorption_report(runs, radius=1e-6)
     assert rep["pass"] and rep["absorption_time"] == 2.0
 
 
 def test_compact_interval_sup_dominates_endpoint(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs
-    rep = dg.compact_interval_report(runs, spec, radius_l2=np.inf, radius_lp=np.inf, tau=0.0)
+    rep = dg.compact_interval_report(runs, radius_l2=np.inf, radius_lp=np.inf, tau=0.0)
     endpoint = max(r.terminal_l2sq for r in runs)
     assert rep["sup_l2sq"] >= endpoint
 

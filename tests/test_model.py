@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from fhnrds import diagnostics as dg
 from fhnrds.cocycle import pullback
-from fhnrds.config import default_config
+from fhnrds.config import ConfigError, default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
 from fhnrds.model import (
     BlowUpError,
@@ -24,7 +24,6 @@ from fhnrds.model import (
     to_tilde,
     validate_forcing,
     validate_structure,
-    young_shift_constant,
 )
 from fhnrds.noise import WienerPath, get_ou, step_index
 
@@ -36,16 +35,6 @@ def linear_spec(grid, lam=1.0, alpha=1.0, beta=1.0, sigma=1.0):
         Nonlinearity(4.0, sign=0.0), zero, zero,
         Forcing.zero(grid), Forcing.zero(grid), zero, zero, zero, grid,
     )
-
-
-def test_young_shift_constant_tight():
-    for p in (3.0, 4.0, 6.0):
-        c = young_shift_constant(p)
-        s = np.linspace(-3, 3, 20001)
-        lhs = s  # unit shift phi = 1
-        bound = 0.5 * np.abs(s) ** p + c
-        assert np.all(lhs <= bound + 1e-12)
-        assert np.min(bound - lhs) < 1e-6  # the constant is not slack
 
 
 def test_nonlinearity_power_fast_path():
@@ -97,20 +86,25 @@ def test_validate_structure_rejects_wrong_sign():
 
 def test_validate_forcing_convergence_flag():
     cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
-    total, converged = validate_forcing(cfg.model_spec(), 0.0, 40.0)
+    spec = cfg.model_spec()
+    total, converged = validate_forcing(spec, 0.0, 40.0)
     assert converged and total > 0.0
+    # the absorbing radius takes its forcing term from this quadrature
+    path = WienerPath(seed=3, dt=1e-3)
+    for tau in (0.0, -10.0):
+        R = dg.absorbing_radius(tau, path, spec, 1.0, 40.0)
+        assert R.forcing_quad == validate_forcing(spec, tau, 40.0, path.dt)[0]
+        assert R.converged
     # forcing that keeps growing backward in time has no convergent history
     grid = Grid(n=64, half_width=8.0)
-    spec = cfg.model_spec()
     grow = Forcing(bump_field(grid, amplitude=0.25, width=8.0), "exp", a=-2.0)
-    bad = ModelSpec(
-        spec.lam, spec.alpha, spec.beta, spec.sigma, spec.p,
-        spec.alpha1, spec.alpha2, spec.alpha3, spec.nonlin,
-        spec.h1, spec.h2, grow, spec.h,
-        spec.psi1, spec.psi2, spec.psi3, grid,
-    )
+    bad = dataclasses.replace(spec, g=grow)
     total, converged = validate_forcing(bad, 0.0, 40.0)
     assert not converged
+    assert not dg.absorbing_radius(0.0, path, bad, 1.0, 40.0).converged
+    with pytest.raises(ConfigError, match="not converged"):
+        default_config(**{"grid.n": 64, "grid.half_width": 8.0,
+                          "forcing.g.kind": "exp", "forcing.g.a": -2.0})
 
 
 def test_solve_one_step_advances_time_one_dt():

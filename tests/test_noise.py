@@ -63,11 +63,6 @@ def test_wiener_increment_negative_steps():
     assert np.array_equal(fwd, wiener_increment(s, np.arange(100), 1e-3))
 
 
-def test_path_value_anchored_at_zero():
-    path = WienerPath(seed=1, dt=1e-3)
-    assert path.value(1, 0.0) == 0.0
-
-
 def test_path_shift_group_law_exact():
     path = WienerPath(seed=5, dt=1e-3)
     for s, t in [(0.25, 0.5), (-1.0, 0.75), (2.0, -0.5)]:
@@ -79,19 +74,8 @@ def test_path_shift_group_law_exact():
             shifted.increments(1, lo, hi),
             path.increments(1, step_index(s, path.dt) + lo, step_index(s, path.dt) + hi),
         )
-        # omega(s+t) - omega(s) agrees up to summation rounding
-        assert shifted.value(1, t) == pytest.approx(
-            path.value(1, s + t) - path.value(1, s), abs=1e-10
-        )
     # composition of shifts is exact offset arithmetic
     assert path.shift(0.5).shift(0.25) == path.shift(0.75)
-
-
-def test_path_values_match_pointwise_value():
-    path = WienerPath(seed=9, dt=0.01)
-    ts, vals = path.values(2, -0.05, 0.05)
-    for t, v in zip(ts, vals):
-        assert v == pytest.approx(path.value(2, round(t, 10)), abs=1e-12)
 
 
 def test_stationary_variance():
@@ -134,13 +118,6 @@ def test_ou_stationary_variance_empirical():
     proc = OuProcess(seed=21, component=1, rate=1.0, dt=0.05)
     z = proc.values(0, 200_000)
     assert abs(z.var() / 0.5 - 1.0) < 0.05
-
-
-def test_ou_evaluate_alignment():
-    proc = OuProcess(seed=2, component=1, rate=1.0, dt=1e-3)
-    assert proc.evaluate(0.5) == proc.at_step(500)
-    with pytest.raises(GridAlignmentError):
-        proc.evaluate(0.0005)
 
 
 def test_get_ou_caches():
