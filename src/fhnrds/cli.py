@@ -24,7 +24,7 @@ from . import __version__, diagnostics as dg
 from .config import read_config, resolve
 from .fields import bump_field, write_snapshot
 from .model import BlowUpError, FhnState, solve, solve_batch
-from .noise import WienerPath, get_ou, merge_ou_blocks, ou_blocks, step_index, temperedness_probe
+from .noise import GridAlignmentError, WienerPath, get_ou, step_index, temperedness_probe
 
 
 def _fmt(x):
@@ -115,16 +115,12 @@ _TASK = None
 
 
 def _run_task(chunk):
-    known = ou_blocks()
     try:
-        results = _TASK(chunk)
-    except BlowUpError:  # pickles with its fields; main() turns it into exit code 2
+        return _TASK(chunk)
+    except (BlowUpError, GridAlignmentError):  # both pickle; main() turns them into exit code 2
         raise
     except Exception as exc:
         raise WorkerError(type(exc).__name__, str(exc)) from None
-    filled = {key: {m: b for m, b in blocks.items() if m not in known.get(key, {})}
-              for key, blocks in ou_blocks().items()}
-    return results, filled
 
 
 def _map_ordered(fn, items, workers):
@@ -134,8 +130,7 @@ def _map_ordered(fn, items, workers):
     count changes only how many items one call of `fn` handles.  The work
     is many small numpy calls that hold the GIL, so threads would run it
     slower than one; processes do not share it.  Results come back in item
-    order, so reductions over them do not depend on the worker count.  The
-    OU blocks the workers filled join this process's cache.
+    order, so reductions over them do not depend on the worker count.
     """
     global _TASK
     workers = min(workers, len(items))
@@ -149,11 +144,7 @@ def _map_ordered(fn, items, workers):
             parts = pool.map(_run_task, chunks)
     finally:
         _TASK = None
-    results = []
-    for part, blocks in parts:
-        results.extend(part)
-        merge_ou_blocks(blocks)
-    return results
+    return [result for part in parts for result in part]
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +200,13 @@ def cmd_pullback(cfg, out, args, manifest):
     tau = cfg["experiment.tau"]
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
-    by_key = {(r.t, r.sample_id): r for r in runs}
-    ts = sorted(set(r.t for r in runs))
-    rows = []
-    for r in sorted(runs, key=lambda r: (r.t, r.sample_id)):
-        prev = ts[ts.index(r.t) - 1] if ts.index(r.t) > 0 else None
-        d2 = dp = float("nan")
-        if prev is not None and (prev, r.sample_id) in by_key:
-            q = by_key[(prev, r.sample_id)]
-            d2 = dg.pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde))
-            dp = dg.pair_dist((r.u_tilde, r.v_tilde), (q.u_tilde, q.v_tilde), spec.p)
-        rows.append(
-            (r.t, r.sample_id, r.seed, r.traj.u_l2sq[-1], r.traj.v_l2sq[-1],
-             r.traj.u_lp_p[-1], d2, dp)
-        )
+    _, dist = dg.sample_defects(runs, spec.p)
+    nan = (float("nan"), float("nan"))
+    rows = [
+        (r.t, r.sample_id, r.seed, r.traj.u_l2sq[-1], r.traj.v_l2sq[-1], r.traj.u_lp_p[-1],
+         *dist.get((r.t, r.sample_id), nan))
+        for r in sorted(runs, key=lambda r: (r.t, r.sample_id))
+    ]
     write_csv(
         manifest.add(out / "pullback.csv"),
         ["t_elapsed", "sample_id", "seed", "u_l2sq", "v_l2sq", "u_lp_p",
@@ -435,6 +419,9 @@ def main(argv=None):
         status = COMMANDS[args.command](cfg, out, args, manifest)
     except BlowUpError as exc:
         manifest.error = f"blow-up: {exc}"
+    except GridAlignmentError as exc:
+        manifest.error = f"off-grid time: {exc}"
+    if manifest.error:
         print(manifest.error, file=sys.stderr)
         status = 2
     manifest.write(out)

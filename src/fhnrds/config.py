@@ -174,7 +174,7 @@ class ExperimentConfig:
         )
 
     def solver_spec(self):
-        return SolverSpec(dt=self["solver.dt"], grid=self.grid())
+        return SolverSpec(dt=self["solver.dt"])
 
     def family_spec(self, delta):
         return FamilySpec(
@@ -201,7 +201,7 @@ def resolve(values):
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
     validate_structure(spec, sample_count=1000)
     total, converged = validate_forcing(
-        spec, cfg["experiment.tau"], cfg["experiment.horizon"]
+        spec, cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
     )
     if not converged:
         raise ConfigError(

@@ -258,11 +258,6 @@ def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_st
     """
     ts = sorted(t_schedule)
     inits = {t: sample_family(fam, tau, t, spec.grid) for t in ts}
-    n = step_index(ts[-1], solver.dt)
-    for path in paths:
-        # one OU span per seed: blocks filled together share their increments
-        get_ou(path.seed, 1, spec.lam, solver.dt).values(path.offset - n, path.offset)
-        get_ou(path.seed, 2, spec.sigma, solver.dt).values(path.offset - n, path.offset)
     keys = [(path, t, sid) for path in paths for t in ts for sid in range(len(inits[t]))]
     results = phi_batch(
         [CocycleInput(t, tau - t, path.shift(-t), *inits[t][sid]) for path, t, sid in keys],
@@ -438,23 +433,35 @@ def attractor_from_runs(runs, tau, seed, p):
     return AttractorApprox(tau, seed, points, prov, pl2, plp, ts, d_l2, d_lp)
 
 
-def defect_sequences(runs, p):
-    """Cauchy defects between consecutive schedule entries, both topologies."""
+def sample_defects(runs, p):
+    """(schedule, {(t, sample id): (L2, Lp) distance}) of each run's terminal
+    to the same sample's terminal at the previous schedule entry.
+
+    Runs at the first entry, or whose sample did not run at the previous
+    one, have no entry.
+    """
     ts = sorted(set(r.t for r in runs))
+    prev = dict(zip(ts[1:], ts))
     by_key = {(r.t, r.sample_id): r for r in runs}
-    sids = sorted(set(r.sample_id for r in runs))
+    dist = {}
+    for (t, sid), rb in sorted(by_key.items()):
+        ra = by_key.get((prev.get(t), sid))
+        if ra is not None:
+            a, b = (ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde)
+            dist[t, sid] = (pair_dist(a, b), pair_dist(a, b, p))
+    return ts, dist
+
+
+def defect_sequences(runs, p):
+    """Cauchy defects between consecutive schedule entries, both topologies:
+    the largest `sample_defects` distance at each entry after the first."""
+    ts, dist = sample_defects(runs, p)
     d_l2 = []
     d_lp = []
-    for a, b in zip(ts, ts[1:]):
-        m2 = mp = 0.0
-        for sid in sids:
-            ra, rb = by_key.get((a, sid)), by_key.get((b, sid))
-            if ra is None or rb is None:
-                continue
-            m2 = max(m2, pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde)))
-            mp = max(mp, pair_dist((ra.u_tilde, ra.v_tilde), (rb.u_tilde, rb.v_tilde), p))
-        d_l2.append(m2)
-        d_lp.append(mp)
+    for t in ts[1:]:
+        here = [d for (s, _), d in dist.items() if s == t]
+        d_l2.append(max([0.0] + [d2 for d2, _ in here]))
+        d_lp.append(max([0.0] + [dp for _, dp in here]))
     return ts, d_l2, d_lp
 
 

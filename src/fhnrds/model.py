@@ -17,9 +17,8 @@ in two reproduces the single run bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 from scipy import fft
@@ -72,18 +71,23 @@ class Nonlinearity:
         self.eps = float(eps)
         self.sign = float(sign)
 
-    def power_part(self, s):
-        p = self.p
-        out = (s * s) * s if p == 4 else np.abs(s) ** (p - 2.0) * s
-        return self.sign * out
+    def __call__(self, s, out=None):
+        """Evaluate on an array aligned with the grid (x-dependence via shift).
 
-    def __call__(self, s):
-        """Evaluate on an array aligned with the grid (x-dependence via shift)."""
-        out = self.power_part(s)
+        The result goes to `out` (a new array if None); `**=` keeps numpy's
+        fast path for exponents such as 0.5, as `**` takes it.
+        """
+        if self.p == 4:
+            out = np.multiply(s, s, out=out)
+        else:
+            out = np.abs(s, out=out)
+            out **= self.p - 2.0
+        out *= s
+        out *= self.sign
         if self.eps:
-            out = out + self.eps * s
+            out += self.eps * s
         if self.shift is not None:
-            out = out + self.shift.values
+            out += self.shift.values
         return out
 
 
@@ -137,7 +141,6 @@ class ModelSpec:
     psi2: ScalarField
     psi3: ScalarField
     grid: Grid
-    _lap_h1: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("lam", "alpha", "beta", "sigma", "alpha1", "alpha2", "alpha3"):
@@ -149,12 +152,6 @@ class ModelSpec:
     @property
     def delta(self):
         return min(self.lam, self.sigma)
-
-    @property
-    def lap_h1(self):
-        if self._lap_h1 is None:
-            self._lap_h1 = laplacian_values(self.h1.values, self.grid)
-        return self._lap_h1
 
 
 @dataclass
@@ -193,7 +190,7 @@ _TRANSFORMS = {  # closure -> the transform pair that diagonalises it
 
 
 class _ImplicitOperator:
-    """Solver for (1 + dt*lam) I - dt*Lap, set up once per (grid, lam, dt).
+    """Solver for (1 + dt*lam) I - dt*Lap, set up once per `solve_batch` call.
 
     1-D dirichlet0 and neumann0 grids factor the SPD tridiagonal matrix as
     LDL^T.  Every other grid solves in its transform of `_TRANSFORMS`, where
@@ -247,22 +244,9 @@ class _ImplicitOperator:
         return rhs
 
 
-_OPERATOR_CACHE = {}
-
-
-def _implicit_operator(grid, lam, dt):
-    key = (grid, float(lam), float(dt))
-    op = _OPERATOR_CACHE.get(key)
-    if op is None:
-        op = _ImplicitOperator(grid, lam, dt)
-        _OPERATOR_CACHE[key] = op
-    return op
-
-
 @dataclass
 class SolverSpec:
     dt: float
-    grid: Grid
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -298,23 +282,6 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_strid
     if step_index(init.t, solver.dt) != step_index(tau0, solver.dt):
         raise ValueError("init.t must equal tau0")
     return solve_batch(spec, solver, [(path, init)], tau1, record_stride, snapshot_stride)[0]
-
-
-_RECORDS = ("t", "u", "v", "up", "utp", "z1", "z2", "g", "h")
-
-
-def _row_norms(X, grid, p=None):
-    """l2_sq (no p) or lp_p of every row of X, bitwise as those give it.
-
-    For p = 4, lp_p is the l2_sq of the squares, which are taken here for
-    all rows in one pass; l2_sq is one 1-D dot per row.
-    """
-    if p == 4:
-        X = X * X
-    elif p is not None:
-        return [lp_p(x, grid, p) for x in X]
-    cm = grid.cell_measure
-    return [float(np.dot(x, x) * cm) for x in X.reshape(len(X), -1)]
 
 
 def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=None):
@@ -365,8 +332,8 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
         Z2[first - kmin :, g] = get_ou(seed, 2, spec.sigma, dt).values(first + shift, k1 + shift)
 
     grid = members[0][1].grid
-    op = _implicit_operator(grid, spec.lam, dt)
-    lap_h1 = spec.lap_h1
+    op = _ImplicitOperator(grid, spec.lam, dt)
+    lap_h1 = laplacian_values(spec.h1.values, grid)
     h1 = spec.h1.values
     h2 = spec.h2.values
     gprof = spec.g.profile.values
@@ -388,7 +355,7 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
     group = np.array(group)
     zshape = (-1,) + (1,) * grid.dim
 
-    recs = [{key: [] for key in _RECORDS} for _ in range(B)]
+    recs = [[] for _ in range(B)]  # one tuple per record, in Trajectory field order
     snapshots = [[] for _ in range(B)]
     # the rows whose own step count is a multiple of the stride at step k
     # are by_phase[k % record_stride], in row order
@@ -398,20 +365,11 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
     def record(due, k):
         j = k - kmin
         tn = k * dt
-        u = U[due]
-        z1 = Z1[j][group[due]]
-        cols = zip(
-            _row_norms(u, grid),
-            _row_norms(V[due], grid),
-            _row_norms(u, grid, p),
-            _row_norms(u + h1 * z1.reshape(zshape), grid, p),
-            z1.tolist(),
-            Z2[j][group[due]].tolist(),
-        )
         g_l2sq, h_l2sq = spec.g.l2sq_at(tn), spec.h.l2sq_at(tn)
-        for b, values in zip(due.tolist(), cols):
-            for key, value in zip(_RECORDS, (tn, *values, g_l2sq, h_l2sq)):
-                recs[b][key].append(value)
+        for b in due.tolist():
+            z1 = Z1[j, group[b]]
+            recs[b].append((tn, l2_sq(U[b], grid), l2_sq(V[b], grid), lp_p(U[b], grid, p),
+                            lp_p(U[b] + h1 * z1, grid, p), z1, Z2[j, group[b]], g_l2sq, h_l2sq))
             if snapshot_stride and (k - k0[b]) % snapshot_stride == 0:
                 snapshots[b].append((tn, U[b].copy()))
 
@@ -419,11 +377,9 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
     # buffers and in this order of floating-point operations,
     #   rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
     #   v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
-    # For the canonical f(s) = -s^3, f + gf*G is computed as gf*G - s^3,
-    # which IEEE defines as gf*G + (-s^3).  A profile times z is formed once
-    # per z series and gathered to the rows (prod[gi]): numpy broadcasts a
-    # per-row column several times slower than it runs contiguous arrays.
-    cubic = nl.p == 4 and nl.sign == -1.0 and not nl.eps and nl.shift is None
+    # A profile times z is formed once per z series and gathered to the rows
+    # (prod[gi]): numpy broadcasts a per-row column several times slower
+    # than it runs contiguous arrays.
     gfactor, hfactor = spec.g.factor, spec.h.factor
     A = 0
     for k in range(kmin, k1 + 1):
@@ -445,12 +401,7 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
         np.multiply(h1, z1, out=prod)
         np.add(u, prod[gi], out=sh)
         np.multiply(gprof, gfactor(tn), out=force)
-        if cubic:
-            np.multiply(sh, sh, out=tm)
-            np.multiply(tm, sh, out=tm)
-            np.subtract(force, tm, out=ac)
-        else:
-            np.add(nl(sh), force, out=ac)
+        np.add(nl(sh, out=tm), force, out=ac)
         np.multiply(v, alpha, out=tm)
         np.subtract(ac, tm, out=ac)
         np.multiply(lap_h1, z1, out=prod)
@@ -484,18 +435,10 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
     trajs = [None] * B
     j1 = k1 - kmin
     for b, i in enumerate(rows):
-        arr = {key: np.asarray(vals) for key, vals in recs[b].items()}
+        cols = np.array(recs[b]).T.copy()
         trajs[i] = Trajectory(
-            t=arr["t"],
-            u_l2sq=arr["u"],
-            v_l2sq=arr["v"],
-            u_lp_p=arr["up"],
-            utilde_lp_p=arr["utp"],
-            z1=arr["z1"],
-            z2=arr["z2"],
-            g_l2sq=arr["g"],
-            h_l2sq=arr["h"],
-            energy=alpha * arr["v"] + beta * arr["u"],
+            *cols,
+            energy=alpha * cols[2] + beta * cols[1],
             final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
             final_z=(float(Z1[j1, group[b]]), float(Z2[j1, group[b]])),
             snapshots=snapshots[b],
@@ -579,14 +522,13 @@ def validate_structure(spec, sample_count=2000, tol=1e-8):
     return margins
 
 
-def validate_forcing(spec, tau, horizon, dt=None):
-    """Quadrature of int_{tau-horizon}^tau e^{delta(s-tau)} (|g|^2+|h|^2) ds.
+def validate_forcing(spec, tau, horizon, dt):
+    """Quadrature of int_{tau-horizon}^tau e^{delta(s-tau)} (|g|^2+|h|^2) ds, step dt.
 
     Returns (value, converged) as `history_quadrature` gives them.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    dt = dt or 1e-3
     n = int(round(horizon / dt))
     s = tau - horizon + np.arange(n + 1) * dt
     w = np.exp(spec.delta * (s - tau))

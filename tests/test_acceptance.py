@@ -191,7 +191,7 @@ def test_criterion_4_linear_subproblem_order(report):
     for dt in (4e-3, 2e-3, 1e-3):
         init = FhnState(0.0, ScalarField(grid, np.full(4, 0.7)),
                         ScalarField(grid, np.full(4, -0.3)))
-        traj = solve(spec, SolverSpec(dt=dt, grid=grid),
+        traj = solve(spec, SolverSpec(dt=dt),
                      WienerPath(seed=0, dt=dt), 0.0, 1.0, init)
         got = np.array([traj.final.u.values[0], traj.final.v.values[0]])
         errs.append(float(np.abs(got - exact).max()))

@@ -124,6 +124,20 @@ def test_cli_simulate_blowup_exit_2(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["error"].startswith("blow-up: ")
 
 
+def test_cli_off_grid_time_exit_2(tmp_path, capsys):
+    # 8.0, the default simulate duration, and 4.0, the energy horizon of
+    # verify, are not multiples of dt = 0.003
+    cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.003\nexperiment.seed_count = 2\n"
+                     "experiment.energy_seed_count = 2\n")
+    for argv in (["simulate"], ["verify", "--threads", "2"]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--config", cfgp, "--out", str(out)]) == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error.startswith("off-grid time: time ") and "dt=0.003" in error
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
+
+
 def test_cli_verify_blowup_in_worker_exit_2(tmp_path):
     # a coarse step blows up the pullback runs, here inside worker processes
     cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.1\nexperiment.seed_count = 2\n"

@@ -17,7 +17,7 @@ from fhnrds.model import (
     Nonlinearity,
     SolverSpec,
     StructureViolation,
-    _implicit_operator,
+    _ImplicitOperator,
     from_tilde,
     solve,
     solve_batch,
@@ -43,6 +43,16 @@ def test_nonlinearity_power_fast_path():
     np.testing.assert_allclose(f(s), -np.abs(s) ** 2 * s, rtol=1e-13)
     g = Nonlinearity(3.5, eps=0.1, sign=-1.0)
     np.testing.assert_allclose(g(s), -np.abs(s) ** 1.5 * s + 0.1 * s, rtol=1e-13)
+    # in place into `out`: bitwise the allocating call and sign * (|s|**(p-2) * s);
+    # p = 2.5 takes numpy's fast path for the exponent 0.5
+    for p in (4.0, 3.0, 2.5):
+        for sign in (-1.0, 1.0):
+            h = Nonlinearity(p, sign=sign)
+            out = np.empty_like(s)
+            assert h(s, out=out) is out
+            assert np.array_equal(out, h(s)), (p, sign)
+            power = (s * s) * s if p == 4 else np.abs(s) ** (p - 2.0) * s
+            assert np.array_equal(out, sign * power), (p, sign)
     with pytest.raises(ValueError):
         Nonlinearity(2.0)
 
@@ -87,7 +97,8 @@ def test_validate_structure_rejects_wrong_sign():
 def test_validate_forcing_convergence_flag():
     cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
     spec = cfg.model_spec()
-    total, converged = validate_forcing(spec, 0.0, 40.0)
+    dt = cfg["solver.dt"]
+    total, converged = validate_forcing(spec, 0.0, 40.0, dt)
     assert converged and total > 0.0
     # the absorbing radius takes its forcing term from this quadrature
     path = WienerPath(seed=3, dt=1e-3)
@@ -99,7 +110,7 @@ def test_validate_forcing_convergence_flag():
     grid = Grid(n=64, half_width=8.0)
     grow = Forcing(bump_field(grid, amplitude=0.25, width=8.0), "exp", a=-2.0)
     bad = dataclasses.replace(spec, g=grow)
-    total, converged = validate_forcing(bad, 0.0, 40.0)
+    total, converged = validate_forcing(bad, 0.0, 40.0, dt)
     assert not converged
     assert not dg.absorbing_radius(0.0, path, bad, 1.0, 40.0).converged
     with pytest.raises(ConfigError, match="not converged"):
@@ -110,7 +121,7 @@ def test_validate_forcing_convergence_flag():
 def test_solve_one_step_advances_time_one_dt():
     grid = Grid(n=16, half_width=2.0)
     spec = linear_spec(grid)
-    solver = SolverSpec(dt=1e-2, grid=grid)
+    solver = SolverSpec(dt=1e-2)
     st = FhnState(0.5, ScalarField.zeros(grid), ScalarField.zeros(grid))
     traj = solve(spec, solver, WienerPath(seed=0, dt=1e-2), 0.5, 0.51, st)
     assert traj.final.t == pytest.approx(0.51)
@@ -120,10 +131,9 @@ def test_solve_one_step_advances_time_one_dt():
 def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     """The IMEX loop of `solve` written with allocating expressions.
 
-    Same scheme and operation order as `solve`, without its batch buffers
-    or its cubic fold; the implicit solve is the operator's, on a batch of
-    one.  Returns the final u and v, the records, and a snapshot of u at
-    every record.
+    Same scheme and operation order as `solve`, without its batch buffers;
+    the implicit solve is the operator's, on a batch of one.  Returns the
+    final u and v, the records, and a snapshot of u at every record.
     """
     dt = solver.dt
     k0 = step_index(tau0, dt)
@@ -131,7 +141,8 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     z1s = get_ou(path.seed, 1, spec.lam, dt).values(path.offset, path.offset + nsteps)
     z2s = get_ou(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
     grid = init.grid
-    op = _implicit_operator(grid, spec.lam, dt)
+    op = _ImplicitOperator(grid, spec.lam, dt)
+    lap_h1 = laplacian_values(spec.h1.values, grid)
 
     def implicit(rhs):
         return op.solve(rhs[None].copy())[0]
@@ -162,7 +173,7 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
         z1n, z2n = z1s[n], z2s[n]
         gf, hf = spec.g.factor(tn), spec.h.factor(tn)
         f_val = spec.nonlin(u + h1 * z1n)
-        rhs = u + dt * (f_val + gf * gprof - alpha * v + spec.lap_h1 * z1n - (alpha * z2n) * h2)
+        rhs = u + dt * (f_val + gf * gprof - alpha * v + lap_h1 * z1n - (alpha * z2n) * h2)
         u_new = implicit(rhs)
         v = ev * v + gain * (beta * u + hf * hprof + (beta * z1n) * h1)
         u = u_new
@@ -175,13 +186,13 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
 
 SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
 
-
-@pytest.mark.parametrize(
+# (config overrides, generic f, end time): one case per implicit-solve branch
+SOLVE_CASES = pytest.mark.parametrize(
     "overrides, generic, t1",
     [
-        ({}, False, 0.4),  # tridiagonal path, cubic fold
+        ({}, False, 0.4),  # tridiagonal path, canonical f
         ({"grid.boundary": "neumann0"}, False, 0.4),
-        ({}, True, 0.4),  # generic nonlinearity branch
+        ({}, True, 0.4),  # p = 3 with shift and eps
         ({"grid.boundary": "periodic"}, False, 0.4),  # FFT path
         ({"grid.dim": 2, "grid.n": 16}, False, 0.1),  # DST-I path in 2-D
         ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, False, 0.1),  # DCT-II
@@ -190,6 +201,9 @@ SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
     ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d", "2d-neumann0",
          "2d-periodic"],
 )
+
+
+@SOLVE_CASES
 def test_solve_bitwise_matches_reference(overrides, generic, t1):
     cfg = default_config(**{**SMALL_GRID, **overrides})
     spec = cfg.model_spec()
@@ -231,7 +245,7 @@ def test_implicit_operator_solves_the_stencil(boundary, dim):
     grid = Grid(dim=dim, half_width=8.0, n=32, boundary=boundary)
     lam, dt = 1.0, 0.01
     rhs = np.random.default_rng(11).standard_normal((3,) + grid.shape)
-    x = _implicit_operator(grid, lam, dt).solve(rhs.copy())
+    x = _ImplicitOperator(grid, lam, dt).solve(rhs.copy())
     for xb, rb in zip(x, rhs):
         residual = (1.0 + dt * lam) * xb - dt * laplacian_values(xb, grid) - rb
         assert np.linalg.norm(residual) <= OPERATOR_RTOL * np.linalg.norm(rb)
@@ -252,20 +266,7 @@ def assert_same_trajectory(got, expected):
         assert t == t_ref and np.array_equal(snap, snap_ref)
 
 
-@pytest.mark.parametrize(
-    "overrides, generic, t1",
-    [
-        ({}, False, 0.4),
-        ({"grid.boundary": "neumann0"}, False, 0.4),
-        ({}, True, 0.4),
-        ({"grid.boundary": "periodic"}, False, 0.4),
-        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, False, 0.1),
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, False, 0.1),
-    ],
-    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d", "2d-neumann0",
-         "2d-periodic"],
-)
+@SOLVE_CASES
 def test_solve_batch_rows_match_single_solves(overrides, generic, t1):
     # staggered starts (off the record stride too), two seeds, two runs
     # sharing one z series, and a run of zero steps
@@ -326,7 +327,7 @@ def test_linear_decay_matches_matrix_exponential():
     spec = linear_spec(grid)
     A = np.array([[-1.0, -1.0], [1.0, -1.0]])
     exact = expm(A) @ np.array([0.7, -0.3])
-    solver = SolverSpec(dt=1e-4, grid=grid)
+    solver = SolverSpec(dt=1e-4)
     init = FhnState(
         0.0, ScalarField(grid, np.full(4, 0.7)), ScalarField(grid, np.full(4, -0.3))
     )
