@@ -10,10 +10,10 @@ Evaluations that land at one time can be stepped together (`phi_batch`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .fields import ScalarField, bump_field, l2_sq
 from .model import FhnState, from_tilde, solve, solve_batch, to_tilde
@@ -121,16 +121,46 @@ def cocycle_check(t, s, tau, path, u0_tilde, v0_tilde, spec, solver):
     return float(np.sqrt(l2_sq(du, grid) + l2_sq(dv, grid)))
 
 
+_HALTON_BASES = (2, 3, 5, 7, 11)  # one prime per coordinate of `sample_family`
+
+
+def _scrambled_halton(n, seed):
+    """The first n points of Owen's randomized Halton sequence (arXiv:1706.02808).
+
+    Base b permutes each of its ceil(54/log2 b) - 1 digits, the ones with
+    b**-k > 2**-54, by its own `rng.shuffle` of arange(b), drawn base by base
+    from `default_rng(seed)`; a point sums perm[digit] * b**-k over the digits
+    in order.  These are the draws and the sums of
+    `scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)`, so the
+    points are bitwise scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, len(_HALTON_BASES)))
+    for col, b in zip(out.T, _HALTON_BASES):
+        perms = []
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            perm = np.arange(b)
+            rng.shuffle(perm)
+            perms.append(perm)
+        q = np.arange(n)
+        b2r = 1.0 / b
+        for perm in perms:
+            col += perm[q % b] * b2r
+            b2r /= b
+            q //= b
+    return out
+
+
 def sample_family(fam, tau, t, grid, seed=0):
     """Deterministic initial pairs inside the tempered ball at anchor tau - t.
 
-    Directions come from a seeded Halton sequence (bump centers/widths and
-    the u/v energy split); radii fill the ball so samples witness both the
+    Directions come from a seeded scrambled Halton sequence (bump
+    centers/widths and the u/v energy split; `_scrambled_halton`, bitwise
+    scipy's `qmc.Halton`); radii fill the ball so samples witness both the
     interior and the boundary.
     """
     radius = fam.radius(t)
-    sampler = qmc.Halton(d=5, scramble=True, seed=seed)
-    params = sampler.random(fam.sample_count)
+    params = _scrambled_halton(fam.sample_count, seed)
     out = []
     L = grid.half_width
     for i, q in enumerate(params):

@@ -462,8 +462,9 @@ def validate_structure(spec, sample_count=2000, tol=1e-8):
     p = spec.p
 
     # the family's x-dependence is the additive shift; evaluate the
-    # x-independent part once and broadcast
-    base = nl.sign * np.abs(s) ** (p - 2.0) * s + nl.eps * s
+    # x-independent part once, by the f the solver steps, and broadcast
+    f0 = Nonlinearity(nl.p, eps=nl.eps, sign=nl.sign)
+    base = f0(s)
     phi = nl.shift.values.ravel()[:, None] if nl.shift is not None else np.zeros((1, 1))
     fv = base[None, :] + phi
 
@@ -496,10 +497,7 @@ def validate_structure(spec, sample_count=2000, tol=1e-8):
     # df/ds <= alpha3 by central differences; shift drops out of the derivative
     ds = 1e-6 * np.maximum(1.0, np.abs(s))
     sp_, sm_ = s + ds, s - ds
-    dfds = (
-        (nl.sign * np.abs(sp_) ** (p - 2.0) * sp_ + nl.eps * sp_)
-        - (nl.sign * np.abs(sm_) ** (p - 2.0) * sm_ + nl.eps * sm_)
-    ) / (2.0 * ds)
+    dfds = (f0(sp_) - f0(sm_)) / (2.0 * ds)
     m33 = dfds - spec.alpha3
     margins["3.3"] = float(np.max(m33))
     if margins["3.3"] > tol * float(np.max(np.abs(s) ** (p - 2.0))):

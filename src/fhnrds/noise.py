@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 from scipy.special import ndtri
 
 
@@ -36,20 +36,34 @@ _TAG_INCREMENT = np.uint64(0x243F6A8885A308D3)
 _TAG_INIT = np.uint64(0x13198A2E03707344)
 
 
-def _mix64(x):
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+def _mix64(x, tmp):
+    """Finalize the uint64 array `x` in place; `tmp` is scratch of its shape."""
+    for shift, mult in ((np.uint64(30), _M1), (np.uint64(27), _M2)):
+        x ^= np.right_shift(x, shift, out=tmp)
+        x *= mult
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
 def _uniform01(seed, component, k, tag):
-    """Deterministic uniform in (0,1) keyed by (seed, component, k, tag)."""
+    """Deterministic uniforms in (0,1) keyed by (seed, component, k, tag), one per k."""
     with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(seed) + _GOLDEN * np.uint64(component + 1) + tag)
-        kk = np.asarray(k).astype(np.int64).astype(np.uint64)
-        v = _mix64(key ^ _mix64(kk * _GOLDEN + key))
+        key = np.array(np.uint64(seed) + _GOLDEN * np.uint64(component + 1) + tag)
+        key = _mix64(key, np.empty_like(key))
+    # the one copy of k, read as uint64 modulo 2**64 and hashed in place
+    x = np.array(k, dtype=np.int64).view(np.uint64)
+    tmp = np.empty_like(x)
+    x *= _GOLDEN
+    x += key
+    _mix64(x, tmp)
+    x ^= key
+    _mix64(x, tmp)
     # 53-bit mantissa, offset keeps the value strictly inside (0,1)
-    return (v >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return u
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,12 @@ def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 
 
+# increments hashed per piece of a fill (a few hundred kB of scratch, so the
+# hash stays in cache) and OU windows per `dgttrs` call
+_HASH_CHUNK = 1 << 15
+_SOLVE_CHUNK = 16
+
+
 class OuProcess:
     """Stationary OU process z(theta_t omega) driven by one Wiener component.
 
@@ -117,6 +137,14 @@ class OuProcess:
     so the initialization error is bounded by exp(-20) while any two
     evaluations of the same step agree bitwise -- the property the cocycle
     law test relies on.
+
+    The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
+    LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
+    and no pivoting, which forms xi[n] - (-a)*y[n-1].
+    `scipy.signal.lfilter([1], [1, -a], xi)` forms xi[n] + (0*xi[n-1] -
+    (-a)*y[n-1]).  Both round the one sum xi[n] + a*y[n-1], so every block is
+    bitwise the filtered one.  With d = 1 and du = du2 = 0 the back sweep
+    (b - 0*b' - 0*b'')/1 returns its input unchanged.
     """
 
     def __init__(self, seed, component, rate, dt):
@@ -130,12 +158,8 @@ class OuProcess:
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
         self._blocks = {}
 
-    def _stationary_draw(self, anchor_index):
-        u = _uniform01(self.seed.seed, self.seed.component, anchor_index, _TAG_INIT)
-        return float(ndtri(u)) * np.sqrt(stationary_variance(self.rate))
-
     def _compute_blocks(self, ms):
-        """Fill the cache for the block indices in `ms` with one batched filter."""
+        """Fill the cache for the block indices in `ms`, `_SOLVE_CHUNK` blocks per solve."""
         ms = sorted(m for m in ms if m not in self._blocks)
         if not ms:
             return
@@ -143,19 +167,30 @@ class OuProcess:
         # block m filters the 2B-1 increments from step (m-1)*B; consecutive
         # windows overlap by B-1 steps, so each increment of the span is
         # drawn once and the windows are views into it
-        ks = np.arange((ms[0] - 1) * B, (ms[-1] + 1) * B - 1, dtype=np.int64)
-        xi = self._damp * wiener_increment(self.seed, ks, self.dt)
-        windows = np.lib.stride_tricks.sliding_window_view(xi, 2 * B - 1)[::B]
-        if len(ms) != len(windows):  # holes: keep only the missing blocks
-            windows = windows[[m - ms[0] for m in ms]]
+        k0 = (ms[0] - 1) * B
+        xi = np.empty((ms[-1] - ms[0] + 2) * B - 1)
+        for i in range(0, xi.size, _HASH_CHUNK):
+            ks = np.arange(k0 + i, k0 + min(i + _HASH_CHUNK, xi.size), dtype=np.int64)
+            xi_i = wiener_increment(self.seed, ks, self.dt)
+            np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
+        w = 2 * B - 1
+        windows = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]
         a = self._decay
-        y = lfilter([1.0], [1.0, -a], windows, axis=1)
+        dl, d = np.full(w - 1, -a), np.ones(w)
+        du, du2 = np.zeros(w - 1), np.zeros(max(w - 2, 0))
+        ipiv = np.arange(1, w + 1, dtype=np.int32)
         # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
         # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
         pows = a ** np.arange(B, 2 * B)
-        for i, m in enumerate(ms):
-            z0 = self._stationary_draw(m - 1)
-            self._blocks[m] = z0 * pows + y[i, B - 1 : 2 * B - 1]
+        u = _uniform01(self.seed.seed, self.seed.component, np.array(ms) - 1, _TAG_INIT)
+        z0 = ndtri(u) * np.sqrt(stationary_variance(self.rate))
+        for c in range(0, len(ms), _SOLVE_CHUNK):
+            chunk = ms[c : c + _SOLVE_CHUNK]
+            y = windows[[m - ms[0] for m in chunk]]  # a copy the solve overwrites
+            if w > 1:  # a one-step window is its own solution
+                y = dgttrs(dl, d, du, du2, ipiv, y.T, overwrite_b=1)[0].T
+            for i, m in enumerate(chunk):
+                self._blocks[m] = z0[c + i] * pows + y[i, B - 1 : w]
 
     def values(self, j0, j1):
         """z at absolute steps j0..j1 inclusive."""

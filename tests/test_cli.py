@@ -297,6 +297,17 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
+    root = Path(cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import sys, fhnrds.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_defaults_table_is_typed():
     scalar = {k: v for k, v in DEFAULTS.items() if not k.startswith("schedules.")}
     for key, (parser, default) in scalar.items():

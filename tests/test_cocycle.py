@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
-from fhnrds.cocycle import CocycleInput, FamilySpec, cocycle_check, phi, pullback, sample_family
+from fhnrds.cocycle import (
+    CocycleInput,
+    FamilySpec,
+    _scrambled_halton,
+    cocycle_check,
+    phi,
+    pullback,
+    sample_family,
+)
 from fhnrds.config import default_config
 from fhnrds.fields import ScalarField, bump_field, l2_sq
 from fhnrds.noise import WienerPath
@@ -21,6 +30,14 @@ def test_family_spec_validation():
         FamilySpec(-1.0, 0.1, 2, 1.0)
     fam = FamilySpec(2.0, 0.25, 3, 1.0)
     assert fam.radius(4.0) == pytest.approx(2.0 * np.e)
+
+
+def test_scrambled_halton_is_scipys_bitwise():
+    seeds = list(range(50)) + [2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**63 - 1]
+    for seed in seeds:
+        for n in (1, 2, 3, 5, 8):
+            want = qmc.Halton(d=5, scramble=True, seed=seed).random(n)
+            assert np.array_equal(_scrambled_halton(n, seed), want), (seed, n)
 
 
 def test_family_decay_bound():

@@ -76,22 +76,22 @@ def test_model_spec_validation():
 
 
 def test_validate_structure_canonical_passes():
-    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
-    validate_structure(cfg.model_spec())
+    # p = 3 takes the `**=` branch of `Nonlinearity.__call__`, p = 4 the cube
+    for p in (4.0, 3.0):
+        cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p})
+        margins = validate_structure(cfg.model_spec())
+        assert set(margins) >= {"3.1", "3.2", "3.3"}
 
 
 def test_validate_structure_rejects_wrong_sign():
-    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
-    spec = cfg.model_spec()
-    bad = ModelSpec(
-        spec.lam, spec.alpha, spec.beta, spec.sigma, spec.p,
-        spec.alpha1, spec.alpha2, spec.alpha3,
-        Nonlinearity(spec.p, sign=+1.0), spec.h1, spec.h2,
-        spec.g, spec.h, spec.psi1, spec.psi2, spec.psi3, spec.grid,
-    )
-    with pytest.raises(StructureViolation) as exc:
-        validate_structure(bad)
-    assert exc.value.witness is not None
+    for p in (4.0, 3.0):
+        cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p})
+        spec = cfg.model_spec()
+        bad = dataclasses.replace(spec, nonlin=Nonlinearity(p, sign=+1.0))
+        with pytest.raises(StructureViolation) as exc:
+            validate_structure(bad)
+        assert exc.value.condition == "3.1"
+        assert exc.value.witness is not None
 
 
 def test_validate_forcing_convergence_flag():

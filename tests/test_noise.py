@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
+from scipy.special import ndtri
 
+from fhnrds import noise
 from fhnrds.noise import (
     GridAlignmentError,
     NoiseSeed,
@@ -103,6 +106,20 @@ def test_ou_blocks_independent_of_fill_order():
     b._compute_blocks(range(-3, 4))
     for m in range(-3, 4):
         assert np.array_equal(a._blocks[m], b._blocks[m]), m
+    # a fill over more than one solve chunk with a cached block in the middle:
+    # each block is bitwise the first-order filter of its own window
+    c = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
+    ms = range(-noise._SOLVE_CHUNK - 3, noise._SOLVE_CHUNK + 4)
+    c._compute_blocks([0])
+    c._compute_blocks(ms)
+    B, decay = c.B, c._decay
+    sd = np.sqrt(stationary_variance(c.rate))
+    for m in ms:
+        ks = np.arange((m - 1) * B, (m + 1) * B - 1)
+        y = lfilter([1.0], [1.0, -decay], c._damp * wiener_increment(c.seed, ks, c.dt))
+        u = noise._uniform01(c.seed.seed, c.seed.component, m - 1, noise._TAG_INIT)
+        z0 = float(ndtri(u)) * sd
+        assert np.array_equal(c._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
 
 
 def test_ou_within_block_recursion():
