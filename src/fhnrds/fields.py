@@ -9,6 +9,7 @@ tails used by the diagnostics are mutually consistent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class Grid:
     def spacing(self):
         return 2.0 * self.half_width / self.n
 
-    @property
+    @cached_property  # the records read it per row and step; frozen fields keep it valid
     def cell_measure(self):
         return self.spacing**self.dim
 

@@ -18,10 +18,8 @@ in two reproduces the single run bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy import fft
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
@@ -182,65 +180,74 @@ def from_tilde(u_tilde, v_tilde, spec, z1, z2, t=0.0):
     return FhnState(t, u, v)
 
 
-_TRANSFORMS = {  # closure -> the transform pair that diagonalises it
-    "dirichlet0": (partial(fft.dstn, type=1), partial(fft.idstn, type=1)),
-    "neumann0": (partial(fft.dctn, type=2), partial(fft.idctn, type=2)),
-    "periodic": (fft.fftn, lambda y, **kw: fft.ifftn(y, **kw).real),
-}
-
-
 class _ImplicitOperator:
     """Solver for (1 + dt*lam) I - dt*Lap, set up once per `solve_batch` call.
 
-    1-D dirichlet0 and neumann0 grids factor the SPD tridiagonal matrix as
-    LDL^T.  Every other grid solves in its transform of `_TRANSFORMS`, where
-    h^2*Lap is diagonal with entries -sum over the axes of 2 - 2cos(theta_k):
-    theta_k = pi(k+1)/(n+1) for DST-I, pi*k/n for the cell-centred DCT-II
-    (the `edge` pad of fields) and 2*pi*k/n for the FFT.
+    1-D grids factor the SPD tridiagonal matrix T of the dirichlet0 or
+    neumann0 closure as LDL^T.  A periodic grid adds the corners, which make
+    the neumann0 matrix plus u u^T with u = sqrt(d)(e_0 - e_(n-1)), d =
+    dt/h^2; it is solved on the neumann0 factor with the Sherman-Morrison
+    correction x = y - w*sqrt(d)(y_0 - y_(n-1))/(1 + u^T w), y = T^-1 rhs and
+    w = T^-1 u.  2-D grids solve in the eigenbasis of L1, minus the
+    closure's 1-D second difference times h^2, with L1 = Q diag(mu) Q^T taken
+    once by `eigh`: X = Q (Q^T R Q / (1 + dt*lam + d(mu_i + mu_j))) Q^T.
+    That costs O(n^3) per row against O(n^2 log n) for a fast transform,
+    and is faster up to n = 64 on every closure (README).
     """
 
     def __init__(self, grid, lam, dt):
         n = grid.n
         d = dt / grid.spacing**2
-        self._denom = None
-        if grid.dim == 1 and grid.boundary != "periodic":
-            # SPD tridiagonal: LDL^T, factored once
-            diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
-            if grid.boundary == "neumann0":
-                diag[0] -= d
-                diag[-1] -= d
-            self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
-            if info != 0:
-                raise ValueError(f"pttrf failed with info {info}")
-            return
-        k = np.arange(n)
-        theta = {"dirichlet0": np.pi * (k + 1) / (n + 1), "neumann0": np.pi * k / n,
-                 "periodic": 2.0 * np.pi * k / n}[grid.boundary]
-        mu = 2.0 - 2.0 * np.cos(theta)
+        self._q = None
         if grid.dim == 2:
-            mu = mu[:, None] + mu[None, :]
-        self._denom = 1.0 + dt * lam + d * mu
-        self._transform = _TRANSFORMS[grid.boundary]
-        self._axes = tuple(range(-grid.dim, 0))
+            # minus the 1-D second difference of the closure, times h^2
+            L1 = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            if grid.boundary == "neumann0":
+                L1[0, 0] = L1[-1, -1] = 1.0
+            elif grid.boundary == "periodic":
+                L1[0, -1] = L1[-1, 0] = -1.0
+            mu, self._q = np.linalg.eigh(L1)
+            self._qt = np.ascontiguousarray(self._q.T)  # 10% faster products than the view
+            self._denom = 1.0 + dt * lam + d * (mu[:, None] + mu[None, :])
+            return
+        # SPD tridiagonal: LDL^T, factored once
+        diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
+        if grid.boundary != "dirichlet0":
+            diag[0] -= d
+            diag[-1] -= d
+        self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
+        if info != 0:
+            raise ValueError(f"pttrf failed with info {info}")
+        self._w = None
+        if grid.boundary == "periodic":
+            root = np.sqrt(d)
+            u = np.zeros(n)
+            u[0], u[-1] = root, -root
+            self._w, _ = dpttrs(self._d, self._e, u)
+            self._scale = root / (1.0 + root * (self._w[0] - self._w[-1]))
 
     def solve(self, rhs):
         """Overwrite `rhs`, one right-hand side per row, with the solutions.
 
         Each row is solved exactly as it would be alone: dpttrs treats the
-        columns of the Fortran-ordered rhs.T one by one, and the transforms
-        act on the spatial axes only, one line at a time.
+        columns of the Fortran-ordered rhs.T one by one, the periodic
+        correction is elementwise per row, and each product of the 2-D
+        solve is one GEMM of an (n, n) row against Q or Q^T (a single
+        reshaped GEMM would pick its BLAS kernel by the batch size).
         """
-        if self._denom is None:
-            x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of pttrs")
-            if not np.may_share_memory(x, rhs):
-                rhs[...] = x.T
+        if self._q is not None:
+            y = np.matmul(np.matmul(self._qt, rhs), self._q)
+            y /= self._denom
+            np.matmul(np.matmul(self._q, y), self._qt, out=rhs)
             return rhs
-        forward, inverse = self._transform
-        y = forward(rhs, axes=self._axes)
-        y /= self._denom
-        rhs[...] = inverse(y, axes=self._axes, overwrite_x=True)
+        x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of pttrs")
+        if not np.may_share_memory(x, rhs):
+            rhs[...] = x.T
+        if self._w is not None:
+            coef = (rhs[:, 0] - rhs[:, -1]) * self._scale
+            rhs -= coef[:, None] * self._w
         return rhs
 
 

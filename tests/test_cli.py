@@ -300,8 +300,8 @@ def test_benchmark_tracer_installs():
 def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
     root = Path(cli.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = ("import sys, fhnrds.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    code = ("import sys, fhnrds.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.signal', 'scipy.fft') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
