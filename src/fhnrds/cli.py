@@ -160,8 +160,8 @@ def cmd_noise(cfg, out, args, manifest):
     n = step_index(horizon, dt)
     stride = max(1, n // 2000)
     js = np.arange(-n, n + 1, stride)
-    z1 = ou1.values(-n, n)[::stride]
-    z2 = ou2.values(-n, n)[::stride]
+    z1 = ou1.values(-n, n, stride)
+    z2 = ou2.values(-n, n, stride)
     write_csv(
         manifest.add(out / "ou_series.csv"),
         ["t", "z1", "z2"],

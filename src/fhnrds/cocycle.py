@@ -59,13 +59,30 @@ class FamilySpec:
         return self.base_radius * np.exp(self.growth_rate * t)
 
 
-def _untransformed(inp, spec, dt):
-    """The initial pair of `inp` in (u, v), with the OU values at its shift 0."""
-    ou1 = get_ou(inp.path.seed, 1, spec.lam, dt)
-    ou2 = get_ou(inp.path.seed, 2, spec.sigma, dt)
-    z1_0 = ou1.at_step(inp.path.offset)
-    z2_0 = ou2.at_step(inp.path.offset)
-    return from_tilde(inp.u0_tilde, inp.v0_tilde, spec, z1_0, z2_0, t=inp.tau)
+def _untransformed(inputs, spec, dt):
+    """The initial pairs of `inputs` in (u, v), with the OU values at their shift 0.
+
+    Each OU process of a seed is read once, from the earliest start step to
+    the latest landing step of that seed's inputs: the span the solve reads
+    next, so its blocks are filled in one pass.
+    """
+    spans = {}
+    for inp in inputs:
+        j0 = inp.path.offset
+        j1 = j0 + step_index(inp.tau + inp.t, dt) - step_index(inp.tau, dt)
+        lo, hi = spans.get(inp.path.seed, (j0, j1))
+        spans[inp.path.seed] = (min(lo, j0), max(hi, j1))
+    z = {}
+    for seed, (lo, hi) in spans.items():
+        z1 = get_ou(seed, 1, spec.lam, dt).values(lo, hi)
+        z2 = get_ou(seed, 2, spec.sigma, dt).values(lo, hi)
+        z[seed] = lo, z1, z2
+    pairs = []
+    for inp in inputs:
+        lo, z1, z2 = z[inp.path.seed]
+        j = inp.path.offset - lo
+        pairs.append(from_tilde(inp.u0_tilde, inp.v0_tilde, spec, float(z1[j]), float(z2[j]), t=inp.tau))
+    return pairs
 
 
 def _transformed(traj, spec):
@@ -81,7 +98,7 @@ def phi(inp, spec, solver, record_stride=10, snapshot_stride=None):
         inp.path,
         inp.tau,
         inp.tau + inp.t,
-        _untransformed(inp, spec, solver.dt),
+        _untransformed([inp], spec, solver.dt)[0],
         record_stride=record_stride,
         snapshot_stride=snapshot_stride,
     )
@@ -99,7 +116,7 @@ def phi_batch(inputs, spec, solver, record_stride=10, snapshot_stride=None):
     tau1 = inputs[0].tau + inputs[0].t
     if any(step_index(inp.tau + inp.t, dt) != step_index(tau1, dt) for inp in inputs):
         raise ValueError("batched cocycle inputs must land at one time")
-    members = [(inp.path, _untransformed(inp, spec, dt)) for inp in inputs]
+    members = [(inp.path, init) for inp, init in zip(inputs, _untransformed(inputs, spec, dt))]
     trajs = solve_batch(spec, solver, members, tau1, record_stride, snapshot_stride)
     return [(_transformed(traj, spec), traj) for traj in trajs]
 

@@ -527,6 +527,10 @@ def validate_structure(spec, sample_count=2000, tol=1e-8):
     return margins
 
 
+# samples of the forcing history evaluated at once by `validate_forcing`
+_HISTORY_CHUNK = 1 << 15
+
+
 def validate_forcing(spec, tau, horizon, dt):
     """Quadrature of int_{tau-horizon}^tau e^{delta(s-tau)} (|g|^2+|h|^2) ds, step dt.
 
@@ -535,11 +539,17 @@ def validate_forcing(spec, tau, horizon, dt):
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n = int(round(horizon / dt))
-    s = tau - horizon + np.arange(n + 1) * dt
-    w = np.exp(spec.delta * (s - tau))
-    gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
-    hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-    return history_quadrature(w * (gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq), dt)
+    integrand = np.empty(n + 1)
+    # filled in pieces, so the temporaries are a piece long; each sample is
+    # the same elementwise expression as over the whole window
+    for i in range(0, n + 1, _HISTORY_CHUNK):
+        s = tau - horizon + np.arange(i, min(i + _HISTORY_CHUNK, n + 1)) * dt
+        w = np.exp(spec.delta * (s - tau))
+        gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
+        hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
+        np.multiply(w, gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq,
+                    out=integrand[i : i + s.size])
+    return history_quadrature(integrand, dt)
 
 
 def history_quadrature(integrand, dt):

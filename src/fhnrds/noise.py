@@ -121,8 +121,8 @@ def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 
 
-# increments hashed per piece of a fill (a few hundred kB of scratch, so the
-# hash stays in cache) and OU windows per `dgttrs` call
+# increments hashed at once (a few hundred kB of scratch, so the hash stays
+# in cache), and OU blocks per piece of a fill, one `dgttrs` call each
 _HASH_CHUNK = 1 << 15
 _SOLVE_CHUNK = 16
 
@@ -159,49 +159,75 @@ class OuProcess:
         self._blocks = {}
 
     def _compute_blocks(self, ms):
-        """Fill the cache for the block indices in `ms`, `_SOLVE_CHUNK` blocks per solve."""
-        ms = sorted(m for m in ms if m not in self._blocks)
-        if not ms:
+        """Fill the cache for the block indices in `ms`.
+
+        The blocks are filled in pieces of at most `_SOLVE_CHUNK` consecutive
+        blocks, one `dgttrs` call each, so a fill's scratch is one piece's
+        however long its span, and no cached block is drawn again.
+        """
+        pieces = []
+        for m in sorted(set(ms) - self._blocks.keys()):
+            if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < _SOLVE_CHUNK:
+                pieces[-1].append(m)
+            else:
+                pieces.append([m])
+        if not pieces:
             return
         B = self.B
-        # block m filters the 2B-1 increments from step (m-1)*B; consecutive
-        # windows overlap by B-1 steps, so each increment of the span is
-        # drawn once and the windows are views into it
-        k0 = (ms[0] - 1) * B
-        xi = np.empty((ms[-1] - ms[0] + 2) * B - 1)
-        for i in range(0, xi.size, _HASH_CHUNK):
-            ks = np.arange(k0 + i, k0 + min(i + _HASH_CHUNK, xi.size), dtype=np.int64)
-            xi_i = wiener_increment(self.seed, ks, self.dt)
-            np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
         w = 2 * B - 1
-        windows = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]
         a = self._decay
+        # scratch shared by the pieces of this fill: the `dgttrs` arguments,
+        # which depend only on B, and one piece's increments and windows
         dl, d = np.full(w - 1, -a), np.ones(w)
         du, du2 = np.zeros(w - 1), np.zeros(max(w - 2, 0))
         ipiv = np.arange(1, w + 1, dtype=np.int32)
+        longest = max(len(piece) for piece in pieces)
+        xi_buf = np.empty((longest + 1) * B - 1)
+        y_buf = np.empty((longest, w))
         # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
         # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
         pows = a ** np.arange(B, 2 * B)
-        u = _uniform01(self.seed.seed, self.seed.component, np.array(ms) - 1, _TAG_INIT)
-        z0 = ndtri(u) * np.sqrt(stationary_variance(self.rate))
-        for c in range(0, len(ms), _SOLVE_CHUNK):
-            chunk = ms[c : c + _SOLVE_CHUNK]
-            y = windows[[m - ms[0] for m in chunk]]  # a copy the solve overwrites
+        sd = np.sqrt(stationary_variance(self.rate))
+        xi, k1 = xi_buf[:0], (pieces[0][0] - 1) * B  # increments drawn last, and their end step
+        for piece in pieces:
+            # block m filters the 2B-1 increments from step (m-1)*B; consecutive
+            # windows overlap by B-1 steps, so the piece's increments are drawn
+            # once and its windows are views into them.  The B-1 it shares
+            # with the piece before are carried over, not drawn again.
+            k0 = (piece[0] - 1) * B
+            carried = max(0, k1 - k0)
+            xi_buf[:carried] = xi[xi.size - carried :]
+            xi = xi_buf[: (len(piece) + 1) * B - 1]
+            k1 = k0 + xi.size
+            for i in range(carried, xi.size, _HASH_CHUNK):
+                ks = np.arange(k0 + i, k0 + min(i + _HASH_CHUNK, xi.size), dtype=np.int64)
+                xi_i = wiener_increment(self.seed, ks, self.dt)
+                np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
+            y = y_buf[: len(piece)]
+            y[...] = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]  # the solve overwrites it
             if w > 1:  # a one-step window is its own solution
                 y = dgttrs(dl, d, du, du2, ipiv, y.T, overwrite_b=1)[0].T
-            for i, m in enumerate(chunk):
-                self._blocks[m] = z0[c + i] * pows + y[i, B - 1 : w]
+            u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
+            for m, z0, row in zip(piece, ndtri(u) * sd, y):
+                self._blocks[m] = z0 * pows + row[B - 1 :]
 
-    def values(self, j0, j1):
-        """z at absolute steps j0..j1 inclusive."""
-        m0 = j0 // self.B
-        m1 = j1 // self.B
-        self._compute_blocks(range(m0, m1 + 1))
-        out = np.concatenate([self._blocks[m] for m in range(m0, m1 + 1)])
-        return out[j0 - m0 * self.B : j0 - m0 * self.B + (j1 - j0 + 1)]
+    def values(self, j0, j1, stride=1):
+        """z at absolute steps j0, j0 + stride, ... up to j1 inclusive.
 
-    def at_step(self, j):
-        return float(self.values(j, j)[0])
+        Each block's share is copied from the block itself, so a read holds
+        no copy of the whole span.
+        """
+        B = self.B
+        self._compute_blocks(range(j0 // B, j1 // B + 1))
+        out = np.empty((j1 - j0) // stride + 1)
+        i = 0  # next output index; it reads step j0 + i*stride
+        for m in range(j0 // B, j1 // B + 1):
+            j, last = j0 + i * stride, min(j1, (m + 1) * B - 1)
+            if j <= last:
+                count = (last - j) // stride + 1
+                out[i : i + count] = self._blocks[m][j - m * B : last - m * B + 1 : stride]
+                i += count
+        return out
 
 
 _OU_CACHE = {}
@@ -229,7 +255,7 @@ def temperedness_probe(proc, delta, exponent, horizon, stride=None):
     n = step_index(horizon, dt)
     stride = stride or max(1, n // 500)
     js = np.arange(0, n + 1, stride)
-    z = proc.values(-int(js[-1]), 0)[::-1][js]  # z at steps -js
+    z = proc.values(-int(js[-1]), 0, stride)[::-1]  # z at steps -js
     ts = js * dt
     series = np.exp(-delta * ts) * np.abs(z) ** exponent
     tail = series[ts >= 0.9 * horizon]

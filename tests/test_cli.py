@@ -4,13 +4,15 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fhnrds import cli, config
+from fhnrds import cli, config, noise
 from fhnrds.config import ConfigError, DEFAULTS, default_config, load_config, parse_config_text
 from fhnrds.model import StructureViolation
+from fhnrds.noise import step_index
 
 SMALL = """
 # small domain for fast runs
@@ -306,6 +308,27 @@ def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
+    # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
+    # on each side of 0.  `resolve` holds one array of the history samples;
+    # `noise` holds the OU block cache, one piece of a fill and its reads
+    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    tracemalloc.start()
+    try:
+        cfg = config.resolve({"experiment.horizon": 2000.0})
+        resolve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
+        assert cli.cmd_noise(cfg, tmp_path, args, cli.Manifest(cfg, 1)) == 0
+        noise_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = step_index(cfg["experiment.horizon"], cfg["solver.dt"]) + 1
+    assert resolve_peak <= 1.5 * 8 * samples, resolve_peak
+    cache = sum(b.nbytes for proc in noise._OU_CACHE.values() for b in proc._blocks.values())
+    assert noise_peak <= cache + 16 * 2**20, (noise_peak, cache)
 
 
 def test_defaults_table_is_typed():

@@ -17,8 +17,10 @@ from fhnrds.model import (
     Nonlinearity,
     SolverSpec,
     StructureViolation,
+    _HISTORY_CHUNK,
     _ImplicitOperator,
     from_tilde,
+    history_quadrature,
     solve,
     solve_batch,
     to_tilde,
@@ -116,6 +118,29 @@ def test_validate_forcing_convergence_flag():
     with pytest.raises(ConfigError, match="not converged"):
         default_config(**{"grid.n": 64, "grid.half_width": 8.0,
                           "forcing.g.kind": "exp", "forcing.g.a": -2.0})
+
+
+def test_validate_forcing_is_the_one_shot_quadrature():
+    # over several pieces of the fill, value and flag are bitwise the
+    # quadrature of the whole-window expression
+    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
+    spec = cfg.model_spec()
+    grid = spec.grid
+    prof = bump_field(grid, amplitude=0.25, width=8.0)
+    dt, horizon = 1e-3, 100.0
+    n = int(round(horizon / dt))
+    assert n + 1 > 3 * _HISTORY_CHUNK
+    for kind, a, c in (("sin", 0.7, 1.5), ("constant", 0.0, 0.8), ("exp", 0.05, 1.0)):
+        fs = dataclasses.replace(spec, g=Forcing(prof, kind, a, c), h=Forcing(prof, "sin", 1.3, 0.2))
+        for tau in (0.0, -7.25):
+            s = tau - horizon + np.arange(n + 1) * dt
+            w = np.exp(fs.delta * (s - tau))
+            gf = np.broadcast_to(np.asarray(fs.g.factor(s), dtype=float), s.shape)
+            hf = np.broadcast_to(np.asarray(fs.h.factor(s), dtype=float), s.shape)
+            one_shot = history_quadrature(
+                w * (gf * gf * fs.g.profile_l2sq + hf * hf * fs.h.profile_l2sq), dt
+            )
+            assert validate_forcing(fs, tau, horizon, dt) == one_shot, (kind, tau)
 
 
 def test_solve_one_step_advances_time_one_dt():

@@ -95,7 +95,7 @@ def test_ou_values_pure_across_instances():
     assert np.array_equal(a.values(-100, 100), va[4900:5101])
 
 
-def test_ou_blocks_independent_of_fill_order():
+def test_ou_blocks_independent_of_fill_order(monkeypatch):
     # block by block: each block hashes only its own 2B-1 window
     a = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     for m in range(-3, 4):
@@ -120,6 +120,41 @@ def test_ou_blocks_independent_of_fill_order():
         u = noise._uniform01(c.seed.seed, c.seed.component, m - 1, noise._TAG_INIT)
         z0 = float(ndtri(u)) * sd
         assert np.array_equal(c._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
+    # a fill over more than two pieces: each increment of its span is drawn
+    # once, and each block is the filter of its window of the one span
+    drawn = []
+    real = noise.wiener_increment
+
+    def counting(seed, k, dt):
+        drawn.append(np.asarray(k).copy())
+        return real(seed, k, dt)
+
+    monkeypatch.setattr(noise, "wiener_increment", counting)
+    proc = OuProcess(seed=9, component=2, rate=c.rate, dt=c.dt)  # the B and decay of c
+    ms = range(-noise._SOLVE_CHUNK - 7, noise._SOLVE_CHUNK + 6)
+    proc._compute_blocks(ms)
+    span = np.arange((ms[0] - 1) * B, (ms[-1] + 1) * B - 1)
+    assert np.array_equal(np.sort(np.concatenate(drawn)), span)
+    xi = proc._damp * real(proc.seed, span, proc.dt)
+    for i, m in enumerate(ms):
+        y = lfilter([1.0], [1.0, -decay], xi[i * B : i * B + 2 * B - 1])
+        u = noise._uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
+        z0 = float(ndtri(u)) * sd
+        assert np.array_equal(proc._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
+
+
+def test_ou_strided_values_are_the_full_read_strided():
+    # j0 off the block grid, the span over more than two pieces of a fill,
+    # strides below, at and above the block length B
+    B = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).B
+    j0 = -(noise._SOLVE_CHUNK + 5) * B - 37
+    j1 = (noise._SOLVE_CHUNK + 2) * B + 11
+    full = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).values(j0, j1)
+    assert full.size == j1 - j0 + 1
+    for stride in (1, 3, B - 1, B, B + 7, 3 * B + 1, j1 - j0, j1 - j0 + 5):
+        proc = OuProcess(seed=13, component=1, rate=2.0, dt=0.01)
+        assert np.array_equal(proc.values(j0, j1, stride), full[::stride]), stride
+        assert np.array_equal(proc.values(j0 + 1, j1 - 2, stride), full[1:-2][::stride]), stride
 
 
 def test_ou_within_block_recursion():
