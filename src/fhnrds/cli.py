@@ -308,9 +308,7 @@ def _verify_checks(cfg, out, manifest, threads):
             (seed, t, d2, dp)
             for t, d2, dp in zip(bi["schedule"][1:], bi["defects_l2"], bi["defects_lp"])
         )
-    ts, series, temp_ok = dg.radius_temperedness(
-        tau, ensembles[0][0], spec, c_cal, horizon, t_max=50.0, stride=2.0
-    )
+    ts, series, temp_ok = dg.radius_temperedness(tau, ensembles[0][0], spec, c_cal, horizon)
     checks += [
         {"name": "absorption", "pass": absorption_pass, "seeds": len(pull_seeds)},
         {"name": "compact_interval_bounds", "pass": compact_pass, "c_lp": c_lp},

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, bump_field, l2_sq
-from .model import FhnState, from_tilde, solve, solve_batch, to_tilde
+from .model import from_tilde, solve, solve_batch, to_tilde
 from .noise import get_ou, step_index
 
 
@@ -125,17 +125,6 @@ def pullback(t, tau, path, u0_tilde, v0_tilde, spec, solver, **kw):
     """phi with anchor tau - t and path theta_{-t} omega, landing at tau."""
     inp = CocycleInput(t, tau - t, path.shift(-t), u0_tilde, v0_tilde)
     return phi(inp, spec, solver, **kw)
-
-
-def cocycle_check(t, s, tau, path, u0_tilde, v0_tilde, spec, solver):
-    """Max L2xL2 discrepancy of the composition law at (t, s)."""
-    one, _ = phi(CocycleInput(t + s, tau, path, u0_tilde, v0_tilde), spec, solver)
-    mid, _ = phi(CocycleInput(s, tau, path, u0_tilde, v0_tilde), spec, solver)
-    two, _ = phi(CocycleInput(t, tau + s, path.shift(s), mid[0], mid[1]), spec, solver)
-    grid = u0_tilde.grid
-    du = one[0].values - two[0].values
-    dv = one[1].values - two[1].values
-    return float(np.sqrt(l2_sq(du, grid) + l2_sq(dv, grid)))
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11)  # one prime per coordinate of `sample_family`

@@ -32,6 +32,15 @@ def _num_list(text):
     return tuple(float(x) for x in str(text).split(","))
 
 
+def _flag(text):
+    word = str(text).lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
 # key -> (parser, default)
 DEFAULTS = {
     "seed": (int, 42),
@@ -50,7 +59,7 @@ DEFAULTS = {
     "grid.boundary": (str, "dirichlet0"),
     "solver.dt": (float, 1e-3),
     "solver.snapshot_stride": (int, 2000),
-    "noise.enabled": (lambda s: str(s).lower() in ("1", "true", "yes"), True),
+    "noise.enabled": (_flag, True),
     "noise.h1.amplitude": (float, 1.0),
     "noise.h1.width": (float, 8.0),
     "noise.h2.amplitude": (float, 1.0),
@@ -132,8 +141,7 @@ class ExperimentConfig:
 
     def model_spec(self):
         grid = self.grid()
-        p = self["model.p"]
-        nonlin = Nonlinearity(p, sign=self["model.f.sign"])
+        nonlin = Nonlinearity(self["model.p"], sign=self["model.f.sign"])
 
         def profile(prefix):
             amp = self[prefix + ".amplitude"]
@@ -152,13 +160,11 @@ class ExperimentConfig:
             prof = profile(prefix)
             return Forcing(prof, self[prefix + ".kind"], self[prefix + ".a"], self[prefix + ".c"])
 
-        zero = ScalarField.zeros(grid)
         return ModelSpec(
             lam=self["model.lambda"],
             alpha=self["model.alpha"],
             beta=self["model.beta"],
             sigma=self["model.sigma"],
-            p=p,
             alpha1=self["model.alpha1"],
             alpha2=self["model.alpha2"],
             alpha3=self["model.alpha3"],
@@ -167,9 +173,6 @@ class ExperimentConfig:
             h2=h2,
             g=forcing("forcing.g"),
             h=forcing("forcing.h"),
-            psi1=zero,
-            psi2=zero,
-            psi3=zero,
             grid=grid,
         )
 
@@ -199,7 +202,7 @@ def resolve(values):
         raise ConfigError(f"unknown keys: {sorted(extra)}")
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
-    validate_structure(spec, sample_count=1000)
+    validate_structure(spec)
     total, converged = validate_forcing(
         spec, cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
     )

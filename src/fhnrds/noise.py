@@ -243,17 +243,17 @@ def get_ou(seed, component, rate, dt):
     return proc
 
 
-def temperedness_probe(proc, delta, exponent, horizon, stride=None):
+def temperedness_probe(proc, delta, exponent, horizon):
     """Series t -> exp(-delta*t) * |z(theta_{-t} omega)|^exponent on [0, horizon].
 
-    Passes when the maximum over the last 10% of the horizon sits below the
+    The series is sampled every max(1, n // 500) of the horizon's n steps.  Passes when the maximum over the last 10% of the horizon sits below the
     initial value of the series.
     """
     if delta <= 0 or horizon <= 0:
         raise ValueError("delta and horizon must be positive")
     dt = proc.dt
     n = step_index(horizon, dt)
-    stride = stride or max(1, n // 500)
+    stride = max(1, n // 500)
     js = np.arange(0, n + 1, stride)
     z = proc.values(-int(js[-1]), 0, stride)[::-1]  # z at steps -js
     ts = js * dt

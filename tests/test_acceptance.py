@@ -35,12 +35,14 @@ from scipy import stats
 from scipy.linalg import expm
 
 from fhnrds import cli, diagnostics as dg
-from fhnrds.cocycle import FamilySpec, cocycle_check
+from fhnrds.cocycle import FamilySpec
 from fhnrds.fields import Grid, ScalarField, bump_field
 from fhnrds.model import (
     FhnState, Forcing, ModelSpec, Nonlinearity, SolverSpec, solve,
 )
 from fhnrds.noise import OuProcess, WienerPath
+
+from cocycle_law import cocycle_check
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "acceptance.json"
 
@@ -183,9 +185,9 @@ def test_criterion_3_energy_inequality(cfg, spec, solver, canonical_verify, repo
 def test_criterion_4_linear_subproblem_order(report):
     grid = Grid(dim=1, half_width=1.0, n=4, boundary="periodic")
     zero = ScalarField.zeros(grid)
-    spec = ModelSpec(1.0, 1.0, 1.0, 1.0, 4.0, 1e-6, 1.0, 1.0,
+    spec = ModelSpec(1.0, 1.0, 1.0, 1.0, 1e-6, 1.0, 1.0,
                      Nonlinearity(4.0, sign=0.0), zero, zero,
-                     Forcing.zero(grid), Forcing.zero(grid), zero, zero, zero, grid)
+                     Forcing.zero(grid), Forcing.zero(grid), grid)
     exact = expm(np.array([[-1.0, -1.0], [1.0, -1.0]])) @ np.array([0.7, -0.3])
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
@@ -242,10 +244,9 @@ def test_criterion_9_bispatial_attractor(spec, solver, canonical_verify, report)
     # deterministic degenerate case: no noise, no forcing, attractor {(0,0)}
     grid = spec.grid
     zero = ScalarField.zeros(grid)
-    det = ModelSpec(spec.lam, spec.alpha, spec.beta, spec.sigma, spec.p,
+    det = ModelSpec(spec.lam, spec.alpha, spec.beta, spec.sigma,
                     spec.alpha1, spec.alpha2, spec.alpha3, Nonlinearity(spec.p),
-                    zero, zero, Forcing.zero(grid), Forcing.zero(grid),
-                    zero, zero, zero, grid)
+                    zero, zero, Forcing.zero(grid), Forcing.zero(grid), grid)
     fam = FamilySpec(base_radius=1.0, growth_rate=0.0, sample_count=2, delta=det.delta)
     path = WienerPath(seed=0, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(0.0, [path], fam, det, solver, [16.0, 32.0])

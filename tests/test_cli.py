@@ -51,6 +51,12 @@ def test_parse_rejects_duplicate_and_bad_value():
         parse_config_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("grid.n = many\n")
+    # a misspelt flag is rejected, not read as false
+    with pytest.raises(ConfigError, match="line 2: bad value for 'noise.enabled'"):
+        parse_config_text("seed = 1\nnoise.enabled = ture\n")
+    for word, flag in (("1", True), ("TRUE", True), ("Yes", True),
+                       ("0", False), ("false", False), ("NO", False)):
+        assert parse_config_text(f"noise.enabled = {word}\n") == {"noise.enabled": flag}
 
 
 def test_minimal_config_gets_canonical_defaults(tmp_path):

@@ -6,7 +6,6 @@ from fhnrds.cocycle import (
     CocycleInput,
     FamilySpec,
     _scrambled_halton,
-    cocycle_check,
     phi,
     pullback,
     sample_family,
@@ -14,6 +13,8 @@ from fhnrds.cocycle import (
 from fhnrds.config import default_config
 from fhnrds.fields import ScalarField, bump_field, l2_sq
 from fhnrds.noise import WienerPath
+
+from cocycle_law import cocycle_check
 
 
 @pytest.fixture(scope="module")

@@ -150,10 +150,9 @@ def test_absorbing_radius_closed_forms():
     unit = ScalarField(grid, np.full(grid.shape, 1.0 / np.sqrt(2 * grid.half_width)))
     assert l2_sq(unit.values, grid) == pytest.approx(1.0)
     spec2 = ModelSpec(
-        spec.lam, spec.alpha, spec.beta, spec.sigma, spec.p,
+        spec.lam, spec.alpha, spec.beta, spec.sigma,
         spec.alpha1, spec.alpha2, spec.alpha3, spec.nonlin,
-        spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h,
-        spec.psi1, spec.psi2, spec.psi3, grid,
+        spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h, grid,
     )
     R2 = dg.absorbing_radius(0.0, path, spec2, 2.5, horizon=40.0)
     assert R2.radius == pytest.approx(2.5 * (1.0 + 1.0 / spec.delta), rel=1e-3)

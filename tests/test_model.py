@@ -33,9 +33,9 @@ from fhnrds.noise import WienerPath, get_ou, step_index
 def linear_spec(grid, lam=1.0, alpha=1.0, beta=1.0, sigma=1.0):
     zero = ScalarField.zeros(grid)
     return ModelSpec(
-        lam, alpha, beta, sigma, 4.0, 1e-6, 1.0, 1.0,
+        lam, alpha, beta, sigma, 1e-6, 1.0, 1.0,
         Nonlinearity(4.0, sign=0.0), zero, zero,
-        Forcing.zero(grid), Forcing.zero(grid), zero, zero, zero, grid,
+        Forcing.zero(grid), Forcing.zero(grid), grid,
     )
 
 
@@ -43,8 +43,8 @@ def test_nonlinearity_power_fast_path():
     f = Nonlinearity(4.0)
     s = np.linspace(-2, 2, 101)
     np.testing.assert_allclose(f(s), -np.abs(s) ** 2 * s, rtol=1e-13)
-    g = Nonlinearity(3.5, eps=0.1, sign=-1.0)
-    np.testing.assert_allclose(g(s), -np.abs(s) ** 1.5 * s + 0.1 * s, rtol=1e-13)
+    g = Nonlinearity(3.5, sign=-1.0)
+    np.testing.assert_allclose(g(s), -np.abs(s) ** 1.5 * s, rtol=1e-13)
     # in place into `out`: bitwise the allocating call and sign * (|s|**(p-2) * s);
     # p = 2.5 takes numpy's fast path for the exponent 0.5
     for p in (4.0, 3.0, 2.5):
@@ -85,15 +85,26 @@ def test_validate_structure_canonical_passes():
         assert set(margins) >= {"3.1", "3.2", "3.3"}
 
 
-def test_validate_structure_rejects_wrong_sign():
-    for p in (4.0, 3.0):
-        cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p})
-        spec = cfg.model_spec()
-        bad = dataclasses.replace(spec, nonlin=Nonlinearity(p, sign=+1.0))
-        with pytest.raises(StructureViolation) as exc:
-            validate_structure(bad)
-        assert exc.value.condition == "3.1"
-        assert exc.value.witness is not None
+@pytest.mark.parametrize("p", [4.0, 3.0])
+@pytest.mark.parametrize(
+    "key, value, condition",
+    [("model.f.sign", 1.0, "3.1"), ("model.alpha2", 0.5, "3.2")],
+    ids=["sign", "alpha2"],
+)
+def test_validate_structure_rejects_wrong_sign(key, value, condition, p):
+    # resolving a config runs validate_structure.  3.1 and 3.2 can fail;
+    # 3.3 cannot, since df/ds = sign (p-1)|s|^(p-2) <= 0 < alpha3 for sign -1,
+    # and sign +1 fails 3.1 first
+    with pytest.raises(StructureViolation) as exc:
+        default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p, key: value})
+    assert exc.value.condition == condition
+    assert exc.value.margin > 0.0
+    if condition == "3.2":
+        # the scaled excess (|f| - 0.5|s|^(p-1))/max(1, |s|^p) is 0.5|s|^(p-1)
+        # below |s| = 1 and 0.5/|s| above, so it peaks at the first sample
+        # past |s| = 1, the negative one first
+        assert exc.value.witness["s"] == pytest.approx(-1.0139, abs=1e-4)
+        assert exc.value.margin == pytest.approx(0.5 / 1.0139, rel=1e-4)
 
 
 def test_validate_forcing_convergence_flag():
@@ -211,30 +222,28 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
 
 SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
 
-# (config overrides, generic f, end time): one case per implicit-solve branch
+# (config overrides, end time): one case per implicit-solve branch and per
+# branch of `Nonlinearity.__call__`
 SOLVE_CASES = pytest.mark.parametrize(
-    "overrides, generic, t1",
+    "overrides, t1",
     [
-        ({}, False, 0.4),  # tridiagonal path, canonical f
-        ({"grid.boundary": "neumann0"}, False, 0.4),
-        ({}, True, 0.4),  # p = 3 with shift and eps
-        ({"grid.boundary": "periodic"}, False, 0.4),  # Sherman-Morrison correction
-        ({"grid.dim": 2, "grid.n": 16}, False, 0.1),  # eigenbasis path in 2-D
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, False, 0.1),
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, False, 0.1),
+        ({}, 0.4),  # tridiagonal path, cubic f
+        ({"grid.boundary": "neumann0"}, 0.4),
+        ({"model.p": 3.0}, 0.4),  # the `**=` branch of f
+        ({"grid.boundary": "periodic"}, 0.4),  # Sherman-Morrison correction
+        ({"grid.dim": 2, "grid.n": 16}, 0.1),  # eigenbasis path in 2-D
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, 0.1),
+        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, 0.1),
     ],
-    ids=["dirichlet0-cubic", "neumann0", "generic-f", "periodic", "2d", "2d-neumann0",
+    ids=["dirichlet0-cubic", "neumann0", "p3", "periodic", "2d", "2d-neumann0",
          "2d-periodic"],
 )
 
 
 @SOLVE_CASES
-def test_solve_bitwise_matches_reference(overrides, generic, t1):
+def test_solve_bitwise_matches_reference(overrides, t1):
     cfg = default_config(**{**SMALL_GRID, **overrides})
     spec = cfg.model_spec()
-    if generic:
-        shift = bump_field(spec.grid, amplitude=0.1, width=2.0)
-        spec = dataclasses.replace(spec, p=3.0, nonlin=Nonlinearity(3.0, shift=shift, eps=0.1))
     solver = cfg.solver_spec()
     path = WienerPath(seed=23, dt=solver.dt).shift(-0.5)
     init = FhnState(0.0, bump_field(spec.grid, amplitude=1.5, width=3.0),
@@ -310,14 +319,11 @@ def assert_same_trajectory(got, expected):
 
 
 @SOLVE_CASES
-def test_solve_batch_rows_match_single_solves(overrides, generic, t1):
+def test_solve_batch_rows_match_single_solves(overrides, t1):
     # staggered starts (off the record stride too), two seeds, two runs
     # sharing one z series, and a run of zero steps
     cfg = default_config(**{**SMALL_GRID, **overrides})
     spec = cfg.model_spec()
-    if generic:
-        shift = bump_field(spec.grid, amplitude=0.1, width=2.0)
-        spec = dataclasses.replace(spec, p=3.0, nonlin=Nonlinearity(3.0, shift=shift, eps=0.1))
     solver = cfg.solver_spec()
     dt = solver.dt
     a = WienerPath(seed=23, dt=dt)

@@ -1,0 +1,123 @@
+"""JSON Schemas of the canonical `fhnrds verify` report.json and manifest.json.
+
+The schemas pin the typed shape of both files: the checks by name and in
+report order, every verdict a JSON boolean, every fixture a JSON number keyed
+by pullback seed, and the manifest's artifact list.  They are validated
+against the canonical run that conftest's `canonical_verify` makes once per
+pytest session, so no extra run is made.
+"""
+
+import copy
+import json
+
+from jsonschema import Draft202012Validator
+
+from fhnrds import __version__
+
+NUMBER = {"type": "number"}
+COUNT = {"type": "integer", "minimum": 0}
+NONNEGATIVE = {"type": "number", "minimum": 0}
+
+# the checks of report.json in report order, with their fields besides name and pass
+CHECK_FIELDS = {
+    "energy_inequality": {"seeds": COUNT, "worst_margin": NUMBER},
+    "absorption": {"seeds": COUNT},
+    "compact_interval_bounds": {"c_lp": NONNEGATIVE},
+    "radius_temperedness": {"decay": NONNEGATIVE},
+    "chebyshev_measure_bound": {
+        "checked": COUNT,
+        "violations": {"type": "array", "items": {
+            "type": "object",
+            "properties": {"t": NUMBER, "M": NUMBER, "seed": COUNT},
+            "required": ["t", "M", "seed"],
+            "additionalProperties": False,
+        }},
+    },
+    "truncation_tails": {"eta": NONNEGATIVE},
+    "bispatial_equality": {},
+}
+
+ARTIFACTS = ["defect_vs_t.csv", "energy_records.csv", "radius_temperedness.csv",
+             "report.json", "tail_vs_M.csv"]
+
+
+def closed(properties):
+    """An object with exactly these properties."""
+    return {"type": "object", "properties": properties, "required": list(properties),
+            "additionalProperties": False}
+
+
+def report_schema(seeds):
+    def by_seed(value):
+        return closed({seed: value for seed in seeds})
+
+    checks = [closed({"name": {"const": name}, "pass": {"type": "boolean"}, **fields})
+              for name, fields in CHECK_FIELDS.items()]
+    return closed({
+        "checks": {"type": "array", "prefixItems": checks, "items": False,
+                   "minItems": len(checks)},
+        "config_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+        "fixtures": closed({
+            "M_star_by_seed": by_seed(NONNEGATIVE),
+            "absorption_time_by_seed": by_seed(NONNEGATIVE),
+            "c_cal": NONNEGATIVE,
+            "c_cal_degenerate": {"type": "boolean"},
+            "c_noise": NONNEGATIVE,
+            "final_defect_by_seed": by_seed(closed({"l2": NONNEGATIVE, "lp": NONNEGATIVE})),
+        }),
+        "pass": {"type": "boolean"},
+        "seed": COUNT,
+        "tool_version": {"const": __version__},
+    })
+
+
+def manifest_schema(out, report):
+    return closed({
+        "artifacts": {"const": [str(out / name) for name in ARTIFACTS]},
+        "checks": closed({name: {"type": "boolean"} for name in CHECK_FIELDS}),
+        "config_hash": {"const": report["config_hash"]},
+        "error": {"type": "null"},
+        "seed": {"const": report["seed"]},
+        "threads": {"const": 1},
+        "tool_version": {"const": __version__},
+        "wall_clock_seconds": NONNEGATIVE,
+    })
+
+
+def validator(schema):
+    Draft202012Validator.check_schema(schema)
+    return Draft202012Validator(schema)
+
+
+def test_canonical_report_and_manifest_match_their_schemas(cfg, canonical_verify):
+    out, report = canonical_verify
+    seeds = [str(cfg.seed + i) for i in range(cfg["experiment.seed_count"])]
+    report_check = validator(report_schema(seeds))
+    errors = [e.message for e in report_check.iter_errors(report)]
+    assert not errors, errors
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest_check = validator(manifest_schema(out, report))
+    errors = [e.message for e in manifest_check.iter_errors(manifest)]
+    assert not errors, errors
+
+    # each schema rejects a typed or ordered corruption of the real files
+    def corrupted(doc, change):
+        doc = copy.deepcopy(doc)
+        change(doc)
+        return doc
+
+    for change in (
+        lambda r: r.update({"pass": 1}),
+        lambda r: r["checks"][2].update({"pass": "true"}),
+        lambda r: r["checks"].reverse(),
+        lambda r: r["checks"].pop(),
+        lambda r: r["fixtures"]["absorption_time_by_seed"].update({seeds[0]: "8.0"}),
+        lambda r: r["fixtures"]["final_defect_by_seed"].pop(seeds[-1]),
+    ):
+        assert not report_check.is_valid(corrupted(report, change))
+    for change in (
+        lambda m: m["artifacts"].pop(),
+        lambda m: m["checks"].update({"absorption": None}),
+        lambda m: m.update({"error": "blow-up"}),
+    ):
+        assert not manifest_check.is_valid(corrupted(manifest, change))
