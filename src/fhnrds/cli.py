@@ -75,9 +75,9 @@ class Manifest:
 
     def write(self, out):
         payload = {
-            "config_hash": self.cfg.config_hash,
+            "config_hash": self.cfg.config_hash if self.cfg else None,
             "tool_version": __version__,
-            "seed": self.cfg.seed,
+            "seed": self.cfg.seed if self.cfg else None,
             "threads": self.threads,
             "wall_clock_seconds": time.time() - self.t0,
             "checks": self.summary,
@@ -217,131 +217,70 @@ def cmd_pullback(cfg, out, args, manifest):
     return 0
 
 
-def _verify_checks(cfg, out, manifest, threads):
+def cmd_verify(cfg, out, args, manifest):
     spec = cfg.model_spec()
     solver = cfg.solver_spec()
     fam = cfg.family_spec(spec.delta)
     tau = cfg["experiment.tau"]
     horizon = cfg["experiment.horizon"]
     t_schedule = cfg.t_schedule()
-    checks = []
-    fixtures = {}
-
-    # energy inequality over the seed ensemble
-    energy_seeds = list(range(cfg.seed, cfg.seed + cfg["experiment.energy_seed_count"]))
-
-    def energy_trajs_of(seeds):
-        init = _standard_init(spec, tau)
-        members = [(WienerPath(seed=seed, dt=solver.dt), init) for seed in seeds]
-        return solve_batch(spec, solver, members, tau + 4.0)
-
-    energy_trajs = _map_ordered(energy_trajs_of, energy_seeds, threads)
-    c_noise = dg.calibrate_noise_constant(energy_trajs, spec)
-    worst = -np.inf
-    energy_pass = True
-    for traj in energy_trajs:
-        rep = dg.verify_energy_inequality(
-            traj, spec, c_noise,
-            tol_abs=cfg["tolerances.energy_abs"], tol_rel=cfg["tolerances.energy_rel"],
-        )
-        energy_pass = energy_pass and rep["pass"]
-        worst = max(worst, rep["worst_margin"])
-    checks.append({"name": "energy_inequality", "pass": energy_pass,
-                   "worst_margin": worst, "seeds": len(energy_seeds)})
-    fixtures["c_noise"] = c_noise
-    E0, D0, R0 = dg.energy_records(energy_trajs[0], spec, c_noise)
-    write_csv(
-        manifest.add(out / "energy_records.csv"),
-        ["t", "E", "dissipation", "rhs"],
-        zip(energy_trajs[0].t, E0, D0, R0),
-    )
-
-    # pullback ensembles per seed
-    pull_seeds = list(range(cfg.seed, cfg.seed + cfg["experiment.seed_count"]))
-    snapshot_stride = cfg["solver.snapshot_stride"]
-
-    def seed_runs(seeds):
-        paths = [WienerPath(seed=seed, dt=solver.dt) for seed in seeds]
-        return list(zip(paths, dg.run_pullback_ensemble(
-            tau, paths, fam, spec, solver, t_schedule, snapshot_stride=snapshot_stride
-        )))
-
-    ensembles = _map_ordered(seed_runs, pull_seeds, threads)
-    all_runs = [r for _, runs in ensembles for r in runs]
-    c_cal, degenerate = dg.calibrate_constant([r.traj for r in all_runs], spec, tau)
-    fixtures["c_cal"] = c_cal
-    fixtures["c_cal_degenerate"] = degenerate
-    radii = [dg.absorbing_radius(tau, path, spec, c_cal, horizon) for path, _ in ensembles]
-    c_lp = max([dg.CALIBRATION_FLOOR] + [
-        dg.calibrate_lp_constant(runs, tau, R) for (_, runs), R in zip(ensembles, radii)
-    ])
-
-    # absorption, compact-interval bounds, truncation tails and bi-spatial
-    # attractor convergence, per seed; the radius's temperedness along the
-    # first path; Chebyshev on every snapshot
-    t_check = [t for t in t_schedule if t >= 8.0] or t_schedule
     M_schedule = cfg.M_schedule()
-    eta = cfg["tolerances.eta"]
-    absorption_pass = compact_pass = tails_pass = bis_pass = True
-    absorption_times = {}
-    M_star = {}
-    final_defects = {}
-    tail_rows = []
-    defect_rows = []
-    for (path, runs), R, seed in zip(ensembles, radii, pull_seeds):
-        rep = dg.absorption_report([r for r in runs if r.t in t_check], R.radius)
-        absorption_pass = absorption_pass and rep["pass"] and R.converged
-        absorption_times[seed] = rep["absorption_time"]
-        ci = dg.compact_interval_report(runs, R.radius, c_lp * R.unit_radius, tau)
-        compact_pass = compact_pass and ci["pass"]
-        tt = dg.truncation_tail_report(runs, spec, M_schedule, eta)
-        tails_pass = tails_pass and tt["pass"]
-        M_star[seed] = tt["M_star"]
-        tail_rows.extend((seed, M, s) for M, s in zip(tt["M_schedule"], tt["sup_tail"]))
-        ap = dg.attractor_from_runs(runs, tau, seed, spec.p)
-        bi = dg.bispatial_equality_check(ap, tolerance=cfg["tolerances.defect"])
+
+    def paths(count):
+        return [WienerPath(seed=seed, dt=solver.dt) for seed in range(cfg.seed, cfg.seed + count)]
+
+    # the energy trajectories and each seed's pullback runs, then the
+    # constants fitted on them
+    init = _standard_init(spec, tau)
+    energy_trajs = _map_ordered(
+        lambda chunk: solve_batch(spec, solver, [(path, init) for path in chunk], tau + 4.0),
+        paths(cfg["experiment.energy_seed_count"]), args.threads)
+    c_noise = dg.calibrate_noise_constant(energy_trajs, spec)
+    pull_paths = paths(cfg["experiment.seed_count"])
+    ensembles = _map_ordered(
+        lambda chunk: dg.run_pullback_ensemble(tau, chunk, fam, spec, solver, t_schedule,
+                                               snapshot_stride=cfg["solver.snapshot_stride"]),
+        pull_paths, args.threads)
+    all_runs = [r for runs in ensembles for r in runs]
+    c_cal, degenerate = dg.calibrate_constant([r.traj for r in all_runs], spec, tau)
+    radii = [dg.absorbing_radius(tau, path, spec, c_cal, horizon) for path in pull_paths]
+    c_lp = max([dg.CALIBRATION_FLOOR] + [
+        dg.calibrate_lp_constant(runs, tau, R) for runs, R in zip(ensembles, radii)
+    ])
+    rho_radii = []
+    for path, runs in zip(pull_paths, ensembles):
         rho = dg.absorbing_radius(tau, path, spec, 1.0, horizon, kind="rho")
-        cc = dg.containment_check(ap, dg.calibrate_rho_constant(runs, rho) * rho.unit_radius)
-        bis_pass = bis_pass and bi["pass"] and cc["pass"]
-        final_defects[seed] = {"l2": bi["final_defect_l2"], "lp": bi["final_defect_lp"]}
-        defect_rows.extend(
-            (seed, t, d2, dp)
-            for t, d2, dp in zip(bi["schedule"][1:], bi["defects_l2"], bi["defects_lp"])
-        )
-    ts, series, temp_ok = dg.radius_temperedness(tau, ensembles[0][0], spec, c_cal, horizon)
-    checks += [
-        {"name": "absorption", "pass": absorption_pass, "seeds": len(pull_seeds)},
-        {"name": "compact_interval_bounds", "pass": compact_pass, "c_lp": c_lp},
-        {"name": "radius_temperedness", "pass": temp_ok, "decay": float(series[-1] / series[0])},
+        rho_radii.append(dg.calibrate_rho_constant(runs, rho) * rho.unit_radius)
+
+    t_check = [t for t in t_schedule if t >= 8.0] or t_schedule
+    checks = [
+        dg.verify_energy_inequality(energy_trajs, spec, c_noise, cfg["tolerances.energy_abs"],
+                                    cfg["tolerances.energy_rel"]),
+        dg.absorption_report(ensembles, radii, t_check),
+        dg.compact_interval_report(ensembles, radii, c_lp, tau),
+        dg.radius_temperedness(tau, pull_paths[0], spec, c_cal, horizon),
         dg.chebyshev_report(all_runs, M_schedule),
-        {"name": "truncation_tails", "pass": tails_pass, "eta": eta},
-        {"name": "bispatial_equality", "pass": bis_pass},
+        dg.truncation_tail_report(ensembles, spec, M_schedule, cfg["tolerances.eta"]),
+        dg.bispatial_report(ensembles, rho_radii, spec, tau, cfg["tolerances.defect"]),
     ]
-    fixtures["absorption_time_by_seed"] = absorption_times
-    fixtures["M_star_by_seed"] = M_star
-    fixtures["final_defect_by_seed"] = final_defects
-    write_csv(manifest.add(out / "radius_temperedness.csv"), ["t", "series"], zip(ts, series))
-    write_csv(manifest.add(out / "tail_vs_M.csv"), ["seed", "M", "sup_tail"], tail_rows)
-    write_csv(manifest.add(out / "defect_vs_t.csv"),
-              ["seed", "t", "defect_l2", "defect_lp"], defect_rows)
-    return checks, fixtures
-
-
-def cmd_verify(cfg, out, args, manifest):
-    checks, fixtures = _verify_checks(cfg, out, manifest, args.threads)
-    all_pass = all(c["pass"] for c in checks)
+    fixtures = {"c_noise": c_noise, "c_cal": c_cal, "c_cal_degenerate": degenerate}
+    for c in checks:
+        fixtures.update(c.fixtures)
+        if c.table:
+            name, header, rows = c.table
+            write_csv(manifest.add(out / name), header, rows)
+    all_pass = all(c.passed for c in checks)
     report = {
         "config_hash": cfg.config_hash,
         "tool_version": __version__,
         "seed": cfg.seed,
-        "checks": checks,
+        "checks": [{"name": c.name, "pass": c.passed, **c.details} for c in checks],
         "fixtures": fixtures,
         "pass": all_pass,
     }
     path = manifest.add(out / "report.json")
     write_json(path, report)
-    for c in checks:
-        manifest.summary[c["name"]] = c["pass"]
+    manifest.summary.update((c.name, c.passed) for c in checks)
     if not all_pass:
         print(f"verification FAILED; see {path}", file=sys.stderr)
         return 1
@@ -406,19 +345,23 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    values = read_config(args.config) if args.config else {}
-    if args.seed is not None:
-        values["seed"] = args.seed
-    cfg = resolve(values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(cfg, args.threads)
+    manifest = Manifest(None, args.threads)
     try:
-        status = COMMANDS[args.command](cfg, out, args, manifest)
-    except BlowUpError as exc:
-        manifest.error = f"blow-up: {exc}"
-    except GridAlignmentError as exc:
-        manifest.error = f"off-grid time: {exc}"
+        values = read_config(args.config) if args.config else {}
+        if args.seed is not None:
+            values["seed"] = args.seed
+        manifest.cfg = resolve(values)
+    except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
+        manifest.error = f"invalid config: {exc}"
+    else:
+        try:
+            status = COMMANDS[args.command](manifest.cfg, out, args, manifest)
+        except BlowUpError as exc:
+            manifest.error = f"blow-up: {exc}"
+        except GridAlignmentError as exc:
+            manifest.error = f"off-grid time: {exc}"
     if manifest.error:
         print(manifest.error, file=sys.stderr)
         status = 2

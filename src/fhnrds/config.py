@@ -105,12 +105,19 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser = DEFAULTS[key][0]
         try:
-            values[key] = parser(val)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+            values[key] = _parse(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return values
+
+
+def _parse(key, text):
+    """The value of `key` in `text`, by the key's parser."""
+    try:
+        return DEFAULTS[key][0](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -202,6 +209,7 @@ def resolve(values):
         raise ConfigError(f"unknown keys: {sorted(extra)}")
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
+    cfg.family_spec(spec.delta)  # the family must be tempered
     validate_structure(spec)
     total, converged = validate_forcing(
         spec, cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
@@ -230,5 +238,5 @@ def default_config(**overrides):
     for key, val in overrides.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
-        values[key] = DEFAULTS[key][0](val) if isinstance(val, str) else val
+        values[key] = _parse(key, val) if isinstance(val, str) else val
     return resolve(values)

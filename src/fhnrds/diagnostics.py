@@ -6,10 +6,11 @@ analogues of the energy inequality, absorbing-radius bounds, Chebyshev
 measure bound, truncation tails, and the bi-spatial Cauchy-defect
 convergence of the pullback attractor approximation.
 
-The single unspecified structure constant appearing in the absorbing radii
-is calibrated from an ensemble (smallest constant whose Gronwall envelope
-dominates the observed norms, times a 1.1 safety factor) and persisted with
-the experiment record.
+Each verdict of `fhnrds verify` is one function over every seed that
+returns one `Check`.  The constants it tests against are its arguments:
+the `calibrate_*` functions fit them from an ensemble (smallest constant
+whose Gronwall envelope dominates the observed norms, times a 1.1 safety
+factor), and they are persisted with the experiment record.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ CALIBRATION_FLOOR = 1e-6
 
 class CalibrationError(RuntimeError):
     pass
+
+
+@dataclass
+class Check:
+    """One verdict of `fhnrds verify`, over every seed.
+
+    Its report entry is {"name", "pass", **details}; `fixtures` join the
+    report's fixtures, and `table` is (file name, header, rows) or None.
+    The calibration constants come in as arguments: no verdict fits one.
+    """
+
+    name: str
+    passed: bool
+    details: dict
+    fixtures: dict
+    table: tuple | None
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +73,25 @@ def energy_records(traj, spec, c_noise):
     return E, dissipation, rhs
 
 
-def verify_energy_inequality(traj, spec, c_noise, tol_abs=1e-8, tol_rel=1e-2):
+def verify_energy_inequality(trajs, spec, c_noise, tol_abs, tol_rel):
     """Forward-difference check of the discrete energy inequality.
 
     Checks (E_{n+1} - E_n)/dt + dissipation_n <= rhs_n + slack at every
-    recorded interval; slack = tol_abs + tol_rel * max(E_n, rhs_n).
+    recorded interval of every trajectory; slack = tol_abs + tol_rel *
+    max(E_n, rhs_n).  The table holds the records of the first trajectory.
     """
-    E, dissipation, rhs = energy_records(traj, spec, c_noise)
-    dts = np.diff(traj.t)
-    lhs = np.diff(E) / dts + dissipation[:-1]
-    slack = tol_abs + tol_rel * np.maximum(E[:-1], rhs[:-1])
-    margin = lhs - rhs[:-1] - slack
-    worst = float(np.max(margin))
-    ok = worst <= 0.0
-    witness = None if ok else float(traj.t[int(np.argmax(margin))])
-    return {
-        "name": "energy_inequality",
-        "pass": bool(ok),
-        "worst_margin": worst,
-        "witness": witness,
-        "c_noise": c_noise,
-    }
+    worst = -np.inf
+    passed = True
+    for traj in trajs:
+        E, dissipation, rhs = energy_records(traj, spec, c_noise)
+        lhs = np.diff(E) / np.diff(traj.t) + dissipation[:-1]
+        slack = tol_abs + tol_rel * np.maximum(E[:-1], rhs[:-1])
+        margin = float(np.max(lhs - rhs[:-1] - slack))
+        passed = passed and margin <= 0.0
+        worst = max(worst, margin)
+    table = zip(trajs[0].t, *energy_records(trajs[0], spec, c_noise))
+    return Check("energy_inequality", passed, {"worst_margin": worst, "seeds": len(trajs)}, {},
+                 ("energy_records.csv", ["t", "E", "dissipation", "rhs"], list(table)))
 
 
 def calibrate_noise_constant(trajs, spec):
@@ -216,7 +231,7 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
 
 def radius_temperedness(tau, path, spec, c_cal, horizon):
     """Series t -> e^{-delta t} R(tau, theta_{-t} omega) of the lemma41 radius at
-    t = 0, 2, ..., 50, and its decay check."""
+    t = 0, 2, ..., 50, which must decay by a factor 1e-6."""
     ts = np.arange(0.0, 51.0, 2.0)
     vals = []
     for t in ts:
@@ -224,7 +239,8 @@ def radius_temperedness(tau, path, spec, c_cal, horizon):
         vals.append(np.exp(-spec.delta * t) * r.radius)
     vals = np.asarray(vals)
     passed = bool(vals[-1] <= 1e-6 * vals[0]) if vals[0] > 0 else True
-    return ts, vals, passed
+    return Check("radius_temperedness", passed, {"decay": float(vals[-1] / vals[0])}, {},
+                 ("radius_temperedness.csv", ["t", "series"], list(zip(ts, vals))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +288,22 @@ def run_pullback_ensemble(tau, paths, fam, spec, solver, t_schedule, snapshot_st
     return [runs[i * per_path : (i + 1) * per_path] for i in range(len(paths))]
 
 
-def absorption_report(runs, radius):
-    """Empirical absorption time against the calibrated radius."""
-    by_t = {}
-    for r in runs:
-        by_t.setdefault(r.t, []).append(r.terminal_l2sq)
-    inside = {t: bool(max(v) <= radius) for t, v in sorted(by_t.items())}
-    T_emp = None
-    for t in sorted(inside):
-        if all(inside[s] for s in sorted(inside) if s >= t):
-            T_emp = t
-            break
-    return {
-        "name": "absorption",
-        "pass": T_emp is not None,
-        "radius": radius,
-        "inside_by_t": {str(t): inside[t] for t in sorted(inside)},
-        "worst_by_t": {str(t): max(v) for t, v in sorted(by_t.items())},
-        "absorption_time": T_emp,
-    }
+def absorption_report(ensembles, radii, t_check):
+    """Empirical absorption time of each seed's runs at the times `t_check`.
+
+    A seed is absorbed from the first t after which every run's terminal
+    |u|^2 + |v|^2 stays within its radius; each radius must also converge.
+    """
+    passed = True
+    times = {}
+    for runs, R in zip(ensembles, radii):
+        ts = sorted({r.t for r in runs if r.t in t_check})
+        inside = [max(r.terminal_l2sq for r in runs if r.t == t) <= R.radius for t in ts]
+        T_emp = next((t for k, t in enumerate(ts) if all(inside[k:])), None)
+        passed = passed and T_emp is not None and R.converged
+        times[runs[0].seed] = T_emp
+    return Check("absorption", bool(passed), {"seeds": len(ensembles)},
+                 {"absorption_time_by_seed": times}, None)
 
 
 def _window_sup(runs, tau, norm):
@@ -301,18 +314,15 @@ def _window_sup(runs, tau, norm):
     return sup
 
 
-def compact_interval_report(runs, radius_l2, radius_lp, tau):
-    """Sup over the unit window [tau-1, tau] of the L2 and Lp norms vs radii."""
-    sup_l2 = _window_sup(runs, tau, lambda traj: traj.u_l2sq + traj.v_l2sq)
-    sup_lp = _window_sup(runs, tau, lambda traj: traj.u_lp_p)
-    return {
-        "name": "compact_interval_bounds",
-        "pass": bool(sup_l2 <= radius_l2 and sup_lp <= radius_lp),
-        "sup_l2sq": sup_l2,
-        "sup_lp_p": sup_lp,
-        "radius_l2": radius_l2,
-        "radius_lp": radius_lp,
-    }
+def compact_interval_report(ensembles, radii, c_lp, tau):
+    """Sup over the unit window [tau-1, tau] of each seed's L2 and Lp norms
+    against its radius and c_lp times its unit radius."""
+    passed = True
+    for runs, R in zip(ensembles, radii):
+        sup_l2 = _window_sup(runs, tau, lambda traj: traj.u_l2sq + traj.v_l2sq)
+        sup_lp = _window_sup(runs, tau, lambda traj: traj.u_lp_p)
+        passed = passed and sup_l2 <= R.radius and sup_lp <= c_lp * R.unit_radius
+    return Check("compact_interval_bounds", bool(passed), {"c_lp": c_lp}, {}, None)
 
 
 def calibrate_lp_constant(runs, tau, components):
@@ -333,46 +343,42 @@ def chebyshev_report(runs, M_values):
                 checked += 1
                 if meas * M * M > usq:
                     violations.append({"t": t, "M": M, "seed": r.seed})
-    return {
-        "name": "chebyshev_measure_bound",
-        "pass": not violations,
-        "checked": checked,
-        "violations": violations,
-    }
+    return Check("chebyshev_measure_bound", not violations,
+                 {"checked": checked, "violations": violations}, {}, None)
 
 
-def truncation_tail_report(runs, spec, M_schedule, eta):
-    """Tail smallness of the terminal u~ fields over the pullback schedule.
+def truncation_tail_report(ensembles, spec, M_schedule, eta):
+    """Tail smallness of each seed's terminal u~ fields over the pullback schedule.
 
-    For each M reports sup over runs (all t in the schedule, i.e. t >= T with
-    T the smallest entry) of the superlevel integral of |u~|^p and finds the
-    smallest M pushing the sup below eta.  That M_star must lie within ten
-    times max|u~|, unless it is the smallest M of the schedule: then no M
-    nearer the scale of u~ was tried.
+    For each M takes the sup over a seed's runs (all t in the schedule, i.e.
+    t >= T with T the smallest entry) of the superlevel integral of |u~|^p,
+    which must not rise with M, and finds the smallest M_star pushing the
+    sup below eta.  M_star must lie within ten times max|u~|, unless it is
+    the smallest M of the schedule: then no M nearer the scale of u~ was
+    tried.
     """
     M_schedule = list(M_schedule)
     if any(b <= a for a, b in zip(M_schedule, M_schedule[1:])):
         raise ValueError("M_schedule must be increasing")
-    p = spec.p
-    sup_tail = np.zeros(len(M_schedule))
-    max_abs = 0.0
-    for r in runs:
-        u = r.u_tilde
-        max_abs = max(max_abs, float(np.max(np.abs(u.values))))
-        np.maximum(sup_tail, tail_integrals(u, M_schedule, p), out=sup_tail)
-    monotone = bool(np.all(np.diff(sup_tail) <= 0.0))
-    M_star = next((M for M, tail in zip(M_schedule, sup_tail) if tail <= eta), None)
-    scaled = M_star is not None and (M_star == M_schedule[0] or M_star <= 10.0 * max_abs)
-    return {
-        "name": "truncation_tails",
-        "pass": bool(monotone and scaled),
-        "monotone_in_M": monotone,
-        "M_star": M_star,
-        "eta": eta,
-        "max_abs_utilde": max_abs,
-        "M_schedule": M_schedule,
-        "sup_tail": sup_tail.tolist(),
-    }
+    passed = True
+    M_stars = {}
+    rows = []
+    for runs in ensembles:
+        sup_tail = np.zeros(len(M_schedule))
+        max_abs = 0.0
+        for r in runs:
+            u = r.u_tilde
+            max_abs = max(max_abs, float(np.max(np.abs(u.values))))
+            np.maximum(sup_tail, tail_integrals(u, M_schedule, spec.p), out=sup_tail)
+        monotone = bool(np.all(np.diff(sup_tail) <= 0.0))
+        M_star = next((M for M, tail in zip(M_schedule, sup_tail) if tail <= eta), None)
+        scaled = M_star is not None and (M_star == M_schedule[0] or M_star <= 10.0 * max_abs)
+        passed = passed and monotone and scaled
+        M_stars[runs[0].seed] = M_star
+        rows.extend((runs[0].seed, M, tail) for M, tail in zip(M_schedule, sup_tail.tolist()))
+    return Check("truncation_tails", passed, {"eta": eta},
+                 {"M_star_by_seed": M_stars},
+                 ("tail_vs_M.csv", ["seed", "M", "sup_tail"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +477,7 @@ DEFECT_STEP_FACTOR = 1.5
 DEFECT_STEP_SLACK = 1e-12
 
 
-def bispatial_equality_check(approx, tolerance=1e-3):
+def bispatial_equality_check(approx, tolerance):
     """The same terminal points must converge in both topologies.
 
     PASS when the L2 and Lp defect sequences are both decreasing and their
@@ -504,13 +510,26 @@ def bispatial_equality_check(approx, tolerance=1e-3):
 
 def containment_check(approx, rho):
     """Every approximation point inside the L2xL2 ball of radius sqrt(rho)."""
-    norms = [
-        l2_sq(u.values, u.grid) + l2_sq(v.values, v.grid) for u, v in approx.points
-    ]
-    worst = max(norms) if norms else 0.0
-    return {
-        "name": "attractor_containment",
-        "pass": bool(worst <= rho),
-        "worst_l2sq": worst,
-        "rho": rho,
-    }
+    return all(l2_sq(u.values, u.grid) + l2_sq(v.values, v.grid) <= rho for u, v in approx.points)
+
+
+def bispatial_report(ensembles, rho_radii, spec, tau, tolerance):
+    """Each seed's attractor approximation converges in both topologies
+    (`bispatial_equality_check`) and lies in its rho ball."""
+    passed = True
+    defects = {}
+    rows = []
+    for runs, rho in zip(ensembles, rho_radii):
+        seed = runs[0].seed
+        ap = attractor_from_runs(runs, tau, seed, spec.p)
+        bi = bispatial_equality_check(ap, tolerance)
+        contained = containment_check(ap, rho)
+        passed = passed and bi["pass"] and contained
+        defects[seed] = {"l2": bi["final_defect_l2"], "lp": bi["final_defect_lp"]}
+        rows.extend(
+            (seed, t, d2, dp)
+            for t, d2, dp in zip(bi["schedule"][1:], bi["defects_l2"], bi["defects_lp"])
+        )
+    return Check("bispatial_equality", passed, {},
+                 {"final_defect_by_seed": defects},
+                 ("defect_vs_t.csv", ["seed", "t", "defect_l2", "defect_lp"], rows))

@@ -143,22 +143,27 @@ SNAPSHOT_MAGIC = "FHNFIELD"
 
 
 def write_snapshot(f, path, time):
-    """Text snapshot: `FHNFIELD v1 dim n L time`, one value per line."""
+    """Text snapshot: `FHNFIELD v2 dim n L boundary time`, one value per line."""
     g = f.grid
     with open(path, "w") as fh:
-        fh.write(f"{SNAPSHOT_MAGIC} v1 {g.dim} {g.n} {g.half_width:.17g} {time:.17g}\n")
+        fh.write(f"{SNAPSHOT_MAGIC} v2 {g.dim} {g.n} {g.half_width:.17g} {g.boundary} {time:.17g}\n")
         for v in f.values.ravel():
             fh.write(f"{v:.17g}\n")
 
 
-def read_snapshot(path, boundary="dirichlet0"):
-    """Returns (ScalarField, time)."""
+def read_snapshot(path):
+    """Returns (ScalarField, time) of a v2 snapshot.
+
+    v1 snapshots are rejected: they do not record the boundary closure.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 6 or header[0] != SNAPSHOT_MAGIC or header[1] != "v1":
+        if header[:2] == [SNAPSHOT_MAGIC, "v1"]:
+            raise ValueError(f"{path}: a v1 snapshot, which does not record its boundary closure")
+        if len(header) != 7 or header[:2] != [SNAPSHOT_MAGIC, "v2"]:
             raise ValueError(f"{path}: not a field snapshot")
         dim, n = int(header[2]), int(header[3])
-        half_width, time = float(header[4]), float(header[5])
+        half_width, boundary, time = float(header[4]), header[5], float(header[6])
         values = np.loadtxt(fh).reshape((n,) * dim)
     grid = Grid(dim=dim, half_width=half_width, n=n, boundary=boundary)
     return ScalarField(grid, values), time

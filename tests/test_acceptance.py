@@ -166,7 +166,7 @@ def test_criterion_3_energy_inequality(cfg, spec, solver, canonical_verify, repo
     _, rep = canonical_verify
     energy = check(rep, "energy_inequality")
     c_noise = rep["fixtures"]["c_noise"]
-    tol = {"tol_abs": cfg["tolerances.energy_abs"], "tol_rel": cfg["tolerances.energy_rel"]}
+    tol = (cfg["tolerances.energy_abs"], cfg["tolerances.energy_rel"])
     # detector sensitivity: energy seed cfg.seed, re-solved, passes with the
     # report's c_noise, and one corrupted sample of it must flip the verdict
     tau = cfg["experiment.tau"]
@@ -175,8 +175,8 @@ def test_criterion_3_energy_inequality(cfg, spec, solver, canonical_verify, repo
     E = traj.energy.copy()
     E[len(E) // 2] += 1.0
     corrupted = dataclasses.replace(traj, energy=E)
-    caught = (dg.verify_energy_inequality(traj, spec, c_noise, **tol)["pass"]
-              and not dg.verify_energy_inequality(corrupted, spec, c_noise, **tol)["pass"])
+    caught = (dg.verify_energy_inequality([traj], spec, c_noise, *tol).passed
+              and not dg.verify_energy_inequality([corrupted], spec, c_noise, *tol).passed)
     report(3, "energy inequality", energy["pass"] and caught,
            f"{energy['seeds']} seeds, worst margin {energy['worst_margin']:.2e}, "
            f"corruption caught={caught}")

@@ -51,12 +51,34 @@ def test_parse_rejects_duplicate_and_bad_value():
         parse_config_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("grid.n = many\n")
+    # a string override of default_config goes through the same parse
+    with pytest.raises(ConfigError, match="^bad value for 'grid.n': "):
+        default_config(**{"grid.n": "many"})
     # a misspelt flag is rejected, not read as false
     with pytest.raises(ConfigError, match="line 2: bad value for 'noise.enabled'"):
         parse_config_text("seed = 1\nnoise.enabled = ture\n")
     for word, flag in (("1", True), ("TRUE", True), ("Yes", True),
                        ("0", False), ("false", False), ("NO", False)):
         assert parse_config_text(f"noise.enabled = {word}\n") == {"noise.enabled": flag}
+
+
+@pytest.mark.parametrize("line", [
+    "model.alpha2 = 0.5",  # structure condition 3.2
+    "noise.enabled = ture",  # not a flag
+    "model.lambda = -1",  # coefficient positivity
+    "grid.dim = 3",
+    "family.gamma_fraction = 0.6",  # 2 gamma >= delta: not tempered
+])
+def test_cli_invalid_config_exit_2(tmp_path, capsys, line):
+    cfgp = write_cfg(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "bad"
+    assert cli.main(["noise", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert manifest["config_hash"] is None and manifest["artifacts"] == []
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_minimal_config_gets_canonical_defaults(tmp_path):

@@ -112,10 +112,12 @@ def test_tails_never_rise_with_M():
         assert tails[0] == pytest.approx(np.sum(f.values**4) * g.cell_measure, rel=1e-12)
 
 
-def test_snapshot_roundtrip_exact(tmp_path):
-    g = Grid(n=32, half_width=8.0)
+@pytest.mark.parametrize("boundary", ["dirichlet0", "neumann0", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_roundtrip_exact(tmp_path, dim, boundary):
+    g = Grid(dim=dim, n=32, half_width=8.0, boundary=boundary)
     rng = np.random.default_rng(5)
-    f = ScalarField(g, rng.standard_normal(32))
+    f = ScalarField(g, rng.standard_normal(g.shape))
     p = tmp_path / "snap.txt"
     write_snapshot(f, p, time=1.25)
     f2, t = read_snapshot(p)
@@ -128,6 +130,10 @@ def test_snapshot_rejects_garbage(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("not a snapshot\n")
     with pytest.raises(ValueError):
+        read_snapshot(p)
+    # a v1 header does not record the boundary closure
+    p.write_text("FHNFIELD v1 1 3 8 0\n0\n0\n0\n")
+    with pytest.raises(ValueError, match="v1 snapshot"):
         read_snapshot(p)
 
 
