@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics as dg
-from .config import read_config, resolve
+from .config import check_forcing, read_config, resolve
 from .fields import bump_field, write_snapshot
 from .model import BlowUpError, FhnState, solve, solve_batch
 from .noise import GridAlignmentError, WienerPath, get_ou, step_index, temperedness_probe
@@ -352,7 +352,10 @@ def main(argv=None):
         values = read_config(args.config) if args.config else {}
         if args.seed is not None:
             values["seed"] = args.seed
-        manifest.cfg = resolve(values)
+        cfg = resolve(values)
+        if args.command != "noise":  # noise reads only lambda, sigma, p and delta
+            check_forcing(cfg)
+        manifest.cfg = cfg
     except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
         manifest.error = f"invalid config: {exc}"
     else:

@@ -3,8 +3,11 @@
 Format: one `section.key = value` per line, `#` comments, decimal text
 numbers; comma-separated numeric lists for schedules.  Unknown keys are
 rejected so typos cannot silently fall back to defaults.  Loading a config
-eagerly revalidates the nonlinearity structure and the forcing quadrature,
-so an invalid model never reaches a solver.
+eagerly revalidates the coefficients, the family's temperedness and the
+nonlinearity structure, so an invalid model never reaches a solver.  The
+forcing history quadrature walks the whole horizon, so it is not part of
+loading: `check_forcing` runs it for the subcommands that integrate the
+forcing.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ def _parse(key, text):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration (defaults applied, everything validated)."""
+    """Fully resolved configuration: defaults applied, everything validated
+    except the forcing history, which `check_forcing` checks."""
 
     values: tuple  # sorted (key, value) pairs
 
@@ -211,15 +215,23 @@ def resolve(values):
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
     cfg.family_spec(spec.delta)  # the family must be tempered
     validate_structure(spec)
+    return cfg
+
+
+def check_forcing(cfg):
+    """Raise ConfigError unless the forcing g, h is tempered: the history
+    integral of e^{delta (s - tau)} (|g(s)|^2 + |h(s)|^2) must converge
+    over `experiment.horizon`.  It enters the absorbing radius, so every
+    subcommand that integrates the forcing needs it; `noise` does not.
+    """
     total, converged = validate_forcing(
-        spec, cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
+        cfg.model_spec(), cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
     )
     if not converged:
         raise ConfigError(
             f"forcing history quadrature not converged over horizon "
             f"{cfg['experiment.horizon']} (total {total:.3e})"
         )
-    return cfg
 
 
 def read_config(path):

@@ -515,8 +515,13 @@ def containment_check(approx, rho):
 
 def bispatial_report(ensembles, rho_radii, spec, tau, tolerance):
     """Each seed's attractor approximation converges in both topologies
-    (`bispatial_equality_check`) and lies in its rho ball."""
+    (`bispatial_equality_check`) and lies in its rho ball.
+
+    A one-entry schedule has no defect: the check fails, is flagged as a
+    degenerate schedule, and each seed's final defects are null.
+    """
     passed = True
+    details = {}
     defects = {}
     rows = []
     for runs, rho in zip(ensembles, rho_radii):
@@ -525,11 +530,15 @@ def bispatial_report(ensembles, rho_radii, spec, tau, tolerance):
         bi = bispatial_equality_check(ap, tolerance)
         contained = containment_check(ap, rho)
         passed = passed and bi["pass"] and contained
+        if "flagged" in bi:
+            details["flagged"] = bi["flagged"]
+            defects[seed] = {"l2": None, "lp": None}
+            continue
         defects[seed] = {"l2": bi["final_defect_l2"], "lp": bi["final_defect_lp"]}
         rows.extend(
             (seed, t, d2, dp)
             for t, d2, dp in zip(bi["schedule"][1:], bi["defects_l2"], bi["defects_lp"])
         )
-    return Check("bispatial_equality", passed, {},
+    return Check("bispatial_equality", passed, details,
                  {"final_defect_by_seed": defects},
                  ("defect_vs_t.csv", ["seed", "t", "defect_l2", "defect_lp"], rows))

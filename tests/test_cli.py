@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fhnrds import cli, config, noise
+from fhnrds import cli, config, diagnostics, noise
 from fhnrds.config import ConfigError, DEFAULTS, default_config, load_config, parse_config_text
 from fhnrds.model import StructureViolation
 from fhnrds.noise import step_index
@@ -79,6 +79,53 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys, line):
     assert manifest["error"] == err.strip()
     assert manifest["config_hash"] is None and manifest["artifacts"] == []
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+# g grows backward in time, so its history integral does not converge
+UNCONVERGED = SMALL + """
+forcing.g.kind = exp
+forcing.g.a = -2
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "pullback", "verify", "attractor"])
+def test_cli_unconverged_forcing_exit_2(tmp_path, capsys, command):
+    cfgp = write_cfg(tmp_path, UNCONVERGED)
+    out = tmp_path / command
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: forcing history quadrature not converged "), err
+    assert err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert manifest["config_hash"] is None and manifest["artifacts"] == []
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_cli_noise_skips_the_forcing_history(tmp_path, monkeypatch):
+    # noise reads no forcing: it never runs the quadrature, and its outputs
+    # do not depend on g
+    calls = []
+    real = config.validate_forcing
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(config, "validate_forcing", counting)
+    monkeypatch.setattr(diagnostics, "validate_forcing", counting)
+    outputs = {}
+    for name, text in (("default", SMALL), ("unconverged", UNCONVERGED)):
+        out = tmp_path / name
+        cfgp = write_cfg(tmp_path, text, name + ".cfg")
+        assert cli.main(["noise", "--config", cfgp, "--out", str(out)]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("ou_series.csv", "ou_temperedness.csv")]
+    assert calls == []
+    assert outputs["unconverged"] == outputs["default"]
+    # the counter sees the guard of a subcommand that integrates the forcing
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, SMALL), "--out",
+                     str(tmp_path / "sim"), "--duration", "0.1"]) == 0
+    assert len(calls) == 1
 
 
 def test_minimal_config_gets_canonical_defaults(tmp_path):
@@ -340,13 +387,17 @@ def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
 
 def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
-    # on each side of 0.  `resolve` holds one array of the history samples;
-    # `noise` holds the OU block cache, one piece of a fill and its reads
+    # on each side of 0.  `resolve` does not walk the horizon; the forcing
+    # guard holds one array of the history samples; `noise` holds the OU
+    # block cache, one piece of a fill and its reads
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     tracemalloc.start()
     try:
         cfg = config.resolve({"experiment.horizon": 2000.0})
         resolve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        config.check_forcing(cfg)
+        guard_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
         assert cli.cmd_noise(cfg, tmp_path, args, cli.Manifest(cfg, 1)) == 0
@@ -354,7 +405,8 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     samples = step_index(cfg["experiment.horizon"], cfg["solver.dt"]) + 1
-    assert resolve_peak <= 1.5 * 8 * samples, resolve_peak
+    assert resolve_peak <= 2**20, resolve_peak
+    assert guard_peak <= 1.5 * 8 * samples, guard_peak
     cache = sum(b.nbytes for proc in noise._OU_CACHE.values() for b in proc._blocks.values())
     assert noise_peak <= cache + 16 * 2**20, (noise_peak, cache)
 

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from fhnrds import diagnostics as dg
 from fhnrds.cocycle import pullback
-from fhnrds.config import ConfigError, default_config
+from fhnrds.config import ConfigError, check_forcing, default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
 from fhnrds.model import (
     BlowUpError,
@@ -126,9 +126,13 @@ def test_validate_forcing_convergence_flag():
     total, converged = validate_forcing(bad, 0.0, 40.0, dt)
     assert not converged
     assert not dg.absorbing_radius(0.0, path, bad, 1.0, 40.0).converged
+    # loading such a config does not walk the history; `check_forcing`,
+    # which cli.main runs for the subcommands that integrate the forcing, does
+    unconverged = default_config(**{"grid.n": 64, "grid.half_width": 8.0,
+                                    "forcing.g.kind": "exp", "forcing.g.a": -2.0})
     with pytest.raises(ConfigError, match="not converged"):
-        default_config(**{"grid.n": 64, "grid.half_width": 8.0,
-                          "forcing.g.kind": "exp", "forcing.g.a": -2.0})
+        check_forcing(unconverged)
+    check_forcing(cfg)
 
 
 def test_validate_forcing_is_the_one_shot_quadrature():

@@ -4,7 +4,8 @@ The schemas pin the typed shape of both files: the checks by name and in
 report order, every verdict a JSON boolean, every fixture a JSON number keyed
 by pullback seed, and the manifest's artifact list.  They are validated
 against the canonical run that conftest's `canonical_verify` makes once per
-pytest session, so no extra run is made.
+pytest session, so no extra run is made; a one-entry schedule's report is
+validated on a small grid.
 """
 
 import copy
@@ -12,7 +13,7 @@ import json
 
 from jsonschema import Draft202012Validator
 
-from fhnrds import __version__
+from fhnrds import __version__, cli
 
 NUMBER = {"type": "number"}
 COUNT = {"type": "integer", "minimum": 0}
@@ -47,12 +48,21 @@ def closed(properties):
             "additionalProperties": False}
 
 
-def report_schema(seeds):
+def report_schema(seeds, degenerate=False):
+    """The schema of a report over `seeds`.  With `degenerate`, that of a
+    one-entry `schedules.t`: no Cauchy defect exists, so the bi-spatial
+    check fails, flagged, and every final defect is null."""
     def by_seed(value):
         return closed({seed: value for seed in seeds})
 
+    fields_by_check = dict(CHECK_FIELDS)
+    defect = NONNEGATIVE
+    if degenerate:
+        fields_by_check["bispatial_equality"] = {"pass": {"const": False},
+                                                 "flagged": {"const": "degenerate schedule"}}
+        defect = {"type": "null"}
     checks = [closed({"name": {"const": name}, "pass": {"type": "boolean"}, **fields})
-              for name, fields in CHECK_FIELDS.items()]
+              for name, fields in fields_by_check.items()]
     return closed({
         "checks": {"type": "array", "prefixItems": checks, "items": False,
                    "minItems": len(checks)},
@@ -63,7 +73,7 @@ def report_schema(seeds):
             "c_cal": NONNEGATIVE,
             "c_cal_degenerate": {"type": "boolean"},
             "c_noise": NONNEGATIVE,
-            "final_defect_by_seed": by_seed(closed({"l2": NONNEGATIVE, "lp": NONNEGATIVE})),
+            "final_defect_by_seed": by_seed(closed({"l2": defect, "lp": defect})),
         }),
         "pass": {"type": "boolean"},
         "seed": COUNT,
@@ -121,3 +131,25 @@ def test_canonical_report_and_manifest_match_their_schemas(cfg, canonical_verify
         lambda m: m.update({"error": "blow-up"}),
     ):
         assert not manifest_check.is_valid(corrupted(manifest, change))
+
+
+def test_one_entry_schedule_report_matches_its_schema(tmp_path):
+    # one schedule entry leaves no Cauchy defect: verify fails bi-spatial
+    # equality, flagged, and still writes its report and manifest.  Ten
+    # samples per seed give the 20 runs that `calibrate_constant` needs
+    cfgp = tmp_path / "one.cfg"
+    cfgp.write_text("grid.n = 64\ngrid.half_width = 8.0\nschedules.t = 8\n"
+                    "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n"
+                    "family.sample_count = 10\n")
+    out = tmp_path / "one"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"][-1] == {"name": "bispatial_equality", "pass": False,
+                                    "flagged": "degenerate schedule"}
+    errors = [e.message for e in validator(report_schema(["42", "43"], True)).iter_errors(report)]
+    assert not errors, errors
+    assert not validator(report_schema(["42", "43"])).is_valid(report)
+    manifest = json.loads((out / "manifest.json").read_text())
+    errors = [e.message for e in validator(manifest_schema(out, report)).iter_errors(manifest)]
+    assert not errors, errors
+    assert manifest["checks"]["bispatial_equality"] is False
