@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import sys
 import time
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics as dg
-from .config import check_forcing, read_config, resolve
+from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, write_snapshot
 from .model import BlowUpError, FhnState, solve, solve_batch
 from .noise import GridAlignmentError, WienerPath, get_ou, step_index, temperedness_probe
@@ -155,13 +156,17 @@ def cmd_noise(cfg, out, args, manifest):
     spec = cfg.model_spec()
     dt = cfg["solver.dt"]
     horizon = cfg["experiment.horizon"]
-    ou1 = get_ou(cfg.seed, 1, spec.lam, dt)
-    ou2 = get_ou(cfg.seed, 2, spec.sigma, dt)
     n = step_index(horizon, dt)
-    stride = max(1, n // 2000)
+    # the series samples [-n, n] every n // 2000 steps and the temperedness
+    # probe [-n, 0] every n // 500, backward from 0; one read of each
+    # process serves both, so no block is filled twice
+    stride, back = max(1, n // 2000), max(1, n // 500)
     js = np.arange(-n, n + 1, stride)
-    z1 = ou1.values(-n, n, stride)
-    z2 = ou2.values(-n, n, stride)
+    ks = np.arange(0, n + 1, back)
+    ts = ks * dt
+    spans = [(-n, n, stride), (-int(ks[-1]), 0, back)]
+    (z1, p1), (z2, p2) = (get_ou(cfg.seed, 1, spec.lam, dt).read(spans),
+                          get_ou(cfg.seed, 2, spec.sigma, dt).read(spans))
     write_csv(
         manifest.add(out / "ou_series.csv"),
         ["t", "z1", "z2"],
@@ -169,8 +174,8 @@ def cmd_noise(cfg, out, args, manifest):
     )
     rows = []
     passed = True
-    for name, proc, expo in (("z1", ou1, spec.p), ("z2", ou2, 2.0)):
-        ts, series, ok = temperedness_probe(proc, spec.delta, expo, horizon)
+    for name, z, expo in (("z1", p1, spec.p), ("z2", p2, 2.0)):
+        series, ok = temperedness_probe(ts, z[::-1], spec.delta, expo, horizon)
         passed = passed and ok
         rows.extend((name, t, s) for t, s in zip(ts, series))
     write_csv(manifest.add(out / "ou_temperedness.csv"), ["component", "t", "series"], rows)
@@ -355,6 +360,13 @@ def main(argv=None):
         cfg = resolve(values)
         if args.command != "noise":  # noise reads only lambda, sigma, p and delta
             check_forcing(cfg)
+        factors = (cfg["experiment.seed_count"], len(cfg.t_schedule()), cfg["family.sample_count"])
+        if args.command == "verify" and math.prod(factors) < dg.CALIBRATION_MIN_RUNS:
+            raise ConfigError(
+                f"verify fits its constants on at least {dg.CALIBRATION_MIN_RUNS} pullback runs; "
+                f"experiment.seed_count x entries of schedules.t x family.sample_count = "
+                f"{' x '.join(map(str, factors))} = {math.prod(factors)}"
+            )
         manifest.cfg = cfg
     except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
         manifest.error = f"invalid config: {exc}"

@@ -28,6 +28,7 @@ from .noise import get_ou, step_index
 
 CALIBRATION_CAP = 1e6
 CALIBRATION_FLOOR = 1e-6
+CALIBRATION_MIN_RUNS = 20  # pullback runs `calibrate_constant` fits on
 
 
 class CalibrationError(RuntimeError):
@@ -128,8 +129,8 @@ def calibrate_constant(runs, spec, tau):
     definition.  Ensembles of all-zero runs degenerate to the floor value
     and are flagged.
     """
-    if len(runs) < 20:
-        raise ValueError("calibration needs at least 20 trajectories")
+    if len(runs) < CALIBRATION_MIN_RUNS:
+        raise ValueError(f"calibration needs at least {CALIBRATION_MIN_RUNS} trajectories")
     d = spec.delta
     p = spec.p
     c_req = 0.0

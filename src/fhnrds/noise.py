@@ -9,6 +9,7 @@ initial time receding to -infinity) well defined at the discrete level.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +123,11 @@ def stationary_variance(rate):
 
 
 # increments hashed at once (a few hundred kB of scratch, so the hash stays
-# in cache), and OU blocks per piece of a fill, one `dgttrs` call each
+# in cache), OU blocks per piece of a fill, one `dgttrs` call each, and OU
+# blocks an `OuProcess` keeps
 _HASH_CHUNK = 1 << 15
 _SOLVE_CHUNK = 16
+_CACHE_BLOCKS = 2 * _SOLVE_CHUNK
 
 
 class OuProcess:
@@ -137,6 +140,10 @@ class OuProcess:
     so the initialization error is bounded by exp(-20) while any two
     evaluations of the same step agree bitwise -- the property the cocycle
     law test relies on.
+
+    The process keeps at most `_CACHE_BLOCKS` blocks and drops the least
+    recently read one first, so its memory does not grow with the span read.
+    A block read again after it was dropped is filled again, bitwise the same.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
     LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
@@ -156,16 +163,25 @@ class OuProcess:
         self.B = max(1, int(round(20.0 / rate / dt)))
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
-        self._blocks = {}
+        self._blocks = OrderedDict()  # least recently read first
+        # the end step and the last B - 1 increments of a read's latest fill,
+        # carried into its next fill when that fill's first window starts
+        # among them; a read drops them when it is done
+        self._tail = (0, np.empty(0))
 
     def _compute_blocks(self, ms):
-        """Fill the cache for the block indices in `ms`.
+        """Fill the cache for the block indices in `ms` and mark them read last.
 
         The blocks are filled in pieces of at most `_SOLVE_CHUNK` consecutive
         blocks, one `dgttrs` call each, so a fill's scratch is one piece's
-        however long its span, and no cached block is drawn again.
+        however long its span, and no cached block is drawn again.  Each
+        block filled past `_CACHE_BLOCKS` drops the least recently read one;
+        with at most `_CACHE_BLOCKS` indices in `ms`, none of `ms` is dropped.
         """
         pieces = []
+        for m in ms:
+            if m in self._blocks:
+                self._blocks.move_to_end(m)
         for m in sorted(set(ms) - self._blocks.keys()):
             if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < _SOLVE_CHUNK:
                 pieces[-1].append(m)
@@ -188,14 +204,14 @@ class OuProcess:
         # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
         pows = a ** np.arange(B, 2 * B)
         sd = np.sqrt(stationary_variance(self.rate))
-        xi, k1 = xi_buf[:0], (pieces[0][0] - 1) * B  # increments drawn last, and their end step
+        k1, xi = self._tail  # the end step of the increments drawn last, and their tail
         for piece in pieces:
             # block m filters the 2B-1 increments from step (m-1)*B; consecutive
             # windows overlap by B-1 steps, so the piece's increments are drawn
             # once and its windows are views into them.  The B-1 it shares
-            # with the piece before are carried over, not drawn again.
+            # with the piece or fill before are carried over, not drawn again.
             k0 = (piece[0] - 1) * B
-            carried = max(0, k1 - k0)
+            carried = k1 - k0 if 0 < k1 - k0 <= xi.size else 0
             xi_buf[:carried] = xi[xi.size - carried :]
             xi = xi_buf[: (len(piece) + 1) * B - 1]
             k1 = k0 + xi.size
@@ -210,24 +226,40 @@ class OuProcess:
             u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
             for m, z0, row in zip(piece, ndtri(u) * sd, y):
                 self._blocks[m] = z0 * pows + row[B - 1 :]
+                if len(self._blocks) > _CACHE_BLOCKS:
+                    self._blocks.popitem(last=False)
+        self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
-    def values(self, j0, j1, stride=1):
-        """z at absolute steps j0, j0 + stride, ... up to j1 inclusive.
+    def read(self, spans):
+        """z at the steps of each span (j0, j1, stride): j0, j0 + stride, ...
+        up to j1 inclusive, one array per span.
 
-        Each block's share is copied from the block itself, so a read holds
-        no copy of the whole span.
+        The blocks the spans cover are visited once, in increasing order, in
+        groups that the cache holds at once.  Each group is filled, then each
+        span's share of each block is copied out of the block, so a read
+        fills no block twice and holds no copy of a whole span.
         """
         B = self.B
-        self._compute_blocks(range(j0 // B, j1 // B + 1))
-        out = np.empty((j1 - j0) // stride + 1)
-        i = 0  # next output index; it reads step j0 + i*stride
-        for m in range(j0 // B, j1 // B + 1):
-            j, last = j0 + i * stride, min(j1, (m + 1) * B - 1)
-            if j <= last:
-                count = (last - j) // stride + 1
-                out[i : i + count] = self._blocks[m][j - m * B : last - m * B + 1 : stride]
-                i += count
-        return out
+        outs = [np.empty((j1 - j0) // stride + 1) for j0, j1, stride in spans]
+        done = [0] * len(spans)  # next output index of each span
+        ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
+        group = min(_SOLVE_CHUNK, _CACHE_BLOCKS)
+        for g in range(0, len(ms), group):
+            self._compute_blocks(ms[g : g + group])
+            for m in ms[g : g + group]:
+                block = self._blocks[m]
+                for s, ((j0, j1, stride), out) in enumerate(zip(spans, outs)):
+                    j, last = j0 + done[s] * stride, min(j1, (m + 1) * B - 1)
+                    if j <= last:
+                        count = (last - j) // stride + 1
+                        out[done[s] : done[s] + count] = block[j - m * B : last - m * B + 1 : stride]
+                        done[s] += count
+        self._tail = (0, np.empty(0))
+        return outs
+
+    def values(self, j0, j1, stride=1):
+        """z at absolute steps j0, j0 + stride, ... up to j1 inclusive."""
+        return self.read([(j0, j1, stride)])[0]
 
 
 _OU_CACHE = {}
@@ -243,21 +275,16 @@ def get_ou(seed, component, rate, dt):
     return proc
 
 
-def temperedness_probe(proc, delta, exponent, horizon):
+def temperedness_probe(ts, z, delta, exponent, horizon):
     """Series t -> exp(-delta*t) * |z(theta_{-t} omega)|^exponent on [0, horizon].
 
-    The series is sampled every max(1, n // 500) of the horizon's n steps.  Passes when the maximum over the last 10% of the horizon sits below the
-    initial value of the series.
+    `z[i]` is z(theta_{-t} omega) at t = `ts[i]`, with `ts` increasing from
+    0.  The probe passes when the maximum of the series over the last 10% of
+    the horizon sits below its initial value.
     """
     if delta <= 0 or horizon <= 0:
         raise ValueError("delta and horizon must be positive")
-    dt = proc.dt
-    n = step_index(horizon, dt)
-    stride = max(1, n // 500)
-    js = np.arange(0, n + 1, stride)
-    z = proc.values(-int(js[-1]), 0, stride)[::-1]  # z at steps -js
-    ts = js * dt
     series = np.exp(-delta * ts) * np.abs(z) ** exponent
     tail = series[ts >= 0.9 * horizon]
     passed = bool(np.max(tail) < series[0]) if series[0] > 0 else bool(np.max(tail) == 0.0)
-    return ts, series, passed
+    return series, passed

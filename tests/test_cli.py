@@ -81,6 +81,21 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys, line):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+def test_cli_verify_too_few_pullback_runs_exit_2(tmp_path, capsys):
+    # 2 seeds x 1 schedule entry x 2 samples = 4 runs, below the 20 that
+    # `calibrate_constant` fits on; the other subcommands fit nothing
+    text = SMALL + "schedules.t = 8\nexperiment.seed_count = 2\nexperiment.energy_seed_count = 2\n"
+    cfgp = write_cfg(tmp_path, text)
+    out = tmp_path / "few"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.endswith(" = 2 x 1 x 2 = 4\n"), err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert cli.main(["pullback", "--config", cfgp, "--out", str(tmp_path / "pull")]) == 0
+
+
 # g grows backward in time, so its history integral does not converge
 UNCONVERGED = SMALL + """
 forcing.g.kind = exp
@@ -357,21 +372,33 @@ def test_attractor_json_has_no_bare_nan(tmp_path):
 
 
 # perfbench/spans.py wraps fhnrds functions by their module attributes for
-# `perfbench/run.py --trace 1`; each one it names must still be there
-TRACER_INSTALL = """
-import sys
+# `perfbench/run.py --trace 1`; each one it names must still be there, and
+# still take the arguments its wrapper passes
+TRACER_RUN = """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from spans import Tracer
-Tracer().install()
+tracer = Tracer()
+tracer.install()
+from fhnrds import cli
+status = [cli.main([cmd, "--config", sys.argv[2], "--out", sys.argv[3] + "/" + cmd])
+          for cmd in ("noise", "pullback")]
+print(json.dumps({"status": status, "counts": tracer.counts,
+                  "spans": sorted({s[3] for s in tracer.spans})}))
 """
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     root = Path(cli.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", TRACER_INSTALL, str(root / "perfbench")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.horizon = 20.0\n")
+    proc = subprocess.run([sys.executable, "-c", TRACER_RUN, str(root / "perfbench"), cfgp,
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["status"] == [0, 0], proc.stderr
+    assert result["counts"]["noise.ou_blocks"] > 0, result["counts"]
+    assert {"noise.ou_fill", "noise.ou_values"} <= set(result["spans"])
 
 
 def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
@@ -388,8 +415,9 @@ def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
 def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
     # on each side of 0.  `resolve` does not walk the horizon; the forcing
-    # guard holds one array of the history samples; `noise` holds the OU
-    # block cache, one piece of a fill and its reads
+    # guard holds one array of the history samples; `noise` holds at most
+    # `_CACHE_BLOCKS` OU blocks per process and one piece of a fill, at
+    # that horizon and at four times it
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     tracemalloc.start()
     try:
@@ -398,17 +426,21 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
         tracemalloc.reset_peak()
         config.check_forcing(cfg)
         guard_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
-        assert cli.cmd_noise(cfg, tmp_path, args, cli.Manifest(cfg, 1)) == 0
-        noise_peak = tracemalloc.get_traced_memory()[1]
+        noise_peaks = []
+        for horizon in (2000.0, 8000.0):
+            noise._OU_CACHE.clear()
+            cfg = config.resolve({"experiment.horizon": horizon})
+            args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
+            tracemalloc.reset_peak()
+            assert cli.cmd_noise(cfg, tmp_path, args, cli.Manifest(cfg, 1)) == 0
+            noise_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    samples = step_index(cfg["experiment.horizon"], cfg["solver.dt"]) + 1
+    samples = step_index(2000.0, cfg["solver.dt"]) + 1
     assert resolve_peak <= 2**20, resolve_peak
     assert guard_peak <= 1.5 * 8 * samples, guard_peak
-    cache = sum(b.nbytes for proc in noise._OU_CACHE.values() for b in proc._blocks.values())
-    assert noise_peak <= cache + 16 * 2**20, (noise_peak, cache)
+    cache = sum(noise._CACHE_BLOCKS * 8 * proc.B for proc in noise._OU_CACHE.values())
+    assert max(noise_peaks) <= cache + 16 * 2**20, (noise_peaks, cache)
 
 
 def test_defaults_table_is_typed():

@@ -96,6 +96,8 @@ def test_ou_values_pure_across_instances():
 
 
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
+    # the fills below read back more blocks than the cache keeps
+    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 4 * noise._SOLVE_CHUNK)
     # block by block: each block hashes only its own 2B-1 window
     a = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     for m in range(-3, 4):
@@ -177,15 +179,74 @@ def test_get_ou_caches():
     assert get_ou(1, 1, 1.0, 1e-3) is not get_ou(1, 2, 1.0, 1e-3)
 
 
+def probe_samples(proc, horizon):
+    # the samples `cli.cmd_noise` hands the probe: z at steps 0, -stride, ...
+    n = step_index(horizon, proc.dt)
+    ks = np.arange(0, n + 1, max(1, n // 500))
+    return ks * proc.dt, proc.values(-int(ks[-1]), 0, max(1, n // 500))[::-1]
+
+
 def test_temperedness_probe_decays():
     proc = get_ou(33, 1, 1.0, 1e-2)
-    ts, series, passed = temperedness_probe(proc, 1.0, 4.0, 50.0)
+    ts, z = probe_samples(proc, 50.0)
+    series, passed = temperedness_probe(ts, z, 1.0, 4.0, 50.0)
     assert passed
     assert series.shape == ts.shape
     assert np.max(series[ts >= 45.0]) < series[0]
 
 
 def test_temperedness_probe_validation():
-    proc = get_ou(33, 1, 1.0, 1e-2)
+    ts, z = probe_samples(get_ou(33, 1, 1.0, 1e-2), 10.0)
     with pytest.raises(ValueError):
-        temperedness_probe(proc, -1.0, 2.0, 10.0)
+        temperedness_probe(ts, z, -1.0, 2.0, 10.0)
+
+
+def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
+    # a reference read with room for every block, then reads through a
+    # two-block cache: spans over more than two pieces, strides below, at
+    # and above B, reads that go back over dropped blocks, and one read of
+    # several overlapping spans
+    B = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).B
+    j0, j1 = -(noise._SOLVE_CHUNK + 3) * B - 5, (noise._SOLVE_CHUNK + 4) * B + 3
+    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 10**6)
+    full = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).values(j0, j1)
+    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 2)
+    proc = OuProcess(seed=17, component=2, rate=2.0, dt=0.01)
+    for a, b, stride in ((j0, j1, 1), (j0 + 7, j1 - 11, 3), (j0, j1, B), (j0 + 1, j1, B + 7),
+                         (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
+        assert np.array_equal(proc.values(a, b, stride), full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
+        assert len(proc._blocks) <= 2
+    spans = [(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)]
+    for (a, b, stride), z in zip(spans, proc.read(spans)):
+        assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
+
+
+def test_ou_read_fills_each_block_once(monkeypatch):
+    # one read of two overlapping spans through a two-block cache fills each
+    # block of their union once and draws each increment once
+    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 2)
+    drawn, filled = [], []
+    real_draw, real_fill = noise.wiener_increment, OuProcess._compute_blocks
+
+    def counting_draw(seed, k, dt):
+        drawn.append(np.asarray(k).copy())
+        return real_draw(seed, k, dt)
+
+    def counting_fill(proc, ms):
+        filled.extend(m for m in ms if m not in proc._blocks)
+        return real_fill(proc, ms)
+
+    monkeypatch.setattr(noise, "wiener_increment", counting_draw)
+    monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
+    proc = OuProcess(seed=5, component=1, rate=2.0, dt=0.01)
+    B = proc.B
+    proc.read([(-20 * B, 20 * B, 7), (-20 * B, 0, 11)])
+    assert filled == list(range(-20, 21))
+    assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-21 * B, 21 * B - 1))
+
+
+def test_ou_long_strided_read_keeps_the_cache_bounded():
+    proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
+    proc.values(-100 * proc.B, 100 * proc.B, 37)
+    assert len(proc._blocks) == noise._CACHE_BLOCKS
+    assert list(proc._blocks) == list(range(101 - noise._CACHE_BLOCKS, 101))
