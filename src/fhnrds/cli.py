@@ -148,6 +148,19 @@ def _map_ordered(fn, items, workers):
     return [result for part in parts for result in part]
 
 
+def _record_checks(checks, out, manifest):
+    """(report entries {"name", "pass", **details}, joined fixtures) of `checks`;
+    writes their tables and enters their verdicts in the manifest."""
+    fixtures = {}
+    for c in checks:
+        fixtures.update(c.fixtures)
+        if c.table:
+            name, header, rows = c.table
+            write_csv(manifest.add(out / name), header, rows)
+    manifest.summary.update((c.name, c.passed) for c in checks)
+    return [{"name": c.name, "pass": c.passed, **c.details} for c in checks], fixtures
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -188,7 +201,7 @@ def cmd_simulate(cfg, out, args, manifest):
     solver = cfg.solver_spec()
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
     tau = cfg["experiment.tau"]
-    traj = solve(spec, solver, path, tau, tau + args.duration, _standard_init(spec))
+    traj = solve(spec, solver, path, tau, tau + args.duration, _standard_init(spec, tau))
     write_csv(
         manifest.add(out / "trajectory.csv"),
         ["t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2", "energy"],
@@ -252,10 +265,8 @@ def cmd_verify(cfg, out, args, manifest):
     c_lp = max([dg.CALIBRATION_FLOOR] + [
         dg.calibrate_lp_constant(runs, tau, R) for runs, R in zip(ensembles, radii)
     ])
-    rho_radii = []
-    for path, runs in zip(pull_paths, ensembles):
-        rho = dg.absorbing_radius(tau, path, spec, 1.0, horizon, kind="rho")
-        rho_radii.append(dg.calibrate_rho_constant(runs, rho) * rho.unit_radius)
+    rho_radii = [dg.rho_radius(tau, path, runs, spec, horizon)
+                 for path, runs in zip(pull_paths, ensembles)]
 
     t_check = [t for t in t_schedule if t >= 8.0] or t_schedule
     checks = [
@@ -266,26 +277,20 @@ def cmd_verify(cfg, out, args, manifest):
         dg.radius_temperedness(tau, pull_paths[0], spec, c_cal, horizon),
         dg.chebyshev_report(all_runs, M_schedule),
         dg.truncation_tail_report(ensembles, spec, M_schedule, cfg["tolerances.eta"]),
-        dg.bispatial_report(ensembles, rho_radii, spec, tau, cfg["tolerances.defect"]),
+        dg.bispatial_report(ensembles, rho_radii, spec, cfg["tolerances.defect"]),
     ]
-    fixtures = {"c_noise": c_noise, "c_cal": c_cal, "c_cal_degenerate": degenerate}
-    for c in checks:
-        fixtures.update(c.fixtures)
-        if c.table:
-            name, header, rows = c.table
-            write_csv(manifest.add(out / name), header, rows)
+    entries, fixtures = _record_checks(checks, out, manifest)
     all_pass = all(c.passed for c in checks)
     report = {
         "config_hash": cfg.config_hash,
         "tool_version": __version__,
         "seed": cfg.seed,
-        "checks": [{"name": c.name, "pass": c.passed, **c.details} for c in checks],
-        "fixtures": fixtures,
+        "checks": entries,
+        "fixtures": {"c_noise": c_noise, "c_cal": c_cal, "c_cal_degenerate": degenerate, **fixtures},
         "pass": all_pass,
     }
     path = manifest.add(out / "report.json")
     write_json(path, report)
-    manifest.summary.update((c.name, c.passed) for c in checks)
     if not all_pass:
         print(f"verification FAILED; see {path}", file=sys.stderr)
         return 1
@@ -299,8 +304,11 @@ def cmd_attractor(cfg, out, args, manifest):
     tau = cfg["experiment.tau"]
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
-    ap = dg.attractor_from_runs(runs, tau, cfg.seed, spec.p)
-    bi = dg.bispatial_equality_check(ap, tolerance=cfg["tolerances.defect"])
+    # the verdict of `verify` for this one seed
+    rho = dg.rho_radius(tau, path, runs, spec, cfg["experiment.horizon"])
+    check = dg.bispatial_report([runs], [rho], spec, cfg["tolerances.defect"])
+    (entry,), fixtures = _record_checks([check], out, manifest)
+    ap = dg.attractor_from_runs(runs, spec.p)
     for i, (u, v) in enumerate(ap.points):
         write_snapshot(u, manifest.add(out / f"attractor_u_{i:03d}.txt"), tau)
         write_snapshot(v, manifest.add(out / f"attractor_v_{i:03d}.txt"), tau)
@@ -311,14 +319,12 @@ def cmd_attractor(cfg, out, args, manifest):
         "provenance": ap.provenance,
         "pairwise_l2": ap.pairwise_l2,
         "pairwise_lp": ap.pairwise_lp,
-        "cauchy_defect_l2": ap.cauchy_defect_l2,
-        "cauchy_defect_lp": ap.cauchy_defect_lp,
-        "bispatial": bi,
+        "bispatial": entry,
+        "fixtures": fixtures,
     }
     path_json = manifest.add(out / "attractor.json")
     write_json(path_json, report)
-    manifest.summary["bispatial_equality"] = bi["pass"]
-    if not bi["pass"]:
+    if not check.passed:
         print(f"bi-spatial convergence FAILED; see {path_json}", file=sys.stderr)
         return 1
     return 0
@@ -349,38 +355,47 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; 0 when its verdicts pass, 1 when one fails, 2 on
+    an invalid config or a failed run, each with the error in the manifest.
+    Any other exception is a bug: it is named in the manifest and re-raised."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(None, args.threads)
     try:
-        values = read_config(args.config) if args.config else {}
-        if args.seed is not None:
-            values["seed"] = args.seed
-        cfg = resolve(values)
-        if args.command != "noise":  # noise reads only lambda, sigma, p and delta
-            check_forcing(cfg)
-        factors = (cfg["experiment.seed_count"], len(cfg.t_schedule()), cfg["family.sample_count"])
-        if args.command == "verify" and math.prod(factors) < dg.CALIBRATION_MIN_RUNS:
-            raise ConfigError(
-                f"verify fits its constants on at least {dg.CALIBRATION_MIN_RUNS} pullback runs; "
-                f"experiment.seed_count x entries of schedules.t x family.sample_count = "
-                f"{' x '.join(map(str, factors))} = {math.prod(factors)}"
-            )
-        manifest.cfg = cfg
-    except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
-        manifest.error = f"invalid config: {exc}"
-    else:
         try:
+            values = read_config(args.config) if args.config else {}
+            if args.seed is not None:
+                values["seed"] = args.seed
+            cfg = resolve(values)
+            if args.command != "noise":  # noise reads only lambda, sigma, p and delta
+                check_forcing(cfg)
+            factors = (cfg["experiment.seed_count"], len(cfg.t_schedule()), cfg["family.sample_count"])
+            if args.command == "verify" and math.prod(factors) < dg.CALIBRATION_MIN_RUNS:
+                raise ConfigError(
+                    f"verify fits its constants on at least {dg.CALIBRATION_MIN_RUNS} pullback runs; "
+                    f"experiment.seed_count x entries of schedules.t x family.sample_count = "
+                    f"{' x '.join(map(str, factors))} = {math.prod(factors)}"
+                )
+            manifest.cfg = cfg
+        except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
+            manifest.error = f"invalid config: {exc}"
+        else:
             status = COMMANDS[args.command](manifest.cfg, out, args, manifest)
-        except BlowUpError as exc:
-            manifest.error = f"blow-up: {exc}"
-        except GridAlignmentError as exc:
-            manifest.error = f"off-grid time: {exc}"
+    except BlowUpError as exc:
+        manifest.error = f"blow-up: {exc}"
+    except GridAlignmentError as exc:
+        manifest.error = f"off-grid time: {exc}"
+    except dg.CalibrationError as exc:
+        manifest.error = f"calibration: {exc}"
+    except BaseException as exc:  # a bug or an interrupt: no manifest may read as a success
+        manifest.error = f"internal: {type(exc).__name__}: {exc}"
+        raise
+    finally:
+        manifest.write(out)
     if manifest.error:
         print(manifest.error, file=sys.stderr)
         status = 2
-    manifest.write(out)
     return status
 
 

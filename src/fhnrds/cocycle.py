@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, bump_field, l2_sq
-from .model import from_tilde, solve, solve_batch, to_tilde
+# `solve` is imported for the per-layer tracer of perfbench/spans.py, which
+# wraps it here and in `cli` as one object; the cocycle steps with `solve_batch`
+from .model import FhnState, solve, solve_batch  # noqa: F401
 from .noise import get_ou, step_index
 
 
@@ -59,6 +61,19 @@ class FamilySpec:
         return self.base_radius * np.exp(self.growth_rate * t)
 
 
+def to_tilde(state, spec, z1, z2):
+    """(u, v) -> (u + h1*z1, v + h2*z2)."""
+    ut = ScalarField(state.grid, state.u.values + spec.h1.values * z1)
+    vt = ScalarField(state.grid, state.v.values + spec.h2.values * z2)
+    return ut, vt
+
+
+def from_tilde(u_tilde, v_tilde, spec, z1, z2, t=0.0):
+    u = ScalarField(u_tilde.grid, u_tilde.values - spec.h1.values * z1)
+    v = ScalarField(v_tilde.grid, v_tilde.values - spec.h2.values * z2)
+    return FhnState(t, u, v)
+
+
 def _untransformed(inputs, spec, dt):
     """The initial pairs of `inputs` in (u, v), with the OU values at their shift 0.
 
@@ -85,27 +100,12 @@ def _untransformed(inputs, spec, dt):
     return pairs
 
 
-def _transformed(traj, spec):
-    z1_t, z2_t = traj.final_z
-    return to_tilde(traj.final, spec, z1_t, z2_t)
-
-
-def phi(inp, spec, solver, record_stride=10, snapshot_stride=None):
+def phi(inp, spec, solver, snapshot_stride=None):
     """Evaluate the cocycle; returns ((u~, v~) at tau+t, trajectory)."""
-    traj = solve(
-        spec,
-        solver,
-        inp.path,
-        inp.tau,
-        inp.tau + inp.t,
-        _untransformed([inp], spec, solver.dt)[0],
-        record_stride=record_stride,
-        snapshot_stride=snapshot_stride,
-    )
-    return _transformed(traj, spec), traj
+    return phi_batch([inp], spec, solver, snapshot_stride)[0]
 
 
-def phi_batch(inputs, spec, solver, record_stride=10, snapshot_stride=None):
+def phi_batch(inputs, spec, solver, snapshot_stride=None):
     """`phi` of several inputs that land at one time, stepped as one batch.
 
     Each result is bitwise the one `phi` gives for its input alone.
@@ -117,8 +117,8 @@ def phi_batch(inputs, spec, solver, record_stride=10, snapshot_stride=None):
     if any(step_index(inp.tau + inp.t, dt) != step_index(tau1, dt) for inp in inputs):
         raise ValueError("batched cocycle inputs must land at one time")
     members = [(inp.path, init) for inp, init in zip(inputs, _untransformed(inputs, spec, dt))]
-    trajs = solve_batch(spec, solver, members, tau1, record_stride, snapshot_stride)
-    return [(_transformed(traj, spec), traj) for traj in trajs]
+    trajs = solve_batch(spec, solver, members, tau1, snapshot_stride=snapshot_stride)
+    return [(to_tilde(traj.final, spec, *traj.final_z), traj) for traj in trajs]
 
 
 def pullback(t, tau, path, u0_tilde, v0_tilde, spec, solver, **kw):

@@ -3,11 +3,11 @@
 Format: one `section.key = value` per line, `#` comments, decimal text
 numbers; comma-separated numeric lists for schedules.  Unknown keys are
 rejected so typos cannot silently fall back to defaults.  Loading a config
-eagerly revalidates the coefficients, the family's temperedness and the
-nonlinearity structure, so an invalid model never reaches a solver.  The
-forcing history quadrature walks the whole horizon, so it is not part of
-loading: `check_forcing` runs it for the subcommands that integrate the
-forcing.
+eagerly revalidates the schedules, the coefficients, the family's
+temperedness and the nonlinearity structure, so an invalid model never
+reaches a solver.  The forcing history quadrature walks the whole horizon,
+so it is not part of loading: `check_forcing` runs it for the subcommands
+that integrate the forcing.
 """
 
 from __future__ import annotations
@@ -211,6 +211,11 @@ def resolve(values):
     extra = set(values) - set(DEFAULTS)
     if extra:
         raise ConfigError(f"unknown keys: {sorted(extra)}")
+    M, ts = resolved["schedules.M"], resolved["schedules.t"]
+    if min(M) <= 0 or any(b <= a for a, b in zip(M, M[1:])):
+        raise ConfigError(f"schedules.M must be positive and strictly increasing, got {list(M)}")
+    if min(ts) < 0:
+        raise ConfigError(f"schedules.t must be nonnegative elapsed times, got {list(ts)}")
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
     cfg.family_spec(spec.delta)  # the family must be tempered

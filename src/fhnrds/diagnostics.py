@@ -37,7 +37,7 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class Check:
-    """One verdict of `fhnrds verify`, over every seed.
+    """One verdict of `fhnrds verify` over every seed, or of `attractor` over its one.
 
     Its report entry is {"name", "pass", **details}; `fixtures` join the
     report's fixtures, and `table` is (file name, header, rows) or None.
@@ -55,23 +55,21 @@ class Check:
 # energy inequality
 
 
-def energy_records(traj, spec, c_noise):
-    """Per-sample (E, dissipation, rhs) triples for one trajectory.
+def energy_records(traj, spec):
+    """Per-sample (E, dissipation, forcing, noise) of one trajectory.
 
     E = alpha |v|^2 + beta |u|^2;
     dissipation = delta E + (delta alpha / 2) |v|^2 + alpha1 beta |u~|_p^p;
-    rhs = (4 beta/lambda) |g|^2 + (4 alpha/sigma) |h|^2
-          + c_noise (|z1|^p + |z2|^2 + 1).
+    forcing = (4 beta/lambda) |g|^2 + (4 alpha/sigma) |h|^2;
+    noise = |z1|^p + |z2|^2 + 1.
+    The right-hand side of the energy inequality is rhs = forcing + c_noise * noise.
     """
     E = traj.energy
     d = spec.delta
     dissipation = d * E + 0.5 * d * spec.alpha * traj.v_l2sq + spec.alpha1 * spec.beta * traj.utilde_lp_p
-    rhs = (
-        (4.0 * spec.beta / spec.lam) * traj.g_l2sq
-        + (4.0 * spec.alpha / spec.sigma) * traj.h_l2sq
-        + c_noise * (np.abs(traj.z1) ** spec.p + traj.z2**2 + 1.0)
-    )
-    return E, dissipation, rhs
+    forcing = (4.0 * spec.beta / spec.lam) * traj.g_l2sq + (4.0 * spec.alpha / spec.sigma) * traj.h_l2sq
+    noise = np.abs(traj.z1) ** spec.p + traj.z2**2 + 1.0
+    return E, dissipation, forcing, noise
 
 
 def verify_energy_inequality(trajs, spec, c_noise, tol_abs, tol_rel):
@@ -84,15 +82,17 @@ def verify_energy_inequality(trajs, spec, c_noise, tol_abs, tol_rel):
     worst = -np.inf
     passed = True
     for traj in trajs:
-        E, dissipation, rhs = energy_records(traj, spec, c_noise)
+        E, dissipation, forcing, noise = energy_records(traj, spec)
+        rhs = forcing + c_noise * noise
         lhs = np.diff(E) / np.diff(traj.t) + dissipation[:-1]
         slack = tol_abs + tol_rel * np.maximum(E[:-1], rhs[:-1])
         margin = float(np.max(lhs - rhs[:-1] - slack))
         passed = passed and margin <= 0.0
         worst = max(worst, margin)
-    table = zip(trajs[0].t, *energy_records(trajs[0], spec, c_noise))
+        if traj is trajs[0]:
+            table = list(zip(traj.t, E, dissipation, rhs))
     return Check("energy_inequality", passed, {"worst_margin": worst, "seeds": len(trajs)}, {},
-                 ("energy_records.csv", ["t", "E", "dissipation", "rhs"], list(table)))
+                 ("energy_records.csv", ["t", "E", "dissipation", "rhs"], table))
 
 
 def calibrate_noise_constant(trajs, spec):
@@ -103,17 +103,18 @@ def calibrate_noise_constant(trajs, spec):
     """
     c_req = 0.0
     for traj in trajs:
-        E, dissipation, _ = energy_records(traj, spec, 0.0)
-        forcing = (4.0 * spec.beta / spec.lam) * traj.g_l2sq + (
-            4.0 * spec.alpha / spec.sigma
-        ) * traj.h_l2sq
-        noise = np.abs(traj.z1) ** spec.p + traj.z2**2 + 1.0
-        dts = np.diff(traj.t)
-        lhs = np.diff(E) / dts + dissipation[:-1]
+        E, dissipation, forcing, noise = energy_records(traj, spec)
+        lhs = np.diff(E) / np.diff(traj.t) + dissipation[:-1]
         c_req = max(c_req, float(np.max((lhs - forcing[:-1]) / noise[:-1])))
     if c_req > CALIBRATION_CAP:
         raise CalibrationError(f"no finite constant below cap (required {c_req:.3e})")
     return max(1.1 * c_req, CALIBRATION_FLOOR)
+
+
+def _lemma41_moments(z1, z2, p):
+    """The OU-moment integrand of lemma 4.1, |z1|^(2p-2) + |z1|^p + z1^2 + z2^2."""
+    z1a = np.abs(z1)
+    return z1a ** (2.0 * p - 2.0) + z1a**p + z1**2 + z2**2
 
 
 def calibrate_constant(runs, spec, tau):
@@ -132,7 +133,6 @@ def calibrate_constant(runs, spec, tau):
     if len(runs) < CALIBRATION_MIN_RUNS:
         raise ValueError(f"calibration needs at least {CALIBRATION_MIN_RUNS} trajectories")
     d = spec.delta
-    p = spec.p
     c_req = 0.0
     degenerate = True
     for traj in runs:
@@ -140,8 +140,7 @@ def calibrate_constant(runs, spec, tau):
         S = traj.u_l2sq + traj.v_l2sq
         if np.max(S) > 0:
             degenerate = False
-        z1a = np.abs(traj.z1)
-        moments = z1a ** (2.0 * p - 2.0) + z1a**p + z1a**2 + traj.z2**2
+        moments = _lemma41_moments(traj.z1, traj.z2, spec.p)
         integrand = np.exp(d * (t - tau)) * (traj.g_l2sq + traj.h_l2sq + moments)
         incr = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)
         denom = 1.0 + np.concatenate(([0.0], np.cumsum(incr)))
@@ -171,6 +170,13 @@ def calibrate_rho_constant(runs, components):
     return _calibrated(sup, components, "constant")
 
 
+def rho_radius(tau, path, runs, spec, horizon):
+    """Squared radius of the transformed-variable absorbing ball of one
+    seed: its "rho" quadrature times the constant fitted on its runs."""
+    rho = absorbing_radius(tau, path, spec, 1.0, horizon, kind="rho")
+    return calibrate_rho_constant(runs, rho) * rho.unit_radius
+
+
 # ---------------------------------------------------------------------------
 # absorbing radius
 
@@ -196,9 +202,9 @@ class AbsorbingSetSpec:
 def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
     """Quadrature form of the pullback absorbing radius at (tau, omega).
 
-    kind "lemma41": OU-moment integrand |z1|^(2p-2) + |z1|^p + |z1|^2 + |z2|^2
-    and unit constant term.  kind "rho": integrand |z1|^p + |z2|^2 and
-    constant term 1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
+    kind "lemma41": OU-moment integrand `_lemma41_moments` and unit constant
+    term.  kind "rho": integrand |z1|^p + |z2|^2 and constant term
+    1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
     Converged when both the forcing and the OU-moment history quadratures
     are, by the rule of `model.history_quadrature`.
     """
@@ -217,12 +223,11 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
         z1 = ou1.values(path.offset - n, path.offset)
         z2 = ou2.values(path.offset - n, path.offset)
     wz = np.exp(spec.delta * (np.arange(n + 1) - n) * dt)
-    p = spec.p
     if kind == "lemma41":
-        moments = np.abs(z1) ** (2.0 * p - 2.0) + np.abs(z1) ** p + z1**2 + z2**2
+        moments = _lemma41_moments(z1, z2, spec.p)
         const = 1.0
     elif kind == "rho":
-        moments = np.abs(z1) ** p + z2**2
+        moments = np.abs(z1) ** spec.p + z2**2
         const = 1.0 + z1[-1] ** 2 + z2[-1] ** 2
     else:
         raise ValueError(f"unknown radius kind {kind!r}")
@@ -398,8 +403,6 @@ def pair_dist(a, b, p=None):
 
 @dataclass
 class AttractorApprox:
-    tau: float
-    seed: int
     points: list  # (u~, v~) at the largest schedule time
     provenance: list  # (t_elapsed, sample_id)
     pairwise_l2: np.ndarray
@@ -408,23 +411,18 @@ class AttractorApprox:
     defects_l2: list  # Cauchy defect between consecutive schedule entries
     defects_lp: list
 
-    @property
-    def cauchy_defect_l2(self):
-        return self.defects_l2[-1] if self.defects_l2 else float("nan")
 
-    @property
-    def cauchy_defect_lp(self):
-        return self.defects_lp[-1] if self.defects_lp else float("nan")
-
-
-def attractor_from_runs(runs, tau, seed, p):
+def attractor_from_runs(runs, p):
     """Terminal pullback states at the largest schedule time, with defects.
 
     The Cauchy defect compares each sample's terminal at t_max against the
     same sample's terminal at the previous schedule entry (t_max / 2 for a
-    geometric schedule).  A single-entry schedule leaves it undefined (NaN).
+    geometric schedule).  A single-entry schedule has no defect.
     """
-    ts, d_l2, d_lp = defect_sequences(runs, p)
+    ts, dist = sample_defects(runs, p)
+    # the largest distance at each schedule entry after the first
+    d_l2 = [max([0.0] + [d2 for (s, _), (d2, _) in dist.items() if s == t]) for t in ts[1:]]
+    d_lp = [max([0.0] + [dp for (s, _), (_, dp) in dist.items() if s == t]) for t in ts[1:]]
     points = []
     prov = []
     for r in sorted(runs, key=lambda r: r.sample_id):
@@ -438,7 +436,7 @@ def attractor_from_runs(runs, tau, seed, p):
         for j in range(i + 1, m):
             pl2[i, j] = pl2[j, i] = pair_dist(points[i], points[j])
             plp[i, j] = plp[j, i] = pair_dist(points[i], points[j], p)
-    return AttractorApprox(tau, seed, points, prov, pl2, plp, ts, d_l2, d_lp)
+    return AttractorApprox(points, prov, pl2, plp, ts, d_l2, d_lp)
 
 
 def sample_defects(runs, p):
@@ -460,53 +458,27 @@ def sample_defects(runs, p):
     return ts, dist
 
 
-def defect_sequences(runs, p):
-    """Cauchy defects between consecutive schedule entries, both topologies:
-    the largest `sample_defects` distance at each entry after the first."""
-    ts, dist = sample_defects(runs, p)
-    d_l2 = []
-    d_lp = []
-    for t in ts[1:]:
-        here = [d for (s, _), d in dist.items() if s == t]
-        d_l2.append(max([0.0] + [d2 for d2, _ in here]))
-        d_lp.append(max([0.0] + [dp for _, dp in here]))
-    return ts, d_l2, d_lp
-
-
 # a defect may exceed the previous one by this factor plus a rounding slack
 DEFECT_STEP_FACTOR = 1.5
 DEFECT_STEP_SLACK = 1e-12
 
 
 def bispatial_equality_check(approx, tolerance):
-    """The same terminal points must converge in both topologies.
+    """Whether the same terminal points converge in both topologies.
 
-    PASS when the L2 and Lp defect sequences are both decreasing and their
+    True when the L2 and Lp defect sequences are both decreasing and their
     final entries are within tolerance.  A single step may fluctuate up to
     DEFECT_STEP_FACTOR times the previous defect (plus DEFECT_STEP_SLACK
     for rounding): early entries of the schedule sit in the noise-dominated
     transient, where exact monotonicity is not a consequence of contraction.
+    A one-entry schedule has no defect, and fails.
     """
-    ts, d_l2, d_lp = approx.schedule, approx.defects_l2, approx.defects_lp
-    if len(d_l2) < 1:
-        return {"name": "bispatial_equality", "pass": False, "flagged": "degenerate schedule"}
-    offenders = []
-    for name, seq in (("l2", d_l2), ("lp", d_lp)):
-        for k in range(len(seq) - 1):
-            if seq[k + 1] > DEFECT_STEP_FACTOR * seq[k] + DEFECT_STEP_SLACK:
-                offenders.append({"norm": name, "pair": (ts[k + 1], ts[k + 2])})
-    final_ok = d_l2[-1] <= tolerance and d_lp[-1] <= tolerance
-    return {
-        "name": "bispatial_equality",
-        "pass": bool(not offenders and final_ok),
-        "schedule": ts,
-        "defects_l2": d_l2,
-        "defects_lp": d_lp,
-        "final_defect_l2": d_l2[-1],
-        "final_defect_lp": d_lp[-1],
-        "tolerance": tolerance,
-        "offending_pairs": offenders,
-    }
+    if not approx.defects_l2:
+        return False
+    seqs = (approx.defects_l2, approx.defects_lp)
+    rising = any(b > DEFECT_STEP_FACTOR * a + DEFECT_STEP_SLACK
+                 for seq in seqs for a, b in zip(seq, seq[1:]))
+    return not rising and all(seq[-1] <= tolerance for seq in seqs)
 
 
 def containment_check(approx, rho):
@@ -514,9 +486,9 @@ def containment_check(approx, rho):
     return all(l2_sq(u.values, u.grid) + l2_sq(v.values, v.grid) <= rho for u, v in approx.points)
 
 
-def bispatial_report(ensembles, rho_radii, spec, tau, tolerance):
+def bispatial_report(ensembles, rho_radii, spec, tolerance):
     """Each seed's attractor approximation converges in both topologies
-    (`bispatial_equality_check`) and lies in its rho ball.
+    (`bispatial_equality_check`) and lies in its rho ball (`rho_radius`).
 
     A one-entry schedule has no defect: the check fails, is flagged as a
     degenerate schedule, and each seed's final defects are null.
@@ -527,19 +499,18 @@ def bispatial_report(ensembles, rho_radii, spec, tau, tolerance):
     rows = []
     for runs, rho in zip(ensembles, rho_radii):
         seed = runs[0].seed
-        ap = attractor_from_runs(runs, tau, seed, spec.p)
-        bi = bispatial_equality_check(ap, tolerance)
+        ap = attractor_from_runs(runs, spec.p)
+        converged = bispatial_equality_check(ap, tolerance)
         contained = containment_check(ap, rho)
-        passed = passed and bi["pass"] and contained
-        if "flagged" in bi:
-            details["flagged"] = bi["flagged"]
-            defects[seed] = {"l2": None, "lp": None}
-            continue
-        defects[seed] = {"l2": bi["final_defect_l2"], "lp": bi["final_defect_lp"]}
+        passed = passed and converged and contained
         rows.extend(
-            (seed, t, d2, dp)
-            for t, d2, dp in zip(bi["schedule"][1:], bi["defects_l2"], bi["defects_lp"])
+            (seed, t, d2, dp) for t, d2, dp in zip(ap.schedule[1:], ap.defects_l2, ap.defects_lp)
         )
+        if ap.defects_l2:
+            defects[seed] = {"l2": ap.defects_l2[-1], "lp": ap.defects_lp[-1]}
+        else:
+            details["flagged"] = "degenerate schedule"
+            defects[seed] = {"l2": None, "lp": None}
     return Check("bispatial_equality", passed, details,
                  {"final_defect_by_seed": defects},
                  ("defect_vs_t.csv", ["seed", "t", "defect_l2", "defect_lp"], rows))

@@ -75,9 +75,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
 
 def _axis_second_diff(v, axis, boundary):
     if boundary == "periodic":

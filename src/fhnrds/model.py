@@ -160,19 +160,6 @@ class FhnState:
         return self.u.grid
 
 
-def to_tilde(state, spec, z1, z2):
-    """(u, v) -> (u + h1*z1, v + h2*z2)."""
-    ut = ScalarField(state.grid, state.u.values + spec.h1.values * z1)
-    vt = ScalarField(state.grid, state.v.values + spec.h2.values * z2)
-    return ut, vt
-
-
-def from_tilde(u_tilde, v_tilde, spec, z1, z2, t=0.0):
-    u = ScalarField(u_tilde.grid, u_tilde.values - spec.h1.values * z1)
-    v = ScalarField(v_tilde.grid, v_tilde.values - spec.h2.values * z2)
-    return FhnState(t, u, v)
-
-
 class _ImplicitOperator:
     """Solver for (1 + dt*lam) I - dt*Lap, set up once per `solve_batch` call.
 
@@ -503,10 +490,7 @@ def validate_forcing(spec, tau, horizon, dt):
     for i in range(0, n + 1, _HISTORY_CHUNK):
         s = tau - horizon + np.arange(i, min(i + _HISTORY_CHUNK, n + 1)) * dt
         w = np.exp(spec.delta * (s - tau))
-        gf = np.broadcast_to(np.asarray(spec.g.factor(s), dtype=float), s.shape)
-        hf = np.broadcast_to(np.asarray(spec.h.factor(s), dtype=float), s.shape)
-        np.multiply(w, gf * gf * spec.g.profile_l2sq + hf * hf * spec.h.profile_l2sq,
-                    out=integrand[i : i + s.size])
+        np.multiply(w, spec.g.l2sq_at(s) + spec.h.l2sq_at(s), out=integrand[i : i + s.size])
     return history_quadrature(integrand, dt)
 
 

@@ -96,8 +96,9 @@ class WienerPath:
     """Discrete two-component Wiener path anchored at omega(origin) = 0.
 
     `offset` is the origin expressed in steps of the underlying counter
-    stream, so shifting the path is just an index offset and the shift
-    group law holds exactly on the grid.
+    stream: relative step k of component c draws `wiener_increment(NoiseSeed(
+    seed, c), offset + k, dt)`.  So shifting the path is just an index offset
+    and the shift group law holds exactly on the grid.
     """
 
     seed: int
@@ -107,11 +108,6 @@ class WienerPath:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-    def increments(self, component, k0, k1):
-        """Increments for relative steps k0 <= k < k1 (absolute offset applied)."""
-        ks = np.arange(self.offset + k0, self.offset + k1, dtype=np.int64)
-        return wiener_increment(NoiseSeed(self.seed, component), ks, self.dt)
 
     def shift(self, s):
         """theta_s omega: the path t -> omega(s + t) - omega(s)."""

@@ -40,7 +40,7 @@ from fhnrds.fields import Grid, ScalarField, bump_field
 from fhnrds.model import (
     FhnState, Forcing, ModelSpec, Nonlinearity, SolverSpec, solve,
 )
-from fhnrds.noise import OuProcess, WienerPath
+from fhnrds.noise import NoiseSeed, OuProcess, WienerPath, wiener_increment
 
 from cocycle_law import cocycle_check
 
@@ -149,9 +149,10 @@ def test_criterion_1_ou_stationarity(report):
 def test_criterion_2_shift_and_cocycle_laws(spec, solver, report):
     path = WienerPath(seed=0, dt=solver.dt)
     shift_ok = path.shift(0.5).shift(0.25) == path.shift(0.75)
+    stream = NoiseSeed(path.seed, 1)
     shift_ok = shift_ok and np.array_equal(
-        path.shift(1.0).increments(1, -10, 10),
-        path.increments(1, -10 + 1000, 10 + 1000),
+        wiener_increment(stream, path.shift(1.0).offset + np.arange(-10, 10), solver.dt),
+        wiener_increment(stream, path.offset + np.arange(-10 + 1000, 10 + 1000), solver.dt),
     )
     u0 = bump_field(spec.grid, amplitude=0.5, width=6.0)
     v0 = bump_field(spec.grid, center=3.0, amplitude=0.5, width=6.0)
@@ -250,11 +251,11 @@ def test_criterion_9_bispatial_attractor(spec, solver, canonical_verify, report)
     fam = FamilySpec(base_radius=1.0, growth_rate=0.0, sample_count=2, delta=det.delta)
     path = WienerPath(seed=0, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(0.0, [path], fam, det, solver, [16.0, 32.0])
-    ap = dg.attractor_from_runs(runs, 0.0, 0, det.p)
+    ap = dg.attractor_from_runs(runs, det.p)
     zero_norm = max(
         np.sqrt(dg.l2_sq(u.values, grid) + dg.l2_sq(v.values, grid)) for u, v in ap.points
     )
-    det_ok = ap.cauchy_defect_l2 <= 1e-6 and ap.cauchy_defect_lp <= 1e-6 and zero_norm <= 1e-6
+    det_ok = ap.defects_l2[-1] <= 1e-6 and ap.defects_lp[-1] <= 1e-6 and zero_norm <= 1e-6
     stored = archived_fixture("final_defect_by_seed", defects)
     fixture_ok, verdict = compare_fixture(stored, defects, DEFECT_TOL)
     # tolerance sensitivity: scaling any one archived defect by (1 + 1e-3)
@@ -267,7 +268,7 @@ def test_criterion_9_bispatial_attractor(spec, solver, canonical_verify, report)
             caught = caught and not compare_fixture(perturbed, defects, DEFECT_TOL)[0]
     report(9, "bi-spatial attractor", bispatial["pass"] and det_ok and fixture_ok and caught,
            f"worst stochastic defect {worst:.2e}, deterministic defect "
-           f"{ap.cauchy_defect_l2:.2e}, {verdict}, 1e-3 perturbation caught={caught}")
+           f"{ap.defects_l2[-1]:.2e}, {verdict}, 1e-3 perturbation caught={caught}")
 
 
 def test_criterion_10_reproducibility(canonical_verify, tmp_path, report):

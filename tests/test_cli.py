@@ -96,6 +96,55 @@ def test_cli_verify_too_few_pullback_runs_exit_2(tmp_path, capsys):
     assert cli.main(["pullback", "--config", cfgp, "--out", str(tmp_path / "pull")]) == 0
 
 
+@pytest.mark.parametrize("command, line", [
+    ("verify", "schedules.M = 2,1"),  # not increasing
+    ("verify", "schedules.M = 0,1"),  # the superlevel set of M = 0 is the domain
+    ("verify", "schedules.t = -2,4"),
+    ("pullback", "schedules.t = -2,4"),
+    ("attractor", "schedules.t = -2,4"),
+])
+def test_cli_bad_schedule_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, line):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a bad schedule reached the solver")
+
+    monkeypatch.setattr(cli, "solve_batch", no_step)
+    monkeypatch.setattr(diagnostics, "phi_batch", no_step)
+    cfgp = write_cfg(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "bad"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: schedules.") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_cli_calibration_error_exit_2(tmp_path, capsys, monkeypatch):
+    # no constant is below a negative cap
+    monkeypatch.setattr(diagnostics, "CALIBRATION_CAP", -1.0)
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
+    out = tmp_path / "cal"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("calibration: no finite constant below cap") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_cli_internal_error_leaves_manifest_and_reraises(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    out = tmp_path / "bug"
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        cli.main(["simulate", "--config", write_cfg(tmp_path, SMALL), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "internal: ZeroDivisionError: injected"
+    assert manifest["config_hash"] is not None and manifest["artifacts"] == []
+
+
 # g grows backward in time, so its history integral does not converge
 UNCONVERGED = SMALL + """
 forcing.g.kind = exp
@@ -185,6 +234,15 @@ def test_cli_noise_and_simulate(tmp_path):
     ) == 0
     header = (out2 / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,u_l2sq,v_l2sq")
+
+
+def test_cli_simulate_starts_at_experiment_tau(tmp_path):
+    # the initial state is placed at tau, where the run starts
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.tau = 1.0\n")
+    out = tmp_path / "tau1"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(out), "--duration", "0.1"]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == 1.0 and float(rows[-1].split(",")[0]) == 1.1
 
 
 def test_cli_seed_override(tmp_path):
@@ -281,6 +339,10 @@ def test_cli_worker_exception_reaches_parent(tmp_path):
         pytest.fail("verify --threads 2 hung on a worker exception")
     assert proc.returncode == 1
     assert "WorkerError: TwoArgError in a worker process: energy phase: injected failure" in err
+    # a bug still leaves a manifest, which names it
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"] == ("internal: WorkerError: TwoArgError in a worker process: "
+                                 "energy phase: injected failure")
 
 
 def test_cli_resolves_config_once(tmp_path, monkeypatch):
@@ -346,6 +408,27 @@ def test_manifest_references_every_artifact(tmp_path):
     assert manifest["config_hash"] == load_config(cfgp).config_hash
 
 
+def test_attractor_reports_the_verify_verdict_of_its_seed(tmp_path):
+    # attractor --seed s reports the bi-spatial verdict, final defects and
+    # defect table that verify gives seed s, its first pullback seed
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
+    seed = 7
+    att, ver = tmp_path / "att", tmp_path / "ver"
+    assert cli.main(["attractor", "--config", cfgp, "--out", str(att), "--seed", str(seed)]) == 0
+    assert cli.main(["verify", "--config", cfgp, "--out", str(ver), "--seed", str(seed)]) in (0, 1)
+    attractor = json.loads((att / "attractor.json").read_text())
+    report = json.loads((ver / "report.json").read_text())
+    entry = next(c for c in report["checks"] if c["name"] == "bispatial_equality")
+    assert attractor["bispatial"] == entry == {"name": "bispatial_equality", "pass": True}
+    final = report["fixtures"]["final_defect_by_seed"]
+    assert attractor["fixtures"] == {"final_defect_by_seed": {str(seed): final[str(seed)]}}
+    header, *rows = (ver / "defect_vs_t.csv").read_text().splitlines()
+    assert (att / "defect_vs_t.csv").read_text().splitlines() == [
+        header, *(row for row in rows if row.startswith(f"{seed},"))]
+    manifest = json.loads((att / "manifest.json").read_text())
+    assert manifest["checks"] == {"bispatial_equality": True}
+
+
 def test_cli_attractor_writes_snapshots(tmp_path):
     cfgp = write_cfg(tmp_path, SMALL + "family.sample_count = 2\n")
     out = tmp_path / "att"
@@ -367,8 +450,9 @@ def test_attractor_json_has_no_bare_nan(tmp_path):
         raise ValueError(f"bare {name} in attractor.json")
 
     report = json.loads((out / "attractor.json").read_text(), parse_constant=reject)
-    assert report["cauchy_defect_l2"] is None and report["cauchy_defect_lp"] is None
-    assert report["bispatial"]["flagged"] == "degenerate schedule"
+    assert report["fixtures"] == {"final_defect_by_seed": {"42": {"l2": None, "lp": None}}}
+    assert report["bispatial"] == {"name": "bispatial_equality", "pass": False,
+                                   "flagged": "degenerate schedule"}
 
 
 # perfbench/spans.py wraps fhnrds functions by their module attributes for

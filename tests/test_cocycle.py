@@ -6,9 +6,11 @@ from fhnrds.cocycle import (
     CocycleInput,
     FamilySpec,
     _scrambled_halton,
+    from_tilde,
     phi,
     pullback,
     sample_family,
+    to_tilde,
 )
 from fhnrds.config import default_config
 from fhnrds.fields import ScalarField, bump_field, l2_sq
@@ -47,6 +49,16 @@ def test_family_decay_bound():
     series = np.exp(-fam.delta * t) * fam.radius(t) ** 2
     assert np.all(np.diff(series) <= 0)
     assert series[-1] < 1e-8
+
+
+def test_tilde_roundtrip(small):
+    _, spec, _, _ = small
+    u = bump_field(spec.grid, amplitude=1.0)
+    v = bump_field(spec.grid, center=1.0, amplitude=0.5)
+    st = from_tilde(u, v, spec, 0.37, -0.81, t=0.0)
+    u2, v2 = to_tilde(st, spec, 0.37, -0.81)
+    np.testing.assert_allclose(u2.values, u.values, atol=1e-14)
+    np.testing.assert_allclose(v2.values, v.values, atol=1e-14)
 
 
 def test_phi_time_zero_is_identity(small):

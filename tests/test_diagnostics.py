@@ -64,8 +64,8 @@ def sliced(traj, sl):
 def test_energy_inequality_zero_dynamics_trivial():
     _, spec, _, traj = zero_spec_and_traj()
     assert dg.verify_energy_inequality([traj], spec, 0.0, *TOL).passed
-    E, dissipation, rhs = dg.energy_records(traj, spec, 0.0)
-    assert np.all(E == 0.0) and np.all(rhs == 0.0)
+    E, dissipation, forcing, noise = dg.energy_records(traj, spec)
+    assert np.all(E == 0.0) and np.all(forcing == 0.0)
 
 
 def test_energy_inequality_decay_without_noise(small):
@@ -234,17 +234,19 @@ def test_attractor_single_entry_schedule_flagged(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs
     only8 = [r for r in runs if r.t == 8.0]
-    ap = dg.attractor_from_runs(only8, 0.0, 5, spec.p)
+    ap = dg.attractor_from_runs(only8, spec.p)
     assert ap.schedule == [8.0] and ap.defects_l2 == [] and ap.defects_lp == []
-    assert np.isnan(ap.cauchy_defect_l2) and np.isnan(ap.cauchy_defect_lp)
-    bi = dg.bispatial_equality_check(ap, 1e-3)
-    assert not bi["pass"]
+    assert dg.bispatial_equality_check(ap, np.inf) is False
+    check = dg.bispatial_report([only8], [np.inf], spec, np.inf)
+    assert not check.passed and check.details == {"flagged": "degenerate schedule"}
+    assert check.fixtures == {"final_defect_by_seed": {5: {"l2": None, "lp": None}}}
+    assert check.table[2] == []
 
 
 def test_attractor_matrices_symmetric(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs
-    ap = dg.attractor_from_runs(runs, 0.0, 5, spec.p)
+    ap = dg.attractor_from_runs(runs, spec.p)
     assert len(ap.points) > 0
     np.testing.assert_array_equal(ap.pairwise_l2, ap.pairwise_l2.T)
     assert np.all(np.diag(ap.pairwise_l2) == 0.0)
@@ -252,7 +254,7 @@ def test_attractor_matrices_symmetric(small, small_runs):
 
 
 def test_bispatial_injected_failure(small):
-    """Lp defects rising while L2 defects fall must fail with the pair named."""
+    """Lp defects rising while L2 defects fall must fail, at any tolerance."""
     _, spec, _, _ = small
     grid = spec.grid
     # disjoint supports: wide moderate block, zero, then a tall narrow spike,
@@ -264,10 +266,15 @@ def test_bispatial_injected_failure(small):
         vals[sl] = amp
         runs.append(dg.PullbackRun(t, 0, 1, None, ScalarField(grid, vals),
                                    ScalarField.zeros(grid)))
-    ap = dg.attractor_from_runs(runs, 0.0, 1, spec.p)
-    bi = dg.bispatial_equality_check(ap, 1e-3)
-    assert not bi["pass"]
-    assert any(o["norm"] == "lp" for o in bi["offending_pairs"])
+    ap = dg.attractor_from_runs(runs, spec.p)
+    assert ap.defects_l2[1] < ap.defects_l2[0] and ap.defects_lp[1] > 1.5 * ap.defects_lp[0]
+    assert not dg.bispatial_equality_check(ap, 1e-3)
+    assert not dg.bispatial_equality_check(ap, np.inf)
+    # the rising Lp step is what fails: the L2 sequence alone passes
+    assert dg.bispatial_equality_check(dataclasses.replace(ap, defects_lp=ap.defects_l2), np.inf)
+    check = dg.bispatial_report([runs], [np.inf], spec, np.inf)
+    assert not check.passed and check.details == {}
+    assert [row[:2] for row in check.table[2]] == [(1, 4.0), (1, 8.0)]
 
 
 def radius(value):
@@ -304,7 +311,7 @@ def test_compact_interval_sup_dominates_endpoint(small, small_runs):
 def test_containment_check(small, small_runs):
     _, spec, _, _ = small
     _, runs = small_runs
-    ap = dg.attractor_from_runs(runs, 0.0, 5, spec.p)
+    ap = dg.attractor_from_runs(runs, spec.p)
     assert dg.containment_check(ap, rho=np.inf)
     assert not dg.containment_check(ap, rho=0.0)
 
@@ -323,7 +330,7 @@ def verdicts_at(small, small_runs, scale):
     rho = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, kind="rho")
     c_rho = dg.calibrate_rho_constant(runs, rho)
     scaled_R = dg.absorbing_radius(0.0, path, spec, scale * c_cal, 40.0)
-    ap = dg.attractor_from_runs(runs, 0.0, path.seed, spec.p)
+    ap = dg.attractor_from_runs(runs, spec.p)
     return {
         "energy": dg.verify_energy_inequality(trajs, spec, scale * c_noise, *TOL).passed,
         "absorption": dg.absorption_report([runs], [scaled_R], [2.0, 4.0, 8.0]).passed,

@@ -19,11 +19,9 @@ from fhnrds.model import (
     StructureViolation,
     _HISTORY_CHUNK,
     _ImplicitOperator,
-    from_tilde,
     history_quadrature,
     solve,
     solve_batch,
-    to_tilde,
     validate_forcing,
     validate_structure,
 )
@@ -416,17 +414,6 @@ def test_run_splitting_bitwise():
     second = solve(spec, solver, path.shift(1.0), 1.0, 2.0, first.final)
     np.testing.assert_array_equal(whole.final.u.values, second.final.u.values)
     np.testing.assert_array_equal(whole.final.v.values, second.final.v.values)
-
-
-def test_tilde_roundtrip():
-    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
-    spec = cfg.model_spec()
-    u = bump_field(spec.grid, amplitude=1.0)
-    v = bump_field(spec.grid, center=1.0, amplitude=0.5)
-    st = from_tilde(u, v, spec, 0.37, -0.81, t=0.0)
-    u2, v2 = to_tilde(st, spec, 0.37, -0.81)
-    np.testing.assert_allclose(u2.values, u.values, atol=1e-14)
-    np.testing.assert_allclose(v2.values, v.values, atol=1e-14)
 
 
 def test_blow_up_detected():

@@ -68,14 +68,15 @@ def test_wiener_increment_negative_steps():
 
 def test_path_shift_group_law_exact():
     path = WienerPath(seed=5, dt=1e-3)
+    stream = NoiseSeed(path.seed, 1)
     for s, t in [(0.25, 0.5), (-1.0, 0.75), (2.0, -0.5)]:
         shifted = path.shift(s)
         # the shifted path reads the exact same increment stream, bitwise
         k = step_index(t, path.dt)
-        lo, hi = min(0, k), max(0, k)
+        ks = np.arange(min(0, k), max(0, k))
         assert np.array_equal(
-            shifted.increments(1, lo, hi),
-            path.increments(1, step_index(s, path.dt) + lo, step_index(s, path.dt) + hi),
+            wiener_increment(stream, shifted.offset + ks, path.dt),
+            wiener_increment(stream, path.offset + step_index(s, path.dt) + ks, path.dt),
         )
     # composition of shifts is exact offset arithmetic
     assert path.shift(0.5).shift(0.25) == path.shift(0.75)

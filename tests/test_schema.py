@@ -1,11 +1,12 @@
-"""JSON Schemas of the canonical `fhnrds verify` report.json and manifest.json.
+"""JSON Schemas of the canonical `fhnrds verify` report.json and manifest.json,
+and of the attractor.json of `fhnrds attractor`.
 
-The schemas pin the typed shape of both files: the checks by name and in
+The schemas pin the typed shape of the files: the checks by name and in
 report order, every verdict a JSON boolean, every fixture a JSON number keyed
 by pullback seed, and the manifest's artifact list.  They are validated
 against the canonical run that conftest's `canonical_verify` makes once per
-pytest session, so no extra run is made; a one-entry schedule's report is
-validated on a small grid.
+pytest session, so no extra run is made; a one-entry schedule's report and
+an attractor.json are validated on a small grid.
 """
 
 import copy
@@ -153,3 +154,45 @@ def test_one_entry_schedule_report_matches_its_schema(tmp_path):
     errors = [e.message for e in validator(manifest_schema(out, report)).iter_errors(manifest)]
     assert not errors, errors
     assert manifest["checks"]["bispatial_equality"] is False
+
+
+def attractor_schema(seed, points):
+    """The schema of attractor.json: the approximation's points, and the
+    bi-spatial entry and fixtures that verify reports for the same seed."""
+    def array(items, count):
+        return {"type": "array", "items": items, "minItems": count, "maxItems": count}
+
+    return closed({
+        "tau": NUMBER,
+        "seed": {"const": seed},
+        "points": {"const": points},
+        "provenance": array({"type": "array", "prefixItems": [NONNEGATIVE, COUNT],
+                             "items": False, "minItems": 2}, points),
+        "pairwise_l2": array(array(NONNEGATIVE, points), points),
+        "pairwise_lp": array(array(NONNEGATIVE, points), points),
+        "bispatial": closed({"name": {"const": "bispatial_equality"}, "pass": {"type": "boolean"}}),
+        "fixtures": closed({"final_defect_by_seed": closed({
+            str(seed): closed({"l2": NONNEGATIVE, "lp": NONNEGATIVE})})}),
+    })
+
+
+def test_attractor_json_matches_its_schema(tmp_path):
+    cfgp = tmp_path / "small.cfg"
+    cfgp.write_text("grid.n = 64\ngrid.half_width = 8.0\nfamily.sample_count = 3\n")
+    out = tmp_path / "att"
+    assert cli.main(["attractor", "--config", str(cfgp), "--out", str(out)]) == 0
+    doc = json.loads((out / "attractor.json").read_text())
+    check = validator(attractor_schema(42, 3))
+    errors = [e.message for e in check.iter_errors(doc)]
+    assert not errors, errors
+    for change in (
+        lambda d: d["bispatial"].update({"pass": "true"}),
+        lambda d: d["bispatial"].update({"offending_pairs": []}),
+        lambda d: d.update({"cauchy_defect_l2": None}),
+        lambda d: d["fixtures"]["final_defect_by_seed"]["42"].update({"l2": None}),
+        lambda d: d["provenance"].pop(),
+        lambda d: d.pop("fixtures"),
+    ):
+        corrupted = copy.deepcopy(doc)
+        change(corrupted)
+        assert not check.is_valid(corrupted)
