@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__, diagnostics as dg
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, write_snapshot
-from .model import BlowUpError, FhnState, solve, solve_batch
-from .noise import GridAlignmentError, WienerPath, get_ou, step_index, temperedness_probe
+from .model import FhnState, solve, solve_batch
+from .noise import RunError, WienerPath, get_ou, step_index, temperedness_probe
 
 
 def _fmt(x):
@@ -118,7 +118,7 @@ _TASK = None
 def _run_task(chunk):
     try:
         return _TASK(chunk)
-    except (BlowUpError, GridAlignmentError):  # both pickle; main() turns them into exit code 2
+    except RunError:  # they pickle; main() turns them into exit code 2
         raise
     except Exception as exc:
         raise WorkerError(type(exc).__name__, str(exc)) from None
@@ -382,12 +382,8 @@ def main(argv=None):
             manifest.error = f"invalid config: {exc}"
         else:
             status = COMMANDS[args.command](manifest.cfg, out, args, manifest)
-    except BlowUpError as exc:
-        manifest.error = f"blow-up: {exc}"
-    except GridAlignmentError as exc:
-        manifest.error = f"off-grid time: {exc}"
-    except dg.CalibrationError as exc:
-        manifest.error = f"calibration: {exc}"
+    except RunError as exc:  # a blow-up, an off-grid time or a calibration failure
+        manifest.error = f"{exc.kind}: {exc}"
     except BaseException as exc:  # a bug or an interrupt: no manifest may read as a success
         manifest.error = f"internal: {type(exc).__name__}: {exc}"
         raise

@@ -214,8 +214,12 @@ def resolve(values):
     M, ts = resolved["schedules.M"], resolved["schedules.t"]
     if min(M) <= 0 or any(b <= a for a, b in zip(M, M[1:])):
         raise ConfigError(f"schedules.M must be positive and strictly increasing, got {list(M)}")
-    if min(ts) < 0:
-        raise ConfigError(f"schedules.t must be nonnegative elapsed times, got {list(ts)}")
+    if min(ts) < 0 or len(set(ts)) < len(ts):
+        raise ConfigError(f"schedules.t must be distinct nonnegative elapsed times, got {list(ts)}")
+    if resolved["experiment.energy_seed_count"] < 1:
+        raise ConfigError(
+            f"experiment.energy_seed_count must be at least 1, got {resolved['experiment.energy_seed_count']}"
+        )
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
     cfg.family_spec(spec.delta)  # the family must be tempered

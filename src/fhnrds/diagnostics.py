@@ -24,15 +24,17 @@ import numpy as np
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals
 from .model import history_quadrature, validate_forcing
-from .noise import get_ou, step_index
+from .noise import RunError, get_ou, step_index
 
 CALIBRATION_CAP = 1e6
 CALIBRATION_FLOOR = 1e-6
 CALIBRATION_MIN_RUNS = 20  # pullback runs `calibrate_constant` fits on
 
 
-class CalibrationError(RuntimeError):
-    pass
+class CalibrationError(RunError, RuntimeError):
+    """No finite constant below `CALIBRATION_CAP` fits the runs."""
+
+    kind = "calibration"
 
 
 @dataclass

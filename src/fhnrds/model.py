@@ -23,13 +23,15 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
-from .noise import get_ou, step_index
+from .noise import RunError, get_ou, step_index
 
 BLOWUP_THRESHOLD = 1e8
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(RunError, RuntimeError):
     """A run left the finite range; `member` is its (seed, horizon)."""
+
+    kind = "blow-up"
 
     def __init__(self, t, max_u, member=None):
         where = "" if member is None else f" in the run of seed {member[0]}, horizon t={member[1]}"

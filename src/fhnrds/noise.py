@@ -17,8 +17,17 @@ from scipy.linalg.lapack import dgttrs
 from scipy.special import ndtri
 
 
-class GridAlignmentError(ValueError):
+class RunError(Exception):
+    """An expected failure of a run, which `cli.main` turns into exit code 2
+    with `"<kind>: <message>"` in the manifest; each subclass names its
+    `kind`.  It lives here because every module that raises one imports
+    `noise`."""
+
+
+class GridAlignmentError(RunError, ValueError):
     """A time did not fall on the shared simulation grid."""
+
+    kind = "off-grid time"
 
 
 def step_index(t, dt):
@@ -119,11 +128,12 @@ def stationary_variance(rate):
 
 
 # increments hashed at once (a few hundred kB of scratch, so the hash stays
-# in cache), OU blocks per piece of a fill, one `dgttrs` call each, and OU
-# blocks an `OuProcess` keeps
+# in cache), window values per piece of a fill, one `dgttrs` call each, and
+# block values an `OuProcess` keeps; counted in values, not blocks, so the
+# memory of a process does not grow as its block length B = 20/(rate*dt)
 _HASH_CHUNK = 1 << 15
-_SOLVE_CHUNK = 16
-_CACHE_BLOCKS = 2 * _SOLVE_CHUNK
+_SOLVE_VALUES = 1 << 17
+_CACHE_VALUES = 1 << 18
 
 
 class OuProcess:
@@ -137,9 +147,16 @@ class OuProcess:
     evaluations of the same step agree bitwise -- the property the cocycle
     law test relies on.
 
-    The process keeps at most `_CACHE_BLOCKS` blocks and drops the least
-    recently read one first, so its memory does not grow with the span read.
-    A block read again after it was dropped is filled again, bitwise the same.
+    A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
+    as many 2B-1 step windows as `_SOLVE_VALUES` holds and at least one.  The
+    process keeps `cache_blocks` blocks, as many as `_CACHE_VALUES` holds and
+    at least one piece, and drops the least recently read one first, so the
+    memory of a strided read grows neither with its span nor with 1/dt.  A
+    stride-1 read returns every value of its span, and the cache grows to
+    keep as many blocks as the longest one covers, so that reading a window
+    again, or one shifted by less than a block, fills only the blocks it does
+    not share.  A block read again after it was dropped is filled again,
+    bitwise the same.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
     LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
@@ -159,27 +176,31 @@ class OuProcess:
         self.B = max(1, int(round(20.0 / rate / dt)))
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
+        self.piece_blocks = max(1, _SOLVE_VALUES // (2 * self.B - 1))
+        self.cache_blocks = max(self.piece_blocks, _CACHE_VALUES // self.B)
         self._blocks = OrderedDict()  # least recently read first
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts
-        # among them; a read drops them when it is done
+        # among them, and the `dgttrs` arguments and decay powers its fills
+        # share, which depend only on B; a read drops both when it is done
         self._tail = (0, np.empty(0))
+        self._sweep = None
 
     def _compute_blocks(self, ms):
         """Fill the cache for the block indices in `ms` and mark them read last.
 
-        The blocks are filled in pieces of at most `_SOLVE_CHUNK` consecutive
+        The blocks are filled in pieces of at most `piece_blocks` consecutive
         blocks, one `dgttrs` call each, so a fill's scratch is one piece's
         however long its span, and no cached block is drawn again.  Each
-        block filled past `_CACHE_BLOCKS` drops the least recently read one;
-        with at most `_CACHE_BLOCKS` indices in `ms`, none of `ms` is dropped.
+        block filled past `cache_blocks` drops the least recently read one;
+        with at most `cache_blocks` indices in `ms`, none of `ms` is dropped.
         """
         pieces = []
         for m in ms:
             if m in self._blocks:
                 self._blocks.move_to_end(m)
         for m in sorted(set(ms) - self._blocks.keys()):
-            if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < _SOLVE_CHUNK:
+            if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < self.piece_blocks:
                 pieces[-1].append(m)
             else:
                 pieces.append([m])
@@ -188,17 +209,19 @@ class OuProcess:
         B = self.B
         w = 2 * B - 1
         a = self._decay
-        # scratch shared by the pieces of this fill: the `dgttrs` arguments,
-        # which depend only on B, and one piece's increments and windows
-        dl, d = np.full(w - 1, -a), np.ones(w)
-        du, du2 = np.zeros(w - 1), np.zeros(max(w - 2, 0))
-        ipiv = np.arange(1, w + 1, dtype=np.int32)
+        if self._sweep is None:
+            # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
+            # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2;
+            # du and du2 are zero, so they share one array
+            zero = np.zeros(max(w - 1, 0))
+            self._sweep = (np.full(w - 1, -a), np.ones(w), zero, zero[: max(w - 2, 0)],
+                           np.arange(1, w + 1, dtype=np.int32), a ** np.arange(B, 2 * B))
+        dl, d, du, du2, ipiv, pows = self._sweep
+        # scratch shared by the pieces of this fill: one piece's increments
+        # and windows
         longest = max(len(piece) for piece in pieces)
         xi_buf = np.empty((longest + 1) * B - 1)
         y_buf = np.empty((longest, w))
-        # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
-        # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
-        pows = a ** np.arange(B, 2 * B)
         sd = np.sqrt(stationary_variance(self.rate))
         k1, xi = self._tail  # the end step of the increments drawn last, and their tail
         for piece in pieces:
@@ -222,7 +245,7 @@ class OuProcess:
             u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
             for m, z0, row in zip(piece, ndtri(u) * sd, y):
                 self._blocks[m] = z0 * pows + row[B - 1 :]
-                if len(self._blocks) > _CACHE_BLOCKS:
+                if len(self._blocks) > self.cache_blocks:
                     self._blocks.popitem(last=False)
         self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
@@ -239,7 +262,15 @@ class OuProcess:
         outs = [np.empty((j1 - j0) // stride + 1) for j0, j1, stride in spans]
         done = [0] * len(spans)  # next output index of each span
         ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
-        group = min(_SOLVE_CHUNK, _CACHE_BLOCKS)
+        # the cache grows to the blocks of the longest stride-1 span, whose
+        # values the caller holds anyway, and the cached blocks of this read
+        # count as read now, so its fills drop blocks outside it first
+        dense = [j1 // B - j0 // B + 1 for j0, j1, stride in spans if stride == 1]
+        self.cache_blocks = max([self.cache_blocks, *dense])
+        for m in ms:
+            if m in self._blocks:
+                self._blocks.move_to_end(m)
+        group = self.piece_blocks
         for g in range(0, len(ms), group):
             self._compute_blocks(ms[g : g + group])
             for m in ms[g : g + group]:
@@ -250,7 +281,7 @@ class OuProcess:
                         count = (last - j) // stride + 1
                         out[done[s] : done[s] + count] = block[j - m * B : last - m * B + 1 : stride]
                         done[s] += count
-        self._tail = (0, np.empty(0))
+        self._tail, self._sweep = (0, np.empty(0)), None
         return outs
 
     def values(self, j0, j1, stride=1):

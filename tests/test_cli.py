@@ -11,8 +11,8 @@ import pytest
 
 from fhnrds import cli, config, diagnostics, noise
 from fhnrds.config import ConfigError, DEFAULTS, default_config, load_config, parse_config_text
-from fhnrds.model import StructureViolation
-from fhnrds.noise import step_index
+from fhnrds.model import BlowUpError, StructureViolation
+from fhnrds.noise import GridAlignmentError, RunError, step_index
 
 SMALL = """
 # small domain for fast runs
@@ -102,6 +102,8 @@ def test_cli_verify_too_few_pullback_runs_exit_2(tmp_path, capsys):
     ("verify", "schedules.t = -2,4"),
     ("pullback", "schedules.t = -2,4"),
     ("attractor", "schedules.t = -2,4"),
+    ("pullback", "schedules.t = 2,2,4"),  # each t = 2 run would be written twice
+    ("verify", "schedules.t = 2,4,8,16,2"),
 ])
 def test_cli_bad_schedule_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, line):
     def no_step(*args, **kwargs):
@@ -117,6 +119,46 @@ def test_cli_bad_schedule_exit_2_before_any_step(tmp_path, capsys, monkeypatch, 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == err.strip()
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_cli_verify_without_energy_seeds_exit_2_before_any_step(tmp_path, capsys, monkeypatch, count):
+    # the energy inequality needs at least one trajectory
+    def no_step(*args, **kwargs):
+        raise AssertionError("a config without energy seeds reached the solver")
+
+    monkeypatch.setattr(cli, "solve_batch", no_step)
+    monkeypatch.setattr(diagnostics, "phi_batch", no_step)
+    cfgp = write_cfg(tmp_path, SMALL + f"experiment.energy_seed_count = {count}\n")
+    out = tmp_path / "none"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: experiment.energy_seed_count ") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error, kind", [
+    (BlowUpError(1.5, 3.0e9, (42, 8.0)), "blow-up"),
+    (GridAlignmentError("time 0.1 is not a multiple of dt=0.003"), "off-grid time"),
+    (diagnostics.CalibrationError("no finite constant below cap (required 2.000e+06)"), "calibration"),
+])
+def test_cli_run_error_exit_2_with_its_kind(tmp_path, capsys, monkeypatch, error, kind, threads):
+    # the energy phase raises the error, in the parent or in a worker
+    # process; main maps the one base class to exit 2 and names the kind
+    def raising(*args, **kwargs):
+        raise error
+
+    assert isinstance(error, RunError)
+    monkeypatch.setattr(cli, "solve_batch", raising)
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
+    out = tmp_path / "run"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out), "--threads", threads]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == f"{kind}: {error}"
+    assert capsys.readouterr().err == manifest["error"] + "\n"
 
 
 def test_cli_calibration_error_exit_2(tmp_path, capsys, monkeypatch):
@@ -499,9 +541,10 @@ def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
 def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
     # on each side of 0.  `resolve` does not walk the horizon; the forcing
-    # guard holds one array of the history samples; `noise` holds at most
-    # `_CACHE_BLOCKS` OU blocks per process and one piece of a fill, at
-    # that horizon and at four times it
+    # guard holds one array of the history samples; `noise` holds the OU
+    # values its cache and one piece of a fill bound, which do not grow with
+    # the horizon (four times noise-long's) or with 1/dt (dt = 1e-4, where
+    # the block length B is ten times noise-long's)
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     tracemalloc.start()
     try:
@@ -510,21 +553,22 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
         tracemalloc.reset_peak()
         config.check_forcing(cfg)
         guard_peak = tracemalloc.get_traced_memory()[1]
-        noise_peaks = []
-        for horizon in (2000.0, 8000.0):
+        noise_peaks = {}
+        for dt, horizon in ((1e-3, 2000.0), (1e-3, 8000.0), (1e-4, 200.0)):
             noise._OU_CACHE.clear()
-            cfg = config.resolve({"experiment.horizon": horizon})
+            run = config.resolve({"solver.dt": dt, "experiment.horizon": horizon})
             args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
             tracemalloc.reset_peak()
-            assert cli.cmd_noise(cfg, tmp_path, args, cli.Manifest(cfg, 1)) == 0
-            noise_peaks.append(tracemalloc.get_traced_memory()[1])
+            assert cli.cmd_noise(run, tmp_path, args, cli.Manifest(run, 1)) == 0
+            noise_peaks[dt, horizon] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     samples = step_index(2000.0, cfg["solver.dt"]) + 1
     assert resolve_peak <= 2**20, resolve_peak
     assert guard_peak <= 1.5 * 8 * samples, guard_peak
-    cache = sum(noise._CACHE_BLOCKS * 8 * proc.B for proc in noise._OU_CACHE.values())
-    assert max(noise_peaks) <= cache + 16 * 2**20, (noise_peaks, cache)
+    assert noise_peaks[1e-3, 2000.0] <= 12 * 2**20, noise_peaks
+    assert noise_peaks[1e-3, 8000.0] <= 12 * 2**20, noise_peaks
+    assert noise_peaks[1e-4, 200.0] <= 40 * 2**20, noise_peaks
 
 
 def test_defaults_table_is_typed():

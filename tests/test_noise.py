@@ -96,9 +96,36 @@ def test_ou_values_pure_across_instances():
     assert np.array_equal(a.values(-100, 100), va[4900:5101])
 
 
+def set_block_counts(monkeypatch, B, piece_blocks, cache_blocks):
+    """Set the value bounds to the largest that give a process of block
+    length B these block counts, so each count is a floor."""
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 1) * (2 * B - 1) - 1)
+    monkeypatch.setattr(noise, "_CACHE_VALUES", (cache_blocks + 1) * B - 1)
+
+
+def test_ou_block_counts_follow_the_value_bounds(monkeypatch):
+    # the default bounds: a piece's windows and the kept blocks stay within
+    # their values whatever B is, down to one block per piece and a cache
+    # one piece deep
+    for rate, dt, piece, cache in ((2.0, 0.01, 65, 262), (1.0, 2e-3, 6, 26),
+                                   (1.0, 1e-3, 3, 13), (1.0, 1e-4, 1, 1), (1.0, 1e-6, 1, 1)):
+        proc = OuProcess(seed=1, component=1, rate=rate, dt=dt)
+        assert (proc.piece_blocks, proc.cache_blocks) == (piece, cache), (rate, dt)
+        assert proc.piece_blocks * (2 * proc.B - 1) <= noise._SOLVE_VALUES or piece == 1
+        assert proc.cache_blocks * proc.B <= noise._CACHE_VALUES or cache == piece
+    B = OuProcess(seed=1, component=1, rate=2.0, dt=0.01).B
+    set_block_counts(monkeypatch, B, 16, 64)
+    proc = OuProcess(seed=1, component=1, rate=2.0, dt=0.01)
+    assert (proc.piece_blocks, proc.cache_blocks) == (16, 64)
+    # a cache bound below one piece keeps one piece
+    monkeypatch.setattr(noise, "_CACHE_VALUES", B)
+    assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).cache_blocks == 16
+
+
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
-    # the fills below read back more blocks than the cache keeps
-    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 4 * noise._SOLVE_CHUNK)
+    # the fills below span more than two pieces of 16 blocks and read back
+    # more blocks than a piece holds
+    set_block_counts(monkeypatch, OuProcess(seed=8, component=1, rate=2.0, dt=0.01).B, 16, 64)
     # block by block: each block hashes only its own 2B-1 window
     a = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     for m in range(-3, 4):
@@ -112,7 +139,7 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     # a fill over more than one solve chunk with a cached block in the middle:
     # each block is bitwise the first-order filter of its own window
     c = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
-    ms = range(-noise._SOLVE_CHUNK - 3, noise._SOLVE_CHUNK + 4)
+    ms = range(-c.piece_blocks - 3, c.piece_blocks + 4)
     c._compute_blocks([0])
     c._compute_blocks(ms)
     B, decay = c.B, c._decay
@@ -134,7 +161,7 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
 
     monkeypatch.setattr(noise, "wiener_increment", counting)
     proc = OuProcess(seed=9, component=2, rate=c.rate, dt=c.dt)  # the B and decay of c
-    ms = range(-noise._SOLVE_CHUNK - 7, noise._SOLVE_CHUNK + 6)
+    ms = range(-proc.piece_blocks - 7, proc.piece_blocks + 6)
     proc._compute_blocks(ms)
     span = np.arange((ms[0] - 1) * B, (ms[-1] + 1) * B - 1)
     assert np.array_equal(np.sort(np.concatenate(drawn)), span)
@@ -146,12 +173,14 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
         assert np.array_equal(proc._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
 
 
-def test_ou_strided_values_are_the_full_read_strided():
-    # j0 off the block grid, the span over more than two pieces of a fill,
-    # strides below, at and above the block length B
+def test_ou_strided_values_are_the_full_read_strided(monkeypatch):
+    # j0 off the block grid, the span over more than two pieces of a fill
+    # and more blocks than the cache keeps, strides below, at and above the
+    # block length B
     B = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).B
-    j0 = -(noise._SOLVE_CHUNK + 5) * B - 37
-    j1 = (noise._SOLVE_CHUNK + 2) * B + 11
+    set_block_counts(monkeypatch, B, 16, 32)
+    j0 = -(16 + 5) * B - 37
+    j1 = (16 + 2) * B + 11
     full = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).values(j0, j1)
     assert full.size == j1 - j0 + 1
     for stride in (1, 3, B - 1, B, B + 7, 3 * B + 1, j1 - j0, j1 - j0 + 5):
@@ -205,18 +234,20 @@ def test_temperedness_probe_validation():
 def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
     # a reference read with room for every block, then reads through a
     # two-block cache: spans over more than two pieces, strides below, at
-    # and above B, reads that go back over dropped blocks, and one read of
-    # several overlapping spans
+    # and above B, strided reads that go back over dropped blocks, then
+    # stride-1 reads, which grow the cache to the blocks they cover, and one
+    # read of several overlapping spans
     B = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).B
-    j0, j1 = -(noise._SOLVE_CHUNK + 3) * B - 5, (noise._SOLVE_CHUNK + 4) * B + 3
-    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 10**6)
+    j0, j1 = -(16 + 3) * B - 5, (16 + 4) * B + 3
+    set_block_counts(monkeypatch, B, 16, 10**6)
     full = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).values(j0, j1)
-    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 2)
+    set_block_counts(monkeypatch, B, 2, 2)
     proc = OuProcess(seed=17, component=2, rate=2.0, dt=0.01)
-    for a, b, stride in ((j0, j1, 1), (j0 + 7, j1 - 11, 3), (j0, j1, B), (j0 + 1, j1, B + 7),
-                         (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
+    for a, b, stride, kept in ((j0 + 7, j1 - 11, 3, 2), (j0, j1, B, 2), (j0 + 1, j1, B + 7, 2),
+                               (j0, j1, 3 * B + 1, 2), (j0, j1, 3, 2), (-B - 1, B + 2, 1, 4),
+                               (j0, j1, 3, 4), (j0, 0, 1, 21), (j0, j1, 1, 41)):
         assert np.array_equal(proc.values(a, b, stride), full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
-        assert len(proc._blocks) <= 2
+        assert proc.cache_blocks == kept and len(proc._blocks) <= kept, (a, b, stride)
     spans = [(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)]
     for (a, b, stride), z in zip(spans, proc.read(spans)):
         assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
@@ -225,7 +256,7 @@ def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
 def test_ou_read_fills_each_block_once(monkeypatch):
     # one read of two overlapping spans through a two-block cache fills each
     # block of their union once and draws each increment once
-    monkeypatch.setattr(noise, "_CACHE_BLOCKS", 2)
+    set_block_counts(monkeypatch, OuProcess(seed=5, component=1, rate=2.0, dt=0.01).B, 2, 2)
     drawn, filled = [], []
     real_draw, real_fill = noise.wiener_increment, OuProcess._compute_blocks
 
@@ -246,8 +277,37 @@ def test_ou_read_fills_each_block_once(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-21 * B, 21 * B - 1))
 
 
+def test_ou_sliding_windows_fill_each_block_once(monkeypatch):
+    # windows of 2B + 1 steps, each read twice and then shifted back by a
+    # fifth of a block, as `diagnostics.radius_temperedness` reads its
+    # shifted radii, through a one-block cache: the cache grows to the three
+    # blocks a window covers, each block of their union is filled once, and
+    # every window is bitwise the cold read
+    B = OuProcess(seed=6, component=1, rate=2.0, dt=0.01).B
+    set_block_counts(monkeypatch, B, 1, 1)
+    filled = []
+    real_fill = OuProcess._compute_blocks
+
+    def counting_fill(proc, ms):
+        filled.extend(m for m in ms if m not in proc._blocks)
+        return real_fill(proc, ms)
+
+    ends = [-k * (B // 5) for k in range(26)]
+    cold = [OuProcess(seed=6, component=1, rate=2.0, dt=0.01).values(j1 - 2 * B, j1) for j1 in ends]
+    monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
+    proc = OuProcess(seed=6, component=1, rate=2.0, dt=0.01)
+    for j1, z in zip(ends, cold):
+        for _ in range(2):
+            assert np.array_equal(proc.values(j1 - 2 * B, j1), z), j1
+    assert proc.cache_blocks == 3
+    assert sorted(filled) == list(range((ends[-1] - 2 * B) // B, 1))
+
+
 def test_ou_long_strided_read_keeps_the_cache_bounded():
+    # the default bounds, over more blocks than the cache keeps
     proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
-    proc.values(-100 * proc.B, 100 * proc.B, 37)
-    assert len(proc._blocks) == noise._CACHE_BLOCKS
-    assert list(proc._blocks) == list(range(101 - noise._CACHE_BLOCKS, 101))
+    last = proc.cache_blocks + 40
+    proc.values(-last * proc.B, last * proc.B, 37)
+    assert len(proc._blocks) == proc.cache_blocks
+    assert list(proc._blocks) == list(range(last + 1 - proc.cache_blocks, last + 1))
+    assert sum(block.size for block in proc._blocks.values()) <= noise._CACHE_VALUES
