@@ -201,29 +201,32 @@ class AbsorbingSetSpec:
         return self.c_cal * self.unit_radius
 
 
-def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41"):
+def _ou_history(path, spec, n):
+    """(z1, z2) at the n + 1 steps that end at the origin of `path`; the
+    drivers enter the estimates only through h1/h2, so zero couplings give
+    zeros and read no OU value."""
+    if l2_sq(spec.h1.values, spec.grid) == 0.0 and l2_sq(spec.h2.values, spec.grid) == 0.0:
+        return np.zeros(n + 1), np.zeros(n + 1)
+    ou1 = get_ou(path.seed, 1, spec.lam, path.dt)
+    ou2 = get_ou(path.seed, 2, spec.sigma, path.dt)
+    return ou1.values(path.offset - n, path.offset), ou2.values(path.offset - n, path.offset)
+
+
+def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41", z=None):
     """Quadrature form of the pullback absorbing radius at (tau, omega).
 
     kind "lemma41": OU-moment integrand `_lemma41_moments` and unit constant
     term.  kind "rho": integrand |z1|^p + |z2|^2 and constant term
     1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
     Converged when both the forcing and the OU-moment history quadratures
-    are, by the rule of `model.history_quadrature`.
+    are, by the rule of `model.history_quadrature`.  `z` is the OU moment
+    history over [-horizon, 0] along the path, `_ou_history`'s pair, read
+    here when not given.
     """
     dt = path.dt
     n = step_index(horizon, dt)
     forcing_quad, forcing_converged = validate_forcing(spec, tau, horizon, dt)
-    # OU moment history over [-horizon, 0] along the realized path; the
-    # drivers enter the estimates only through h1/h2, so zero couplings
-    # remove the whole term
-    if l2_sq(spec.h1.values, spec.grid) == 0.0 and l2_sq(spec.h2.values, spec.grid) == 0.0:
-        z1 = np.zeros(n + 1)
-        z2 = np.zeros(n + 1)
-    else:
-        ou1 = get_ou(path.seed, 1, spec.lam, dt)
-        ou2 = get_ou(path.seed, 2, spec.sigma, dt)
-        z1 = ou1.values(path.offset - n, path.offset)
-        z2 = ou2.values(path.offset - n, path.offset)
+    z1, z2 = _ou_history(path, spec, n) if z is None else z
     wz = np.exp(spec.delta * (np.arange(n + 1) - n) * dt)
     if kind == "lemma41":
         moments = _lemma41_moments(z1, z2, spec.p)
@@ -241,9 +244,15 @@ def radius_temperedness(tau, path, spec, c_cal, horizon):
     """Series t -> e^{-delta t} R(tau, theta_{-t} omega) of the lemma41 radius at
     t = 0, 2, ..., 50, which must decay by a factor 1e-6."""
     ts = np.arange(0.0, 51.0, 2.0)
+    # the shifted histories overlap, so one read of their union fills each
+    # OU block once, however few blocks the process keeps
+    n, back = step_index(horizon, path.dt), step_index(ts[-1], path.dt)
+    z1, z2 = _ou_history(path, spec, n + back)
     vals = []
     for t in ts:
-        r = absorbing_radius(tau, path.shift(-t), spec, c_cal, horizon)
+        k = back - step_index(t, path.dt)
+        z = (z1[k : k + n + 1], z2[k : k + n + 1])
+        r = absorbing_radius(tau, path.shift(-t), spec, c_cal, horizon, z=z)
         vals.append(np.exp(-spec.delta * t) * r.radius)
     vals = np.asarray(vals)
     passed = bool(vals[-1] <= 1e-6 * vals[0]) if vals[0] > 0 else True

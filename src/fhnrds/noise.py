@@ -150,13 +150,10 @@ class OuProcess:
     A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
     as many 2B-1 step windows as `_SOLVE_VALUES` holds and at least one.  The
     process keeps `cache_blocks` blocks, as many as `_CACHE_VALUES` holds and
-    at least one piece, and drops the least recently read one first, so the
-    memory of a strided read grows neither with its span nor with 1/dt.  A
-    stride-1 read returns every value of its span, and the cache grows to
-    keep as many blocks as the longest one covers, so that reading a window
-    again, or one shifted by less than a block, fills only the blocks it does
-    not share.  A block read again after it was dropped is filled again,
-    bitwise the same.
+    at least one piece, and drops the least recently read one first, so its
+    memory grows neither with the span read nor with 1/dt.  A block read
+    again after it was dropped is filled again, bitwise the same; a caller
+    that reads overlapping windows reads their union once.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
     LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
@@ -262,14 +259,6 @@ class OuProcess:
         outs = [np.empty((j1 - j0) // stride + 1) for j0, j1, stride in spans]
         done = [0] * len(spans)  # next output index of each span
         ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
-        # the cache grows to the blocks of the longest stride-1 span, whose
-        # values the caller holds anyway, and the cached blocks of this read
-        # count as read now, so its fills drop blocks outside it first
-        dense = [j1 // B - j0 // B + 1 for j0, j1, stride in spans if stride == 1]
-        self.cache_blocks = max([self.cache_blocks, *dense])
-        for m in ms:
-            if m in self._blocks:
-                self._blocks.move_to_end(m)
         group = self.piece_blocks
         for g in range(0, len(ms), group):
             self._compute_blocks(ms[g : g + group])

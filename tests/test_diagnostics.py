@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhnrds import diagnostics as dg
+from fhnrds import noise
 from fhnrds.config import default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, superlevel_measure
 from fhnrds.model import FhnState, solve
@@ -173,6 +174,33 @@ def test_absorbing_radius_monotone_in_constant(small, small_runs):
     assert r2.radius > r1.radius
     with pytest.raises(ValueError):
         dg.absorbing_radius(0.0, path, spec, 1.0, horizon=40.0, kind="bogus")
+
+
+def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
+    # one-block pieces and a one-block cache, so a window read twice is
+    # filled twice: the 26 shifted histories fill each block of their union
+    # once, and the series is bitwise the one of 26 separate reads
+    _, spec, solver, _ = small
+    path = WienerPath(seed=11, dt=solver.dt)
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", 1)
+    monkeypatch.setattr(noise, "_CACHE_VALUES", 1)
+    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    filled = []
+    real_fill = noise.OuProcess._compute_blocks
+
+    def counting_fill(proc, ms):
+        filled.extend((proc.seed.component, m) for m in ms if m not in proc._blocks)
+        return real_fill(proc, ms)
+
+    monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
+    check = dg.radius_temperedness(0.0, path, spec, 1.5, 40.0)
+    assert filled and len(filled) == len(set(filled))
+    assert {p.cache_blocks for p in noise._OU_CACHE.values()} == {1}
+    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    ts, series = zip(*check.table[2])
+    for t, value in zip(ts, series):
+        r = dg.absorbing_radius(0.0, path.shift(-t), spec, 1.5, 40.0)
+        assert value == np.exp(-spec.delta * t) * r.radius, t
 
 
 def test_measure_bound_random_fields():

@@ -234,23 +234,22 @@ def test_temperedness_probe_validation():
 def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
     # a reference read with room for every block, then reads through a
     # two-block cache: spans over more than two pieces, strides below, at
-    # and above B, strided reads that go back over dropped blocks, then
-    # stride-1 reads, which grow the cache to the blocks they cover, and one
-    # read of several overlapping spans
+    # and above B, reads that go back over dropped blocks, and one read of
+    # several overlapping spans
     B = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).B
     j0, j1 = -(16 + 3) * B - 5, (16 + 4) * B + 3
     set_block_counts(monkeypatch, B, 16, 10**6)
     full = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).values(j0, j1)
     set_block_counts(monkeypatch, B, 2, 2)
     proc = OuProcess(seed=17, component=2, rate=2.0, dt=0.01)
-    for a, b, stride, kept in ((j0 + 7, j1 - 11, 3, 2), (j0, j1, B, 2), (j0 + 1, j1, B + 7, 2),
-                               (j0, j1, 3 * B + 1, 2), (j0, j1, 3, 2), (-B - 1, B + 2, 1, 4),
-                               (j0, j1, 3, 4), (j0, 0, 1, 21), (j0, j1, 1, 41)):
+    for a, b, stride in ((j0, j1, 1), (j0 + 7, j1 - 11, 3), (j0, j1, B), (j0 + 1, j1, B + 7),
+                         (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
         assert np.array_equal(proc.values(a, b, stride), full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
-        assert proc.cache_blocks == kept and len(proc._blocks) <= kept, (a, b, stride)
+        assert len(proc._blocks) <= 2
     spans = [(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)]
     for (a, b, stride), z in zip(spans, proc.read(spans)):
         assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
+        assert len(proc._blocks) <= 2
 
 
 def test_ou_read_fills_each_block_once(monkeypatch):
@@ -277,37 +276,13 @@ def test_ou_read_fills_each_block_once(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-21 * B, 21 * B - 1))
 
 
-def test_ou_sliding_windows_fill_each_block_once(monkeypatch):
-    # windows of 2B + 1 steps, each read twice and then shifted back by a
-    # fifth of a block, as `diagnostics.radius_temperedness` reads its
-    # shifted radii, through a one-block cache: the cache grows to the three
-    # blocks a window covers, each block of their union is filled once, and
-    # every window is bitwise the cold read
-    B = OuProcess(seed=6, component=1, rate=2.0, dt=0.01).B
-    set_block_counts(monkeypatch, B, 1, 1)
-    filled = []
-    real_fill = OuProcess._compute_blocks
-
-    def counting_fill(proc, ms):
-        filled.extend(m for m in ms if m not in proc._blocks)
-        return real_fill(proc, ms)
-
-    ends = [-k * (B // 5) for k in range(26)]
-    cold = [OuProcess(seed=6, component=1, rate=2.0, dt=0.01).values(j1 - 2 * B, j1) for j1 in ends]
-    monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
-    proc = OuProcess(seed=6, component=1, rate=2.0, dt=0.01)
-    for j1, z in zip(ends, cold):
-        for _ in range(2):
-            assert np.array_equal(proc.values(j1 - 2 * B, j1), z), j1
-    assert proc.cache_blocks == 3
-    assert sorted(filled) == list(range((ends[-1] - 2 * B) // B, 1))
-
-
 def test_ou_long_strided_read_keeps_the_cache_bounded():
-    # the default bounds, over more blocks than the cache keeps
-    proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
-    last = proc.cache_blocks + 40
-    proc.values(-last * proc.B, last * proc.B, 37)
-    assert len(proc._blocks) == proc.cache_blocks
-    assert list(proc._blocks) == list(range(last + 1 - proc.cache_blocks, last + 1))
-    assert sum(block.size for block in proc._blocks.values()) <= noise._CACHE_VALUES
+    # the default bounds, strided and stride-1 reads over more blocks than
+    # the cache keeps
+    for stride in (37, 1):
+        proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
+        last = proc.cache_blocks + 40
+        proc.values(-last * proc.B, last * proc.B, stride)
+        assert len(proc._blocks) == proc.cache_blocks
+        assert list(proc._blocks) == list(range(last + 1 - proc.cache_blocks, last + 1))
+        assert sum(block.size for block in proc._blocks.values()) <= noise._CACHE_VALUES
