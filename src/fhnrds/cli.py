@@ -261,12 +261,14 @@ def cmd_verify(cfg, out, args, manifest):
         pull_paths, args.threads)
     all_runs = [r for runs in ensembles for r in runs]
     c_cal, degenerate = dg.calibrate_constant([r.traj for r in all_runs], spec, tau)
-    radii = [dg.absorbing_radius(tau, path, spec, c_cal, horizon) for path in pull_paths]
-    c_lp = max([dg.CALIBRATION_FLOOR] + [
-        dg.calibrate_lp_constant(runs, tau, R) for runs, R in zip(ensembles, radii)
-    ])
-    rho_radii = [dg.rho_radius(tau, path, runs, spec, horizon)
-                 for path, runs in zip(pull_paths, ensembles)]
+    # both radii of a seed integrate one OU history, dropped before the next
+    radii, rho_radii, c_lp = [], [], dg.CALIBRATION_FLOOR
+    for path, runs in zip(pull_paths, ensembles):
+        z = dg.ou_history(path, spec, horizon)
+        radii.append(dg.absorbing_radius(tau, path, spec, c_cal, horizon, z))
+        rho_radii.append(dg.rho_radius(tau, path, runs, spec, horizon, z))
+        c_lp = max(c_lp, dg.calibrate_lp_constant(runs, tau, radii[-1]))
+        del z
 
     t_check = [t for t in t_schedule if t >= 8.0] or t_schedule
     checks = [
@@ -305,7 +307,8 @@ def cmd_attractor(cfg, out, args, manifest):
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
     (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
     # the verdict of `verify` for this one seed
-    rho = dg.rho_radius(tau, path, runs, spec, cfg["experiment.horizon"])
+    horizon = cfg["experiment.horizon"]
+    rho = dg.rho_radius(tau, path, runs, spec, horizon, dg.ou_history(path, spec, horizon))
     check = dg.bispatial_report([runs], [rho], spec, cfg["tolerances.defect"])
     (entry,), fixtures = _record_checks([check], out, manifest)
     ap = dg.attractor_from_runs(runs, spec.p)

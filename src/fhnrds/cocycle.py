@@ -79,7 +79,7 @@ def _untransformed(inputs, spec, dt):
 
     Each OU process of a seed is read once, from the earliest start step to
     the latest landing step of that seed's inputs: the span the solve reads
-    next, so its blocks are filled in one pass.
+    next, and fills again only where it exceeds the one piece a process keeps.
     """
     spans = {}
     for inp in inputs:

@@ -3,11 +3,11 @@
 Format: one `section.key = value` per line, `#` comments, decimal text
 numbers; comma-separated numeric lists for schedules.  Unknown keys are
 rejected so typos cannot silently fall back to defaults.  Loading a config
-eagerly revalidates the schedules, the coefficients, the family's
-temperedness and the nonlinearity structure, so an invalid model never
-reaches a solver.  The forcing history quadrature walks the whole horizon,
-so it is not part of loading: `check_forcing` runs it for the subcommands
-that integrate the forcing.
+eagerly revalidates the schedules, that its times lie on the step grid, the
+coefficients, the family's temperedness and the nonlinearity structure, so
+neither an invalid model nor an off-grid time reaches a solver.  The forcing
+history quadrature walks the whole horizon, so it is not part of loading:
+`check_forcing` runs it for the subcommands that integrate the forcing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .model import (
     validate_forcing,
     validate_structure,
 )
+from .noise import GridAlignmentError, step_index
 
 
 class ConfigError(ValueError):
@@ -221,6 +222,13 @@ def resolve(values):
             f"experiment.energy_seed_count must be at least 1, got {resolved['experiment.energy_seed_count']}"
         )
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
+    dt = cfg.solver_spec().dt  # positive, so the grid checks can divide by it
+    for key in ("experiment.tau", "experiment.horizon", "schedules.t"):
+        for t in (ts if key == "schedules.t" else [resolved[key]]):
+            try:
+                step_index(t, dt)
+            except GridAlignmentError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     spec = cfg.model_spec()  # coefficient positivity + p > 2 checks
     cfg.family_spec(spec.delta)  # the family must be tempered
     validate_structure(spec)

@@ -172,10 +172,10 @@ def calibrate_rho_constant(runs, components):
     return _calibrated(sup, components, "constant")
 
 
-def rho_radius(tau, path, runs, spec, horizon):
+def rho_radius(tau, path, runs, spec, horizon, z):
     """Squared radius of the transformed-variable absorbing ball of one
-    seed: its "rho" quadrature times the constant fitted on its runs."""
-    rho = absorbing_radius(tau, path, spec, 1.0, horizon, kind="rho")
+    seed: its "rho" quadrature over `z` times the constant fitted on its runs."""
+    rho = absorbing_radius(tau, path, spec, 1.0, horizon, z, kind="rho")
     return calibrate_rho_constant(runs, rho) * rho.unit_radius
 
 
@@ -201,10 +201,11 @@ class AbsorbingSetSpec:
         return self.c_cal * self.unit_radius
 
 
-def _ou_history(path, spec, n):
-    """(z1, z2) at the n + 1 steps that end at the origin of `path`; the
-    drivers enter the estimates only through h1/h2, so zero couplings give
-    zeros and read no OU value."""
+def ou_history(path, spec, horizon):
+    """(z1, z2) at the steps of [-horizon, 0] along `path`; the drivers enter
+    the estimates only through h1/h2, so zero couplings give zeros and read
+    no OU value."""
+    n = step_index(horizon, path.dt)
     if l2_sq(spec.h1.values, spec.grid) == 0.0 and l2_sq(spec.h2.values, spec.grid) == 0.0:
         return np.zeros(n + 1), np.zeros(n + 1)
     ou1 = get_ou(path.seed, 1, spec.lam, path.dt)
@@ -212,21 +213,20 @@ def _ou_history(path, spec, n):
     return ou1.values(path.offset - n, path.offset), ou2.values(path.offset - n, path.offset)
 
 
-def absorbing_radius(tau, path, spec, c_cal, horizon, kind="lemma41", z=None):
+def absorbing_radius(tau, path, spec, c_cal, horizon, z, kind="lemma41"):
     """Quadrature form of the pullback absorbing radius at (tau, omega).
 
     kind "lemma41": OU-moment integrand `_lemma41_moments` and unit constant
     term.  kind "rho": integrand |z1|^p + |z2|^2 and constant term
     1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
     Converged when both the forcing and the OU-moment history quadratures
-    are, by the rule of `model.history_quadrature`.  `z` is the OU moment
-    history over [-horizon, 0] along the path, `_ou_history`'s pair, read
-    here when not given.
+    are, by the rule of `model.history_quadrature`.  `z` is the OU history
+    over [-horizon, 0] along the path, `ou_history`'s pair.
     """
     dt = path.dt
     n = step_index(horizon, dt)
     forcing_quad, forcing_converged = validate_forcing(spec, tau, horizon, dt)
-    z1, z2 = _ou_history(path, spec, n) if z is None else z
+    z1, z2 = z
     wz = np.exp(spec.delta * (np.arange(n + 1) - n) * dt)
     if kind == "lemma41":
         moments = _lemma41_moments(z1, z2, spec.p)
@@ -247,12 +247,12 @@ def radius_temperedness(tau, path, spec, c_cal, horizon):
     # the shifted histories overlap, so one read of their union fills each
     # OU block once, however few blocks the process keeps
     n, back = step_index(horizon, path.dt), step_index(ts[-1], path.dt)
-    z1, z2 = _ou_history(path, spec, n + back)
+    z1, z2 = ou_history(path, spec, horizon + ts[-1])
     vals = []
     for t in ts:
         k = back - step_index(t, path.dt)
         z = (z1[k : k + n + 1], z2[k : k + n + 1])
-        r = absorbing_radius(tau, path.shift(-t), spec, c_cal, horizon, z=z)
+        r = absorbing_radius(tau, path.shift(-t), spec, c_cal, horizon, z)
         vals.append(np.exp(-spec.delta * t) * r.radius)
     vals = np.asarray(vals)
     passed = bool(vals[-1] <= 1e-6 * vals[0]) if vals[0] > 0 else True

@@ -9,7 +9,6 @@ initial time receding to -infinity) well defined at the discrete level.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +127,11 @@ def stationary_variance(rate):
 
 
 # increments hashed at once (a few hundred kB of scratch, so the hash stays
-# in cache), window values per piece of a fill, one `dgttrs` call each, and
-# block values an `OuProcess` keeps; counted in values, not blocks, so the
-# memory of a process does not grow as its block length B = 20/(rate*dt)
+# in cache), and window values per piece of a fill, one `dgttrs` call each;
+# counted in values, not blocks, so the memory of a process does not grow as
+# its block length B = 20/(rate*dt)
 _HASH_CHUNK = 1 << 15
 _SOLVE_VALUES = 1 << 17
-_CACHE_VALUES = 1 << 18
 
 
 class OuProcess:
@@ -149,11 +147,10 @@ class OuProcess:
 
     A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
     as many 2B-1 step windows as `_SOLVE_VALUES` holds and at least one.  The
-    process keeps `cache_blocks` blocks, as many as `_CACHE_VALUES` holds and
-    at least one piece, and drops the least recently read one first, so its
-    memory grows neither with the span read nor with 1/dt.  A block read
-    again after it was dropped is filled again, bitwise the same; a caller
-    that reads overlapping windows reads their union once.
+    process keeps the blocks of its latest fill, and a read fills one piece
+    at a time, so its memory grows neither with the span read nor with 1/dt.
+    A block read again after it was dropped is filled again, bitwise the
+    same; a caller that reads overlapping windows reads their union once.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
     LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
@@ -174,8 +171,7 @@ class OuProcess:
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
         self.piece_blocks = max(1, _SOLVE_VALUES // (2 * self.B - 1))
-        self.cache_blocks = max(self.piece_blocks, _CACHE_VALUES // self.B)
-        self._blocks = OrderedDict()  # least recently read first
+        self._blocks = {}  # the blocks of the latest fill
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts
         # among them, and the `dgttrs` arguments and decay powers its fills
@@ -184,18 +180,14 @@ class OuProcess:
         self._sweep = None
 
     def _compute_blocks(self, ms):
-        """Fill the cache for the block indices in `ms` and mark them read last.
+        """Hold the blocks of the indices in `ms`: keep those held, fill the rest.
 
         The blocks are filled in pieces of at most `piece_blocks` consecutive
         blocks, one `dgttrs` call each, so a fill's scratch is one piece's
-        however long its span, and no cached block is drawn again.  Each
-        block filled past `cache_blocks` drops the least recently read one;
-        with at most `cache_blocks` indices in `ms`, none of `ms` is dropped.
+        however long its span, and no held block is drawn again.
         """
+        self._blocks = {m: self._blocks[m] for m in ms if m in self._blocks}
         pieces = []
-        for m in ms:
-            if m in self._blocks:
-                self._blocks.move_to_end(m)
         for m in sorted(set(ms) - self._blocks.keys()):
             if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < self.piece_blocks:
                 pieces[-1].append(m)
@@ -242,8 +234,6 @@ class OuProcess:
             u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
             for m, z0, row in zip(piece, ndtri(u) * sd, y):
                 self._blocks[m] = z0 * pows + row[B - 1 :]
-                if len(self._blocks) > self.cache_blocks:
-                    self._blocks.popitem(last=False)
         self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
     def read(self, spans):
@@ -251,7 +241,7 @@ class OuProcess:
         up to j1 inclusive, one array per span.
 
         The blocks the spans cover are visited once, in increasing order, in
-        groups that the cache holds at once.  Each group is filled, then each
+        groups of at most `piece_blocks`.  Each group is filled, then each
         span's share of each block is copied out of the block, so a read
         fills no block twice and holds no copy of a whole span.
         """
@@ -259,10 +249,10 @@ class OuProcess:
         outs = [np.empty((j1 - j0) // stride + 1) for j0, j1, stride in spans]
         done = [0] * len(spans)  # next output index of each span
         ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
-        group = self.piece_blocks
-        for g in range(0, len(ms), group):
-            self._compute_blocks(ms[g : g + group])
-            for m in ms[g : g + group]:
+        for g in range(0, len(ms), self.piece_blocks):
+            group = ms[g : g + self.piece_blocks]
+            self._compute_blocks(group)
+            for m in group:
                 block = self._blocks[m]
                 for s, ((j0, j1, stride), out) in enumerate(zip(spans, outs)):
                     j, last = j0 + done[s] * stride, min(j1, (m + 1) * B - 1)
@@ -284,11 +274,9 @@ _OU_CACHE = {}
 def get_ou(seed, component, rate, dt):
     """Shared OuProcess cache; values are pure so sharing is safe."""
     key = (seed, component, float(rate), float(dt))
-    proc = _OU_CACHE.get(key)
-    if proc is None:
-        proc = OuProcess(seed, component, rate, dt)
-        _OU_CACHE[key] = proc
-    return proc
+    if key not in _OU_CACHE:
+        _OU_CACHE[key] = OuProcess(seed, component, rate, dt)
+    return _OU_CACHE[key]
 
 
 def temperedness_probe(ts, z, delta, exponent, horizon):

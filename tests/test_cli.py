@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -116,6 +117,32 @@ def test_cli_bad_schedule_exit_2_before_any_step(tmp_path, capsys, monkeypatch, 
     assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config: schedules.") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, line", [
+    ("verify", "experiment.horizon = 40.0005"),
+    ("attractor", "experiment.tau = 0.0005"),
+    ("simulate", "experiment.tau = 1e-4"),
+    ("pullback", "schedules.t = 2,4.0005"),
+    ("noise", "schedules.t = 2,4.0005"),  # noise reads no schedule, but resolves the config
+])
+def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, line):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an off-grid time reached the solver")
+
+    monkeypatch.setattr(cli, "solve", no_step)
+    monkeypatch.setattr(cli, "solve_batch", no_step)
+    monkeypatch.setattr(diagnostics, "phi_batch", no_step)
+    cfgp = write_cfg(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "bad"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert err.startswith(f"invalid config: {key}: time ") and "dt=0.001" in err, err
+    assert err.count("\n") == 1, err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == err.strip()
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
@@ -318,8 +345,9 @@ def test_cli_simulate_blowup_exit_2(tmp_path):
 
 def test_cli_off_grid_time_exit_2(tmp_path, capsys):
     # 8.0, the default simulate duration, and 4.0, the energy horizon of
-    # verify, are not multiples of dt = 0.003
-    cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.003\nexperiment.seed_count = 2\n"
+    # verify, are not multiples of dt = 0.003; the config's own times are
+    cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.003\nschedules.t = 3,6,9,12,15\n"
+                     "experiment.horizon = 30\nexperiment.seed_count = 2\n"
                      "experiment.energy_seed_count = 2\n")
     for argv in (["simulate"], ["verify", "--threads", "2"]):
         out = tmp_path / argv[0]
@@ -542,7 +570,7 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
     # on each side of 0.  `resolve` does not walk the horizon; the forcing
     # guard holds one array of the history samples; `noise` holds the OU
-    # values its cache and one piece of a fill bound, which do not grow with
+    # blocks of one piece and the scratch of one fill, which do not grow with
     # the horizon (four times noise-long's) or with 1/dt (dt = 1e-4, where
     # the block length B is ten times noise-long's)
     monkeypatch.setattr(noise, "_OU_CACHE", {})
@@ -569,6 +597,69 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
     assert noise_peaks[1e-3, 2000.0] <= 12 * 2**20, noise_peaks
     assert noise_peaks[1e-3, 8000.0] <= 12 * 2**20, noise_peaks
     assert noise_peaks[1e-4, 200.0] <= 40 * 2**20, noise_peaks
+
+
+class CountedFills(list):
+    on = True
+
+
+def count_ou_fills(monkeypatch):
+    """Fresh shared OU processes; the (seed, component, block) of each block
+    filled from here on, in order, while the returned list's `on` is true."""
+    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    filled = CountedFills()
+    real_fill = noise.OuProcess._compute_blocks
+
+    def counting_fill(proc, ms):
+        if filled.on:
+            filled.extend((proc.seed.seed, proc.seed.component, m) for m in ms if m not in proc._blocks)
+        return real_fill(proc, ms)
+
+    monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
+    return filled
+
+
+def test_cli_verify_radii_fill_each_history_block_once(tmp_path, monkeypatch):
+    # one-block pieces and a 16-block history (horizon 300): between the fit
+    # of c_cal and the temperedness series, verify fills each block of each
+    # seed's history once for both its absorbing and its rho radius
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", 1)
+    filled = count_ou_fills(monkeypatch)
+    filled.on = False
+    real_calibrate, real_tempered = diagnostics.calibrate_constant, diagnostics.radius_temperedness
+
+    def calibrate(*args):
+        result = real_calibrate(*args)
+        filled.on = True
+        return result
+
+    def tempered(*args):
+        filled.on = False
+        return real_tempered(*args)
+
+    monkeypatch.setattr(diagnostics, "calibrate_constant", calibrate)
+    monkeypatch.setattr(diagnostics, "radius_temperedness", tempered)
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.horizon = 300\nschedules.t = 2,4\n"
+                     "experiment.seed_count = 5\nexperiment.energy_seed_count = 2\n")
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) in (0, 1)
+    assert len(filled) == len(set(filled)), filled
+    history = range(-step_index(300.0, 1e-3) // noise.OuProcess(42, 1, 1.0, 1e-3).B, 1)
+    assert sorted(filled) == [(s, c, m) for s in range(42, 47) for c in (1, 2) for m in history]
+
+
+def test_cli_verify_1d_fills_each_ou_block_once(tmp_path, monkeypatch):
+    # the verify-1d workload of perfbench/run.py: the energy runs, the
+    # pullback runs, the radii and the temperedness series share their OU
+    # blocks through the latest piece of each shared process
+    root = Path(cli.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks itself up there
+    spec.loader.exec_module(bench)
+    filled = count_ou_fills(monkeypatch)
+    cfgp = write_cfg(tmp_path, bench.WORKLOADS["verify-1d"].config)
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
+    assert len(filled) == len(set(filled)) == 22, filled
 
 
 def test_defaults_table_is_typed():

@@ -146,7 +146,7 @@ def test_absorbing_radius_closed_forms():
     spec = cfg.model_spec()
     path = WienerPath(seed=1, dt=1e-3)
     # forcing off, noise off: only the constant term survives
-    R = dg.absorbing_radius(0.0, path, spec, 2.5, horizon=40.0)
+    R = dg.absorbing_radius(0.0, path, spec, 2.5, 40.0, dg.ou_history(path, spec, 40.0))
     assert R.radius == pytest.approx(2.5)
     assert R.forcing_quad == 0.0 and R.ou_quad == 0.0
     # |g|^2 = 1 constantly, h off, noise off: R = c (1 + 1/delta)
@@ -160,7 +160,7 @@ def test_absorbing_radius_closed_forms():
         spec.alpha1, spec.alpha2, spec.alpha3, spec.nonlin,
         spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h, grid,
     )
-    R2 = dg.absorbing_radius(0.0, path, spec2, 2.5, horizon=40.0)
+    R2 = dg.absorbing_radius(0.0, path, spec2, 2.5, 40.0, dg.ou_history(path, spec2, 40.0))
     assert R2.radius == pytest.approx(2.5 * (1.0 + 1.0 / spec.delta), rel=1e-3)
     assert R2.converged
 
@@ -168,22 +168,22 @@ def test_absorbing_radius_closed_forms():
 def test_absorbing_radius_monotone_in_constant(small, small_runs):
     _, spec, _, _ = small
     path, _ = small_runs
-    r1 = dg.absorbing_radius(0.0, path, spec, 1.0, horizon=40.0)
-    r2 = dg.absorbing_radius(0.0, path, spec, 2.0, horizon=40.0)
+    z = dg.ou_history(path, spec, 40.0)
+    r1 = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z)
+    r2 = dg.absorbing_radius(0.0, path, spec, 2.0, 40.0, z)
     assert r1.forcing_quad >= 0 and r1.ou_quad >= 0 and r1.constant_term >= 0
     assert r2.radius > r1.radius
     with pytest.raises(ValueError):
-        dg.absorbing_radius(0.0, path, spec, 1.0, horizon=40.0, kind="bogus")
+        dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z, kind="bogus")
 
 
 def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
-    # one-block pieces and a one-block cache, so a window read twice is
-    # filled twice: the 26 shifted histories fill each block of their union
-    # once, and the series is bitwise the one of 26 separate reads
+    # one-block pieces, so a process holds one block and a window read twice
+    # is filled twice: the 26 shifted histories fill each block of their
+    # union once, and the series is bitwise the one of 26 separate reads
     _, spec, solver, _ = small
     path = WienerPath(seed=11, dt=solver.dt)
     monkeypatch.setattr(noise, "_SOLVE_VALUES", 1)
-    monkeypatch.setattr(noise, "_CACHE_VALUES", 1)
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     filled = []
     real_fill = noise.OuProcess._compute_blocks
@@ -195,11 +195,12 @@ def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
     monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
     check = dg.radius_temperedness(0.0, path, spec, 1.5, 40.0)
     assert filled and len(filled) == len(set(filled))
-    assert {p.cache_blocks for p in noise._OU_CACHE.values()} == {1}
+    assert {p.piece_blocks for p in noise._OU_CACHE.values()} == {1}
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     ts, series = zip(*check.table[2])
     for t, value in zip(ts, series):
-        r = dg.absorbing_radius(0.0, path.shift(-t), spec, 1.5, 40.0)
+        shifted = path.shift(-t)
+        r = dg.absorbing_radius(0.0, shifted, spec, 1.5, 40.0, dg.ou_history(shifted, spec, 40.0))
         assert value == np.exp(-spec.delta * t) * r.radius, t
 
 
@@ -353,11 +354,12 @@ def verdicts_at(small, small_runs, scale):
     trajs = [r.traj for r in runs]
     c_noise = dg.calibrate_noise_constant(trajs, spec)
     c_cal, _ = dg.calibrate_constant(trajs * 4, spec, 0.0)
-    R = dg.absorbing_radius(0.0, path, spec, c_cal, 40.0)
+    z = dg.ou_history(path, spec, 40.0)
+    R = dg.absorbing_radius(0.0, path, spec, c_cal, 40.0, z)
     c_lp = dg.calibrate_lp_constant(runs, 0.0, R)
-    rho = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, kind="rho")
+    rho = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z, kind="rho")
     c_rho = dg.calibrate_rho_constant(runs, rho)
-    scaled_R = dg.absorbing_radius(0.0, path, spec, scale * c_cal, 40.0)
+    scaled_R = dg.absorbing_radius(0.0, path, spec, scale * c_cal, 40.0, z)
     ap = dg.attractor_from_runs(runs, spec.p)
     return {
         "energy": dg.verify_energy_inequality(trajs, spec, scale * c_noise, *TOL).passed,

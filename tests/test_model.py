@@ -114,7 +114,7 @@ def test_validate_forcing_convergence_flag():
     # the absorbing radius takes its forcing term from this quadrature
     path = WienerPath(seed=3, dt=1e-3)
     for tau in (0.0, -10.0):
-        R = dg.absorbing_radius(tau, path, spec, 1.0, 40.0)
+        R = dg.absorbing_radius(tau, path, spec, 1.0, 40.0, dg.ou_history(path, spec, 40.0))
         assert R.forcing_quad == validate_forcing(spec, tau, 40.0, path.dt)[0]
         assert R.converged
     # forcing that keeps growing backward in time has no convergent history
@@ -123,7 +123,7 @@ def test_validate_forcing_convergence_flag():
     bad = dataclasses.replace(spec, g=grow)
     total, converged = validate_forcing(bad, 0.0, 40.0, dt)
     assert not converged
-    assert not dg.absorbing_radius(0.0, path, bad, 1.0, 40.0).converged
+    assert not dg.absorbing_radius(0.0, path, bad, 1.0, 40.0, dg.ou_history(path, bad, 40.0)).converged
     # loading such a config does not walk the history; `check_forcing`,
     # which cli.main runs for the subcommands that integrate the forcing, does
     unconverged = default_config(**{"grid.n": 64, "grid.half_width": 8.0,

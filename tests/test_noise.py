@@ -96,47 +96,42 @@ def test_ou_values_pure_across_instances():
     assert np.array_equal(a.values(-100, 100), va[4900:5101])
 
 
-def set_block_counts(monkeypatch, B, piece_blocks, cache_blocks):
-    """Set the value bounds to the largest that give a process of block
-    length B these block counts, so each count is a floor."""
+def set_block_counts(monkeypatch, B, piece_blocks):
+    """Set the value bound to the largest that gives a process of block
+    length B this many blocks per piece, so the count is a floor."""
     monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 1) * (2 * B - 1) - 1)
-    monkeypatch.setattr(noise, "_CACHE_VALUES", (cache_blocks + 1) * B - 1)
 
 
 def test_ou_block_counts_follow_the_value_bounds(monkeypatch):
-    # the default bounds: a piece's windows and the kept blocks stay within
-    # their values whatever B is, down to one block per piece and a cache
-    # one piece deep
-    for rate, dt, piece, cache in ((2.0, 0.01, 65, 262), (1.0, 2e-3, 6, 26),
-                                   (1.0, 1e-3, 3, 13), (1.0, 1e-4, 1, 1), (1.0, 1e-6, 1, 1)):
+    # the default bound: a piece's windows stay within its values whatever
+    # B is, down to one block per piece
+    for rate, dt, piece in ((2.0, 0.01, 65), (1.0, 2e-3, 6), (1.0, 1e-3, 3), (1.0, 1e-4, 1),
+                            (1.0, 1e-6, 1)):
         proc = OuProcess(seed=1, component=1, rate=rate, dt=dt)
-        assert (proc.piece_blocks, proc.cache_blocks) == (piece, cache), (rate, dt)
+        assert proc.piece_blocks == piece, (rate, dt)
         assert proc.piece_blocks * (2 * proc.B - 1) <= noise._SOLVE_VALUES or piece == 1
-        assert proc.cache_blocks * proc.B <= noise._CACHE_VALUES or cache == piece
     B = OuProcess(seed=1, component=1, rate=2.0, dt=0.01).B
-    set_block_counts(monkeypatch, B, 16, 64)
-    proc = OuProcess(seed=1, component=1, rate=2.0, dt=0.01)
-    assert (proc.piece_blocks, proc.cache_blocks) == (16, 64)
-    # a cache bound below one piece keeps one piece
-    monkeypatch.setattr(noise, "_CACHE_VALUES", B)
-    assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).cache_blocks == 16
+    set_block_counts(monkeypatch, B, 16)
+    assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).piece_blocks == 16
 
 
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
     # the fills below span more than two pieces of 16 blocks and read back
     # more blocks than a piece holds
-    set_block_counts(monkeypatch, OuProcess(seed=8, component=1, rate=2.0, dt=0.01).B, 16, 64)
+    set_block_counts(monkeypatch, OuProcess(seed=8, component=1, rate=2.0, dt=0.01).B, 16)
     # block by block: each block hashes only its own 2B-1 window
     a = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
+    single = {}
     for m in range(-3, 4):
         a._compute_blocks([m])
-    # one batch over a span whose middle block is already cached
+        single[m] = a._blocks[m]
+    # one batch over a span whose middle block is already held
     b = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     b._compute_blocks([1])
     b._compute_blocks(range(-3, 4))
     for m in range(-3, 4):
-        assert np.array_equal(a._blocks[m], b._blocks[m]), m
-    # a fill over more than one solve chunk with a cached block in the middle:
+        assert np.array_equal(single[m], b._blocks[m]), m
+    # a fill over more than one solve chunk with a held block in the middle:
     # each block is bitwise the first-order filter of its own window
     c = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     ms = range(-c.piece_blocks - 3, c.piece_blocks + 4)
@@ -174,11 +169,10 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
 
 
 def test_ou_strided_values_are_the_full_read_strided(monkeypatch):
-    # j0 off the block grid, the span over more than two pieces of a fill
-    # and more blocks than the cache keeps, strides below, at and above the
-    # block length B
+    # j0 off the block grid, the span over more than two pieces, strides
+    # below, at and above the block length B
     B = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).B
-    set_block_counts(monkeypatch, B, 16, 32)
+    set_block_counts(monkeypatch, B, 16)
     j0 = -(16 + 5) * B - 37
     j1 = (16 + 2) * B + 11
     full = OuProcess(seed=13, component=1, rate=2.0, dt=0.01).values(j0, j1)
@@ -232,15 +226,15 @@ def test_temperedness_probe_validation():
 
 
 def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
-    # a reference read with room for every block, then reads through a
-    # two-block cache: spans over more than two pieces, strides below, at
-    # and above B, reads that go back over dropped blocks, and one read of
+    # a reference read in pieces of 16 blocks, then reads of one process in
+    # pieces of two: spans over more than two pieces, strides below, at and
+    # above B, reads that go back over dropped blocks, and one read of
     # several overlapping spans
     B = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).B
     j0, j1 = -(16 + 3) * B - 5, (16 + 4) * B + 3
-    set_block_counts(monkeypatch, B, 16, 10**6)
+    set_block_counts(monkeypatch, B, 16)
     full = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).values(j0, j1)
-    set_block_counts(monkeypatch, B, 2, 2)
+    set_block_counts(monkeypatch, B, 2)
     proc = OuProcess(seed=17, component=2, rate=2.0, dt=0.01)
     for a, b, stride in ((j0, j1, 1), (j0 + 7, j1 - 11, 3), (j0, j1, B), (j0 + 1, j1, B + 7),
                          (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
@@ -253,9 +247,9 @@ def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
 
 
 def test_ou_read_fills_each_block_once(monkeypatch):
-    # one read of two overlapping spans through a two-block cache fills each
-    # block of their union once and draws each increment once
-    set_block_counts(monkeypatch, OuProcess(seed=5, component=1, rate=2.0, dt=0.01).B, 2, 2)
+    # one read of two overlapping spans in two-block pieces fills each block
+    # of their union once and draws each increment once
+    set_block_counts(monkeypatch, OuProcess(seed=5, component=1, rate=2.0, dt=0.01).B, 2)
     drawn, filled = [], []
     real_draw, real_fill = noise.wiener_increment, OuProcess._compute_blocks
 
@@ -276,13 +270,39 @@ def test_ou_read_fills_each_block_once(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-21 * B, 21 * B - 1))
 
 
-def test_ou_long_strided_read_keeps_the_cache_bounded():
-    # the default bounds, strided and stride-1 reads over more blocks than
-    # the cache keeps
-    for stride in (37, 1):
-        proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
-        last = proc.cache_blocks + 40
-        proc.values(-last * proc.B, last * proc.B, stride)
-        assert len(proc._blocks) == proc.cache_blocks
-        assert list(proc._blocks) == list(range(last + 1 - proc.cache_blocks, last + 1))
-        assert sum(block.size for block in proc._blocks.values()) <= noise._CACHE_VALUES
+def test_ou_process_holds_only_its_latest_piece():
+    # the default bounds; strided, stride-1 and multi-span reads of one
+    # process over more blocks than a piece, then a short one: after each,
+    # the process holds the last group of at most `piece_blocks` blocks read
+    proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
+    B, piece = proc.B, proc.piece_blocks
+    last = 2 * piece + 10
+    for spans in ([(-last * B, last * B, 37)], [(-last * B, last * B, 1)],
+                  [(-last * B, -3 * B, 5), (B + 1, (last - 1) * B + 7, 1)], [(-2 * B, 3, 1)]):
+        proc.read(spans)
+        ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
+        assert sorted(proc._blocks) == ms[(len(ms) - 1) // piece * piece :], spans
+        assert len(proc._blocks) <= piece
+
+
+def test_ou_read_overlapping_the_latest_piece_fills_only_what_it_lacks(monkeypatch):
+    # pieces of four blocks: a read of blocks -9..2 leaves the piece -1..2,
+    # and the next read, of blocks -1..4, fills only 3 and 4
+    B = OuProcess(seed=6, component=2, rate=2.0, dt=0.01).B
+    set_block_counts(monkeypatch, B, 4)
+    filled = []
+    real_fill = OuProcess._compute_blocks
+
+    def counting_fill(proc, ms):
+        filled.extend(m for m in ms if m not in proc._blocks)
+        return real_fill(proc, ms)
+
+    monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
+    for a, b, stride in ((-B + 17, 5 * B - 3, 1), (-B + 2, 5 * B - 1, 3)):
+        proc = OuProcess(seed=6, component=2, rate=2.0, dt=0.01)
+        proc.values(-9 * B + 3, 3 * B - 1)
+        assert sorted(proc._blocks) == [-1, 0, 1, 2]
+        del filled[:]
+        z = proc.values(a, b, stride)
+        assert filled == [3, 4], stride
+        assert np.array_equal(z, OuProcess(seed=6, component=2, rate=2.0, dt=0.01).values(a, b, stride))
