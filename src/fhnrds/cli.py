@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, diagnostics as dg
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, write_snapshot
-from .model import FhnState, solve, solve_batch
+from .model import FhnState, solve, solve_batch, validate_forcing
 from .noise import RunError, WienerPath, get_ou, step_index, temperedness_probe
 
 
@@ -262,11 +262,12 @@ def cmd_verify(cfg, out, args, manifest):
     all_runs = [r for runs in ensembles for r in runs]
     c_cal, degenerate = dg.calibrate_constant([r.traj for r in all_runs], spec, tau)
     # both radii of a seed integrate one OU history, dropped before the next
+    forcing = validate_forcing(spec, tau, horizon, solver.dt)
     radii, rho_radii, c_lp = [], [], dg.CALIBRATION_FLOOR
     for path, runs in zip(pull_paths, ensembles):
         z = dg.ou_history(path, spec, horizon)
-        radii.append(dg.absorbing_radius(tau, path, spec, c_cal, horizon, z))
-        rho_radii.append(dg.rho_radius(tau, path, runs, spec, horizon, z))
+        radii.append(dg.absorbing_radius(spec, c_cal, forcing, z, solver.dt))
+        rho_radii.append(dg.rho_radius(runs, spec, forcing, z, solver.dt))
         c_lp = max(c_lp, dg.calibrate_lp_constant(runs, tau, radii[-1]))
         del z
 
@@ -276,7 +277,7 @@ def cmd_verify(cfg, out, args, manifest):
                                     cfg["tolerances.energy_rel"]),
         dg.absorption_report(ensembles, radii, t_check),
         dg.compact_interval_report(ensembles, radii, c_lp, tau),
-        dg.radius_temperedness(tau, pull_paths[0], spec, c_cal, horizon),
+        dg.radius_temperedness(pull_paths[0], spec, c_cal, forcing, horizon),
         dg.chebyshev_report(all_runs, M_schedule),
         dg.truncation_tail_report(ensembles, spec, M_schedule, cfg["tolerances.eta"]),
         dg.bispatial_report(ensembles, rho_radii, spec, cfg["tolerances.defect"]),
@@ -308,7 +309,8 @@ def cmd_attractor(cfg, out, args, manifest):
     (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
     # the verdict of `verify` for this one seed
     horizon = cfg["experiment.horizon"]
-    rho = dg.rho_radius(tau, path, runs, spec, horizon, dg.ou_history(path, spec, horizon))
+    forcing = validate_forcing(spec, tau, horizon, solver.dt)
+    rho = dg.rho_radius(runs, spec, forcing, dg.ou_history(path, spec, horizon), solver.dt)
     check = dg.bispatial_report([runs], [rho], spec, cfg["tolerances.defect"])
     (entry,), fixtures = _record_checks([check], out, manifest)
     ap = dg.attractor_from_runs(runs, spec.p)

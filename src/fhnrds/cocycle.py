@@ -118,7 +118,7 @@ def phi_batch(inputs, spec, solver, snapshot_stride=None):
         raise ValueError("batched cocycle inputs must land at one time")
     members = [(inp.path, init) for inp, init in zip(inputs, _untransformed(inputs, spec, dt))]
     trajs = solve_batch(spec, solver, members, tau1, snapshot_stride=snapshot_stride)
-    return [(to_tilde(traj.final, spec, *traj.final_z), traj) for traj in trajs]
+    return [(to_tilde(traj.final, spec, traj.z1[-1], traj.z2[-1]), traj) for traj in trajs]
 
 
 def pullback(t, tau, path, u0_tilde, v0_tilde, spec, solver, **kw):

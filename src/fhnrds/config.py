@@ -3,9 +3,10 @@
 Format: one `section.key = value` per line, `#` comments, decimal text
 numbers; comma-separated numeric lists for schedules.  Unknown keys are
 rejected so typos cannot silently fall back to defaults.  Loading a config
-eagerly revalidates the schedules, that its times lie on the step grid, the
-coefficients, the family's temperedness and the nonlinearity structure, so
-neither an invalid model nor an off-grid time reaches a solver.  The forcing
+eagerly revalidates the schedules, the snapshot stride, horizon and seed
+ranges, that its times lie on the step grid, the coefficients, the family's
+temperedness and the nonlinearity structure, so neither an invalid model nor
+an off-grid time reaches a solver.  The forcing
 history quadrature walks the whole horizon, so it is not part of loading:
 `check_forcing` runs it for the subcommands that integrate the forcing.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from .cocycle import FamilySpec
 from .fields import Grid, ScalarField, bump_field
 from .model import (
+    RECORD_STRIDE,
     Forcing,
     ModelSpec,
     Nonlinearity,
@@ -221,6 +223,18 @@ def resolve(values):
         raise ConfigError(
             f"experiment.energy_seed_count must be at least 1, got {resolved['experiment.energy_seed_count']}"
         )
+    stride = resolved["solver.snapshot_stride"]
+    if stride <= 0 or stride % RECORD_STRIDE:
+        raise ConfigError(
+            f"solver.snapshot_stride must be a positive multiple of the record stride {RECORD_STRIDE}, got {stride}"
+        )
+    if resolved["experiment.horizon"] <= 0:
+        raise ConfigError(f"experiment.horizon must be positive, got {resolved['experiment.horizon']}")
+    # the noise hash keys on uint64 seeds, and verify runs seeds seed, seed + 1, ...
+    seed = resolved["seed"]
+    last = seed + max(resolved["experiment.seed_count"], resolved["experiment.energy_seed_count"]) - 1
+    if seed < 0 or last >= 2**64:
+        raise ConfigError(f"seed must be at least 0 and its last run seed below 2**64, got {seed} (last {last})")
     cfg = ExperimentConfig(tuple(sorted(resolved.items())))
     dt = cfg.solver_spec().dt  # positive, so the grid checks can divide by it
     for key in ("experiment.tau", "experiment.horizon", "schedules.t"):

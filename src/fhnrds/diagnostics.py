@@ -23,7 +23,7 @@ import numpy as np
 # which wraps it here; the ensemble below steps its runs with `phi_batch`
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals
-from .model import history_quadrature, validate_forcing
+from .model import history_quadrature
 from .noise import RunError, get_ou, step_index
 
 CALIBRATION_CAP = 1e6
@@ -69,7 +69,8 @@ def energy_records(traj, spec):
     E = traj.energy
     d = spec.delta
     dissipation = d * E + 0.5 * d * spec.alpha * traj.v_l2sq + spec.alpha1 * spec.beta * traj.utilde_lp_p
-    forcing = (4.0 * spec.beta / spec.lam) * traj.g_l2sq + (4.0 * spec.alpha / spec.sigma) * traj.h_l2sq
+    forcing = ((4.0 * spec.beta / spec.lam) * spec.g.l2sq_at(traj.t)
+               + (4.0 * spec.alpha / spec.sigma) * spec.h.l2sq_at(traj.t))
     noise = np.abs(traj.z1) ** spec.p + traj.z2**2 + 1.0
     return E, dissipation, forcing, noise
 
@@ -143,7 +144,7 @@ def calibrate_constant(runs, spec, tau):
         if np.max(S) > 0:
             degenerate = False
         moments = _lemma41_moments(traj.z1, traj.z2, spec.p)
-        integrand = np.exp(d * (t - tau)) * (traj.g_l2sq + traj.h_l2sq + moments)
+        integrand = np.exp(d * (t - tau)) * (spec.g.l2sq_at(t) + spec.h.l2sq_at(t) + moments)
         incr = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)
         denom = 1.0 + np.concatenate(([0.0], np.cumsum(incr)))
         window = t >= tau - 1.0
@@ -172,10 +173,10 @@ def calibrate_rho_constant(runs, components):
     return _calibrated(sup, components, "constant")
 
 
-def rho_radius(tau, path, runs, spec, horizon, z):
+def rho_radius(runs, spec, forcing, z, dt):
     """Squared radius of the transformed-variable absorbing ball of one
     seed: its "rho" quadrature over `z` times the constant fitted on its runs."""
-    rho = absorbing_radius(tau, path, spec, 1.0, horizon, z, kind="rho")
+    rho = absorbing_radius(spec, 1.0, forcing, z, dt, kind="rho")
     return calibrate_rho_constant(runs, rho) * rho.unit_radius
 
 
@@ -213,20 +214,20 @@ def ou_history(path, spec, horizon):
     return ou1.values(path.offset - n, path.offset), ou2.values(path.offset - n, path.offset)
 
 
-def absorbing_radius(tau, path, spec, c_cal, horizon, z, kind="lemma41"):
+def absorbing_radius(spec, c_cal, forcing, z, dt, kind="lemma41"):
     """Quadrature form of the pullback absorbing radius at (tau, omega).
 
     kind "lemma41": OU-moment integrand `_lemma41_moments` and unit constant
     term.  kind "rho": integrand |z1|^p + |z2|^2 and constant term
     1 + z1(0)^2 + z2(0)^2 (the L2 absorbing-ball radius).
     Converged when both the forcing and the OU-moment history quadratures
-    are, by the rule of `model.history_quadrature`.  `z` is the OU history
-    over [-horizon, 0] along the path, `ou_history`'s pair.
+    are, by the rule of `model.history_quadrature`.  `forcing` is the pair of
+    `model.validate_forcing` at tau, the same at every omega, and `z` the OU
+    history of omega at the steps dt of [-horizon, 0], `ou_history`'s pair.
     """
-    dt = path.dt
-    n = step_index(horizon, dt)
-    forcing_quad, forcing_converged = validate_forcing(spec, tau, horizon, dt)
+    forcing_quad, forcing_converged = forcing
     z1, z2 = z
+    n = len(z1) - 1
     wz = np.exp(spec.delta * (np.arange(n + 1) - n) * dt)
     if kind == "lemma41":
         moments = _lemma41_moments(z1, z2, spec.p)
@@ -240,9 +241,9 @@ def absorbing_radius(tau, path, spec, c_cal, horizon, z, kind="lemma41"):
     return AbsorbingSetSpec(c_cal, const, forcing_quad, ou_quad, forcing_converged and ou_converged)
 
 
-def radius_temperedness(tau, path, spec, c_cal, horizon):
+def radius_temperedness(path, spec, c_cal, forcing, horizon):
     """Series t -> e^{-delta t} R(tau, theta_{-t} omega) of the lemma41 radius at
-    t = 0, 2, ..., 50, which must decay by a factor 1e-6."""
+    t = 0, 2, ..., 50, which must decay by a factor 1e-6; one `forcing` pair serves every t."""
     ts = np.arange(0.0, 51.0, 2.0)
     # the shifted histories overlap, so one read of their union fills each
     # OU block once, however few blocks the process keeps
@@ -252,7 +253,7 @@ def radius_temperedness(tau, path, spec, c_cal, horizon):
     for t in ts:
         k = back - step_index(t, path.dt)
         z = (z1[k : k + n + 1], z2[k : k + n + 1])
-        r = absorbing_radius(tau, path.shift(-t), spec, c_cal, horizon, z)
+        r = absorbing_radius(spec, c_cal, forcing, z, path.dt)
         vals.append(np.exp(-spec.delta * t) * r.radius)
     vals = np.asarray(vals)
     passed = bool(vals[-1] <= 1e-6 * vals[0]) if vals[0] > 0 else True

@@ -26,6 +26,7 @@ from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
 from .noise import RunError, get_ou, step_index
 
 BLOWUP_THRESHOLD = 1e8
+RECORD_STRIDE = 10  # steps between the records of a solve
 
 
 class BlowUpError(RunError, RuntimeError):
@@ -112,8 +113,9 @@ class Forcing:
         return np.sin(self.a * t) + self.c
 
     def l2sq_at(self, t):
+        """Squared L2 norm at the times `t`, in their shape (a constant's factor is a scalar)."""
         f = self.factor(t)
-        return f * f * self.profile_l2sq
+        return np.broadcast_to(f * f * self.profile_l2sq, np.shape(t))
 
 
 @dataclass
@@ -244,7 +246,7 @@ class SolverSpec:
 
 @dataclass
 class Trajectory:
-    """Strided per-sample records of one solve, plus the terminal state."""
+    """Strided per-sample records of one solve, the last at the terminal state."""
 
     t: np.ndarray
     u_l2sq: np.ndarray
@@ -253,15 +255,12 @@ class Trajectory:
     utilde_lp_p: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    g_l2sq: np.ndarray
-    h_l2sq: np.ndarray
     energy: np.ndarray
     final: FhnState
-    final_z: tuple
     snapshots: list  # (t, u values copy) at the snapshot stride
 
 
-def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_stride=None):
+def solve(spec, solver, path, tau0, tau1, init, record_stride=RECORD_STRIDE, snapshot_stride=None):
     """Advance from tau0 to tau1 along `path`, recording norms every stride.
 
     z1, z2 at PDE time s are the OU drivers evaluated at the path step
@@ -273,7 +272,7 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=10, snapshot_strid
     return solve_batch(spec, solver, [(path, init)], tau1, record_stride, snapshot_stride)[0]
 
 
-def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=None):
+def solve_batch(spec, solver, members, tau1, record_stride=RECORD_STRIDE, snapshot_stride=None):
     """Advance several runs to tau1 as the rows of one (B, n) array.
 
     `members` is a list of (path, init) pairs; each run starts at init.t and
@@ -354,11 +353,10 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
     def record(due, k):
         j = k - kmin
         tn = k * dt
-        g_l2sq, h_l2sq = spec.g.l2sq_at(tn), spec.h.l2sq_at(tn)
         for b in due.tolist():
             z1 = Z1[j, group[b]]
             recs[b].append((tn, l2_sq(U[b], grid), l2_sq(V[b], grid), lp_p(U[b], grid, p),
-                            lp_p(U[b] + h1 * z1, grid, p), z1, Z2[j, group[b]], g_l2sq, h_l2sq))
+                            lp_p(U[b] + h1 * z1, grid, p), z1, Z2[j, group[b]]))
             if snapshot_stride and (k - k0[b]) % snapshot_stride == 0:
                 snapshots[b].append((tn, U[b].copy()))
 
@@ -422,14 +420,12 @@ def solve_batch(spec, solver, members, tau1, record_stride=10, snapshot_stride=N
             record(due[: np.searchsorted(due, A)], k + 1)
 
     trajs = [None] * B
-    j1 = k1 - kmin
     for b, i in enumerate(rows):
         cols = np.array(recs[b]).T.copy()
         trajs[i] = Trajectory(
             *cols,
             energy=alpha * cols[2] + beta * cols[1],
             final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
-            final_z=(float(Z1[j1, group[b]]), float(Z2[j1, group[b]])),
             snapshots=snapshots[b],
         )
     return trajs

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fhnrds import cli, config, diagnostics, noise
+from fhnrds import cli, config, diagnostics, model, noise
 from fhnrds.config import ConfigError, DEFAULTS, default_config, load_config, parse_config_text
 from fhnrds.model import BlowUpError, StructureViolation
 from fhnrds.noise import GridAlignmentError, RunError, step_index
@@ -148,6 +148,44 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command, key, line, argv", [
+    # verify would step its energy phase and then fail in solve_batch
+    ("verify", "solver.snapshot_stride", "solver.snapshot_stride = 15", []),
+    # verify would take no snapshot and pass an empty Chebyshev verdict
+    ("verify", "solver.snapshot_stride", "solver.snapshot_stride = 0", []),
+    ("verify", "solver.snapshot_stride", "solver.snapshot_stride = -10", []),
+    ("noise", "experiment.horizon", "experiment.horizon = 0", []),
+    ("noise", "experiment.horizon", "experiment.horizon = -5", []),
+    # the noise hash keys on uint64 seeds
+    ("noise", "seed", "", ["--seed", "-1"]),
+    ("noise", "seed", "", ["--seed", str(2**64)]),
+], ids=["stride-15", "stride-0", "stride-minus-10", "horizon-0", "horizon-minus-5", "seed-minus-1",
+        "seed-2**64"])
+def test_cli_out_of_range_config_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, key,
+                                                        line, argv):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an out-of-range config reached the solver")
+
+    monkeypatch.setattr(cli, "solve_batch", no_step)
+    monkeypatch.setattr(diagnostics, "phi_batch", no_step)
+    monkeypatch.setattr(cli, "get_ou", no_step)
+    cfgp = write_cfg(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "bad"
+    assert cli.main([command, "--config", cfgp, "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: {key} ") and err.count("\n") == 1, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == err.strip()
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_config_seed_bound_counts_every_run_seed():
+    # verify runs seeds seed, ..., seed + max(seed counts) - 1, 20 by default
+    assert default_config(seed=2**64 - 20).seed == 2**64 - 20
+    with pytest.raises(ConfigError, match=r"^seed .*\(last 18446744073709551616\)"):
+        default_config(seed=2**64 - 19)
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_cli_verify_without_energy_seeds_exit_2_before_any_step(tmp_path, capsys, monkeypatch, count):
     # the energy inequality needs at least one trajectory
@@ -246,7 +284,7 @@ def test_cli_noise_skips_the_forcing_history(tmp_path, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(config, "validate_forcing", counting)
-    monkeypatch.setattr(diagnostics, "validate_forcing", counting)
+    monkeypatch.setattr(cli, "validate_forcing", counting)
     outputs = {}
     for name, text in (("default", SMALL), ("unconverged", UNCONVERGED)):
         out = tmp_path / name
@@ -647,19 +685,50 @@ def test_cli_verify_radii_fill_each_history_block_once(tmp_path, monkeypatch):
     assert sorted(filled) == [(s, c, m) for s in range(42, 47) for c in (1, 2) for m in history]
 
 
-def test_cli_verify_1d_fills_each_ou_block_once(tmp_path, monkeypatch):
-    # the verify-1d workload of perfbench/run.py: the energy runs, the
-    # pullback runs, the radii and the temperedness series share their OU
-    # blocks through the latest piece of each shared process
+def workload_config(monkeypatch, name):
+    """The config text of the perfbench/run.py workload `name`."""
     root = Path(cli.__file__).resolve().parents[2]
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks itself up there
     spec.loader.exec_module(bench)
+    return bench.WORKLOADS[name].config
+
+
+def test_cli_verify_1d_fills_each_ou_block_once(tmp_path, monkeypatch):
+    # the verify-1d workload of perfbench/run.py: the energy runs, the
+    # pullback runs, the radii and the temperedness series share their OU
+    # blocks through the latest piece of each shared process
+    cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
     filled = count_ou_fills(monkeypatch)
-    cfgp = write_cfg(tmp_path, bench.WORKLOADS["verify-1d"].config)
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
     assert len(filled) == len(set(filled)) == 22, filled
+
+
+def test_cli_verify_1d_integrates_the_forcing_history_twice(tmp_path, monkeypatch):
+    # the forcing term of the radii depends on tau alone, not on the seed or
+    # its shift: the config guard and cmd_verify each integrate it once.
+    # l2sq_at evaluates all record times of a trajectory at once: 2 calls per
+    # energy_records (4 energy runs, 2 calls each), 2 per pullback run in
+    # calibrate_constant (20 runs) and 2 per one-piece quadrature, 60 in all
+    cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
+    calls = {"validate_forcing": 0, "l2sq_at": 0}
+    real_validate, real_l2sq = model.validate_forcing, model.Forcing.l2sq_at
+
+    def validate(*args):
+        calls["validate_forcing"] += 1
+        return real_validate(*args)
+
+    def l2sq(*args):
+        calls["l2sq_at"] += 1
+        return real_l2sq(*args)
+
+    for module in (model, config, cli, diagnostics):
+        if hasattr(module, "validate_forcing"):
+            monkeypatch.setattr(module, "validate_forcing", validate)
+    monkeypatch.setattr(model.Forcing, "l2sq_at", l2sq)
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
+    assert calls["validate_forcing"] <= 2 and calls["l2sq_at"] <= 60, calls
 
 
 def test_defaults_table_is_typed():

@@ -7,7 +7,7 @@ from fhnrds import diagnostics as dg
 from fhnrds import noise
 from fhnrds.config import default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, superlevel_measure
-from fhnrds.model import FhnState, solve
+from fhnrds.model import FhnState, solve, validate_forcing
 from fhnrds.noise import WienerPath
 
 
@@ -57,8 +57,7 @@ TOL = (1e-8, 1e-2)
 
 def sliced(traj, sl):
     """The trajectory with every recorded series sliced by `sl`."""
-    series = ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2", "g_l2sq",
-              "h_l2sq", "energy")
+    series = ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2", "energy")
     return dataclasses.replace(traj, **{name: getattr(traj, name)[sl] for name in series})
 
 
@@ -146,7 +145,8 @@ def test_absorbing_radius_closed_forms():
     spec = cfg.model_spec()
     path = WienerPath(seed=1, dt=1e-3)
     # forcing off, noise off: only the constant term survives
-    R = dg.absorbing_radius(0.0, path, spec, 2.5, 40.0, dg.ou_history(path, spec, 40.0))
+    forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
+    R = dg.absorbing_radius(spec, 2.5, forcing, dg.ou_history(path, spec, 40.0), path.dt)
     assert R.radius == pytest.approx(2.5)
     assert R.forcing_quad == 0.0 and R.ou_quad == 0.0
     # |g|^2 = 1 constantly, h off, noise off: R = c (1 + 1/delta)
@@ -160,7 +160,8 @@ def test_absorbing_radius_closed_forms():
         spec.alpha1, spec.alpha2, spec.alpha3, spec.nonlin,
         spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h, grid,
     )
-    R2 = dg.absorbing_radius(0.0, path, spec2, 2.5, 40.0, dg.ou_history(path, spec2, 40.0))
+    forcing2 = validate_forcing(spec2, 0.0, 40.0, path.dt)
+    R2 = dg.absorbing_radius(spec2, 2.5, forcing2, dg.ou_history(path, spec2, 40.0), path.dt)
     assert R2.radius == pytest.approx(2.5 * (1.0 + 1.0 / spec.delta), rel=1e-3)
     assert R2.converged
 
@@ -169,12 +170,13 @@ def test_absorbing_radius_monotone_in_constant(small, small_runs):
     _, spec, _, _ = small
     path, _ = small_runs
     z = dg.ou_history(path, spec, 40.0)
-    r1 = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z)
-    r2 = dg.absorbing_radius(0.0, path, spec, 2.0, 40.0, z)
+    forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
+    r1 = dg.absorbing_radius(spec, 1.0, forcing, z, path.dt)
+    r2 = dg.absorbing_radius(spec, 2.0, forcing, z, path.dt)
     assert r1.forcing_quad >= 0 and r1.ou_quad >= 0 and r1.constant_term >= 0
     assert r2.radius > r1.radius
     with pytest.raises(ValueError):
-        dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z, kind="bogus")
+        dg.absorbing_radius(spec, 1.0, forcing, z, path.dt, kind="bogus")
 
 
 def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
@@ -193,14 +195,15 @@ def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
         return real_fill(proc, ms)
 
     monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
-    check = dg.radius_temperedness(0.0, path, spec, 1.5, 40.0)
+    forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
+    check = dg.radius_temperedness(path, spec, 1.5, forcing, 40.0)
     assert filled and len(filled) == len(set(filled))
     assert {p.piece_blocks for p in noise._OU_CACHE.values()} == {1}
     monkeypatch.setattr(noise, "_OU_CACHE", {})
     ts, series = zip(*check.table[2])
     for t, value in zip(ts, series):
         shifted = path.shift(-t)
-        r = dg.absorbing_radius(0.0, shifted, spec, 1.5, 40.0, dg.ou_history(shifted, spec, 40.0))
+        r = dg.absorbing_radius(spec, 1.5, forcing, dg.ou_history(shifted, spec, 40.0), shifted.dt)
         assert value == np.exp(-spec.delta * t) * r.radius, t
 
 
@@ -355,11 +358,12 @@ def verdicts_at(small, small_runs, scale):
     c_noise = dg.calibrate_noise_constant(trajs, spec)
     c_cal, _ = dg.calibrate_constant(trajs * 4, spec, 0.0)
     z = dg.ou_history(path, spec, 40.0)
-    R = dg.absorbing_radius(0.0, path, spec, c_cal, 40.0, z)
+    forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
+    R = dg.absorbing_radius(spec, c_cal, forcing, z, path.dt)
     c_lp = dg.calibrate_lp_constant(runs, 0.0, R)
-    rho = dg.absorbing_radius(0.0, path, spec, 1.0, 40.0, z, kind="rho")
+    rho = dg.absorbing_radius(spec, 1.0, forcing, z, path.dt, kind="rho")
     c_rho = dg.calibrate_rho_constant(runs, rho)
-    scaled_R = dg.absorbing_radius(0.0, path, spec, scale * c_cal, 40.0, z)
+    scaled_R = dg.absorbing_radius(spec, scale * c_cal, forcing, z, path.dt)
     ap = dg.attractor_from_runs(runs, spec.p)
     return {
         "energy": dg.verify_energy_inequality(trajs, spec, scale * c_noise, *TOL).passed,
