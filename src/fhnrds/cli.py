@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics as dg
+from . import __version__, diagnostics as dg, noise
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, write_snapshot
-from .model import FhnState, solve, solve_batch, validate_forcing
+from .model import FhnState, solve, solve_batch
 from .noise import RunError, WienerPath, get_ou, step_index, temperedness_probe
 
 
@@ -165,7 +165,7 @@ def _record_checks(checks, out, manifest):
 # subcommands
 
 
-def cmd_noise(cfg, out, args, manifest):
+def cmd_noise(cfg, out, args, manifest, forcing):
     spec = cfg.model_spec()
     dt = cfg["solver.dt"]
     horizon = cfg["experiment.horizon"]
@@ -196,7 +196,7 @@ def cmd_noise(cfg, out, args, manifest):
     return 0 if passed else 1
 
 
-def cmd_simulate(cfg, out, args, manifest):
+def cmd_simulate(cfg, out, args, manifest, forcing):
     spec = cfg.model_spec()
     solver = cfg.solver_spec()
     path = WienerPath(seed=cfg.seed, dt=solver.dt)
@@ -211,7 +211,7 @@ def cmd_simulate(cfg, out, args, manifest):
     return 0
 
 
-def cmd_pullback(cfg, out, args, manifest):
+def cmd_pullback(cfg, out, args, manifest, forcing):
     spec = cfg.model_spec()
     solver = cfg.solver_spec()
     fam = cfg.family_spec(spec.delta)
@@ -235,7 +235,7 @@ def cmd_pullback(cfg, out, args, manifest):
     return 0
 
 
-def cmd_verify(cfg, out, args, manifest):
+def cmd_verify(cfg, out, args, manifest, forcing):
     spec = cfg.model_spec()
     solver = cfg.solver_spec()
     fam = cfg.family_spec(spec.delta)
@@ -262,7 +262,6 @@ def cmd_verify(cfg, out, args, manifest):
     all_runs = [r for runs in ensembles for r in runs]
     c_cal, degenerate = dg.calibrate_constant([r.traj for r in all_runs], spec, tau)
     # both radii of a seed integrate one OU history, dropped before the next
-    forcing = validate_forcing(spec, tau, horizon, solver.dt)
     radii, rho_radii, c_lp = [], [], dg.CALIBRATION_FLOOR
     for path, runs in zip(pull_paths, ensembles):
         z = dg.ou_history(path, spec, horizon)
@@ -300,7 +299,7 @@ def cmd_verify(cfg, out, args, manifest):
     return 0
 
 
-def cmd_attractor(cfg, out, args, manifest):
+def cmd_attractor(cfg, out, args, manifest, forcing):
     spec = cfg.model_spec()
     solver = cfg.solver_spec()
     fam = cfg.family_spec(spec.delta)
@@ -309,7 +308,6 @@ def cmd_attractor(cfg, out, args, manifest):
     (runs,) = dg.run_pullback_ensemble(tau, [path], fam, spec, solver, cfg.t_schedule())
     # the verdict of `verify` for this one seed
     horizon = cfg["experiment.horizon"]
-    forcing = validate_forcing(spec, tau, horizon, solver.dt)
     rho = dg.rho_radius(runs, spec, forcing, dg.ou_history(path, spec, horizon), solver.dt)
     check = dg.bispatial_report([runs], [rho], spec, cfg["tolerances.defect"])
     (entry,), fixtures = _record_checks([check], out, manifest)
@@ -373,8 +371,11 @@ def main(argv=None):
             if args.seed is not None:
                 values["seed"] = args.seed
             cfg = resolve(values)
-            if args.command != "noise":  # noise reads only lambda, sigma, p and delta
-                check_forcing(cfg)
+            if args.command == "simulate" and not 0 <= args.duration < math.inf:
+                raise ConfigError(f"--duration must be finite and nonnegative, got {args.duration}")
+            # the forcing history quadrature, which verify and attractor reuse;
+            # noise reads only lambda, sigma, p and delta
+            forcing = None if args.command == "noise" else check_forcing(cfg)
             factors = (cfg["experiment.seed_count"], len(cfg.t_schedule()), cfg["family.sample_count"])
             if args.command == "verify" and math.prod(factors) < dg.CALIBRATION_MIN_RUNS:
                 raise ConfigError(
@@ -386,7 +387,7 @@ def main(argv=None):
         except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
             manifest.error = f"invalid config: {exc}"
         else:
-            status = COMMANDS[args.command](manifest.cfg, out, args, manifest)
+            status = COMMANDS[args.command](manifest.cfg, out, args, manifest, forcing)
     except RunError as exc:  # a blow-up, an off-grid time or a calibration failure
         manifest.error = f"{exc.kind}: {exc}"
     except BaseException as exc:  # a bug or an interrupt: no manifest may read as a success
@@ -394,6 +395,7 @@ def main(argv=None):
         raise
     finally:
         manifest.write(out)
+        noise._OU_CACHE.clear()  # the OU processes of a run end with it
     if manifest.error:
         print(manifest.error, file=sys.stderr)
         status = 2

@@ -5,10 +5,11 @@ numbers; comma-separated numeric lists for schedules.  Unknown keys are
 rejected so typos cannot silently fall back to defaults.  Loading a config
 eagerly revalidates the schedules, the snapshot stride, horizon and seed
 ranges, that its times lie on the step grid, the coefficients, the family's
-temperedness and the nonlinearity structure, so neither an invalid model nor
-an off-grid time reaches a solver.  The forcing
-history quadrature walks the whole horizon, so it is not part of loading:
-`check_forcing` runs it for the subcommands that integrate the forcing.
+temperedness and the structure conditions (3.1)-(3.2) on the coefficient
+`model.f.sign` of f, so neither an invalid model nor an off-grid time
+reaches a solver.  The forcing history quadrature walks the whole horizon,
+so it is not part of loading: `check_forcing` runs it for the subcommands
+that integrate the forcing and returns its result for them to reuse.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ DEFAULTS = {
     "model.p": (float, 4.0),
     "model.alpha1": (float, 0.0625),
     "model.alpha2": (float, 1.0),
-    "model.alpha3": (float, 1.0),
     "model.f.sign": (float, -1.0),
     "grid.dim": (int, 1),
     "grid.half_width": (float, 32.0),
@@ -181,7 +181,6 @@ class ExperimentConfig:
             sigma=self["model.sigma"],
             alpha1=self["model.alpha1"],
             alpha2=self["model.alpha2"],
-            alpha3=self["model.alpha3"],
             nonlin=nonlin,
             h1=h1,
             h2=h2,
@@ -250,10 +249,11 @@ def resolve(values):
 
 
 def check_forcing(cfg):
-    """Raise ConfigError unless the forcing g, h is tempered: the history
-    integral of e^{delta (s - tau)} (|g(s)|^2 + |h(s)|^2) must converge
-    over `experiment.horizon`.  It enters the absorbing radius, so every
-    subcommand that integrates the forcing needs it; `noise` does not.
+    """The (total, converged) pair of `validate_forcing` over the config's
+    tau and horizon; raise ConfigError unless the forcing g, h is tempered:
+    the history integral of e^{delta (s - tau)} (|g(s)|^2 + |h(s)|^2) must
+    converge over `experiment.horizon`.  It enters the absorbing radius, so
+    every subcommand that integrates the forcing needs it; `noise` does not.
     """
     total, converged = validate_forcing(
         cfg.model_spec(), cfg["experiment.tau"], cfg["experiment.horizon"], cfg["solver.dt"]
@@ -263,6 +263,7 @@ def check_forcing(cfg):
             f"forcing history quadrature not converged over horizon "
             f"{cfg['experiment.horizon']} (total {total:.3e})"
         )
+    return total, converged
 
 
 def read_config(path):

@@ -186,7 +186,7 @@ def test_criterion_3_energy_inequality(cfg, spec, solver, canonical_verify, repo
 def test_criterion_4_linear_subproblem_order(report):
     grid = Grid(dim=1, half_width=1.0, n=4, boundary="periodic")
     zero = ScalarField.zeros(grid)
-    spec = ModelSpec(1.0, 1.0, 1.0, 1.0, 1e-6, 1.0, 1.0,
+    spec = ModelSpec(1.0, 1.0, 1.0, 1.0, 1e-6, 1.0,
                      Nonlinearity(4.0, sign=0.0), zero, zero,
                      Forcing.zero(grid), Forcing.zero(grid), grid)
     exact = expm(np.array([[-1.0, -1.0], [1.0, -1.0]])) @ np.array([0.7, -0.3])
@@ -246,7 +246,7 @@ def test_criterion_9_bispatial_attractor(spec, solver, canonical_verify, report)
     grid = spec.grid
     zero = ScalarField.zeros(grid)
     det = ModelSpec(spec.lam, spec.alpha, spec.beta, spec.sigma,
-                    spec.alpha1, spec.alpha2, spec.alpha3, Nonlinearity(spec.p),
+                    spec.alpha1, spec.alpha2, Nonlinearity(spec.p),
                     zero, zero, Forcing.zero(grid), Forcing.zero(grid), grid)
     fam = FamilySpec(base_radius=1.0, growth_rate=0.0, sample_count=2, delta=det.delta)
     path = WienerPath(seed=0, dt=solver.dt)

@@ -65,6 +65,8 @@ def test_parse_rejects_duplicate_and_bad_value():
 
 @pytest.mark.parametrize("line", [
     "model.alpha2 = 0.5",  # structure condition 3.2
+    "model.f.sign = nan",  # structure condition 3.1 with a NaN margin
+    "model.alpha3 = 1",  # retired: 3.3 follows from 3.1 and needs no constant
     "noise.enabled = ture",  # not a flag
     "model.lambda = -1",  # coefficient positivity
     "grid.dim = 3",
@@ -159,16 +161,20 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     # the noise hash keys on uint64 seeds
     ("noise", "seed", "", ["--seed", "-1"]),
     ("noise", "seed", "", ["--seed", str(2**64)]),
+    # a flag, not a config key: solve_batch would reject it after set-up
+    ("simulate", "--duration", "", ["--duration", "-1"]),
 ], ids=["stride-15", "stride-0", "stride-minus-10", "horizon-0", "horizon-minus-5", "seed-minus-1",
-        "seed-2**64"])
+        "seed-2**64", "duration-minus-1"])
 def test_cli_out_of_range_config_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, key,
                                                         line, argv):
     def no_step(*args, **kwargs):
         raise AssertionError("an out-of-range config reached the solver")
 
+    monkeypatch.setattr(cli, "solve", no_step)
     monkeypatch.setattr(cli, "solve_batch", no_step)
     monkeypatch.setattr(diagnostics, "phi_batch", no_step)
     monkeypatch.setattr(cli, "get_ou", no_step)
+    monkeypatch.setattr(noise.OuProcess, "read", no_step)
     cfgp = write_cfg(tmp_path, SMALL + line + "\n")
     out = tmp_path / "bad"
     assert cli.main([command, "--config", cfgp, "--out", str(out), *argv]) == 2
@@ -284,7 +290,6 @@ def test_cli_noise_skips_the_forcing_history(tmp_path, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(config, "validate_forcing", counting)
-    monkeypatch.setattr(cli, "validate_forcing", counting)
     outputs = {}
     for name, text in (("default", SMALL), ("unconverged", UNCONVERGED)):
         out = tmp_path / name
@@ -625,7 +630,7 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
             run = config.resolve({"solver.dt": dt, "experiment.horizon": horizon})
             args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
             tracemalloc.reset_peak()
-            assert cli.cmd_noise(run, tmp_path, args, cli.Manifest(run, 1)) == 0
+            assert cli.cmd_noise(run, tmp_path, args, cli.Manifest(run, 1), None) == 0
             noise_peaks[dt, horizon] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -705,12 +710,23 @@ def test_cli_verify_1d_fills_each_ou_block_once(tmp_path, monkeypatch):
     assert len(filled) == len(set(filled)) == 22, filled
 
 
-def test_cli_verify_1d_integrates_the_forcing_history_twice(tmp_path, monkeypatch):
+def test_cli_main_drops_the_ou_processes_of_its_run(tmp_path, monkeypatch):
+    # a run's OU processes and their latest fills end with the run, so runs
+    # in one process do not accumulate them
+    filled = count_ou_fills(monkeypatch)
+    cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) in (0, 1)
+    assert {(seed, c) for seed, c, _ in filled} == {(42, 1), (42, 2), (43, 1), (43, 2)}
+    assert noise._OU_CACHE == {}
+
+
+def test_cli_verify_1d_integrates_the_forcing_history_once(tmp_path, monkeypatch):
     # the forcing term of the radii depends on tau alone, not on the seed or
-    # its shift: the config guard and cmd_verify each integrate it once.
+    # its shift: the config guard integrates it and cmd_verify reuses it.
     # l2sq_at evaluates all record times of a trajectory at once: 2 calls per
-    # energy_records (4 energy runs, 2 calls each), 2 per pullback run in
-    # calibrate_constant (20 runs) and 2 per one-piece quadrature, 60 in all
+    # energy_records, which the fit of c_noise and the energy verdict each run
+    # on the 4 energy runs (16), 2 per pullback run in calibrate_constant (20
+    # runs, 40) and 2 for the one-piece quadrature, 58 in all
     cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
     calls = {"validate_forcing": 0, "l2sq_at": 0}
     real_validate, real_l2sq = model.validate_forcing, model.Forcing.l2sq_at
@@ -728,7 +744,7 @@ def test_cli_verify_1d_integrates_the_forcing_history_twice(tmp_path, monkeypatc
             monkeypatch.setattr(module, "validate_forcing", validate)
     monkeypatch.setattr(model.Forcing, "l2sq_at", l2sq)
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
-    assert calls["validate_forcing"] <= 2 and calls["l2sq_at"] <= 60, calls
+    assert calls["validate_forcing"] == 1 and calls["l2sq_at"] <= 58, calls
 
 
 def test_defaults_table_is_typed():

@@ -157,7 +157,7 @@ def test_absorbing_radius_closed_forms():
     assert l2_sq(unit.values, grid) == pytest.approx(1.0)
     spec2 = ModelSpec(
         spec.lam, spec.alpha, spec.beta, spec.sigma,
-        spec.alpha1, spec.alpha2, spec.alpha3, spec.nonlin,
+        spec.alpha1, spec.alpha2, spec.nonlin,
         spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h, grid,
     )
     forcing2 = validate_forcing(spec2, 0.0, 40.0, path.dt)

@@ -31,7 +31,7 @@ from fhnrds.noise import WienerPath, get_ou, step_index
 def linear_spec(grid, lam=1.0, alpha=1.0, beta=1.0, sigma=1.0):
     zero = ScalarField.zeros(grid)
     return ModelSpec(
-        lam, alpha, beta, sigma, 1e-6, 1.0, 1.0,
+        lam, alpha, beta, sigma, 1e-6, 1.0,
         Nonlinearity(4.0, sign=0.0), zero, zero,
         Forcing.zero(grid), Forcing.zero(grid), grid,
     )
@@ -92,33 +92,55 @@ def test_model_spec_validation():
 
 
 def test_validate_structure_canonical_passes():
-    # p = 3 takes the `**=` branch of `Nonlinearity.__call__`, p = 4 the cube
     for p in (4.0, 3.0):
         cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p})
         margins = validate_structure(cfg.model_spec())
-        assert set(margins) >= {"3.1", "3.2", "3.3"}
+        # c = -1 against alpha1 = 0.0625 and alpha2 = 1
+        assert margins == {"3.1": -0.9375, "3.2": 0.0}
 
 
 @pytest.mark.parametrize("p", [4.0, 3.0])
 @pytest.mark.parametrize(
-    "key, value, condition",
-    [("model.f.sign", 1.0, "3.1"), ("model.alpha2", 0.5, "3.2")],
+    "key, value, condition, margin",
+    [("model.f.sign", 1.0, "3.1", 1.0625), ("model.alpha2", 0.5, "3.2", 0.5)],
     ids=["sign", "alpha2"],
 )
-def test_validate_structure_rejects_wrong_sign(key, value, condition, p):
+def test_validate_structure_rejects_wrong_sign(key, value, condition, margin, p):
     # resolving a config runs validate_structure.  3.1 and 3.2 can fail;
-    # 3.3 cannot, since df/ds = sign (p-1)|s|^(p-2) <= 0 < alpha3 for sign -1,
-    # and sign +1 fails 3.1 first
+    # 3.3 cannot, since df/ds = c (p-1)|s|^(p-2) <= 0 for every c that
+    # passes 3.1, and sign +1 fails 3.1 first
     with pytest.raises(StructureViolation) as exc:
         default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.p": p, key: value})
     assert exc.value.condition == condition
-    assert exc.value.margin > 0.0
-    if condition == "3.2":
-        # the scaled excess (|f| - 0.5|s|^(p-1))/max(1, |s|^p) is 0.5|s|^(p-1)
-        # below |s| = 1 and 0.5/|s| above, so it peaks at the first sample
-        # past |s| = 1, the negative one first
-        assert exc.value.witness["s"] == pytest.approx(-1.0139, abs=1e-4)
-        assert exc.value.margin == pytest.approx(0.5 / 1.0139, rel=1e-4)
+    assert exc.value.margin == margin  # c + alpha1 = 1 + 0.0625, |c| - alpha2 = 1 - 0.5
+
+
+ALPHA1, ALPHA2 = 0.0625, 1.0  # the defaults of model.alpha1 and model.alpha2
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("c", [
+    -ALPHA1, -ALPHA2, np.nextafter(-ALPHA1, 0.0), np.nextafter(-ALPHA2, -np.inf), -0.5, -2.0, 0.0, 1.0,
+], ids=["-alpha1", "-alpha2", "ulp-past-alpha1", "ulp-past-alpha2", "-0.5", "-2", "0", "1"])
+def test_structure_conditions_are_exact_in_the_coefficient(c, p):
+    # f(s) = c|s|^(p-2) s: resolve accepts exactly c <= -alpha1 and |c| <= alpha2
+    values = {"grid.n": 64, "grid.half_width": 8.0, "model.p": p, "model.f.sign": c}
+    if not (c <= -ALPHA1 and abs(c) <= ALPHA2):
+        with pytest.raises(StructureViolation) as exc:
+            default_config(**values)
+        condition, margin = ("3.1", c + ALPHA1) if c > -ALPHA1 else ("3.2", abs(c) - ALPHA2)
+        assert (exc.value.condition, exc.value.margin) == (condition, margin)
+        assert margin > 0.0
+        return
+    f = default_config(**values).model_spec().nonlin
+    mags = np.geomspace(1e-6, 1e6, 601)
+    s = np.concatenate((-mags[::-1], mags))
+    fs, abs_s = f(s), np.abs(s)
+    # 3.1 and 3.2 hold pointwise up to the rounding of the powers
+    assert np.all(fs * s + ALPHA1 * abs_s**p <= 1e-13 * abs_s**p)
+    assert np.all(np.abs(fs) - ALPHA2 * abs_s ** (p - 1.0) <= 1e-13 * abs_s ** (p - 1.0))
+    # f is nonincreasing, so f' <= 0 and 3.3 holds for every alpha3 > 0
+    assert np.all(np.diff(fs) <= 0.0)
 
 
 def test_validate_forcing_convergence_flag():
