@@ -1,10 +1,11 @@
 """The random dynamical system generated by the transformed system.
 
-phi(t, tau, omega, (u0~, v0~)) converts the initial pair to untransformed
-variables with the OU values at shift 0 of the supplied path, advances the
-pathwise PDE from tau to tau + t, and converts back with the OU values at
-shift t.  Pullback evaluation reuses phi with anchor tau - t and the path
-shifted by -t, so the same noise realization serves every pullback horizon.
+phi(t, tau, omega, (u0~, v0~)) hands the initial pair to the solve, which
+converts it to untransformed variables with the OU values at shift 0 of the
+supplied path (`solve_batch(tilde=True)`) and advances the pathwise PDE from
+tau to tau + t; phi converts back with the OU values at shift t.  Pullback
+evaluation reuses phi with anchor tau - t and the path shifted by -t, so
+the same noise realization serves every pullback horizon.
 Evaluations that land at one time can be stepped together (`phi_batch`).
 """
 
@@ -19,7 +20,7 @@ from .fields import ScalarField, bump_field, l2_sq
 # `solve` is imported for the per-layer tracer of perfbench/spans.py, which
 # wraps it here and in `cli` as one object; the cocycle steps with `solve_batch`
 from .model import FhnState, solve, solve_batch  # noqa: F401
-from .noise import get_ou, step_index
+from .noise import step_index
 
 
 @dataclass(frozen=True)
@@ -68,38 +69,6 @@ def to_tilde(state, spec, z1, z2):
     return ut, vt
 
 
-def from_tilde(u_tilde, v_tilde, spec, z1, z2, t=0.0):
-    u = ScalarField(u_tilde.grid, u_tilde.values - spec.h1.values * z1)
-    v = ScalarField(v_tilde.grid, v_tilde.values - spec.h2.values * z2)
-    return FhnState(t, u, v)
-
-
-def _untransformed(inputs, spec, dt):
-    """The initial pairs of `inputs` in (u, v), with the OU values at their shift 0.
-
-    Each OU process of a seed is read once, from the earliest start step to
-    the latest landing step of that seed's inputs: the span the solve reads
-    next, and fills again only where it exceeds the one piece a process keeps.
-    """
-    spans = {}
-    for inp in inputs:
-        j0 = inp.path.offset
-        j1 = j0 + step_index(inp.tau + inp.t, dt) - step_index(inp.tau, dt)
-        lo, hi = spans.get(inp.path.seed, (j0, j1))
-        spans[inp.path.seed] = (min(lo, j0), max(hi, j1))
-    z = {}
-    for seed, (lo, hi) in spans.items():
-        z1 = get_ou(seed, 1, spec.lam, dt).values(lo, hi)
-        z2 = get_ou(seed, 2, spec.sigma, dt).values(lo, hi)
-        z[seed] = lo, z1, z2
-    pairs = []
-    for inp in inputs:
-        lo, z1, z2 = z[inp.path.seed]
-        j = inp.path.offset - lo
-        pairs.append(from_tilde(inp.u0_tilde, inp.v0_tilde, spec, float(z1[j]), float(z2[j]), t=inp.tau))
-    return pairs
-
-
 def phi(inp, spec, solver, snapshot_stride=None):
     """Evaluate the cocycle; returns ((u~, v~) at tau+t, trajectory)."""
     return phi_batch([inp], spec, solver, snapshot_stride)[0]
@@ -116,8 +85,8 @@ def phi_batch(inputs, spec, solver, snapshot_stride=None):
     tau1 = inputs[0].tau + inputs[0].t
     if any(step_index(inp.tau + inp.t, dt) != step_index(tau1, dt) for inp in inputs):
         raise ValueError("batched cocycle inputs must land at one time")
-    members = [(inp.path, init) for inp, init in zip(inputs, _untransformed(inputs, spec, dt))]
-    trajs = solve_batch(spec, solver, members, tau1, snapshot_stride=snapshot_stride)
+    members = [(inp.path, FhnState(inp.tau, inp.u0_tilde, inp.v0_tilde)) for inp in inputs]
+    trajs = solve_batch(spec, solver, members, tau1, snapshot_stride, tilde=True)
     return [(to_tilde(traj.final, spec, traj.z1[-1], traj.z2[-1]), traj) for traj in trajs]
 
 

@@ -1,20 +1,21 @@
 """Flat key-value experiment configuration.
 
-Format: one `section.key = value` per line, `#` comments, decimal text
-numbers; comma-separated numeric lists for schedules.  Unknown keys are
-rejected so typos cannot silently fall back to defaults.  Loading a config
-eagerly revalidates the schedules, the snapshot stride, horizon and seed
+Format: one `section.key = value` per line, `#` comments, decimal text numbers;
+comma-separated numeric lists for schedules.  Unknown keys are rejected so
+typos cannot silently fall back to defaults.  Loading a config checks that its
+numbers are finite, the schedules, the snapshot stride, horizon and seed
 ranges, that its times lie on the step grid, the coefficients, the family's
 temperedness and the structure conditions (3.1)-(3.2) on the coefficient
-`model.f.sign` of f, so neither an invalid model nor an off-grid time
-reaches a solver.  The forcing history quadrature walks the whole horizon,
-so it is not part of loading: `check_forcing` runs it for the subcommands
-that integrate the forcing and returns its result for them to reuse.
+`model.f.sign` of f, so neither an invalid model nor an off-grid time reaches a
+solver.  The forcing history quadrature walks the whole horizon, so it is not
+part of loading: `check_forcing` runs it for the subcommands that integrate the
+forcing and returns its result for them to reuse.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .cocycle import FamilySpec
@@ -213,6 +214,10 @@ def resolve(values):
     extra = set(values) - set(DEFAULTS)
     if extra:
         raise ConfigError(f"unknown keys: {sorted(extra)}")
+    for key, (parser, _) in DEFAULTS.items():
+        vals = resolved[key] if parser is _num_list else [resolved[key]]
+        if parser in (float, _num_list) and not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{key} must be finite, got {resolved[key]}")
     M, ts = resolved["schedules.M"], resolved["schedules.t"]
     if min(M) <= 0 or any(b <= a for a, b in zip(M, M[1:])):
         raise ConfigError(f"schedules.M must be positive and strictly increasing, got {list(M)}")

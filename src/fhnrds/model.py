@@ -135,7 +135,7 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("lam", "alpha", "beta", "sigma", "alpha1", "alpha2"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"coefficient {name} must be positive")
 
     @property
@@ -259,7 +259,7 @@ class Trajectory:
     snapshots: list  # (t, u values copy) at the snapshot stride
 
 
-def solve(spec, solver, path, tau0, tau1, init, record_stride=RECORD_STRIDE, snapshot_stride=None):
+def solve(spec, solver, path, tau0, tau1, init, snapshot_stride=None):
     """Advance from tau0 to tau1 along `path`, recording norms every stride.
 
     z1, z2 at PDE time s are the OU drivers evaluated at the path step
@@ -268,28 +268,30 @@ def solve(spec, solver, path, tau0, tau1, init, record_stride=RECORD_STRIDE, sna
     """
     if step_index(init.t, solver.dt) != step_index(tau0, solver.dt):
         raise ValueError("init.t must equal tau0")
-    return solve_batch(spec, solver, [(path, init)], tau1, record_stride, snapshot_stride)[0]
+    return solve_batch(spec, solver, [(path, init)], tau1, snapshot_stride)[0]
 
 
-def solve_batch(spec, solver, members, tau1, record_stride=RECORD_STRIDE, snapshot_stride=None):
+def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     """Advance several runs to tau1 as the rows of one (B, n) array.
 
     `members` is a list of (path, init) pairs; each run starts at init.t and
-    is driven along its own path exactly as in `solve`.  A row joins the
-    batch at its own start step, so runs of different length (a pullback
-    schedule) land together at tau1, and records and snapshots are counted
-    from each row's own start.  The arithmetic of a row does not depend on
-    the batch: every operation is elementwise, the implicit solve treats
-    each row alone, and the records are per-row dot products.  Each row is
-    therefore bitwise the run `solve` gives on its own.  Returns one
-    Trajectory per member, in order.
+    is driven along its own path exactly as in `solve`.  With `tilde`, each
+    init holds the transformed pair (u~, v~), and its row starts from
+    (u~ - h1*z1, v~ - h2*z2) with the OU values at the run's first step.  A
+    row joins the batch at its own start step, so runs of different length
+    (a pullback schedule) land together at tau1, and records and snapshots
+    are counted from each row's own start.  The arithmetic of a row does
+    not depend on the batch: every operation is elementwise, the implicit
+    solve treats each row alone, and the records are per-row dot products.
+    Each row is therefore bitwise the run `solve` gives on its own.  Returns
+    one Trajectory per member, in order.
     """
     if not members:
         return []
     dt = solver.dt
     k1 = step_index(tau1, dt)
-    if snapshot_stride and snapshot_stride % record_stride != 0:
-        raise ValueError("snapshot_stride must be a multiple of record_stride")
+    if snapshot_stride and snapshot_stride % RECORD_STRIDE != 0:
+        raise ValueError("snapshot_stride must be a multiple of RECORD_STRIDE")
     starts = []
     for path, init in members:
         if abs(path.dt - dt) > 1e-15:
@@ -345,9 +347,9 @@ def solve_batch(spec, solver, members, tau1, record_stride=RECORD_STRIDE, snapsh
     recs = [[] for _ in range(B)]  # one tuple per record, in Trajectory field order
     snapshots = [[] for _ in range(B)]
     # the rows whose own step count is a multiple of the stride at step k
-    # are by_phase[k % record_stride], in row order
+    # are by_phase[k % RECORD_STRIDE], in row order
     starts_arr = np.array(k0)
-    by_phase = [np.flatnonzero(starts_arr % record_stride == r) for r in range(record_stride)]
+    by_phase = [np.flatnonzero(starts_arr % RECORD_STRIDE == r) for r in range(RECORD_STRIDE)]
 
     def record(due, k):
         j = k - kmin
@@ -375,6 +377,9 @@ def solve_batch(spec, solver, members, tau1, record_stride=RECORD_STRIDE, snapsh
                 init = members[rows[A]][1]
                 U[A] = init.u.values
                 V[A] = init.v.values
+                if tilde:
+                    U[A] -= h1 * Z1[k - kmin, group[A]]
+                    V[A] -= h2 * Z2[k - kmin, group[A]]
                 A += 1
             record(np.arange(first, A), k)
             u, v, rhs = U[:A], V[:A], R[:A]
@@ -414,7 +419,7 @@ def solve_batch(spec, solver, members, tau1, record_stride=RECORD_STRIDE, snapsh
         # the old u is not needed any more: it becomes the next rhs buffer
         U, R = R, U
         u, rhs = rhs, u
-        due = np.arange(A) if k + 1 == k1 else by_phase[(k + 1) % record_stride]
+        due = np.arange(A) if k + 1 == k1 else by_phase[(k + 1) % RECORD_STRIDE]
         if len(due) and due[0] < A:
             record(due[: np.searchsorted(due, A)], k + 1)
 

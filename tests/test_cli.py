@@ -163,8 +163,18 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     ("noise", "seed", "", ["--seed", str(2**64)]),
     # a flag, not a config key: solve_batch would reject it after set-up
     ("simulate", "--duration", "", ["--duration", "-1"]),
+    # non-finite numbers: an internal error, output computed from NaN, or a
+    # NaN reported as a blow-up
+    ("noise", "model.lambda", "model.lambda = nan", []),
+    ("pullback", "family.base_radius", "family.base_radius = nan", []),
+    ("pullback", "noise.h1.width", "noise.h1.width = nan", []),
+    ("pullback", "model.alpha", "model.alpha = nan", []),
+    ("pullback", "solver.dt", "solver.dt = inf", []),
+    ("verify", "experiment.horizon", "experiment.horizon = inf", []),
+    ("pullback", "schedules.t", "schedules.t = 2,nan", []),
 ], ids=["stride-15", "stride-0", "stride-minus-10", "horizon-0", "horizon-minus-5", "seed-minus-1",
-        "seed-2**64", "duration-minus-1"])
+        "seed-2**64", "duration-minus-1", "lambda-nan", "base-radius-nan", "h1-width-nan", "alpha-nan",
+        "dt-inf", "horizon-inf", "schedule-nan"])
 def test_cli_out_of_range_config_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, key,
                                                         line, argv):
     def no_step(*args, **kwargs):
@@ -688,6 +698,21 @@ def test_cli_verify_radii_fill_each_history_block_once(tmp_path, monkeypatch):
     assert len(filled) == len(set(filled)), filled
     history = range(-step_index(300.0, 1e-3) // noise.OuProcess(42, 1, 1.0, 1e-3).B, 1)
     assert sorted(filled) == [(s, c, m) for s in range(42, 47) for c in (1, 2) for m in history]
+
+
+def test_pullback_ensemble_fills_each_ou_block_once(monkeypatch):
+    # one-block pieces (B = 5,000 at rate 4) and a span over 4 blocks: the solve
+    # converts each run's initial pair with the z values it reads anyway, so
+    # the span of each seed is read once
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", 1)
+    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "model.lambda": 4.0,
+                            "model.sigma": 4.0, "family.gamma_fraction": 0.1})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    filled = count_ou_fills(monkeypatch)
+    paths = [noise.WienerPath(seed=s, dt=solver.dt) for s in (3, 4)]
+    diagnostics.run_pullback_ensemble(0.0, paths, cfg.family_spec(spec.delta), spec, solver, [4.0, 12.0])
+    assert {p.B for p in noise._OU_CACHE.values()} == {5000}
+    assert sorted(filled) == [(s, c, m) for s in (3, 4) for c in (1, 2) for m in range(-3, 1)]
 
 
 def workload_config(monkeypatch, name):

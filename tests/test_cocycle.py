@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -6,15 +8,16 @@ from fhnrds.cocycle import (
     CocycleInput,
     FamilySpec,
     _scrambled_halton,
-    from_tilde,
     phi,
+    phi_batch,
     pullback,
     sample_family,
     to_tilde,
 )
 from fhnrds.config import default_config
 from fhnrds.fields import ScalarField, bump_field, l2_sq
-from fhnrds.noise import WienerPath
+from fhnrds.model import FhnState, Trajectory, solve, solve_batch
+from fhnrds.noise import OuProcess, WienerPath
 
 from cocycle_law import cocycle_check
 
@@ -51,14 +54,41 @@ def test_family_decay_bound():
     assert series[-1] < 1e-8
 
 
-def test_tilde_roundtrip(small):
-    _, spec, _, _ = small
-    u = bump_field(spec.grid, amplitude=1.0)
-    v = bump_field(spec.grid, center=1.0, amplitude=0.5)
-    st = from_tilde(u, v, spec, 0.37, -0.81, t=0.0)
-    u2, v2 = to_tilde(st, spec, 0.37, -0.81)
-    np.testing.assert_allclose(u2.values, u.values, atol=1e-14)
-    np.testing.assert_allclose(v2.values, v.values, atol=1e-14)
+def test_phi_batch_rows_are_solves_from_the_untransformed_pair(small):
+    # the solve converts each (u0~, v0~) with z at the row's own first step:
+    # every row, through phi_batch and through solve_batch(tilde=True), is
+    # bitwise the solve from (u0~ - h1 z1, v0~ - h2 z2), z read afresh
+    _, spec, solver, _ = small
+    dt, grid = solver.dt, spec.grid
+    a, b = WienerPath(seed=3, dt=dt), WienerPath(seed=4, dt=dt, offset=700)
+    inputs = [
+        CocycleInput(1.5, -1.5, a.shift(-1.5), bump_field(grid, amplitude=0.8, width=3.0),
+                     bump_field(grid, center=1.0, amplitude=0.4)),
+        CocycleInput(1.0, -1.0, b.shift(-1.0), bump_field(grid, center=-2.0, amplitude=-0.6),
+                     bump_field(grid, center=2.0, amplitude=0.3, width=2.0)),
+        CocycleInput(0.537, -0.537, a.shift(-0.537), bump_field(grid, amplitude=0.2, width=5.0),
+                     ScalarField.zeros(grid)),
+    ]
+    members = [(inp.path, FhnState(inp.tau, inp.u0_tilde, inp.v0_tilde)) for inp in inputs]
+    batch = solve_batch(spec, solver, members, 0.0, snapshot_stride=20, tilde=True)
+    for inp, ((u_t, v_t), traj), row in zip(inputs, phi_batch(inputs, spec, solver, 20), batch):
+        j = inp.path.offset
+        z1 = OuProcess(inp.path.seed, 1, spec.lam, dt).values(j, j)[0]
+        z2 = OuProcess(inp.path.seed, 2, spec.sigma, dt).values(j, j)[0]
+        init = FhnState(inp.tau, ScalarField(grid, inp.u0_tilde.values - spec.h1.values * z1),
+                        ScalarField(grid, inp.v0_tilde.values - spec.h2.values * z2))
+        alone = solve(spec, solver, inp.path, inp.tau, 0.0, init, snapshot_stride=20)
+        for got in (traj, row):
+            assert got.final.t == alone.final.t
+            assert np.array_equal(got.final.u.values, alone.final.u.values)
+            assert np.array_equal(got.final.v.values, alone.final.v.values)
+            for field in dataclasses.fields(Trajectory):
+                if field.name not in ("final", "snapshots"):
+                    assert np.array_equal(getattr(got, field.name), getattr(alone, field.name)), field.name
+            assert [t for t, _ in got.snapshots] == [t for t, _ in alone.snapshots]
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got.snapshots, alone.snapshots))
+        want_u, want_v = to_tilde(alone.final, spec, alone.z1[-1], alone.z2[-1])
+        assert np.array_equal(u_t.values, want_u.values) and np.array_equal(v_t.values, want_v.values)
 
 
 def test_phi_time_zero_is_identity(small):

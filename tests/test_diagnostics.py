@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhnrds import diagnostics as dg
-from fhnrds import noise
+from fhnrds import model, noise
 from fhnrds.config import default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, superlevel_measure
 from fhnrds.model import FhnState, solve, validate_forcing
@@ -99,15 +99,17 @@ def test_energy_inequality_detects_corruption(small, small_traj):
     assert not dg.verify_energy_inequality([sliced(corrupted, slice(k + 1))], spec, c, *TOL).passed
 
 
-def test_energy_pass_invariant_under_subsampling(small):
+def test_energy_pass_invariant_under_subsampling(small, monkeypatch):
     """Checking every step vs every k steps (k*dt <= 0.01) never flips PASS."""
     cfg, spec, solver, _ = small
+    monkeypatch.setattr(model, "RECORD_STRIDE", 1)
     path = WienerPath(seed=5, dt=solver.dt)
     init = FhnState(
         0.0, bump_field(spec.grid, amplitude=1.0, width=4.0),
         bump_field(spec.grid, center=2.0, amplitude=1.0, width=4.0),
     )
-    fine = solve(spec, solver, path, 0.0, 2.0, init, record_stride=1)
+    fine = solve(spec, solver, path, 0.0, 2.0, init)
+    assert len(fine.t) == 2001  # a record at every step
     c = dg.calibrate_noise_constant([fine], spec)
     assert dg.verify_energy_inequality([fine], spec, c, *TOL).passed
     for stride in (2, 5, 10):

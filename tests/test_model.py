@@ -504,4 +504,4 @@ def test_trajectory_records_transformed_norms():
     )
     assert len(traj.snapshots) == 6
     with pytest.raises(ValueError):
-        solve(spec, solver, path, 0.0, 0.5, init, record_stride=10, snapshot_stride=15)
+        solve(spec, solver, path, 0.0, 0.5, init, snapshot_stride=15)
