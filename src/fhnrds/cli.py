@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, diagnostics as dg, noise
 from .config import ConfigError, check_forcing, read_config, resolve
-from .fields import bump_field, write_snapshot
+from .fields import bump_field, open_new, write_snapshot
 from .model import FhnState, solve, solve_batch
 from .noise import RunError, WienerPath, get_ou, step_index, temperedness_probe
 
@@ -49,14 +49,14 @@ def _jsonable(obj):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) if isinstance(x, (float, np.floating)) else str(x) for x in row) + "\n")
 
 
 def write_json(path, payload):
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 

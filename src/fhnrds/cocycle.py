@@ -49,11 +49,12 @@ class FamilySpec:
     delta: float
 
     def __post_init__(self):
-        if self.base_radius < 0 or self.sample_count < 1:
+        # written so that NaN fails each test
+        if not self.base_radius >= 0 or self.sample_count < 1:
             raise ValueError("base_radius must be >= 0 and sample_count >= 1")
-        if self.growth_rate < 0:
+        if not self.growth_rate >= 0:
             raise ValueError("growth_rate must be nonnegative")
-        if 2.0 * self.growth_rate >= self.delta:
+        if not 2.0 * self.growth_rate < self.delta:
             raise ValueError(
                 f"family is not tempered: 2*gamma = {2 * self.growth_rate} >= delta = {self.delta}"
             )

@@ -8,6 +8,7 @@ tails used by the diagnostics are mutually consistent by construction.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,7 @@ class Grid:
             raise ValueError("dim must be 1 or 2")
         if self.n < 3:
             raise ValueError("need at least 3 points per axis")
-        if self.half_width <= 0:
+        if not self.half_width > 0:  # NaN fails too
             raise ValueError("half_width must be positive")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
@@ -99,18 +100,45 @@ def laplacian_values(values, grid):
     return out / h2
 
 
+def row_dots(values):
+    """x . x for each row x of `values` flattened after its leading axis.
+
+    A stacked `np.matmul` of (1, n) by (n, 1) rows calls the same BLAS
+    `ddot` as `np.dot` does on one row, so each entry is bitwise the row's
+    own `np.dot` (`tests/test_fields.py` pins it, as it rests on numpy's
+    dispatch); `einsum` sums in another order.  Each call is one row long:
+    OpenBLAS splits a `ddot` longer than 10,000 values over its threads,
+    which in the forked workers of `cli --threads` ran 25 times slower.
+    """
+    rows = len(values)
+    return np.matmul(values.reshape(rows, 1, -1), values.reshape(rows, -1, 1))[:, 0, 0]
+
+
 def l2_sq(values, grid):
+    """Squared L2 norm of raw values; with a leading row axis, one per row."""
+    if values.ndim > grid.dim:
+        return row_dots(values) * grid.cell_measure
     v = values.ravel()
     return float(np.dot(v, v) * grid.cell_measure)
 
 
 def lp_p(values, grid, p):
-    """Integral of |f|^p (no root), on raw values."""
+    """Integral of |f|^p (no root), on raw values; with a leading row axis, one per row.
+
+    Rows are bitwise the calls on each row alone: p = 4 squares and takes
+    the row dots of `l2_sq`, other p sum each row by its own `np.sum`.
+    """
+    rows = values.ndim > grid.dim
     if p == 4:
         v2 = values * values
+        if rows:
+            return row_dots(v2) * grid.cell_measure
         v2 = v2.ravel()
         return float(np.dot(v2, v2) * grid.cell_measure)
-    return float(np.sum(np.abs(values) ** p) * grid.cell_measure)
+    powers = np.abs(values) ** p
+    if rows:
+        return np.array([np.sum(row) for row in powers]) * grid.cell_measure
+    return float(np.sum(powers) * grid.cell_measure)
 
 
 def superlevel_measure(f, M):
@@ -136,13 +164,28 @@ def tail_integrals(f, M_values, p):
     return (sums[a.size - np.searchsorted(a, M)] * f.grid.cell_measure).tolist()
 
 
+def open_new(path):
+    """Open `path` for writing text as a new file, unlinking an old one first.
+
+    A rerun into the same directory then writes new files rather than
+    truncating the old ones in place, which on ext4 (`auto_da_alloc`) can
+    wait for the old pages' writeback; a hard link to the old file keeps
+    its bytes.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w")
+
+
 SNAPSHOT_MAGIC = "FHNFIELD"
 
 
 def write_snapshot(f, path, time):
     """Text snapshot: `FHNFIELD v2 dim n L boundary time`, one value per line."""
     g = f.grid
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(f"{SNAPSHOT_MAGIC} v2 {g.dim} {g.n} {g.half_width:.17g} {g.boundary} {time:.17g}\n")
         for v in f.values.ravel():
             fh.write(f"{v:.17g}\n")

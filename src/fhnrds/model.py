@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
+from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p, row_dots
 from .noise import RunError, get_ou, step_index
 
 BLOWUP_THRESHOLD = 1e8
@@ -65,7 +65,7 @@ class Nonlinearity:
     """
 
     def __init__(self, p, sign=-1.0):
-        if p <= 2:
+        if not p > 2:  # NaN fails too
             raise ValueError("growth exponent p must exceed 2")
         self.p = p
         self.sign = float(sign)
@@ -239,7 +239,7 @@ class SolverSpec:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise ValueError("dt must be positive")
 
 
@@ -282,13 +282,16 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     (a pullback schedule) land together at tau1, and records and snapshots
     are counted from each row's own start.  The arithmetic of a row does
     not depend on the batch: every operation is elementwise, the implicit
-    solve treats each row alone, and the records are per-row dot products.
-    Each row is therefore bitwise the run `solve` gives on its own.  Returns
-    one Trajectory per member, in order.
+    solve treats each row alone, and the records of the rows due at a step
+    are taken at once by `l2_sq` and `lp_p` over a leading row axis, which
+    give each row bitwise its own norm.  Each row is therefore bitwise the
+    run `solve` gives on its own.  Returns one Trajectory per member, in
+    order; the record arrays of the trajectories are views of one block.
     """
     if not members:
         return []
     dt = solver.dt
+    stride = RECORD_STRIDE
     k1 = step_index(tau1, dt)
     if snapshot_stride and snapshot_stride % RECORD_STRIDE != 0:
         raise ValueError("snapshot_stride must be a multiple of RECORD_STRIDE")
@@ -314,7 +317,8 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         path = members[i][0]
         key = (path.seed, path.offset - k0[b])
         group.append(sources.setdefault(key, (len(sources), k0[b]))[0])
-    Z1 = np.zeros((k1 - kmin + 1, len(sources)))
+    S = len(sources)
+    Z1 = np.zeros((k1 - kmin + 1, S))
     Z2 = np.zeros_like(Z1)
     for (seed, shift), (g, first) in sources.items():
         Z1[first - kmin :, g] = get_ou(seed, 1, spec.lam, dt).values(first + shift, k1 + shift)
@@ -332,6 +336,10 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     ev = np.exp(-spec.sigma * dt)
     gain = (1.0 - ev) / spec.sigma
     p = spec.p
+    # a row's sum of squares at most T^2 bounds each of its |x| by T: each
+    # square is at most the rounded sum of nonnegative terms, and T^2 = 1e16
+    # is exact
+    guard = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
 
     U = np.empty((B,) + grid.shape)
     R = np.empty_like(U)
@@ -340,95 +348,138 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     acc = np.empty_like(U)
     tmp = np.empty_like(U)
     force = np.empty(grid.shape)
-    prod = np.empty((len(sources),) + grid.shape)
+    prod = np.empty((S,) + grid.shape)
     group = np.array(group)
-    zshape = (-1,) + (1,) * grid.dim
+    zcol = (1,) * grid.dim  # a z value per source broadcasts over its profile
 
-    recs = [[] for _ in range(B)]  # one tuple per record, in Trajectory field order
+    # records at each row's steps 0, stride, 2*stride, ... and at tau1, in
+    # Trajectory field order: row b fills recs[:, offsets[b] : offsets[b + 1]]
+    # and writes its next record at nxt[b]
+    k0a = np.array(k0)
+    offsets = np.concatenate(([0], np.cumsum((k1 - k0a + stride - 1) // stride + 1))).tolist()
+    nxt = np.array(offsets[:-1])
+    recs = np.empty((7, offsets[-1]))
     snapshots = [[] for _ in range(B)]
     # the rows whose own step count is a multiple of the stride at step k
-    # are by_phase[k % RECORD_STRIDE], in row order
-    starts_arr = np.array(k0)
-    by_phase = [np.flatnonzero(starts_arr % RECORD_STRIDE == r) for r in range(RECORD_STRIDE)]
+    # are by_phase[k % stride], in row order
+    by_phase = [np.flatnonzero(k0a % stride == r) for r in range(stride)]
 
     def record(due, k):
+        """Record the rows `due`, increasing, at step k, all at once."""
+        m = len(due)
+        if due[-1] - due[0] == m - 1:  # consecutive rows: views, no copies
+            sel = slice(due[0], due[-1] + 1)
+            u, v = U[sel], V[sel]
+        else:
+            sel = due
+            u = np.take(U, due, axis=0, out=shifted[:m])
+            v = np.take(V, due, axis=0, out=acc[:m])
         j = k - kmin
-        tn = k * dt
-        for b in due.tolist():
-            z1 = Z1[j, group[b]]
-            recs[b].append((tn, l2_sq(U[b], grid), l2_sq(V[b], grid), lp_p(U[b], grid, p),
-                            lp_p(U[b] + h1 * z1, grid, p), z1, Z2[j, group[b]]))
-            if snapshot_stride and (k - k0[b]) % snapshot_stride == 0:
-                snapshots[b].append((tn, U[b].copy()))
+        z1 = Z1[j, group[sel]]
+        ut = np.multiply(h1, z1.reshape((m,) + zcol), out=tmp[:m])
+        np.add(u, ut, out=ut)
+        nxt[sel] += 1
+        at = nxt[sel] - 1
+        recs[0, at] = k * dt
+        recs[1, at] = l2_sq(u, grid)
+        recs[2, at] = l2_sq(v, grid)
+        recs[3, at] = lp_p(u, grid, p)
+        recs[4, at] = lp_p(ut, grid, p)
+        recs[5, at] = z1
+        recs[6, at] = Z2[j, group[sel]]
+        if snapshot_stride:
+            for b in due.tolist():
+                if (k - k0[b]) % snapshot_stride == 0:
+                    snapshots[b].append((k * dt, U[b].copy()))
+
+    def enter(first, k):
+        """Rows from `first` whose start step is k join; returns the active count."""
+        end = first
+        while end < B and k0[end] == k:
+            init = members[rows[end]][1]
+            U[end] = init.u.values
+            V[end] = init.v.values
+            if tilde:
+                U[end] -= h1 * Z1[k - kmin, group[end]]
+                V[end] -= h2 * Z2[k - kmin, group[end]]
+            end += 1
+        record(np.arange(first, end), k)
+        return end
 
     # The loop below evaluates, for the active rows, into preallocated
     # buffers and in this order of floating-point operations,
     #   rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
     #   v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
-    # A profile times z is formed once per z series and gathered to the rows
-    # (prod[gi]): numpy broadcasts a per-row column several times slower
-    # than it runs contiguous arrays.
+    # Once per stride block it reads the block's z columns and alpha*z2,
+    # beta*z1, and the forcing factors gf, hf at the block's times, all
+    # elementwise as per step.  A profile times z is formed once per z
+    # series (prod): one series broadcasts its row, rows that are their own
+    # series in order read the first A rows of prod, and any other batch
+    # gathers prod[gi] (numpy broadcasts a per-row column several times
+    # slower than it runs contiguous arrays).
     gfactor, hfactor = spec.g.factor, spec.h.factor
     A = 0
-    for k in range(kmin, k1 + 1):
-        if A < B and k0[A] == k:
-            first = A
-            while A < B and k0[A] == k:
-                init = members[rows[A]][1]
-                U[A] = init.u.values
-                V[A] = init.v.values
-                if tilde:
-                    U[A] -= h1 * Z1[k - kmin, group[A]]
-                    V[A] -= h2 * Z2[k - kmin, group[A]]
-                A += 1
-            record(np.arange(first, A), k)
-            u, v, rhs = U[:A], V[:A], R[:A]
-            sh, ac, tm, gi = shifted[:A], acc[:A], tmp[:A], group[:A]
-        if k == k1:
-            break
-        tn = k * dt
-        z1 = Z1[k - kmin].reshape(zshape)
-        z2 = Z2[k - kmin].reshape(zshape)
-        np.multiply(h1, z1, out=prod)
-        np.add(u, prod[gi], out=sh)
-        np.multiply(gprof, gfactor(tn), out=force)
-        np.add(nl(sh, out=tm), force, out=ac)
-        np.multiply(v, alpha, out=tm)
-        np.subtract(ac, tm, out=ac)
-        np.multiply(lap_h1, z1, out=prod)
-        np.add(ac, prod[gi], out=ac)
-        np.multiply(h2, alpha * z2, out=prod)
-        np.subtract(ac, prod[gi], out=ac)
-        np.multiply(ac, dt, out=ac)
-        np.add(u, ac, out=rhs)
-        op.solve(rhs)
-        mx = float(np.abs(rhs, out=tm).max())
-        if not mx <= BLOWUP_THRESHOLD:  # catches NaN as well
-            row_max = tm.reshape(A, -1).max(axis=1)
-            b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
-            path, init = members[rows[b]]
-            raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
-        np.multiply(u, beta, out=ac)
-        np.multiply(hprof, hfactor(tn), out=force)
-        np.add(ac, force, out=ac)
-        np.multiply(h1, beta * z1, out=prod)
-        np.add(ac, prod[gi], out=ac)
-        np.multiply(ac, gain, out=ac)
-        np.multiply(v, ev, out=v)
-        np.add(v, ac, out=v)
-        # the old u is not needed any more: it becomes the next rhs buffer
-        U, R = R, U
-        u, rhs = rhs, u
-        due = np.arange(A) if k + 1 == k1 else by_phase[(k + 1) % RECORD_STRIDE]
-        if len(due) and due[0] < A:
-            record(due[: np.searchsorted(due, A)], k + 1)
+    for kb in range(kmin, k1, stride):
+        ke = min(kb + stride, k1)
+        times = np.arange(kb, ke) * dt
+        gfs = np.broadcast_to(gfactor(times), times.shape).tolist()
+        hfs = np.broadcast_to(hfactor(times), times.shape).tolist()
+        zs = Z1[kb - kmin : ke - kmin]
+        z1s = zs.reshape((ke - kb, S) + zcol)
+        bz1s = (beta * zs).reshape(z1s.shape)
+        az2s = (alpha * Z2[kb - kmin : ke - kmin]).reshape(z1s.shape)
+        for i, k in enumerate(range(kb, ke)):
+            if A < B and k0[A] == k:
+                A = enter(A, k)
+                u, v, rhs = U[:A], V[:A], R[:A]
+                sh, ac, tm, gi = shifted[:A], acc[:A], tmp[:A], group[:A]
+                src = prod if S == 1 else prod[:A] if S == B else None
+                phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
+            z1 = z1s[i]
+            np.multiply(h1, z1, out=prod)
+            np.add(u, prod[gi] if src is None else src, out=sh)
+            np.multiply(gprof, gfs[i], out=force)
+            np.add(nl(sh, out=tm), force, out=ac)
+            np.multiply(v, alpha, out=tm)
+            np.subtract(ac, tm, out=ac)
+            np.multiply(lap_h1, z1, out=prod)
+            np.add(ac, prod[gi] if src is None else src, out=ac)
+            np.multiply(h2, az2s[i], out=prod)
+            np.subtract(ac, prod[gi] if src is None else src, out=ac)
+            np.multiply(ac, dt, out=ac)
+            np.add(u, ac, out=rhs)
+            op.solve(rhs)
+            if not row_dots(rhs).max() <= guard:  # NaN too; the exact scan decides
+                mx = float(np.abs(rhs, out=tm).max())
+                if not mx <= BLOWUP_THRESHOLD:
+                    row_max = tm.reshape(A, -1).max(axis=1)
+                    b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
+                    path, init = members[rows[b]]
+                    raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
+            np.multiply(u, beta, out=ac)
+            np.multiply(hprof, hfs[i], out=force)
+            np.add(ac, force, out=ac)
+            np.multiply(h1, bz1s[i], out=prod)
+            np.add(ac, prod[gi] if src is None else src, out=ac)
+            np.multiply(ac, gain, out=ac)
+            np.multiply(v, ev, out=v)
+            np.add(v, ac, out=v)
+            # the old u is not needed any more: it becomes the next rhs buffer
+            U, R = R, U
+            u, rhs = rhs, u
+            due = np.arange(A) if k + 1 == k1 else phase_due[(k + 1) % stride]
+            if len(due):
+                record(due, k + 1)
+    if A < B:  # runs that start at tau1 take no step
+        enter(A, k1)
 
+    energy = alpha * recs[2] + beta * recs[1]
     trajs = [None] * B
     for b, i in enumerate(rows):
-        cols = np.array(recs[b]).T.copy()
+        at = slice(offsets[b], offsets[b + 1])
         trajs[i] = Trajectory(
-            *cols,
-            energy=alpha * cols[2] + beta * cols[1],
+            *recs[:, at],
+            energy=energy[at],
             final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
             snapshots=snapshots[b],
         )

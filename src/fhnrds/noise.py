@@ -93,7 +93,7 @@ def wiener_increment(seed, k, dt):
     `k` may be a scalar or an integer array; negative indices address the
     backward half of the path.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
     u = _uniform01(seed.seed, seed.component, k, _TAG_INCREMENT)
     return ndtri(u) * np.sqrt(dt)
@@ -114,7 +114,7 @@ class WienerPath:
     offset: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
 
     def shift(self, s):
@@ -162,8 +162,10 @@ class OuProcess:
     """
 
     def __init__(self, seed, component, rate, dt):
-        if rate <= 0:
+        if not rate > 0:  # NaN fails too, before it reaches int()
             raise ValueError("rate must be positive")
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         self.seed = NoiseSeed(seed, component)
         self.rate = rate
         self.dt = dt
@@ -286,7 +288,7 @@ def temperedness_probe(ts, z, delta, exponent, horizon):
     0.  The probe passes when the maximum of the series over the last 10% of
     the horizon sits below its initial value.
     """
-    if delta <= 0 or horizon <= 0:
+    if not (delta > 0 and horizon > 0):  # NaN fails too
         raise ValueError("delta and horizon must be positive")
     series = np.exp(-delta * ts) * np.abs(z) ** exponent
     tail = series[ts >= 0.9 * horizon]

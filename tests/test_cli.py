@@ -358,6 +358,22 @@ def test_cli_noise_and_simulate(tmp_path):
     assert header.startswith("t,u_l2sq,v_l2sq")
 
 
+def test_cli_rerun_writes_new_files_and_leaves_hard_links_their_old_bytes(tmp_path):
+    # outputs are unlinked and created anew, not truncated in place: a hard
+    # link to an old output keeps its bytes after a rerun into the same --out
+    cfgp = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "noise_out"
+    assert cli.main(["noise", "--config", cfgp, "--out", str(out), "--seed", "1"]) == 0
+    old = {}
+    for name in ("ou_series.csv", "manifest.json"):
+        old[name] = (out / name).read_bytes()
+        (tmp_path / name).hardlink_to(out / name)
+    assert cli.main(["noise", "--config", cfgp, "--out", str(out), "--seed", "2"]) == 0
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data, name
+        assert (out / name).read_bytes() != data, name
+
+
 def test_cli_simulate_starts_at_experiment_tau(tmp_path):
     # the initial state is placed at tau, where the run starts
     cfgp = write_cfg(tmp_path, SMALL + "experiment.tau = 1.0\n")

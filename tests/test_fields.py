@@ -84,6 +84,23 @@ def test_norms_consistent():
     assert lp_p(v, g, 3.5) == pytest.approx(np.sum(np.abs(v) ** 3.5) * g.cell_measure, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim, rows, n", [
+    (1, 1, 1024), (1, 7, 1000), (1, 20, 1024), (1, 40, 1024), (2, 3, 64),
+], ids=["1x1024", "7x1000", "20x1024", "40x1024", "2d-3x64x64"])
+@pytest.mark.parametrize("p", [4, 3, 5.5])
+def test_row_axis_norms_are_the_per_row_calls_bitwise(dim, rows, n, p):
+    # model.solve_batch records every due row at once through a leading row
+    # axis, and each run must stay bitwise its solo solve: the stacked
+    # matmul of l2_sq and lp_p(p = 4) reaches the same BLAS ddot as np.dot
+    # on one row, which rests on numpy's dispatch, so it is pinned here
+    g = Grid(dim=dim, n=n, half_width=32.0)
+    values = np.random.default_rng(rows * n).standard_normal((rows,) + g.shape)
+    got_l2, got_lp = l2_sq(values, g), lp_p(values, g, p)
+    assert got_l2.shape == got_lp.shape == (rows,)
+    assert np.array_equal(got_l2, [l2_sq(row, g) for row in values])
+    assert np.array_equal(got_lp, [lp_p(row, g, p) for row in values])
+
+
 def test_superlevel_and_tails():
     g = Grid(n=8, half_width=4.0)  # unit cells
     f = ScalarField(g, np.array([0.0, 0.5, -1.0, 2.0, -3.0, 0.1, 1.0, 0.0]))
@@ -124,6 +141,18 @@ def test_snapshot_roundtrip_exact(tmp_path, dim, boundary):
     assert t == 1.25
     np.testing.assert_array_equal(f.values, f2.values)
     assert f2.grid == g
+
+
+def test_snapshot_rewrite_leaves_a_hard_link_its_old_bytes(tmp_path):
+    # a rewrite makes a new file instead of truncating the old one in place
+    g = Grid(n=16, half_width=8.0)
+    p, link = tmp_path / "snap.txt", tmp_path / "old.txt"
+    write_snapshot(ScalarField.zeros(g), p, time=0.0)
+    old = p.read_bytes()
+    link.hardlink_to(p)
+    write_snapshot(bump_field(g), p, time=1.0)
+    assert link.read_bytes() == old
+    assert read_snapshot(p)[1] == 1.0
 
 
 def test_snapshot_rejects_garbage(tmp_path):

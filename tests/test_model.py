@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from fhnrds import diagnostics as dg
-from fhnrds.cocycle import pullback
+from fhnrds.cocycle import FamilySpec, pullback
 from fhnrds.config import ConfigError, check_forcing, default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
 from fhnrds.model import (
@@ -25,7 +25,15 @@ from fhnrds.model import (
     validate_forcing,
     validate_structure,
 )
-from fhnrds.noise import WienerPath, get_ou, step_index
+from fhnrds.noise import (
+    NoiseSeed,
+    OuProcess,
+    WienerPath,
+    get_ou,
+    step_index,
+    temperedness_probe,
+    wiener_increment,
+)
 
 
 def linear_spec(grid, lam=1.0, alpha=1.0, beta=1.0, sigma=1.0):
@@ -83,6 +91,50 @@ def test_forcing_l2sq_at_record_times_matches_each_time_bitwise():
             got = f.l2sq_at(t)
             assert got.shape == t.shape, kind
             assert np.array_equal(got, np.array([f.l2sq_at(tn) for tn in t.tolist()])), (kind, dt)
+
+
+def test_forcing_factor_over_a_stride_is_each_steps_call_bitwise():
+    # solve_batch evaluates each forcing factor once per record stride, at
+    # the times k*dt of the stride's steps, where each step called it alone
+    grid = Grid(n=16, half_width=2.0)
+    prof = ScalarField(grid, np.ones(16))
+    for kind, a, c in (("constant", 0.0, 0.8), ("exp", 0.05, 1.0), ("exp", -2.0, 1.0),
+                       ("sin", 1.0, 0.0), ("sin", 0.7, 1.5)):
+        f = Forcing(prof, kind, a, c)
+        for dt in (1e-3, 2e-3):
+            for kb in range(-40000, 40000, 70):
+                times = np.arange(kb, kb + 10) * dt
+                got = np.broadcast_to(f.factor(times), times.shape).tolist()
+                want = [f.factor(k * dt) for k in range(kb, kb + 10)]
+                assert np.array_equal(np.array(got).view(np.uint64),
+                                      np.array(want, dtype=float).view(np.uint64)), (kind, dt, kb)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SolverSpec(dt=NAN), "dt must be positive"),
+    (lambda: FamilySpec(NAN, NAN, 2, 1.0), "base_radius"),
+    (lambda: FamilySpec(1.0, NAN, 2, 1.0), "growth_rate"),
+    (lambda: FamilySpec(1.0, 0.1, 2, NAN), "not tempered"),
+    (lambda: Grid(half_width=NAN), "half_width must be positive"),
+    (lambda: Nonlinearity(NAN), "growth exponent"),
+    (lambda: WienerPath(0, NAN), "dt must be positive"),
+    (lambda: wiener_increment(NoiseSeed(0, 1), 0, dt=NAN), "dt must be positive"),
+    (lambda: temperedness_probe(np.zeros(3), np.ones(3), NAN, 2.0, 1.0), "must be positive"),
+    (lambda: temperedness_probe(np.zeros(3), np.ones(3), 1.0, 2.0, NAN), "must be positive"),
+    (lambda: OuProcess(0, 1, NAN, 1e-3), "rate must be positive"),
+    (lambda: OuProcess(0, 1, 1.0, NAN), "dt must be positive"),
+    (lambda: OuProcess(0, 1, 1.0, -1e-3), "dt must be positive"),
+], ids=["SolverSpec.dt", "FamilySpec.base_radius", "FamilySpec.growth_rate", "FamilySpec.delta",
+        "Grid.half_width", "Nonlinearity.p", "WienerPath.dt", "wiener_increment.dt",
+        "temperedness_probe.delta", "temperedness_probe.horizon", "OuProcess.rate", "OuProcess.dt",
+        "OuProcess.dt-negative"])
+def test_positivity_checks_reject_nan(build, message):
+    # each check is written `not x > 0`, which NaN fails, where `x <= 0` passes it
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_model_spec_validation():
@@ -274,9 +326,12 @@ SOLVE_CASES = pytest.mark.parametrize(
         ({"grid.dim": 2, "grid.n": 16}, 0.1),  # eigenbasis path in 2-D
         ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, 0.1),
         ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, 0.1),
+        # the forcing factors of the other kinds, evaluated once per stride
+        ({"forcing.g.kind": "exp", "forcing.g.a": 0.5, "forcing.g.c": 1.0}, 0.4),
+        ({"forcing.h.kind": "constant", "forcing.h.c": 0.8}, 0.4),
     ],
     ids=["dirichlet0-cubic", "neumann0", "p3", "periodic", "2d", "2d-neumann0",
-         "2d-periodic"],
+         "2d-periodic", "g-exp", "h-constant"],
 )
 
 
@@ -386,6 +441,62 @@ def test_solve_batch_rows_match_single_solves(overrides, t1):
         assert_same_trajectory(traj, alone)
 
 
+def count_ou_reads(monkeypatch):
+    """Count the OuProcess.values calls, one per z series and component."""
+    calls = []
+    real = OuProcess.values
+
+    def counted(self, *args):
+        calls.append(self.seed)
+        return real(self, *args)
+    monkeypatch.setattr(OuProcess, "values", counted)
+    return calls
+
+
+def batch_matches_solos(spec, solver, members, t1):
+    trajs = solve_batch(spec, solver, members, t1, snapshot_stride=20)
+    for (path, init), traj in zip(members, trajs):
+        assert_same_trajectory(traj, solve(spec, solver, path, init.t, t1, init, snapshot_stride=20))
+
+
+@SOLVE_CASES
+def test_solve_batch_of_one_z_series_matches_single_solves(overrides, t1, monkeypatch):
+    # the pullback runs of one seed: each path is shifted back by its start,
+    # so every row reads one z series and the batch broadcasts its profile
+    # rows without a gather; staggered starts (off the record stride too)
+    # and two rows with one start
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    a = WienerPath(seed=23, dt=solver.dt)
+    members = [
+        (a.shift(-s), FhnState(-s, bump_field(spec.grid, amplitude=amp, width=3.0),
+                               bump_field(spec.grid, center=amp, amplitude=0.5)))
+        for s, amp in ((0.3, 1.5), (0.137, -1.0), (0.1, 0.7), (0.1, 0.2), (0.0, 1.2))
+    ]
+    reads = count_ou_reads(monkeypatch)
+    solve_batch(spec, solver, members, t1)
+    assert len(reads) == 2  # one series, two components
+    batch_matches_solos(spec, solver, members, t1)
+
+
+@SOLVE_CASES
+def test_solve_batch_of_distinct_seeds_matches_single_solves(overrides, t1, monkeypatch):
+    # one seed per row: the rows are their own z series in order and read
+    # the first rows of the profile products without a gather
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    members = [
+        (WienerPath(seed=seed, dt=solver.dt).shift(x), FhnState(t, bump_field(spec.grid, amplitude=amp),
+                                                                 bump_field(spec.grid, amplitude=0.5)))
+        for seed, x, t, amp in ((23, -0.5, 0.0, 1.5), (29, 0.2, 0.037, -1.0), (31, 0.0, 0.05, 0.7),
+                                (37, 0.0, 0.05, 1.2))
+    ]
+    reads = count_ou_reads(monkeypatch)
+    solve_batch(spec, solver, members, t1)
+    assert len(reads) == 2 * len(members)
+    batch_matches_solos(spec, solver, members, t1)
+
+
 def test_pullback_ensemble_matches_pullback_per_run():
     cfg = default_config(**SMALL_GRID)
     spec = cfg.model_spec()
@@ -464,6 +575,65 @@ def test_blow_up_detected():
     with pytest.raises(BlowUpError) as exc:
         solve(spec, solver, WienerPath(seed=0, dt=solver.dt), 0.0, 8.0, init)
     assert exc.value.t > 0.0
+
+
+def edit_solves(monkeypatch, edit):
+    """Let `edit(call, x)` change the solution x of each implicit solve, calls counted from 1."""
+    real = _ImplicitOperator.solve
+    calls = [0]
+
+    def edited(self, rhs):
+        x = real(self, rhs)
+        calls[0] += 1
+        edit(calls[0], x)
+        return x
+    monkeypatch.setattr(_ImplicitOperator, "solve", edited)
+
+
+def two_runs(dt=1e-3):
+    cfg = default_config(**{**SMALL_GRID, "solver.dt": dt})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    state = FhnState(0.0, bump_field(spec.grid), ScalarField.zeros(spec.grid))
+    members = [(WienerPath(seed=5, dt=dt), state), (WienerPath(seed=9, dt=dt).shift(-1.0), state)]
+    return spec, solver, members
+
+
+def test_blow_up_guard_passes_values_at_the_threshold(monkeypatch):
+    # every |x| = 1e8 after each solve: each row's sum of squares, 64e16, is far
+    # above 1e16, and the exact scan finds no value past the threshold
+    def at_threshold(call, x):
+        x[...] = 1e8
+        x[:, ::2] = -1e8
+    edit_solves(monkeypatch, at_threshold)
+    spec, solver, members = two_runs()
+    trajs = solve_batch(spec, solver, members, 0.05)
+    assert np.all(np.abs(trajs[1].final.u.values) == 1e8)
+    # one ulp past the threshold raises at its own step, in its own row
+    past = np.nextafter(1e8, np.inf)
+
+    def one_past(call, x):
+        at_threshold(call, x)
+        if call == 7:
+            x[1, 40] = -past
+    edit_solves(monkeypatch, one_past)
+    with pytest.raises(BlowUpError) as exc:
+        solve_batch(spec, solver, members, 0.05)
+    assert (exc.value.t, exc.value.max_u, exc.value.member) == (7 * solver.dt, past, (9, 0.05))
+
+
+def test_blow_up_nan_cell_names_its_step_and_member(monkeypatch):
+    # one NaN cell: the guard's sum is NaN and the exact scan reports the
+    # step after the solve, a NaN max|u| and the member of the row
+    def one_nan(call, x):
+        if call == 23:
+            x[0, 17] = np.nan
+    edit_solves(monkeypatch, one_nan)
+    spec, solver, members = two_runs()
+    with pytest.raises(BlowUpError) as exc:
+        solve_batch(spec, solver, members, 0.05)
+    assert exc.value.t == 23 * solver.dt
+    assert np.isnan(exc.value.max_u)
+    assert exc.value.member == (5, 0.05)
 
 
 def test_blow_up_error_pickles():
