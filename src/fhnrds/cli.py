@@ -251,7 +251,7 @@ def cmd_verify(cfg, out, args, manifest, forcing):
     # constants fitted on them
     init = _standard_init(spec, tau)
     energy_trajs = _map_ordered(
-        lambda chunk: solve_batch(spec, solver, [(path, init) for path in chunk], tau + 4.0),
+        lambda chunk: solve_batch(spec, solver, [(path, init) for path in chunk], tau + dg.ENERGY_WINDOW),
         paths(cfg["experiment.energy_seed_count"]), args.threads)
     c_noise = dg.calibrate_noise_constant(energy_trajs, spec)
     pull_paths = paths(cfg["experiment.seed_count"])
@@ -383,8 +383,10 @@ def main(argv=None):
                     f"experiment.seed_count x entries of schedules.t x family.sample_count = "
                     f"{' x '.join(map(str, factors))} = {math.prod(factors)}"
                 )
+            for t in (cfg["experiment.tau"] + dg.ENERGY_WINDOW, *dg.TEMPEREDNESS_TIMES) if args.command == "verify" else ():
+                step_index(t, cfg["solver.dt"])  # verify's own times; off the step grid, a ValueError
             manifest.cfg = cfg
-        except (OSError, ValueError) as exc:  # ConfigError, StructureViolation and spec checks
+        except (OSError, ValueError) as exc:  # ConfigError, StructureViolation, spec and grid checks
             manifest.error = f"invalid config: {exc}"
         else:
             status = COMMANDS[args.command](manifest.cfg, out, args, manifest, forcing)

@@ -29,6 +29,8 @@ from .noise import RunError, get_ou, step_index
 CALIBRATION_CAP = 1e6
 CALIBRATION_FLOOR = 1e-6
 CALIBRATION_MIN_RUNS = 20  # pullback runs `calibrate_constant` fits on
+ENERGY_WINDOW = 4.0  # verify's energy trajectories run over [tau, tau + ENERGY_WINDOW]
+TEMPEREDNESS_TIMES = np.arange(0.0, 51.0, 2.0)  # the t of `radius_temperedness`
 
 
 class CalibrationError(RunError, RuntimeError):
@@ -203,15 +205,12 @@ class AbsorbingSetSpec:
 
 
 def ou_history(path, spec, horizon):
-    """(z1, z2) at the steps of [-horizon, 0] along `path`; the drivers enter
-    the estimates only through h1/h2, so zero couplings give zeros and read
-    no OU value."""
+    """(z1, z2) at the steps of [-horizon, 0] along `path`, whatever h1 and h2:
+    the radii's OU moments are not weighted by them, and the records of
+    `solve_batch`, which `calibrate_constant` fits, carry the same path."""
     n = step_index(horizon, path.dt)
-    if l2_sq(spec.h1.values, spec.grid) == 0.0 and l2_sq(spec.h2.values, spec.grid) == 0.0:
-        return np.zeros(n + 1), np.zeros(n + 1)
-    ou1 = get_ou(path.seed, 1, spec.lam, path.dt)
-    ou2 = get_ou(path.seed, 2, spec.sigma, path.dt)
-    return ou1.values(path.offset - n, path.offset), ou2.values(path.offset - n, path.offset)
+    return tuple(get_ou(path.seed, c, rate, path.dt).values(path.offset - n, path.offset)
+                 for c, rate in ((1, spec.lam), (2, spec.sigma)))
 
 
 def absorbing_radius(spec, c_cal, forcing, z, dt, kind="lemma41"):
@@ -244,13 +243,12 @@ def absorbing_radius(spec, c_cal, forcing, z, dt, kind="lemma41"):
 def radius_temperedness(path, spec, c_cal, forcing, horizon):
     """Series t -> e^{-delta t} R(tau, theta_{-t} omega) of the lemma41 radius at
     t = 0, 2, ..., 50, which must decay by a factor 1e-6; one `forcing` pair serves every t."""
-    ts = np.arange(0.0, 51.0, 2.0)
     # the shifted histories overlap, so one read of their union fills each
     # OU block once, however few blocks the process keeps
-    n, back = step_index(horizon, path.dt), step_index(ts[-1], path.dt)
-    z1, z2 = ou_history(path, spec, horizon + ts[-1])
+    n, back = step_index(horizon, path.dt), step_index(TEMPEREDNESS_TIMES[-1], path.dt)
+    z1, z2 = ou_history(path, spec, horizon + TEMPEREDNESS_TIMES[-1])
     vals = []
-    for t in ts:
+    for t in TEMPEREDNESS_TIMES:
         k = back - step_index(t, path.dt)
         z = (z1[k : k + n + 1], z2[k : k + n + 1])
         r = absorbing_radius(spec, c_cal, forcing, z, path.dt)
@@ -258,7 +256,7 @@ def radius_temperedness(path, spec, c_cal, forcing, horizon):
     vals = np.asarray(vals)
     passed = bool(vals[-1] <= 1e-6 * vals[0]) if vals[0] > 0 else True
     return Check("radius_temperedness", passed, {"decay": float(vals[-1] / vals[0])}, {},
-                 ("radius_temperedness.csv", ["t", "series"], list(zip(ts, vals))))
+                 ("radius_temperedness.csv", ["t", "series"], list(zip(TEMPEREDNESS_TIMES, vals))))
 
 
 # ---------------------------------------------------------------------------

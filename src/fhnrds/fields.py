@@ -115,30 +115,23 @@ def row_dots(values):
 
 
 def l2_sq(values, grid):
-    """Squared L2 norm of raw values; with a leading row axis, one per row."""
-    if values.ndim > grid.dim:
-        return row_dots(values) * grid.cell_measure
-    v = values.ravel()
-    return float(np.dot(v, v) * grid.cell_measure)
+    """Squared L2 norm of raw values, a float; with a leading row axis, one per row."""
+    if values.ndim == grid.dim:  # a single field is a batch of one row
+        return float(l2_sq(values[None], grid)[0])
+    return row_dots(values) * grid.cell_measure
 
 
 def lp_p(values, grid, p):
     """Integral of |f|^p (no root), on raw values; with a leading row axis, one per row.
 
-    Rows are bitwise the calls on each row alone: p = 4 squares and takes
-    the row dots of `l2_sq`, other p sum each row by its own `np.sum`.
+    A single field is a batch of one row.  Each row is bitwise `np.dot(v2, v2) * h`
+    of its squares v2 for p = 4 (the row dots of `l2_sq`), `np.sum(|v|^p) * h` otherwise.
     """
-    rows = values.ndim > grid.dim
+    if values.ndim == grid.dim:
+        return float(lp_p(values[None], grid, p)[0])
     if p == 4:
-        v2 = values * values
-        if rows:
-            return row_dots(v2) * grid.cell_measure
-        v2 = v2.ravel()
-        return float(np.dot(v2, v2) * grid.cell_measure)
-    powers = np.abs(values) ** p
-    if rows:
-        return np.array([np.sum(row) for row in powers]) * grid.cell_measure
-    return float(np.sum(powers) * grid.cell_measure)
+        return row_dots(values * values) * grid.cell_measure
+    return np.array([np.sum(row) for row in np.abs(values) ** p]) * grid.cell_measure
 
 
 def superlevel_measure(f, M):

@@ -365,15 +365,10 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     by_phase = [np.flatnonzero(k0a % stride == r) for r in range(stride)]
 
     def record(due, k):
-        """Record the rows `due`, increasing, at step k, all at once."""
+        """Record the rows `due`, increasing, at step k, all at once (consecutive rows as views)."""
         m = len(due)
-        if due[-1] - due[0] == m - 1:  # consecutive rows: views, no copies
-            sel = slice(due[0], due[-1] + 1)
-            u, v = U[sel], V[sel]
-        else:
-            sel = due
-            u = np.take(U, due, axis=0, out=shifted[:m])
-            v = np.take(V, due, axis=0, out=acc[:m])
+        sel = slice(due[0], due[-1] + 1) if due[-1] - due[0] == m - 1 else due
+        u, v = U[sel], V[sel]
         j = k - kmin
         z1 = Z1[j, group[sel]]
         ut = np.multiply(h1, z1.reshape((m,) + zcol), out=tmp[:m])
@@ -413,10 +408,10 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     # Once per stride block it reads the block's z columns and alpha*z2,
     # beta*z1, and the forcing factors gf, hf at the block's times, all
     # elementwise as per step.  A profile times z is formed once per z
-    # series (prod): one series broadcasts its row, rows that are their own
-    # series in order read the first A rows of prod, and any other batch
-    # gathers prod[gi] (numpy broadcasts a per-row column several times
-    # slower than it runs contiguous arrays).
+    # series (prod), and `pick`, chosen as rows join, selects each row's: one
+    # series broadcasts its row, rows that are their own series in order take
+    # the first A rows, and any other batch gathers (numpy broadcasts a
+    # per-row column several times slower than it runs contiguous arrays).
     gfactor, hfactor = spec.g.factor, spec.h.factor
     A = 0
     for kb in range(kmin, k1, stride):
@@ -432,20 +427,20 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
             if A < B and k0[A] == k:
                 A = enter(A, k)
                 u, v, rhs = U[:A], V[:A], R[:A]
-                sh, ac, tm, gi = shifted[:A], acc[:A], tmp[:A], group[:A]
-                src = prod if S == 1 else prod[:A] if S == B else None
+                sh, ac, tm = shifted[:A], acc[:A], tmp[:A]
+                pick = slice(0, 1) if S == 1 else slice(0, A) if S == B else group[:A]
                 phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
             z1 = z1s[i]
             np.multiply(h1, z1, out=prod)
-            np.add(u, prod[gi] if src is None else src, out=sh)
+            np.add(u, prod[pick], out=sh)
             np.multiply(gprof, gfs[i], out=force)
             np.add(nl(sh, out=tm), force, out=ac)
             np.multiply(v, alpha, out=tm)
             np.subtract(ac, tm, out=ac)
             np.multiply(lap_h1, z1, out=prod)
-            np.add(ac, prod[gi] if src is None else src, out=ac)
+            np.add(ac, prod[pick], out=ac)
             np.multiply(h2, az2s[i], out=prod)
-            np.subtract(ac, prod[gi] if src is None else src, out=ac)
+            np.subtract(ac, prod[pick], out=ac)
             np.multiply(ac, dt, out=ac)
             np.add(u, ac, out=rhs)
             op.solve(rhs)
@@ -460,7 +455,7 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
             np.multiply(hprof, hfs[i], out=force)
             np.add(ac, force, out=ac)
             np.multiply(h1, bz1s[i], out=prod)
-            np.add(ac, prod[gi] if src is None else src, out=ac)
+            np.add(ac, prod[pick], out=ac)
             np.multiply(ac, gain, out=ac)
             np.multiply(v, ev, out=v)
             np.add(v, ac, out=v)

@@ -130,6 +130,9 @@ def test_cli_bad_schedule_exit_2_before_any_step(tmp_path, capsys, monkeypatch, 
     ("simulate", "experiment.tau = 1e-4"),
     ("pullback", "schedules.t = 2,4.0005"),
     ("noise", "schedules.t = 2,4.0005"),  # noise reads no schedule, but resolves the config
+    # on-grid config times, but verify's temperedness series steps by 2.0 = 62.5 dt
+    pytest.param("verify", "solver.dt = 0.032\nschedules.t = 4,8,16,32\nexperiment.seed_count = 5\n"
+                 "experiment.energy_seed_count = 2", id="verify-solver.dt = 0.032"),
 ])
 def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, line):
     def no_step(*args, **kwargs):
@@ -143,7 +146,10 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     key = line.split(" = ")[0]
-    assert err.startswith(f"invalid config: {key}: time ") and "dt=0.001" in err, err
+    # a time that verify fixes is not a config key's
+    prefix = "invalid config: " if key == "solver.dt" else f"invalid config: {key}: "
+    dt = parse_config_text(SMALL + line).get("solver.dt", DEFAULTS["solver.dt"][1])
+    assert err.startswith(prefix + "time ") and f"dt={dt}" in err, err
     assert err.count("\n") == 1, err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == err.strip()
@@ -414,15 +420,16 @@ def test_cli_simulate_blowup_exit_2(tmp_path):
 
 def test_cli_off_grid_time_exit_2(tmp_path, capsys):
     # 8.0, the default simulate duration, and 4.0, the energy horizon of
-    # verify, are not multiples of dt = 0.003; the config's own times are
+    # verify, are not multiples of dt = 0.003; the config's own times are.
+    # simulate fails in its run; verify checks its fixed times with the config
     cfgp = write_cfg(tmp_path, SMALL + "solver.dt = 0.003\nschedules.t = 3,6,9,12,15\n"
                      "experiment.horizon = 30\nexperiment.seed_count = 2\n"
                      "experiment.energy_seed_count = 2\n")
-    for argv in (["simulate"], ["verify", "--threads", "2"]):
+    for argv, kind in ((["simulate"], "off-grid time"), (["verify", "--threads", "2"], "invalid config")):
         out = tmp_path / argv[0]
         assert cli.main([*argv, "--config", cfgp, "--out", str(out)]) == 2
         error = json.loads((out / "manifest.json").read_text())["error"]
-        assert error.startswith("off-grid time: time ") and "dt=0.003" in error
+        assert error.startswith(f"{kind}: time ") and "dt=0.003" in error
         err = capsys.readouterr().err
         assert error in err and "Traceback" not in err
 
@@ -534,6 +541,20 @@ def test_cli_verify_zero_dynamics_all_trivial(tmp_path):
     assert report["pass"]
     assert report["fixtures"]["c_cal_degenerate"]
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_cli_verify_noise_off_passes_compact_interval_bounds(tmp_path):
+    # with h1 = h2 = 0 the records still carry the OU path, and so does the
+    # envelope that c_cal is fitted on; radii that took z = 0 instead were
+    # smaller than that envelope, and the L2 half of compact_interval_bounds
+    # failed at this seed
+    cfgp = write_cfg(tmp_path, SMALL + "noise.enabled = false\nexperiment.seed_count = 2\n"
+                     "experiment.energy_seed_count = 2\n")
+    out = tmp_path / "off"
+    assert cli.main(["verify", "--config", cfgp, "--out", str(out), "--seed", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {c["name"]: c["pass"] for c in report["checks"]}["compact_interval_bounds"] is True
+    assert report["pass"] is True
 
 
 def test_manifest_references_every_artifact(tmp_path):

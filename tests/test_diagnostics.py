@@ -146,12 +146,15 @@ def test_absorbing_radius_closed_forms():
     )
     spec = cfg.model_spec()
     path = WienerPath(seed=1, dt=1e-3)
-    # forcing off, noise off: only the constant term survives
+    # forcing off, z = 0: only the constant term survives.  The closed forms
+    # are those of absorbing_radius given z; ou_history reads the OU path
+    # whatever h1 and h2, as the records the constant is fitted on do
+    zero = (np.zeros(40001), np.zeros(40001))
     forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
-    R = dg.absorbing_radius(spec, 2.5, forcing, dg.ou_history(path, spec, 40.0), path.dt)
+    R = dg.absorbing_radius(spec, 2.5, forcing, zero, path.dt)
     assert R.radius == pytest.approx(2.5)
     assert R.forcing_quad == 0.0 and R.ou_quad == 0.0
-    # |g|^2 = 1 constantly, h off, noise off: R = c (1 + 1/delta)
+    # |g|^2 = 1 constantly, h off, z = 0: R = c (1 + 1/delta)
     from fhnrds.model import Forcing, ModelSpec
 
     grid = spec.grid
@@ -163,9 +166,26 @@ def test_absorbing_radius_closed_forms():
         spec.h1, spec.h2, Forcing(unit, "constant", c=1.0), spec.h, grid,
     )
     forcing2 = validate_forcing(spec2, 0.0, 40.0, path.dt)
-    R2 = dg.absorbing_radius(spec2, 2.5, forcing2, dg.ou_history(path, spec2, 40.0), path.dt)
+    R2 = dg.absorbing_radius(spec2, 2.5, forcing2, zero, path.dt)
     assert R2.radius == pytest.approx(2.5 * (1.0 + 1.0 / spec.delta), rel=1e-3)
     assert R2.converged
+
+
+def test_ou_history_is_the_recorded_path_whatever_the_couplings(small):
+    # the radii integrate OU moments that h1 and h2 do not weight, and
+    # calibrate_constant fits its envelope on records that carry the OU path:
+    # zero couplings must read the same path, or the radii undercut the envelope
+    _, spec, solver, _ = small
+    off = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "noise.enabled": "false"}).model_spec()
+    assert l2_sq(off.h1.values, off.grid) == l2_sq(off.h2.values, off.grid) == 0.0
+    path = WienerPath(seed=3, dt=solver.dt)
+    z_on, z_off = dg.ou_history(path, spec, 2.0), dg.ou_history(path, off, 2.0)
+    init = FhnState(-2.0, ScalarField.zeros(off.grid), ScalarField.zeros(off.grid))
+    traj = solve(off, solver, path.shift(-2.0), -2.0, 0.0, init)
+    for on_c, off_c, recorded in zip(z_on, z_off, (traj.z1, traj.z2)):
+        assert np.array_equal(on_c, off_c)
+        assert np.array_equal(off_c[:: model.RECORD_STRIDE], recorded)
+    assert np.any(z_off[0] != 0.0) and np.any(z_off[1] != 0.0)
 
 
 def test_absorbing_radius_monotone_in_constant(small, small_runs):

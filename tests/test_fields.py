@@ -86,19 +86,39 @@ def test_norms_consistent():
 
 @pytest.mark.parametrize("dim, rows, n", [
     (1, 1, 1024), (1, 7, 1000), (1, 20, 1024), (1, 40, 1024), (2, 3, 64),
-], ids=["1x1024", "7x1000", "20x1024", "40x1024", "2d-3x64x64"])
+    (1, None, 64), (1, None, 128), (1, None, 1024), (2, None, 64),
+], ids=["1x1024", "7x1000", "20x1024", "40x1024", "2d-3x64x64",
+        "field-64", "field-128", "field-1024", "field-2d-64x64"])
 @pytest.mark.parametrize("p", [4, 3, 5.5])
 def test_row_axis_norms_are_the_per_row_calls_bitwise(dim, rows, n, p):
-    # model.solve_batch records every due row at once through a leading row
-    # axis, and each run must stay bitwise its solo solve: the stacked
-    # matmul of l2_sq and lp_p(p = 4) reaches the same BLAS ddot as np.dot
-    # on one row, which rests on numpy's dispatch, so it is pinned here
+    # l2_sq and lp_p take one path: model.solve_batch records every due row
+    # at once through a leading row axis, and the diagnostics' single fields
+    # (rows None) are a batch of one row.  Each value must stay bitwise the
+    # plain per-field call below, so that a batched run is its solo solve and
+    # the single-field norms keep their values; the stacked matmul reaching
+    # the same BLAS ddot as np.dot rests on numpy's dispatch, so it is pinned
     g = Grid(dim=dim, n=n, half_width=32.0)
-    values = np.random.default_rng(rows * n).standard_normal((rows,) + g.shape)
+    h = g.cell_measure
+    shape = g.shape if rows is None else (rows,) + g.shape
+    values = np.random.default_rng((rows or 1) * n).standard_normal(shape)
+
+    def l2_ref(v):
+        v = v.ravel()
+        return float(np.dot(v, v) * h)
+
+    def lp_ref(v):
+        if p == 4:  # the square of each square, by the dot of l2_ref
+            return l2_ref(v * v)
+        return float(np.sum(np.abs(v) ** p) * h)
+
     got_l2, got_lp = l2_sq(values, g), lp_p(values, g, p)
-    assert got_l2.shape == got_lp.shape == (rows,)
-    assert np.array_equal(got_l2, [l2_sq(row, g) for row in values])
-    assert np.array_equal(got_lp, [lp_p(row, g, p) for row in values])
+    if rows is None:
+        assert type(got_l2) is type(got_lp) is float
+        assert got_l2 == l2_ref(values) and got_lp == lp_ref(values)
+    else:
+        assert got_l2.shape == got_lp.shape == (rows,)
+        assert got_l2.tolist() == [l2_ref(row) for row in values]
+        assert got_lp.tolist() == [lp_ref(row) for row in values]
 
 
 def test_superlevel_and_tails():
