@@ -25,7 +25,7 @@ from . import __version__, diagnostics as dg, noise
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, open_new, write_snapshot
 from .model import FhnState, solve, solve_batch
-from .noise import RunError, WienerPath, get_ou, step_index, temperedness_probe
+from .noise import GridAlignmentError, RunError, WienerPath, get_ou, step_index, temperedness_probe
 
 
 def _fmt(x):
@@ -383,8 +383,14 @@ def main(argv=None):
                     f"experiment.seed_count x entries of schedules.t x family.sample_count = "
                     f"{' x '.join(map(str, factors))} = {math.prod(factors)}"
                 )
-            for t in (cfg["experiment.tau"] + dg.ENERGY_WINDOW, *dg.TEMPEREDNESS_TIMES) if args.command == "verify" else ():
-                step_index(t, cfg["solver.dt"])  # verify's own times; off the step grid, a ValueError
+            # verify's own times, which no config key sets: only solver.dt can move them off the grid
+            own = [(cfg["experiment.tau"] + dg.ENERGY_WINDOW, "energy_inequality")]
+            own += [(t, "radius_temperedness") for t in dg.TEMPEREDNESS_TIMES]
+            for t, check in own if args.command == "verify" else ():
+                try:
+                    step_index(t, cfg["solver.dt"])
+                except GridAlignmentError as exc:
+                    raise ConfigError(f"solver.dt: {exc}, a time of verify's {check} check") from None
             manifest.cfg = cfg
         except (OSError, ValueError) as exc:  # ConfigError, StructureViolation, spec and grid checks
             manifest.error = f"invalid config: {exc}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import zgttrs
 from scipy.special import ndtri
 
 
@@ -126,11 +126,11 @@ def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 
 
-# increments hashed at once (a few hundred kB of scratch, so the hash stays
-# in cache), and window values per piece of a fill, one `dgttrs` call each;
-# counted in values, not blocks, so the memory of a process does not grow as
-# its block length B = 20/(rate*dt)
-_HASH_CHUNK = 1 << 15
+# increments hashed at once, and window values swept per LAPACK call (a few
+# hundred kB of scratch, so both stay in cache), and window values per piece
+# of a fill; counted in values, not blocks, so the memory of a process does
+# not grow as its block length B = 20/(rate*dt)
+_CHUNK = 1 << 14
 _SOLVE_VALUES = 1 << 17
 
 
@@ -146,19 +146,29 @@ class OuProcess:
     law test relies on.
 
     A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
-    as many 2B-1 step windows as `_SOLVE_VALUES` holds and at least one.  The
-    process keeps the blocks of its latest fill, and a read fills one piece
-    at a time, so its memory grows neither with the span read nor with 1/dt.
-    A block read again after it was dropped is filled again, bitwise the
-    same; a caller that reads overlapping windows reads their union once.
+    as many 2B-1 step windows as `_SOLVE_VALUES` holds, rounded down to an
+    even count and at least two.  The process keeps the blocks of its latest
+    fill, and a read fills one piece at a time, so its memory grows neither
+    with the span read nor with 1/dt.  A block read again after it was
+    dropped is filled again, bitwise the same; a caller that reads
+    overlapping windows reads their union once.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
-    LAPACK `dgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
+    LAPACK `zgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
     and no pivoting, which forms xi[n] - (-a)*y[n-1].
     `scipy.signal.lfilter([1], [1, -a], xi)` forms xi[n] + (0*xi[n-1] -
     (-a)*y[n-1]).  Both round the one sum xi[n] + a*y[n-1], so every block is
-    bitwise the filtered one.  With d = 1 and du = du2 = 0 the back sweep
-    (b - 0*b' - 0*b'')/1 returns its input unchanged.
+    bitwise the filtered one.  Two windows are swept as the real and
+    imaginary parts of one complex column, and an odd window with zeros.
+    The coefficients have zero imaginary part, so (-a + 0i)*y has the parts
+    (-a)*re - 0*im and (-a)*im + 0*re: the zero term is exact and leaves the
+    rounded product as it is, and each part is swept bitwise as `dgttrs`
+    sweeps one real window.  With d = 1 and du = du2 = 0 the back sweep
+    (b - 0*b' - 0*b'')/1 returns its input unchanged.  Adding a signed zero
+    changes no value but a zero, which a sweep of hashed increments never
+    meets (its -0 could come back +0).  The sweep runs in chunks of at most
+    `_CHUNK` values, each starting at the last value of the chunk before,
+    which both sweeps leave as it is.
     """
 
     def __init__(self, seed, component, rate, dt):
@@ -172,11 +182,11 @@ class OuProcess:
         self.B = max(1, int(round(20.0 / rate / dt)))
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
-        self.piece_blocks = max(1, _SOLVE_VALUES // (2 * self.B - 1))
+        self.piece_blocks = max(2, _SOLVE_VALUES // (2 * self.B - 1) // 2 * 2)
         self._blocks = {}  # the blocks of the latest fill
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts
-        # among them, and the `dgttrs` arguments and decay powers its fills
+        # among them, and the `zgttrs` arguments and decay powers its fills
         # share, which depend only on B; a read drops both when it is done
         self._tail = (0, np.empty(0))
         self._sweep = None
@@ -185,8 +195,9 @@ class OuProcess:
         """Hold the blocks of the indices in `ms`: keep those held, fill the rest.
 
         The blocks are filled in pieces of at most `piece_blocks` consecutive
-        blocks, one `dgttrs` call each, so a fill's scratch is one piece's
-        however long its span, and no held block is drawn again.
+        blocks, whose windows are swept in pairs, one `zgttrs` call per chunk,
+        so a fill's scratch is one piece's increments and one chunk of its
+        pairs however long its span, and no held block is drawn again.
         """
         self._blocks = {m: self._blocks[m] for m in ms if m in self._blocks}
         pieces = []
@@ -200,19 +211,24 @@ class OuProcess:
         B = self.B
         w = 2 * B - 1
         a = self._decay
+        # consecutive chunks share one value; an even step leaves every chunk
+        # of an odd window an odd length, 3 or more, as scipy's `zgttrs`
+        # takes no n = 2
+        step = _CHUNK - 2
+        n = min(w, step + 1)
         if self._sweep is None:
             # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
             # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2;
             # du and du2 are zero, so they share one array
-            zero = np.zeros(max(w - 1, 0))
-            self._sweep = (np.full(w - 1, -a), np.ones(w), zero, zero[: max(w - 2, 0)],
-                           np.arange(1, w + 1, dtype=np.int32), a ** np.arange(B, 2 * B))
-        dl, d, du, du2, ipiv, pows = self._sweep
+            self._sweep = (np.full(n - 1, -a, dtype=complex), np.ones(n, dtype=complex),
+                           np.zeros(n - 1, dtype=complex), np.arange(1, n + 1, dtype=np.int32),
+                           a ** np.arange(B, 2 * B))
+        dl, d, zero, ipiv, pows = self._sweep
         # scratch shared by the pieces of this fill: one piece's increments
-        # and windows
+        # and one chunk of its pairs of windows
         longest = max(len(piece) for piece in pieces)
         xi_buf = np.empty((longest + 1) * B - 1)
-        y_buf = np.empty((longest, w))
+        pair_buf = np.empty((longest + 1) // 2 * n, dtype=complex)
         sd = np.sqrt(stationary_variance(self.rate))
         k1, xi = self._tail  # the end step of the increments drawn last, and their tail
         for piece in pieces:
@@ -225,17 +241,35 @@ class OuProcess:
             xi_buf[:carried] = xi[xi.size - carried :]
             xi = xi_buf[: (len(piece) + 1) * B - 1]
             k1 = k0 + xi.size
-            for i in range(carried, xi.size, _HASH_CHUNK):
-                ks = np.arange(k0 + i, k0 + min(i + _HASH_CHUNK, xi.size), dtype=np.int64)
+            for i in range(carried, xi.size, _CHUNK):
+                ks = np.arange(k0 + i, k0 + min(i + _CHUNK, xi.size), dtype=np.int64)
                 xi_i = wiener_increment(self.seed, ks, self.dt)
                 np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
-            y = y_buf[: len(piece)]
-            y[...] = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]  # the solve overwrites it
-            if w > 1:  # a one-step window is its own solution
-                y = dgttrs(dl, d, du, du2, ipiv, y.T, overwrite_b=1)[0].T
+            windows = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]
             u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
-            for m, z0, row in zip(piece, ndtri(u) * sd, y):
-                self._blocks[m] = z0 * pows + row[B - 1 :]
+            blocks = [z0 * pows for z0 in ndtri(u) * sd]
+            pairs, full = (len(piece) + 1) // 2, len(piece) // 2  # full: pairs of two windows
+            for s in range(0, max(w - 1, 1), step):
+                size = min(n, w - s)
+                y = pair_buf[: pairs * size].reshape(pairs, size)  # the solve overwrites it
+                y.real[...] = windows[0::2, s : s + size]
+                y.imag[:full] = windows[1::2, s : s + size]
+                y.imag[full:] = 0.0
+                if s:
+                    y[:, 0] = carry
+                if size > 1:  # a one-step window is its own solution
+                    y = zgttrs(dl[: size - 1], d[:size], zero[: size - 1], zero[: size - 2],
+                               ipiv[:size], y.T, overwrite_b=1)[0].T
+                carry = y[:, -1].copy()
+                # the chunk's values at steps of the block (n >= B - 1); the
+                # first value of a later chunk is the chunk before's last,
+                # already added
+                lo = max(s + (s > 0), B - 1)
+                if lo < s + size:
+                    for i, block in enumerate(blocks):
+                        part = y.imag if i % 2 else y.real
+                        block[lo - (B - 1) : s + size - (B - 1)] += part[i // 2, lo - s :]
+            self._blocks.update(zip(piece, blocks))
         self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
     def read(self, spans):

@@ -98,21 +98,51 @@ def test_ou_values_pure_across_instances():
 
 def set_block_counts(monkeypatch, B, piece_blocks):
     """Set the value bound to the largest that gives a process of block
-    length B this many blocks per piece, so the count is a floor."""
-    monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 1) * (2 * B - 1) - 1)
+    length B this many blocks per piece, an even count, so the count is a
+    floor."""
+    assert piece_blocks % 2 == 0, piece_blocks
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 2) * (2 * B - 1) - 1)
 
 
 def test_ou_block_counts_follow_the_value_bounds(monkeypatch):
     # the default bound: a piece's windows stay within its values whatever
-    # B is, down to one block per piece
-    for rate, dt, piece in ((2.0, 0.01, 65), (1.0, 2e-3, 6), (1.0, 1e-3, 3), (1.0, 1e-4, 1),
-                            (1.0, 1e-6, 1)):
+    # B is, in pairs, down to one pair per piece
+    for rate, dt, piece in ((2.0, 0.01, 64), (1.0, 2e-3, 6), (1.0, 1e-3, 2), (1.0, 1e-4, 2),
+                            (1.0, 1e-6, 2)):
         proc = OuProcess(seed=1, component=1, rate=rate, dt=dt)
         assert proc.piece_blocks == piece, (rate, dt)
-        assert proc.piece_blocks * (2 * proc.B - 1) <= noise._SOLVE_VALUES or piece == 1
+        assert proc.piece_blocks * (2 * proc.B - 1) <= noise._SOLVE_VALUES or piece == 2
     B = OuProcess(seed=1, component=1, rate=2.0, dt=0.01).B
     set_block_counts(monkeypatch, B, 16)
     assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).piece_blocks == 16
+
+
+def filtered_block(proc, m):
+    """Block m of `proc` as `lfilter` of its own 2B-1 step window, from the
+    stationary draw one block earlier."""
+    B, decay = proc.B, proc._decay
+    ks = np.arange((m - 1) * B, (m + 1) * B - 1)
+    y = lfilter([1.0], [1.0, -decay], proc._damp * wiener_increment(proc.seed, ks, proc.dt))
+    u = noise._uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
+    z0 = float(ndtri(u)) * np.sqrt(stationary_variance(proc.rate))
+    return z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 502, 1 << 8])
+def test_ou_paired_chunked_sweep_is_the_filter_of_each_window(monkeypatch, chunk):
+    # B = 1001, so a window has 2001 values: one chunk of the default, four
+    # of 502 whose third starts at the block's first value (step B - 1), and
+    # eight of 256.  Each block is bitwise `lfilter` of its own window when
+    # it is the lone window of its fill (a pair with zeros), one of an odd
+    # or even piece of negative indices, or of pieces split by a held block
+    monkeypatch.setattr(noise, "_CHUNK", chunk)
+    proc = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / 1001)
+    assert proc.B == 1001 and proc.piece_blocks == 64
+    for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-9, -5)], [[0], range(-3, 4)]):
+        for ms in fills:
+            proc._compute_blocks(ms)
+        for m in ms:
+            assert np.array_equal(proc._blocks[m], filtered_block(proc, m)), (chunk, list(ms), m)
 
 
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
@@ -137,14 +167,10 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     ms = range(-c.piece_blocks - 3, c.piece_blocks + 4)
     c._compute_blocks([0])
     c._compute_blocks(ms)
+    for m in ms:
+        assert np.array_equal(c._blocks[m], filtered_block(c, m)), m
     B, decay = c.B, c._decay
     sd = np.sqrt(stationary_variance(c.rate))
-    for m in ms:
-        ks = np.arange((m - 1) * B, (m + 1) * B - 1)
-        y = lfilter([1.0], [1.0, -decay], c._damp * wiener_increment(c.seed, ks, c.dt))
-        u = noise._uniform01(c.seed.seed, c.seed.component, m - 1, noise._TAG_INIT)
-        z0 = float(ndtri(u)) * sd
-        assert np.array_equal(c._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
     # a fill over more than two pieces: each increment of its span is drawn
     # once, and each block is the filter of its window of the one span
     drawn = []
