@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics as dg, noise
+from . import __version__, diagnostics as dg
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, open_new, write_snapshot
 from .model import FhnState, solve, solve_batch
-from .noise import GridAlignmentError, RunError, WienerPath, get_ou, step_index, temperedness_probe
+from .noise import GridAlignmentError, OuProcess, RunError, WienerPath, step_index, temperedness_probe
 
 
 def _fmt(x):
@@ -178,8 +178,8 @@ def cmd_noise(cfg, out, args, manifest, forcing):
     ks = np.arange(0, n + 1, back)
     ts = ks * dt
     spans = [(-n, n, stride), (-int(ks[-1]), 0, back)]
-    (z1, p1), (z2, p2) = (get_ou(cfg.seed, 1, spec.lam, dt).read(spans),
-                          get_ou(cfg.seed, 2, spec.sigma, dt).read(spans))
+    (z1, p1), (z2, p2) = (OuProcess(cfg.seed, 1, spec.lam, dt).read(spans),
+                          OuProcess(cfg.seed, 2, spec.sigma, dt).read(spans))
     write_csv(
         manifest.add(out / "ou_series.csv"),
         ["t", "z1", "z2"],
@@ -373,6 +373,8 @@ def main(argv=None):
             cfg = resolve(values)
             if args.command == "simulate" and not 0 <= args.duration < math.inf:
                 raise ConfigError(f"--duration must be finite and nonnegative, got {args.duration}")
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
             # the forcing history quadrature, which verify and attractor reuse;
             # noise reads only lambda, sigma, p and delta
             forcing = None if args.command == "noise" else check_forcing(cfg)
@@ -403,7 +405,6 @@ def main(argv=None):
         raise
     finally:
         manifest.write(out)
-        noise._OU_CACHE.clear()  # the OU processes of a run end with it
     if manifest.error:
         print(manifest.error, file=sys.stderr)
         status = 2

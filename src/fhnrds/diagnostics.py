@@ -24,7 +24,7 @@ import numpy as np
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals
 from .model import history_quadrature
-from .noise import RunError, get_ou, step_index
+from .noise import OuProcess, RunError, step_index
 
 CALIBRATION_CAP = 1e6
 CALIBRATION_FLOOR = 1e-6
@@ -209,7 +209,7 @@ def ou_history(path, spec, horizon):
     the radii's OU moments are not weighted by them, and the records of
     `solve_batch`, which `calibrate_constant` fits, carry the same path."""
     n = step_index(horizon, path.dt)
-    return tuple(get_ou(path.seed, c, rate, path.dt).values(path.offset - n, path.offset)
+    return tuple(OuProcess(path.seed, c, rate, path.dt).values(path.offset - n, path.offset)
                  for c, rate in ((1, spec.lam), (2, spec.sigma)))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p, row_dots
-from .noise import RunError, get_ou, step_index
+from .noise import OuProcess, RunError, step_index
 
 BLOWUP_THRESHOLD = 1e8
 RECORD_STRIDE = 10  # steps between the records of a solve
@@ -321,8 +321,8 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     Z1 = np.zeros((k1 - kmin + 1, S))
     Z2 = np.zeros_like(Z1)
     for (seed, shift), (g, first) in sources.items():
-        Z1[first - kmin :, g] = get_ou(seed, 1, spec.lam, dt).values(first + shift, k1 + shift)
-        Z2[first - kmin :, g] = get_ou(seed, 2, spec.sigma, dt).values(first + shift, k1 + shift)
+        Z1[first - kmin :, g] = OuProcess(seed, 1, spec.lam, dt).values(first + shift, k1 + shift)
+        Z2[first - kmin :, g] = OuProcess(seed, 2, spec.sigma, dt).values(first + shift, k1 + shift)
 
     grid = members[0][1].grid
     op = _ImplicitOperator(grid, spec.lam, dt)

@@ -147,11 +147,12 @@ class OuProcess:
 
     A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
     as many 2B-1 step windows as `_SOLVE_VALUES` holds, rounded down to an
-    even count and at least two.  The process keeps the blocks of its latest
-    fill, and a read fills one piece at a time, so its memory grows neither
-    with the span read nor with 1/dt.  A block read again after it was
-    dropped is filled again, bitwise the same; a caller that reads
-    overlapping windows reads their union once.
+    even count and at least two.  A read fills one group of at most
+    `piece_blocks` blocks at a time and holds no block once it returns, so a
+    read's memory grows neither with its span nor with 1/dt, and nothing is
+    carried from one read to the next.  A block read again is filled again,
+    bitwise the same; a caller that reads overlapping windows reads their
+    union once.
 
     The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
     LAPACK `zgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
@@ -183,31 +184,30 @@ class OuProcess:
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
         self.piece_blocks = max(2, _SOLVE_VALUES // (2 * self.B - 1) // 2 * 2)
-        self._blocks = {}  # the blocks of the latest fill
+        self._blocks = {}  # the blocks of the fill a read is copying out of
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts
         # among them, and the `zgttrs` arguments and decay powers its fills
-        # share, which depend only on B; a read drops both when it is done
+        # share, which depend only on B; a read drops all three when it is done
         self._tail = (0, np.empty(0))
         self._sweep = None
 
     def _compute_blocks(self, ms):
-        """Hold the blocks of the indices in `ms`: keep those held, fill the rest.
+        """Fill the blocks of the indices in `ms` into `_blocks`, in place of
+        the blocks held before.
 
         The blocks are filled in pieces of at most `piece_blocks` consecutive
         blocks, whose windows are swept in pairs, one `zgttrs` call per chunk,
         so a fill's scratch is one piece's increments and one chunk of its
-        pairs however long its span, and no held block is drawn again.
+        pairs however long its span.
         """
-        self._blocks = {m: self._blocks[m] for m in ms if m in self._blocks}
+        self._blocks = {}
         pieces = []
-        for m in sorted(set(ms) - self._blocks.keys()):
+        for m in sorted(set(ms)):
             if pieces and m == pieces[-1][-1] + 1 and len(pieces[-1]) < self.piece_blocks:
                 pieces[-1].append(m)
             else:
                 pieces.append([m])
-        if not pieces:
-            return
         B = self.B
         w = 2 * B - 1
         a = self._decay
@@ -279,7 +279,8 @@ class OuProcess:
         The blocks the spans cover are visited once, in increasing order, in
         groups of at most `piece_blocks`.  Each group is filled, then each
         span's share of each block is copied out of the block, so a read
-        fills no block twice and holds no copy of a whole span.
+        fills no block twice, holds no copy of a whole span and, once it
+        returns, no block.
         """
         B = self.B
         outs = [np.empty((j1 - j0) // stride + 1) for j0, j1, stride in spans]
@@ -296,7 +297,7 @@ class OuProcess:
                         count = (last - j) // stride + 1
                         out[done[s] : done[s] + count] = block[j - m * B : last - m * B + 1 : stride]
                         done[s] += count
-        self._tail, self._sweep = (0, np.empty(0)), None
+        self._blocks, self._tail, self._sweep = {}, (0, np.empty(0)), None
         return outs
 
     def values(self, j0, j1, stride=1):
@@ -304,15 +305,7 @@ class OuProcess:
         return self.read([(j0, j1, stride)])[0]
 
 
-_OU_CACHE = {}
-
-
-def get_ou(seed, component, rate, dt):
-    """Shared OuProcess cache; values are pure so sharing is safe."""
-    key = (seed, component, float(rate), float(dt))
-    if key not in _OU_CACHE:
-        _OU_CACHE[key] = OuProcess(seed, component, rate, dt)
-    return _OU_CACHE[key]
+get_ou = OuProcess  # kept only because perfbench/checks.py imports it
 
 
 def temperedness_probe(ts, z, delta, exponent, horizon):

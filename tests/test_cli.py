@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,9 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     ("noise", "seed", "", ["--seed", str(2**64)]),
     # a flag, not a config key: solve_batch would reject it after set-up
     ("simulate", "--duration", "", ["--duration", "-1"]),
+    # verify would run as one worker and its manifest record the count given
+    ("verify", "--threads", "", ["--threads", "0"]),
+    ("verify", "--threads", "", ["--threads", "-2"]),
     # non-finite numbers: an internal error, output computed from NaN, or a
     # NaN reported as a blow-up
     ("noise", "model.lambda", "model.lambda = nan", []),
@@ -177,8 +182,8 @@ def test_cli_off_grid_config_time_exit_2_before_any_step(tmp_path, capsys, monke
     ("verify", "experiment.horizon", "experiment.horizon = inf", []),
     ("pullback", "schedules.t", "schedules.t = 2,nan", []),
 ], ids=["stride-15", "stride-0", "stride-minus-10", "horizon-0", "horizon-minus-5", "seed-minus-1",
-        "seed-2**64", "duration-minus-1", "lambda-nan", "base-radius-nan", "h1-width-nan", "alpha-nan",
-        "dt-inf", "horizon-inf", "schedule-nan"])
+        "seed-2**64", "duration-minus-1", "threads-0", "threads-minus-2", "lambda-nan",
+        "base-radius-nan", "h1-width-nan", "alpha-nan", "dt-inf", "horizon-inf", "schedule-nan"])
 def test_cli_out_of_range_config_exit_2_before_any_step(tmp_path, capsys, monkeypatch, command, key,
                                                         line, argv):
     def no_step(*args, **kwargs):
@@ -187,7 +192,6 @@ def test_cli_out_of_range_config_exit_2_before_any_step(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "solve", no_step)
     monkeypatch.setattr(cli, "solve_batch", no_step)
     monkeypatch.setattr(diagnostics, "phi_batch", no_step)
-    monkeypatch.setattr(cli, "get_ou", no_step)
     monkeypatch.setattr(noise.OuProcess, "read", no_step)
     cfgp = write_cfg(tmp_path, SMALL + line + "\n")
     out = tmp_path / "bad"
@@ -656,14 +660,13 @@ def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
+def test_horizon_long_layers_bound_their_scratch(tmp_path):
     # the noise-long config: 2 M steps of forcing history, and 2 M OU steps
     # on each side of 0.  `resolve` does not walk the horizon; the forcing
     # guard holds one array of the history samples; `noise` holds the OU
     # blocks of one piece and the scratch of one fill, which do not grow with
     # the horizon (four times noise-long's) or with 1/dt (dt = 1e-4, where
     # the block length B is ten times noise-long's)
-    monkeypatch.setattr(noise, "_OU_CACHE", {})
     tracemalloc.start()
     try:
         cfg = config.resolve({"experiment.horizon": 2000.0})
@@ -673,7 +676,6 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path, monkeypatch):
         guard_peak = tracemalloc.get_traced_memory()[1]
         noise_peaks = {}
         for dt, horizon in ((1e-3, 2000.0), (1e-3, 8000.0), (1e-4, 200.0)):
-            noise._OU_CACHE.clear()
             run = config.resolve({"solver.dt": dt, "experiment.horizon": horizon})
             args = cli.build_parser().parse_args(["noise", "--out", str(tmp_path)])
             tracemalloc.reset_peak()
@@ -694,17 +696,26 @@ class CountedFills(list):
 
 
 def count_ou_fills(monkeypatch):
-    """Fresh shared OU processes; the (seed, component, block) of each block
-    filled from here on, in order, while the returned list's `on` is true."""
-    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    """The (seed, component, block) of each block filled from here on, in
+    order, while the returned list's `on` is true; its `reads` hold the same
+    per `OuProcess.read`, and its `block_lengths` the B of each filling process."""
     filled = CountedFills()
-    real_fill = noise.OuProcess._compute_blocks
+    filled.reads, filled.block_lengths = [], set()
+    real_read, real_fill = noise.OuProcess.read, noise.OuProcess._compute_blocks
+
+    def counting_read(proc, spans):
+        filled.reads.append([])
+        return real_read(proc, spans)
 
     def counting_fill(proc, ms):
         if filled.on:
-            filled.extend((proc.seed.seed, proc.seed.component, m) for m in ms if m not in proc._blocks)
+            blocks = [(proc.seed.seed, proc.seed.component, m) for m in ms]
+            filled.extend(blocks)
+            filled.reads[-1].extend(blocks)
+            filled.block_lengths.add(proc.B)
         return real_fill(proc, ms)
 
+    monkeypatch.setattr(noise.OuProcess, "read", counting_read)
     monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
     return filled
 
@@ -748,7 +759,7 @@ def test_pullback_ensemble_fills_each_ou_block_once(monkeypatch):
     filled = count_ou_fills(monkeypatch)
     paths = [noise.WienerPath(seed=s, dt=solver.dt) for s in (3, 4)]
     diagnostics.run_pullback_ensemble(0.0, paths, cfg.family_spec(spec.delta), spec, solver, [4.0, 12.0])
-    assert {p.B for p in noise._OU_CACHE.values()} == {5000}
+    assert filled.block_lengths == {5000}
     assert sorted(filled) == [(s, c, m) for s in (3, 4) for c in (1, 2) for m in range(-3, 1)]
 
 
@@ -762,24 +773,37 @@ def workload_config(monkeypatch, name):
     return bench.WORKLOADS[name].config
 
 
-def test_cli_verify_1d_fills_each_ou_block_once(tmp_path, monkeypatch):
-    # the verify-1d workload of perfbench/run.py: the energy runs, the
-    # pullback runs, the radii and the temperedness series share their OU
-    # blocks through the latest piece of each shared process
+def test_cli_verify_1d_fills_each_read_span_once(tmp_path, monkeypatch):
+    # the verify-1d workload of perfbench/run.py: each read fills the blocks
+    # of its spans once and shares none with another read.  One block per
+    # energy run and component (8), two per pullback seed and component (8),
+    # three per radius history (12) and six per temperedness series (12)
     cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
     filled = count_ou_fills(monkeypatch)
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
-    assert len(filled) == len(set(filled)) == 22, filled
+    assert all(len(read) == len(set(read)) for read in filled.reads), filled.reads
+    assert sorted(map(len, filled.reads)) == [1] * 8 + [2] * 4 + [3] * 4 + [6] * 2, filled.reads
+    assert len(filled) == 40
 
 
 def test_cli_main_drops_the_ou_processes_of_its_run(tmp_path, monkeypatch):
-    # a run's OU processes and their latest fills end with the run, so runs
-    # in one process do not accumulate them
-    filled = count_ou_fills(monkeypatch)
+    # each read makes its own OU process and nothing keeps one, so two runs
+    # in one process leave none alive
+    live, made = weakref.WeakSet(), []
+    real_init = noise.OuProcess.__init__
+
+    def tracked_init(proc, *args):
+        real_init(proc, *args)
+        live.add(proc)
+        made.append((proc.seed.seed, proc.seed.component))
+
+    monkeypatch.setattr(noise.OuProcess, "__init__", tracked_init)
     cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
-    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) in (0, 1)
-    assert {(seed, c) for seed, c, _ in filled} == {(42, 1), (42, 2), (43, 1), (43, 2)}
-    assert noise._OU_CACHE == {}
+    for out in ("v1", "v2"):
+        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / out)]) in (0, 1)
+        gc.collect()
+        assert len(live) == 0, out
+    assert set(made) == {(42, 1), (42, 2), (43, 1), (43, 2)}
 
 
 def test_cli_verify_1d_integrates_the_forcing_history_once(tmp_path, monkeypatch):

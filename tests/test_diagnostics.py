@@ -202,26 +202,25 @@ def test_absorbing_radius_monotone_in_constant(small, small_runs):
 
 
 def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
-    # one-pair pieces, so a process holds two blocks and a window read twice
-    # is filled twice: the 26 shifted histories fill each block of their
-    # union once, and the series is bitwise the one of 26 separate reads
+    # one-pair pieces, and a window read twice is filled twice: the 26
+    # shifted histories fill each block of their union once, and the series
+    # is bitwise the one of 26 separate reads
     _, spec, solver, _ = small
     path = WienerPath(seed=11, dt=solver.dt)
     monkeypatch.setattr(noise, "_SOLVE_VALUES", 1)
-    monkeypatch.setattr(noise, "_OU_CACHE", {})
-    filled = []
+    filled, pieces = [], set()
     real_fill = noise.OuProcess._compute_blocks
 
     def counting_fill(proc, ms):
-        filled.extend((proc.seed.component, m) for m in ms if m not in proc._blocks)
+        filled.extend((proc.seed.component, m) for m in ms)
+        pieces.add(proc.piece_blocks)
         return real_fill(proc, ms)
 
     monkeypatch.setattr(noise.OuProcess, "_compute_blocks", counting_fill)
     forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
     check = dg.radius_temperedness(path, spec, 1.5, forcing, 40.0)
     assert filled and len(filled) == len(set(filled))
-    assert {p.piece_blocks for p in noise._OU_CACHE.values()} == {2}
-    monkeypatch.setattr(noise, "_OU_CACHE", {})
+    assert pieces == {2}
     ts, series = zip(*check.table[2])
     for t, value in zip(ts, series):
         shifted = path.shift(-t)

@@ -29,7 +29,6 @@ from fhnrds.noise import (
     NoiseSeed,
     OuProcess,
     WienerPath,
-    get_ou,
     step_index,
     temperedness_probe,
     wiener_increment,
@@ -268,8 +267,8 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     dt = solver.dt
     k0 = step_index(tau0, dt)
     nsteps = step_index(tau1, dt) - k0
-    z1s = get_ou(path.seed, 1, spec.lam, dt).values(path.offset, path.offset + nsteps)
-    z2s = get_ou(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
+    z1s = OuProcess(path.seed, 1, spec.lam, dt).values(path.offset, path.offset + nsteps)
+    z2s = OuProcess(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
     grid = init.grid
     op = _ImplicitOperator(grid, spec.lam, dt)
     lap_h1 = laplacian_values(spec.h1.values, grid)

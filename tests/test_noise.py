@@ -9,7 +9,6 @@ from fhnrds.noise import (
     NoiseSeed,
     OuProcess,
     WienerPath,
-    get_ou,
     stationary_variance,
     step_index,
     temperedness_probe,
@@ -133,12 +132,12 @@ def test_ou_paired_chunked_sweep_is_the_filter_of_each_window(monkeypatch, chunk
     # B = 1001, so a window has 2001 values: one chunk of the default, four
     # of 502 whose third starts at the block's first value (step B - 1), and
     # eight of 256.  Each block is bitwise `lfilter` of its own window when
-    # it is the lone window of its fill (a pair with zeros), one of an odd
-    # or even piece of negative indices, or of pieces split by a held block
+    # it is the lone window of its fill (a pair with zeros), or one of an odd
+    # or even piece of negative indices, or of an odd piece over both signs
     monkeypatch.setattr(noise, "_CHUNK", chunk)
     proc = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / 1001)
     assert proc.B == 1001 and proc.piece_blocks == 64
-    for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-9, -5)], [[0], range(-3, 4)]):
+    for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-9, -5)], [range(-3, 4)]):
         for ms in fills:
             proc._compute_blocks(ms)
         for m in ms:
@@ -155,13 +154,13 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     for m in range(-3, 4):
         a._compute_blocks([m])
         single[m] = a._blocks[m]
-    # one batch over a span whose middle block is already held
+    # one batch over the span, after a fill of its middle block
     b = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     b._compute_blocks([1])
     b._compute_blocks(range(-3, 4))
     for m in range(-3, 4):
         assert np.array_equal(single[m], b._blocks[m]), m
-    # a fill over more than one solve chunk with a held block in the middle:
+    # a fill over more than two pieces, after a fill of its middle block:
     # each block is bitwise the first-order filter of its own window
     c = OuProcess(seed=8, component=1, rate=2.0, dt=0.01)
     ms = range(-c.piece_blocks - 3, c.piece_blocks + 4)
@@ -224,11 +223,6 @@ def test_ou_stationary_variance_empirical():
     assert abs(z.var() / 0.5 - 1.0) < 0.05
 
 
-def test_get_ou_caches():
-    assert get_ou(1, 1, 1.0, 1e-3) is get_ou(1, 1, 1.0, 1e-3)
-    assert get_ou(1, 1, 1.0, 1e-3) is not get_ou(1, 2, 1.0, 1e-3)
-
-
 def probe_samples(proc, horizon):
     # the samples `cli.cmd_noise` hands the probe: z at steps 0, -stride, ...
     n = step_index(horizon, proc.dt)
@@ -237,7 +231,7 @@ def probe_samples(proc, horizon):
 
 
 def test_temperedness_probe_decays():
-    proc = get_ou(33, 1, 1.0, 1e-2)
+    proc = OuProcess(33, 1, 1.0, 1e-2)
     ts, z = probe_samples(proc, 50.0)
     series, passed = temperedness_probe(ts, z, 1.0, 4.0, 50.0)
     assert passed
@@ -246,7 +240,7 @@ def test_temperedness_probe_decays():
 
 
 def test_temperedness_probe_validation():
-    ts, z = probe_samples(get_ou(33, 1, 1.0, 1e-2), 10.0)
+    ts, z = probe_samples(OuProcess(33, 1, 1.0, 1e-2), 10.0)
     with pytest.raises(ValueError):
         temperedness_probe(ts, z, -1.0, 2.0, 10.0)
 
@@ -254,8 +248,9 @@ def test_temperedness_probe_validation():
 def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
     # a reference read in pieces of 16 blocks, then reads of one process in
     # pieces of two: spans over more than two pieces, strides below, at and
-    # above B, reads that go back over dropped blocks, and one read of
-    # several overlapping spans
+    # above B, reads that go back over blocks an earlier read filled, and one
+    # read of several overlapping spans.  The process holds no block after
+    # each read
     B = OuProcess(seed=17, component=2, rate=2.0, dt=0.01).B
     j0, j1 = -(16 + 3) * B - 5, (16 + 4) * B + 3
     set_block_counts(monkeypatch, B, 16)
@@ -265,11 +260,11 @@ def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
     for a, b, stride in ((j0, j1, 1), (j0 + 7, j1 - 11, 3), (j0, j1, B), (j0 + 1, j1, B + 7),
                          (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
         assert np.array_equal(proc.values(a, b, stride), full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
-        assert len(proc._blocks) <= 2
+        assert proc._blocks == {}
     spans = [(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)]
     for (a, b, stride), z in zip(spans, proc.read(spans)):
         assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
-        assert len(proc._blocks) <= 2
+    assert proc._blocks == {}
 
 
 def test_ou_read_fills_each_block_once(monkeypatch):
@@ -284,7 +279,7 @@ def test_ou_read_fills_each_block_once(monkeypatch):
         return real_draw(seed, k, dt)
 
     def counting_fill(proc, ms):
-        filled.extend(m for m in ms if m not in proc._blocks)
+        filled.extend(ms)
         return real_fill(proc, ms)
 
     monkeypatch.setattr(noise, "wiener_increment", counting_draw)
@@ -296,39 +291,48 @@ def test_ou_read_fills_each_block_once(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-21 * B, 21 * B - 1))
 
 
-def test_ou_process_holds_only_its_latest_piece():
+def test_ou_process_holds_no_block_after_a_read(monkeypatch):
     # the default bounds; strided, stride-1 and multi-span reads of one
-    # process over more blocks than a piece, then a short one: after each,
-    # the process holds the last group of at most `piece_blocks` blocks read
+    # process over more blocks than a piece, then a short one: a read holds
+    # at most one group of `piece_blocks` blocks at a time, and none once it
+    # returns
     proc = OuProcess(seed=3, component=1, rate=2.0, dt=0.01)
     B, piece = proc.B, proc.piece_blocks
+    held = []
+    real_fill = OuProcess._compute_blocks
+
+    def holding_fill(proc, ms):
+        real_fill(proc, ms)
+        held.append(len(proc._blocks))
+
+    monkeypatch.setattr(OuProcess, "_compute_blocks", holding_fill)
     last = 2 * piece + 10
     for spans in ([(-last * B, last * B, 37)], [(-last * B, last * B, 1)],
                   [(-last * B, -3 * B, 5), (B + 1, (last - 1) * B + 7, 1)], [(-2 * B, 3, 1)]):
+        del held[:]
         proc.read(spans)
-        ms = sorted(set().union(*(range(j0 // B, j1 // B + 1) for j0, j1, _ in spans)))
-        assert sorted(proc._blocks) == ms[(len(ms) - 1) // piece * piece :], spans
-        assert len(proc._blocks) <= piece
+        assert held and max(held) <= piece, (spans, held)
+        assert proc._blocks == {}, spans
 
 
-def test_ou_read_overlapping_the_latest_piece_fills_only_what_it_lacks(monkeypatch):
-    # pieces of four blocks: a read of blocks -9..2 leaves the piece -1..2,
-    # and the next read, of blocks -1..4, fills only 3 and 4
+def test_ou_read_overlapping_an_earlier_read_fills_all_it_covers(monkeypatch):
+    # pieces of four blocks: after a read of blocks -9..2, a read of blocks
+    # -1..4 draws the windows of all six again, and its values are bitwise
+    # those of a fresh process
     B = OuProcess(seed=6, component=2, rate=2.0, dt=0.01).B
     set_block_counts(monkeypatch, B, 4)
-    filled = []
-    real_fill = OuProcess._compute_blocks
+    drawn = []
+    real_draw = noise.wiener_increment
 
-    def counting_fill(proc, ms):
-        filled.extend(m for m in ms if m not in proc._blocks)
-        return real_fill(proc, ms)
+    def counting_draw(seed, k, dt):
+        drawn.append(np.asarray(k).copy())
+        return real_draw(seed, k, dt)
 
-    monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
+    monkeypatch.setattr(noise, "wiener_increment", counting_draw)
     for a, b, stride in ((-B + 17, 5 * B - 3, 1), (-B + 2, 5 * B - 1, 3)):
         proc = OuProcess(seed=6, component=2, rate=2.0, dt=0.01)
         proc.values(-9 * B + 3, 3 * B - 1)
-        assert sorted(proc._blocks) == [-1, 0, 1, 2]
-        del filled[:]
+        del drawn[:]
         z = proc.values(a, b, stride)
-        assert filled == [3, 4], stride
+        assert np.array_equal(np.sort(np.concatenate(drawn)), np.arange(-2 * B, 5 * B - 1)), stride
         assert np.array_equal(z, OuProcess(seed=6, component=2, rate=2.0, dt=0.01).values(a, b, stride))
