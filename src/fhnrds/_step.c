@@ -1,0 +1,210 @@
+/* The IMEX step of fhnrds.model.solve_batch, one call per step.
+ *
+ * Every operation is one IEEE double operation, in the order of the numpy
+ * expressions it replaces (model._Step); built with -ffp-contract=off and
+ * without -ffast-math, each rounds as numpy's does, so a step is bitwise
+ * the numpy step.  Point i of row b sits at i*ps + b*rs: rows innermost
+ * (ps = B, rs = 1) on 1-D grids, where the tridiagonal sweep runs across
+ * the rows at once, and row-major (ps = 1, rs = n) on 2-D grids.
+ */
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+#define BLOWUP_THRESHOLD 1e8 /* model.BLOWUP_THRESHOLD */
+#define INLINE static inline __attribute__((always_inline))
+
+typedef struct {
+    int64_t n;           /* unknowns */
+    const double *d, *e; /* the LDL^T factor of dpttrf */
+    const double *w;     /* periodic: T^-1 u of the Sherman-Morrison correction; else NULL */
+    double scale;
+} fhn_tridiag;
+
+typedef struct {
+    int64_t n, B;              /* points of a row, rows */
+    int64_t ps, rs;            /* strides of a point and of a row in u and v */
+    double *u, *v;
+    double *shifted, *f;       /* u + h1*z1 and f of it, packed as u with A rows; f NULL: p = 4 */
+    const double *h1, *lap_h1, *h2, *gprof, *hprof;
+    const double *z1, *z2;     /* S values per step */
+    int64_t S;
+    const int64_t *group;      /* the z series of each row */
+    double sign, dt, alpha, beta, ev, gain;
+    const fhn_tridiag *tri;    /* NULL: the caller solves (2-D) */
+    double *scratch;           /* 4*B values, and 2*n more on 2-D grids */
+} fhn_plan;
+
+/* A value is out of range when |x| <= threshold fails, NaN included. */
+INLINE int out_of_range(double x) { return !(fabs(x) <= BLOWUP_THRESHOLD); }
+
+/* The rest of dptts2's solve after the forward elimination: the division
+ * by D and the back substitution, then the periodic correction
+ * x - ((x_0 - x_(n-1))*scale)*w; returns whether a solution value is out
+ * of range.  `coef` holds a value per row. */
+INLINE int back_substitute(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs,
+                           double *coef)
+{
+    const int64_t n = t->n;
+    const double *d = t->d, *e = t->e;
+    int bad = 0;
+    for (int64_t b = 0; b < A; b++) {
+        x[(n - 1) * ps + b * rs] = x[(n - 1) * ps + b * rs] / d[n - 1];
+        bad |= out_of_range(x[(n - 1) * ps + b * rs]);
+    }
+    for (int64_t i = n - 2; i >= 0; i--)
+        for (int64_t b = 0; b < A; b++) {
+            const double y = x[i * ps + b * rs] / d[i] - x[(i + 1) * ps + b * rs] * e[i];
+            x[i * ps + b * rs] = y;
+            bad |= out_of_range(y);
+        }
+    if (!t->w)
+        return bad;
+    bad = 0; /* the corrected values decide */
+    for (int64_t b = 0; b < A; b++)
+        coef[b] = (x[b * rs] - x[(n - 1) * ps + b * rs]) * t->scale;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t b = 0; b < A; b++) {
+            const double y = x[i * ps + b * rs] - coef[b] * t->w[i];
+            x[i * ps + b * rs] = y;
+            bad |= out_of_range(y);
+        }
+    return bad;
+}
+
+/* Solve T x = rhs in place for the rows b < A, as dptts2 does column by
+ * column; returns whether a solution value is out of range. */
+int fhn_sweep(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs, double *coef)
+{
+    for (int64_t i = 1; i < t->n; i++)
+        for (int64_t b = 0; b < A; b++)
+            x[i * ps + b * rs] = x[i * ps + b * rs] - x[(i - 1) * ps + b * rs] * t->e[i - 1];
+    return back_substitute(t, x, A, ps, rs, coef);
+}
+
+/* Whether a value of the rows b < A of u is out of range. */
+int fhn_scan(const fhn_plan *p, int64_t A)
+{
+    int bad = 0;
+    for (int64_t i = 0; i < p->n; i++)
+        for (int64_t b = 0; b < A; b++)
+            bad |= out_of_range(p->u[i * p->ps + b * p->rs]);
+    return bad;
+}
+
+/* z1, alpha*z2 and beta*z1 of the rows b < A at step j. */
+static void row_z(const fhn_plan *p, int64_t A, int64_t j, double *z1, double *az2, double *bz1)
+{
+    const double *z1s = p->z1 + j * p->S, *z2s = p->z2 + j * p->S;
+    for (int64_t b = 0; b < A; b++) {
+        const int64_t g = p->group[b];
+        z1[b] = z1s[g];
+        az2[b] = p->alpha * z2s[g];
+        bz1[b] = p->beta * z1s[g];
+    }
+}
+
+/* shifted = u + h1*z1 for the rows b < A at step j, for f outside the kernel. */
+void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
+{
+    double *z1 = p->scratch + p->B, *az2 = z1 + p->B, *bz1 = az2 + p->B;
+    row_z(p, A, j, z1, az2, bz1);
+    for (int64_t i = 0; i < p->n; i++)
+        for (int64_t b = 0; b < A; b++) {
+            const int64_t at = i * p->ps + b * p->rs;
+            p->shifted[p->ps == 1 ? at : i * A + b] = p->u[at] + p->h1[i] * z1[b];
+        }
+}
+
+/* The explicit update of m values at unit stride: the rows at one point
+ * (1-D) or the points of one row (2-D).  A point's values h1, lh, h2,
+ * g = G*gf and h = H*hf advance by pstep, a row's z1, az2 = alpha*z2 and
+ * bz1 = beta*z1 by zstep; one of the two steps is 0.
+ *   rhs = u + dt*(f(u + h1*z1) + g - alpha*v + lh*z1 - h2*az2)
+ *   v   = ev*v + gain*(beta*u + h + h1*bz1)
+ * With `prev`, u gets rhs - prev*em, the forward elimination of the sweep. */
+INLINE void explicit_run(const fhn_plan *p, int64_t m, double *restrict u, double *restrict v,
+                         const double *restrict f, const double *h1, const double *lh,
+                         const double *h2, const double *g, const double *h, int64_t pstep,
+                         const double *z1, const double *az2, const double *bz1, int64_t zstep,
+                         const double *prev, double em)
+{
+    const double sign = p->sign, dt = p->dt, alpha = p->alpha, beta = p->beta;
+    const double ev = p->ev, gain = p->gain;
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t x = k * pstep, r = k * zstep;
+        const double uo = u[k], vo = v[k];
+        double fv;
+        if (f) {
+            fv = f[k];
+        } else {
+            const double s = uo + h1[x] * z1[r];
+            fv = s * s;
+            fv = fv * s;
+            fv = fv * sign;
+        }
+        double ac = fv + g[x];
+        ac = ac - vo * alpha;
+        ac = ac + lh[x] * z1[r];
+        ac = ac - h2[x] * az2[r];
+        ac = ac * dt;
+        double rhs = uo + ac;
+        if (prev)
+            rhs = rhs - prev[k] * em;
+        double bv = uo * beta + h[x];
+        bv = bv + h1[x] * bz1[r];
+        bv = bv * gain;
+        u[k] = rhs;
+        v[k] = vo * ev + bv;
+    }
+}
+
+/* The rows of one point i of a 1-D grid, with the forward elimination from
+ * point i-1 (none at i = 0); f and prev select a specialised loop. */
+INLINE void point_rows(const fhn_plan *p, int64_t A, int64_t i, const double *f, const double *prev,
+                       double gf, double hf, const double *z1, const double *az2, const double *bz1)
+{
+    const double g = p->gprof[i] * gf, h = p->hprof[i] * hf;
+    const double em = prev ? p->tri->e[i - 1] : 0.0;
+    explicit_run(p, A, p->u + i * p->ps, p->v + i * p->ps, f, p->h1 + i, p->lap_h1 + i,
+                 p->h2 + i, &g, &h, 0, z1, az2, bz1, 1, prev, em);
+}
+
+/* One step of the rows b < A at step j of the z series, with the forcing
+ * factors gf and hf.  On 1-D grids it also solves: the forward elimination
+ * runs with the explicit update, one point after the other, and the back
+ * substitution follows.  Returns whether a value of the new u is out of
+ * range (0 on 2-D grids, whose caller solves and then scans). */
+int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
+{
+    const int64_t n = p->n, B = p->B;
+    double *coef = p->scratch, *z1 = coef + B, *az2 = z1 + B, *bz1 = az2 + B;
+    row_z(p, A, j, z1, az2, bz1);
+    if (!p->tri) {
+        double *g = p->scratch + 4 * B, *h = g + n;
+        for (int64_t i = 0; i < n; i++) {
+            g[i] = p->gprof[i] * gf;
+            h[i] = p->hprof[i] * hf;
+        }
+        for (int64_t b = 0; b < A; b++) {
+            double *u = p->u + b * p->rs, *v = p->v + b * p->rs;
+            if (p->f)
+                explicit_run(p, n, u, v, p->f + b * n, p->h1, p->lap_h1, p->h2, g, h, 1,
+                             z1 + b, az2 + b, bz1 + b, 0, NULL, 0.0);
+            else
+                explicit_run(p, n, u, v, NULL, p->h1, p->lap_h1, p->h2, g, h, 1,
+                             z1 + b, az2 + b, bz1 + b, 0, NULL, 0.0);
+        }
+        return 0;
+    }
+    if (p->f) {
+        point_rows(p, A, 0, p->f, NULL, gf, hf, z1, az2, bz1);
+        for (int64_t i = 1; i < n; i++)
+            point_rows(p, A, i, p->f + i * A, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
+    } else {
+        point_rows(p, A, 0, NULL, NULL, gf, hf, z1, az2, bz1);
+        for (int64_t i = 1; i < n; i++)
+            point_rows(p, A, i, NULL, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
+    }
+    return back_substitute(p->tri, p->u, A, B, 1, coef);
+}

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import multiprocessing
+import os
 import sys
 import time
 from pathlib import Path
@@ -350,8 +351,9 @@ def build_parser():
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes over independent seeds (verify)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes over independent seeds (verify); "
+                            "default: the CPUs this process may run on")
         if name == "simulate":
             p.add_argument("--duration", type=float, default=8.0)
     return parser
@@ -362,6 +364,8 @@ def main(argv=None):
     an invalid config or a failed run, each with the error in the manifest.
     Any other exception is a bug: it is named in the manifest and re-raised."""
     args = build_parser().parse_args(argv)
+    if args.threads is None:
+        args.threads = len(os.sched_getaffinity(0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(None, args.threads)

@@ -1,0 +1,122 @@
+"""The compiled IMEX step (`_step.c`), built on first use and loaded with ctypes.
+
+The source ships in the package.  `load` compiles it once per cache key
+with sysconfig's CC at `-O2 -fPIC -ffp-contract=off`: no `-ffast-math`, so
+every operation rounds as numpy's does, and no `-march=native`, so a cached
+object runs on any CPU of its architecture.  The object goes to
+`$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
+the user's under `tempfile.gettempdir()` when that is not writable, named
+by a hash of the source, the flags and CC.  It is written under a
+temporary name and renamed into place, so processes racing on a cold cache
+(the forked workers of `cli --threads`) never load a half-written file.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import sysconfig
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from .noise import RunError
+
+FLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-shared")
+
+_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+class KernelBuildError(RunError, RuntimeError):
+    """The step kernel could not be compiled."""
+
+    kind = "kernel build"
+
+
+class Tridiag(ctypes.Structure):
+    """`fhn_tridiag`: an LDL^T factor and the periodic correction."""
+
+    _fields_ = [("n", _I64), ("d", _P), ("e", _P), ("w", _P), ("scale", _F64)]
+
+
+class Plan(ctypes.Structure):
+    """`fhn_plan`: the buffers, profiles and constants of one `solve_batch`."""
+
+    _fields_ = [
+        ("n", _I64), ("B", _I64), ("ps", _I64), ("rs", _I64), ("u", _P), ("v", _P),
+        ("shifted", _P), ("f", _P), ("h1", _P), ("lap_h1", _P), ("h2", _P), ("gprof", _P),
+        ("hprof", _P), ("z1", _P), ("z2", _P), ("S", _I64), ("group", _P),
+        ("sign", _F64), ("dt", _F64), ("alpha", _F64), ("beta", _F64), ("ev", _F64), ("gain", _F64),
+        ("tri", _P), ("scratch", _P),
+    ]
+
+
+_SIGNATURES = {
+    "fhn_sweep": (ctypes.c_int, (_P, _P, _I64, _I64, _I64, _P)),
+    "fhn_scan": (ctypes.c_int, (_P, _I64)),
+    "fhn_shift": (None, (_P, _I64, _I64)),
+    "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),
+}
+
+_lib = None
+
+
+def load():
+    """The kernel library, compiled into the cache on the first call of a cold cache."""
+    global _lib
+    if _lib is None:
+        lib = ctypes.CDLL(str(_build()))
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+        _lib = lib
+    return _lib
+
+
+def _cache_dirs():
+    yield Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fhnrds"
+    yield Path(tempfile.gettempdir()) / f"fhnrds-{os.getuid()}"
+
+
+def _build():
+    """Path of the compiled kernel, compiled first unless a cache holds it."""
+    source = resources.files(__package__).joinpath("_step.c").read_bytes()
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise KernelBuildError("no C compiler: sysconfig's CC is not set")
+    key = hashlib.sha256(repr((source, FLAGS, cc)).encode()).hexdigest()[:20]
+    for cache in _cache_dirs():
+        path = cache / f"step-{key}.so"
+        try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if cache.stat().st_uid != os.getuid():  # load nothing from another user's directory
+                continue
+            if path.exists():
+                return path
+            fd, tmp = tempfile.mkstemp(prefix=path.name, dir=cache)
+        except OSError:
+            continue
+        os.close(fd)
+        try:
+            _compile(cc, source, tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return path
+    raise KernelBuildError(f"no writable cache directory for the kernel among {list(_cache_dirs())}")
+
+
+def _compile(cc, source, target):
+    argv = [*cc.split(), *FLAGS, "-x", "c", "-", "-o", target, "-lm"]
+    try:
+        done = subprocess.run(argv, input=source, capture_output=True)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot run the C compiler {cc!r} (sysconfig's CC): {exc}") from None
+    if done.returncode != 0:
+        raise KernelBuildError(
+            f"the C compiler {cc!r} (sysconfig's CC) failed on the step kernel:\n"
+            + done.stderr.decode(errors="replace")
+        )

@@ -17,15 +17,17 @@ in two reproduces the single run bitwise.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf
 
-from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p, row_dots
+from . import kernel
+from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
 from .noise import OuProcess, RunError, step_index
 
-BLOWUP_THRESHOLD = 1e8
+BLOWUP_THRESHOLD = 1e8  # also the kernel's, `_step.c`
 RECORD_STRIDE = 10  # steps between the records of a solve
 
 
@@ -193,7 +195,8 @@ class _ImplicitOperator:
             self._qt = np.ascontiguousarray(self._q.T)  # 10% faster products than the view
             self._denom = 1.0 + dt * lam + d * (mu[:, None] + mu[None, :])
             return
-        # SPD tridiagonal: LDL^T, factored once
+        # SPD tridiagonal: LDL^T, factored once; the kernel's `fhn_sweep`
+        # solves with it in the order of operations of LAPACK's dptts2
         diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
         if grid.boundary != "dirichlet0":
             diag[0] -= d
@@ -201,37 +204,118 @@ class _ImplicitOperator:
         self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
         if info != 0:
             raise ValueError(f"pttrf failed with info {info}")
-        self._w = None
+        self._sweep = kernel.load().fhn_sweep
+        self.tridiag = kernel.Tridiag(n, self._d.ctypes.data, self._e.ctypes.data)
         if grid.boundary == "periodic":
             root = np.sqrt(d)
             u = np.zeros(n)
             u[0], u[-1] = root, -root
-            self._w, _ = dpttrs(self._d, self._e, u)
-            self._scale = root / (1.0 + root * (self._w[0] - self._w[-1]))
+            self._w = self.solve(u[None])[0]
+            self.tridiag.w = self._w.ctypes.data
+            self.tridiag.scale = root / (1.0 + root * (self._w[0] - self._w[-1]))
 
     def solve(self, rhs):
         """Overwrite `rhs`, one right-hand side per row, with the solutions.
 
-        Each row is solved exactly as it would be alone: dpttrs treats the
-        columns of the Fortran-ordered rhs.T one by one, the periodic
-        correction is elementwise per row, and each product of the 2-D
-        solve is one GEMM of an (n, n) row against Q or Q^T (a single
-        reshaped GEMM would pick its BLAS kernel by the batch size).
+        Each row is solved exactly as it would be alone: the sweep and the
+        periodic correction treat each row by itself, and each product of
+        the 2-D solve is one GEMM of an (n, n) row against Q or Q^T (a
+        single reshaped GEMM would pick its BLAS kernel by the batch size).
         """
         if self._q is not None:
             y = np.matmul(np.matmul(self._qt, rhs), self._q)
             y /= self._denom
             np.matmul(np.matmul(self._q, y), self._qt, out=rhs)
             return rhs
-        x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of pttrs")
-        if not np.may_share_memory(x, rhs):
-            rhs[...] = x.T
-        if self._w is not None:
-            coef = (rhs[:, 0] - rhs[:, -1]) * self._scale
-            rhs -= coef[:, None] * self._w
+        if rhs.ndim != 2 or rhs.shape[1] != self._d.size or rhs.dtype != np.float64 \
+                or not rhs.flags.c_contiguous:
+            raise ValueError("the 1-D solve overwrites a C-contiguous float64 array of grid rows")
+        rows, n = rhs.shape
+        coef = np.empty(rows)
+        self._sweep(ctypes.addressof(self.tridiag), rhs.ctypes.data, rows, 1, n, coef.ctypes.data)
         return rhs
+
+
+class _Step:
+    """The IMEX step of `solve_batch` for B rows, one call of the kernel per step.
+
+    Point i of row b sits at u[i, b] on 1-D grids, rows innermost, so that
+    the kernel's tridiagonal sweep runs across the rows at once (the
+    interleaved layout of Laszlo, Giles & Appleyard, ACM TOMS 42 (2016));
+    2-D grids keep rows outermost, u[b], and solve each row by the
+    operator's GEMMs.  The active rows are a prefix b < A.  At step j of the
+    z series Z1, Z2 (a column per source; `group` names each row's) the
+    kernel evaluates, one IEEE operation at a time and in this order,
+      rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
+      v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
+    from the old u and v, and then solves u from rhs, so that each row is
+    bitwise these numpy expressions evaluated for it alone.  For p = 4 the
+    kernel forms f as `Nonlinearity` does, ((s*s)*s)*sign; for any other p,
+    `Nonlinearity` fills a buffer between two passes of the kernel, since
+    numpy's `**` is not libm's `pow`.
+    """
+
+    def __init__(self, spec, grid, dt, B, Z1, Z2, group):
+        self.op = _ImplicitOperator(grid, spec.lam, dt)
+        lib = kernel.load()
+        self._step, self._shift, self._scan = lib.fhn_step, lib.fhn_shift, lib.fhn_scan
+        self.one_d = grid.dim == 1
+        self.size = grid.n**grid.dim
+        self.u = np.empty((self.size, B) if self.one_d else (B,) + grid.shape)
+        self.v = np.empty_like(self.u)
+        self._nl = None if spec.p == 4 else spec.nonlin
+        self._shifted = self._f = None
+        if self._nl is not None:
+            self._shifted, self._f = np.empty(self.size * B), np.empty(self.size * B)
+        ev = np.exp(-spec.sigma * dt)
+        profiles = [np.ascontiguousarray(a, dtype=float) for a in (
+            spec.h1.values, laplacian_values(spec.h1.values, grid), spec.h2.values,
+            spec.g.profile.values, spec.h.profile.values)]
+        Z1, Z2 = (np.ascontiguousarray(z, dtype=float) for z in (Z1, Z2))
+        group = np.asarray(group, dtype=np.int64)
+        if Z1.ndim != 2 or Z1.shape != Z2.shape or group.shape != (B,) \
+                or not np.all((0 <= group) & (group < Z1.shape[1])):
+            raise ValueError("Z1 and Z2 need one column per z series, which `group` indexes per row")
+        self._bounds = (len(Z1), B)
+        scratch = np.empty(4 * B + 2 * self.size)
+        self._keep = (profiles, Z1, Z2, group, scratch)  # the arrays the plan points into
+
+        def at(a):
+            return None if a is None else a.ctypes.data
+        self.plan = kernel.Plan(
+            self.size, B, B if self.one_d else 1, 1 if self.one_d else self.size,
+            at(self.u), at(self.v), at(self._shifted), at(self._f), *map(at, profiles),
+            at(Z1), at(Z2), Z1.shape[1], at(group),
+            spec.nonlin.sign, dt, spec.alpha, spec.beta, ev, (1.0 - ev) / spec.sigma,
+            ctypes.addressof(self.op.tridiag) if self.one_d else None, at(scratch),
+        )
+        self._addr = ctypes.addressof(self.plan)
+
+    def row(self, x, b):
+        """Row b of u or v, a view in the grid's shape."""
+        return x[:, b] if self.one_d else x[b]
+
+    def rows(self, x, sel):
+        """The rows `sel` of u or v, with a leading row axis."""
+        return x[:, sel].T if self.one_d else x[sel]
+
+    def scan(self, A):
+        """Whether a value of u's rows b < A is out of range, NaN included."""
+        return self._scan(self._addr, A)
+
+    def __call__(self, A, j, gf, hf):
+        """Advance the rows b < A by the step at z row j; returns `scan(A)` of the new u."""
+        if not (0 <= j < self._bounds[0] and 0 <= A <= self._bounds[1]):
+            raise IndexError(f"step at z row {j} of {self._bounds[0]} with {A} of {self._bounds[1]} rows")
+        if self._nl is not None:
+            self._shift(self._addr, A, j)
+            m = A * self.size
+            self._nl(self._shifted[:m], out=self._f[:m])
+        out_of_range = self._step(self._addr, A, j, gf, hf)  # with the sweep and its scan in 1-D
+        if not self.one_d:
+            self.op.solve(self.u[:A])
+            out_of_range = self.scan(A)
+        return out_of_range
 
 
 @dataclass
@@ -272,7 +356,7 @@ def solve(spec, solver, path, tau0, tau1, init, snapshot_stride=None):
 
 
 def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
-    """Advance several runs to tau1 as the rows of one (B, n) array.
+    """Advance several runs to tau1 as the B rows of one `_Step`.
 
     `members` is a list of (path, init) pairs; each run starts at init.t and
     is driven along its own path exactly as in `solve`.  With `tilde`, each
@@ -281,12 +365,13 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     row joins the batch at its own start step, so runs of different length
     (a pullback schedule) land together at tau1, and records and snapshots
     are counted from each row's own start.  The arithmetic of a row does
-    not depend on the batch: every operation is elementwise, the implicit
-    solve treats each row alone, and the records of the rows due at a step
-    are taken at once by `l2_sq` and `lp_p` over a leading row axis, which
-    give each row bitwise its own norm.  Each row is therefore bitwise the
-    run `solve` gives on its own.  Returns one Trajectory per member, in
-    order; the record arrays of the trajectories are views of one block.
+    not depend on the batch: every operation of the step is elementwise,
+    the implicit solve treats each row alone, and the records of the rows
+    due at a step are taken at once by `l2_sq` and `lp_p` over a leading
+    row axis of a row-major copy, which give each row bitwise its own norm.
+    Each row is therefore bitwise the run `solve` gives on its own.  Returns
+    one Trajectory per member, in order; the record arrays of the
+    trajectories are views of one block.
     """
     if not members:
         return []
@@ -325,30 +410,12 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         Z2[first - kmin :, g] = OuProcess(seed, 2, spec.sigma, dt).values(first + shift, k1 + shift)
 
     grid = members[0][1].grid
-    op = _ImplicitOperator(grid, spec.lam, dt)
-    lap_h1 = laplacian_values(spec.h1.values, grid)
+    step = _Step(spec, grid, dt, B, Z1, Z2, group)
+    U, V = step.u, step.v
     h1 = spec.h1.values
     h2 = spec.h2.values
-    gprof = spec.g.profile.values
-    hprof = spec.h.profile.values
-    nl = spec.nonlin
     alpha, beta = spec.alpha, spec.beta
-    ev = np.exp(-spec.sigma * dt)
-    gain = (1.0 - ev) / spec.sigma
     p = spec.p
-    # a row's sum of squares at most T^2 bounds each of its |x| by T: each
-    # square is at most the rounded sum of nonnegative terms, and T^2 = 1e16
-    # is exact
-    guard = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD
-
-    U = np.empty((B,) + grid.shape)
-    R = np.empty_like(U)
-    V = np.empty_like(U)
-    shifted = np.empty_like(U)
-    acc = np.empty_like(U)
-    tmp = np.empty_like(U)
-    force = np.empty(grid.shape)
-    prod = np.empty((S,) + grid.shape)
     group = np.array(group)
     zcol = (1,) * grid.dim  # a z value per source broadcasts over its profile
 
@@ -365,14 +432,13 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     by_phase = [np.flatnonzero(k0a % stride == r) for r in range(stride)]
 
     def record(due, k):
-        """Record the rows `due`, increasing, at step k, all at once (consecutive rows as views)."""
+        """Record the rows `due`, increasing, at step k, all at once from a row-major copy."""
         m = len(due)
         sel = slice(due[0], due[-1] + 1) if due[-1] - due[0] == m - 1 else due
-        u, v = U[sel], V[sel]
+        u, v = (np.ascontiguousarray(step.rows(X, sel)) for X in (U, V))
         j = k - kmin
         z1 = Z1[j, group[sel]]
-        ut = np.multiply(h1, z1.reshape((m,) + zcol), out=tmp[:m])
-        np.add(u, ut, out=ut)
+        ut = u + h1 * z1.reshape((m,) + zcol)
         nxt[sel] += 1
         at = nxt[sel] - 1
         recs[0, at] = k * dt
@@ -385,33 +451,25 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         if snapshot_stride:
             for b in due.tolist():
                 if (k - k0[b]) % snapshot_stride == 0:
-                    snapshots[b].append((k * dt, U[b].copy()))
+                    snapshots[b].append((k * dt, step.row(U, b).copy()))
 
     def enter(first, k):
         """Rows from `first` whose start step is k join; returns the active count."""
         end = first
         while end < B and k0[end] == k:
             init = members[rows[end]][1]
-            U[end] = init.u.values
-            V[end] = init.v.values
+            u, v = step.row(U, end), step.row(V, end)
+            u[...] = init.u.values
+            v[...] = init.v.values
             if tilde:
-                U[end] -= h1 * Z1[k - kmin, group[end]]
-                V[end] -= h2 * Z2[k - kmin, group[end]]
+                u -= h1 * Z1[k - kmin, group[end]]
+                v -= h2 * Z2[k - kmin, group[end]]
             end += 1
         record(np.arange(first, end), k)
         return end
 
-    # The loop below evaluates, for the active rows, into preallocated
-    # buffers and in this order of floating-point operations,
-    #   rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
-    #   v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
-    # Once per stride block it reads the block's z columns and alpha*z2,
-    # beta*z1, and the forcing factors gf, hf at the block's times, all
-    # elementwise as per step.  A profile times z is formed once per z
-    # series (prod), and `pick`, chosen as rows join, selects each row's: one
-    # series broadcasts its row, rows that are their own series in order take
-    # the first A rows, and any other batch gathers (numpy broadcasts a
-    # per-row column several times slower than it runs contiguous arrays).
+    # the forcing factors gf, hf are read once per stride block, at the
+    # block's times, all elementwise as per step
     gfactor, hfactor = spec.g.factor, spec.h.factor
     A = 0
     for kb in range(kmin, k1, stride):
@@ -419,49 +477,15 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         times = np.arange(kb, ke) * dt
         gfs = np.broadcast_to(gfactor(times), times.shape).tolist()
         hfs = np.broadcast_to(hfactor(times), times.shape).tolist()
-        zs = Z1[kb - kmin : ke - kmin]
-        z1s = zs.reshape((ke - kb, S) + zcol)
-        bz1s = (beta * zs).reshape(z1s.shape)
-        az2s = (alpha * Z2[kb - kmin : ke - kmin]).reshape(z1s.shape)
         for i, k in enumerate(range(kb, ke)):
             if A < B and k0[A] == k:
                 A = enter(A, k)
-                u, v, rhs = U[:A], V[:A], R[:A]
-                sh, ac, tm = shifted[:A], acc[:A], tmp[:A]
-                pick = slice(0, 1) if S == 1 else slice(0, A) if S == B else group[:A]
                 phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
-            z1 = z1s[i]
-            np.multiply(h1, z1, out=prod)
-            np.add(u, prod[pick], out=sh)
-            np.multiply(gprof, gfs[i], out=force)
-            np.add(nl(sh, out=tm), force, out=ac)
-            np.multiply(v, alpha, out=tm)
-            np.subtract(ac, tm, out=ac)
-            np.multiply(lap_h1, z1, out=prod)
-            np.add(ac, prod[pick], out=ac)
-            np.multiply(h2, az2s[i], out=prod)
-            np.subtract(ac, prod[pick], out=ac)
-            np.multiply(ac, dt, out=ac)
-            np.add(u, ac, out=rhs)
-            op.solve(rhs)
-            if not row_dots(rhs).max() <= guard:  # NaN too; the exact scan decides
-                mx = float(np.abs(rhs, out=tm).max())
-                if not mx <= BLOWUP_THRESHOLD:
-                    row_max = tm.reshape(A, -1).max(axis=1)
-                    b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
-                    path, init = members[rows[b]]
-                    raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
-            np.multiply(u, beta, out=ac)
-            np.multiply(hprof, hfs[i], out=force)
-            np.add(ac, force, out=ac)
-            np.multiply(h1, bz1s[i], out=prod)
-            np.add(ac, prod[pick], out=ac)
-            np.multiply(ac, gain, out=ac)
-            np.multiply(v, ev, out=v)
-            np.add(v, ac, out=v)
-            # the old u is not needed any more: it becomes the next rhs buffer
-            U, R = R, U
-            u, rhs = rhs, u
+            if step(A, k - kmin, gfs[i], hfs[i]):
+                row_max = np.abs(step.rows(U, slice(0, A)).reshape(A, -1)).max(axis=1)
+                b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
+                path, init = members[rows[b]]
+                raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
             due = np.arange(A) if k + 1 == k1 else phase_due[(k + 1) % stride]
             if len(due):
                 record(due, k + 1)
@@ -475,7 +499,8 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         trajs[i] = Trajectory(
             *recs[:, at],
             energy=energy[at],
-            final=FhnState(k1 * dt, ScalarField(grid, U[b].copy()), ScalarField(grid, V[b].copy())),
+            final=FhnState(k1 * dt, ScalarField(grid, step.row(U, b).copy()),
+                           ScalarField(grid, step.row(V, b).copy())),
             snapshots=snapshots[b],
         )
     return trajs

@@ -561,6 +561,16 @@ def test_cli_verify_noise_off_passes_compact_interval_bounds(tmp_path):
     assert report["pass"] is True
 
 
+def test_threads_default_to_the_cpus_of_the_process(tmp_path, monkeypatch):
+    # without --threads, the worker count is the size of the affinity mask,
+    # and the manifest records the count the run resolved
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert cli.main(["noise", "--out", str(tmp_path / "n")]) == 0
+    assert json.loads((tmp_path / "n" / "manifest.json").read_text())["threads"] == 3
+    assert cli.main(["noise", "--out", str(tmp_path / "n1"), "--threads", "1"]) == 0
+    assert json.loads((tmp_path / "n1" / "manifest.json").read_text())["threads"] == 1
+
+
 def test_manifest_references_every_artifact(tmp_path):
     cfgp = write_cfg(tmp_path, ZERO_DYNAMICS)
     out = tmp_path / "verify1"
@@ -777,10 +787,11 @@ def test_cli_verify_1d_fills_each_read_span_once(tmp_path, monkeypatch):
     # the verify-1d workload of perfbench/run.py: each read fills the blocks
     # of its spans once and shares none with another read.  One block per
     # energy run and component (8), two per pullback seed and component (8),
-    # three per radius history (12) and six per temperedness series (12)
+    # three per radius history (12) and six per temperedness series (12),
+    # all in this process at --threads 1
     cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
     filled = count_ou_fills(monkeypatch)
-    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--threads", "1"]) == 0
     assert all(len(read) == len(set(read)) for read in filled.reads), filled.reads
     assert sorted(map(len, filled.reads)) == [1] * 8 + [2] * 4 + [3] * 4 + [6] * 2, filled.reads
     assert len(filled) == 40
@@ -788,7 +799,7 @@ def test_cli_verify_1d_fills_each_read_span_once(tmp_path, monkeypatch):
 
 def test_cli_main_drops_the_ou_processes_of_its_run(tmp_path, monkeypatch):
     # each read makes its own OU process and nothing keeps one, so two runs
-    # in one process leave none alive
+    # in one process (--threads 1) leave none alive
     live, made = weakref.WeakSet(), []
     real_init = noise.OuProcess.__init__
 
@@ -800,7 +811,7 @@ def test_cli_main_drops_the_ou_processes_of_its_run(tmp_path, monkeypatch):
     monkeypatch.setattr(noise.OuProcess, "__init__", tracked_init)
     cfgp = write_cfg(tmp_path, SMALL + "experiment.seed_count = 2\nexperiment.energy_seed_count = 2\n")
     for out in ("v1", "v2"):
-        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / out)]) in (0, 1)
+        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / out), "--threads", "1"]) in (0, 1)
         gc.collect()
         assert len(live) == 0, out
     assert set(made) == {(42, 1), (42, 2), (43, 1), (43, 2)}
@@ -812,7 +823,8 @@ def test_cli_verify_1d_integrates_the_forcing_history_once(tmp_path, monkeypatch
     # l2sq_at evaluates all record times of a trajectory at once: 2 calls per
     # energy_records, which the fit of c_noise and the energy verdict each run
     # on the 4 energy runs (16), 2 per pullback run in calibrate_constant (20
-    # runs, 40) and 2 for the one-piece quadrature, 58 in all
+    # runs, 40) and 2 for the one-piece quadrature, 58 in all, in this
+    # process at --threads 1
     cfgp = write_cfg(tmp_path, workload_config(monkeypatch, "verify-1d"))
     calls = {"validate_forcing": 0, "l2sq_at": 0}
     real_validate, real_l2sq = model.validate_forcing, model.Forcing.l2sq_at
@@ -829,7 +841,7 @@ def test_cli_verify_1d_integrates_the_forcing_history_once(tmp_path, monkeypatch
         if hasattr(module, "validate_forcing"):
             monkeypatch.setattr(module, "validate_forcing", validate)
     monkeypatch.setattr(model.Forcing, "l2sq_at", l2sq)
-    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 0
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--threads", "1"]) == 0
     assert calls["validate_forcing"] == 1 and calls["l2sq_at"] <= 58, calls
 
 

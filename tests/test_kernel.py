@@ -1,0 +1,83 @@
+"""Build, cache and load of the compiled step kernel (`fhnrds.kernel`)."""
+
+import json
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fhnrds import cli, kernel
+
+SRC = Path(kernel.__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def cold(tmp_path, monkeypatch):
+    """An empty cache in XDG_CACHE_HOME, no library loaded, and a log of the compiles."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernel, "_lib", None)
+    compiles = []
+    real = kernel._compile
+
+    def logged(*args):
+        compiles.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(kernel, "_compile", logged)
+    return tmp_path / "cache" / "fhnrds", compiles
+
+
+def test_warm_cache_loads_without_compiling(cold, monkeypatch):
+    cache, compiles = cold
+    kernel.load()
+    (built,) = cache.iterdir()  # the object alone, no temporary left behind
+    assert built.name.startswith("step-") and built.suffix == ".so"
+    assert len(compiles) == 1
+    monkeypatch.setattr(kernel, "_lib", None)
+    assert kernel.load().fhn_step
+    assert len(compiles) == 1 and list(cache.iterdir()) == [built]
+
+
+def test_cache_falls_back_to_the_temp_directory(cold, tmp_path, monkeypatch):
+    # XDG_CACHE_HOME names a file, so no cache directory can be made there
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    kernel.load()
+    (built,) = (tmp_path / "tmp" / f"fhnrds-{os.getuid()}").glob("step-*.so")
+    assert len(cold[1]) == 1
+
+
+@pytest.mark.parametrize("cc", [None, "", "fhnrds-no-such-cc"])
+def test_missing_compiler_is_a_named_error(cold, tmp_path, monkeypatch, cc):
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: cc if name == "CC" else real(name))
+    with pytest.raises(kernel.KernelBuildError, match="CC") as exc:
+        kernel.load()
+    if cc:
+        assert cc in str(exc.value)
+    # a run exits 2 with the error in its manifest
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--duration", "0.01", "--out", str(out)]) == 2
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error.startswith("kernel build: ") and "CC" in error, error
+
+
+def test_processes_racing_on_a_cold_cache_agree(tmp_path):
+    # two runs start together on an empty cache: each compiles or loads a
+    # whole object, and both write the same trajectory
+    (tmp_path / "small.cfg").write_text("grid.n = 64\ngrid.half_width = 8.0\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-m", "fhnrds.cli", "simulate", "--config", "small.cfg",
+                               "--duration", "0.5", "--out", f"out{i}"], cwd=tmp_path, env=env)
+             for i in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    first, second = ((tmp_path / f"out{i}" / "trajectory.csv").read_bytes() for i in range(2))
+    assert first == second
+    (built,) = (tmp_path / "cache" / "fhnrds").iterdir()
+    assert built.suffix == ".so"

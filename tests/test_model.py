@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fhnrds import diagnostics as dg
 from fhnrds.cocycle import FamilySpec, pullback
@@ -19,6 +20,7 @@ from fhnrds.model import (
     StructureViolation,
     _HISTORY_CHUNK,
     _ImplicitOperator,
+    _Step,
     history_quadrature,
     solve,
     solve_batch,
@@ -257,12 +259,73 @@ def test_solve_one_step_advances_time_one_dt():
     assert len(traj.t) == 2
 
 
-def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
-    """The IMEX loop of `solve` written with allocating expressions.
+def reference_implicit(grid, lam, dt):
+    """The implicit solve of (1 + dt*lam) I - dt*Lap for rows of right-hand sides, in numpy.
 
-    Same scheme and operation order as `solve`, without its batch buffers;
-    the implicit solve is the operator's, on a batch of one.  Returns the
-    final u and v, the records, and a snapshot of u at every record.
+    1-D grids factor the tridiagonal matrix with LAPACK's dpttrf and solve
+    each row with dpttrs; periodic grids add the Sherman-Morrison correction
+    for the corners.  This is the solve the kernel's sweep replaces, written
+    apart from `_ImplicitOperator`.  2-D grids keep the operator's
+    eigenbasis solve, which runs in numpy.
+    """
+    if grid.dim == 2:
+        op = _ImplicitOperator(grid, lam, dt)
+        return lambda rhs: op.solve(rhs.copy())
+    n, d = grid.n, dt / grid.spacing**2
+    diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
+    if grid.boundary != "dirichlet0":
+        diag[0] -= d
+        diag[-1] -= d
+    df, ef, info = dpttrf(diag, np.full(n - 1, -d))
+    assert info == 0
+
+    def tridiag(rhs):
+        x, info = dpttrs(df, ef, rhs.T.copy(order="F"))
+        assert info == 0
+        return np.ascontiguousarray(x.T)
+    if grid.boundary != "periodic":
+        return tridiag
+    # the corners: the neumann0 matrix plus c c^T with c = sqrt(d)(e_0 - e_(n-1))
+    root = np.sqrt(d)
+    c = np.zeros(n)
+    c[0], c[-1] = root, -root
+    w = tridiag(c[None])[0]
+    scale = root / (1.0 + root * (w[0] - w[-1]))
+
+    def periodic(rhs):
+        y = tridiag(rhs)
+        coef = (y[:, 0] - y[:, -1]) * scale
+        return y - coef[:, None] * w
+    return periodic
+
+
+def numpy_step(spec, dt, implicit, u, v, z1, z2, gf, hf):
+    """One IMEX step of the rows of u and v (a leading row axis) in allocating numpy expressions.
+
+    z1 and z2 hold each row's OU values, gf and hf the forcing factors.
+    Returns the new (u, v).
+    """
+    grid = spec.grid
+    col = (-1,) + (1,) * grid.dim
+    z1, z2 = np.reshape(z1, col), np.reshape(z2, col)
+    h1, h2 = spec.h1.values, spec.h2.values
+    gprof, hprof = spec.g.profile.values, spec.h.profile.values
+    lap_h1 = laplacian_values(h1, grid)
+    alpha, beta = spec.alpha, spec.beta
+    ev = np.exp(-spec.sigma * dt)
+    gain = (1.0 - ev) / spec.sigma
+    f_val = spec.nonlin(u + h1 * z1)
+    rhs = u + dt * (f_val + gf * gprof - alpha * v + lap_h1 * z1 - (alpha * z2) * h2)
+    v = ev * v + gain * (beta * u + hf * hprof + (beta * z1) * h1)
+    return implicit(rhs), v
+
+
+def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
+    """The IMEX loop of `solve`, one `numpy_step` after another.
+
+    Same scheme and operation order as `solve`, with the implicit solve of
+    `reference_implicit` on a batch of one.  Returns the final u and v, the
+    records, and a snapshot of u at every record.
     """
     dt = solver.dt
     k0 = step_index(tau0, dt)
@@ -270,16 +333,8 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     z1s = OuProcess(path.seed, 1, spec.lam, dt).values(path.offset, path.offset + nsteps)
     z2s = OuProcess(path.seed, 2, spec.sigma, dt).values(path.offset, path.offset + nsteps)
     grid = init.grid
-    op = _ImplicitOperator(grid, spec.lam, dt)
-    lap_h1 = laplacian_values(spec.h1.values, grid)
-
-    def implicit(rhs):
-        return op.solve(rhs[None].copy())[0]
-    h1, h2 = spec.h1.values, spec.h2.values
-    gprof, hprof = spec.g.profile.values, spec.h.profile.values
-    alpha, beta = spec.alpha, spec.beta
-    ev = np.exp(-spec.sigma * dt)
-    gain = (1.0 - ev) / spec.sigma
+    implicit = reference_implicit(grid, spec.lam, dt)
+    h1 = spec.h1.values
     rec = {k: [] for k in ("t", "u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p", "z1", "z2")}
     snapshots = []
 
@@ -297,17 +352,13 @@ def reference_solve(spec, solver, path, tau0, tau1, init, record_stride=10):
     record(u, v, 0)
     for n in range(nsteps):
         tn = (k0 + n) * dt
-        z1n, z2n = z1s[n], z2s[n]
-        gf, hf = spec.g.factor(tn), spec.h.factor(tn)
-        f_val = spec.nonlin(u + h1 * z1n)
-        rhs = u + dt * (f_val + gf * gprof - alpha * v + lap_h1 * z1n - (alpha * z2n) * h2)
-        u_new = implicit(rhs)
-        v = ev * v + gain * (beta * u + hf * hprof + (beta * z1n) * h1)
-        u = u_new
+        u, v = numpy_step(spec, dt, implicit, u[None], v[None], z1s[n], z2s[n],
+                          spec.g.factor(tn), spec.h.factor(tn))
+        u, v = u[0], v[0]
         if (n + 1) % record_stride == 0 or n + 1 == nsteps:
             record(u, v, n + 1)
     rec = {k: np.asarray(vv) for k, vv in rec.items()}
-    rec["energy"] = alpha * rec["v_l2sq"] + beta * rec["u_l2sq"]
+    rec["energy"] = spec.alpha * rec["v_l2sq"] + spec.beta * rec["u_l2sq"]
     return u, v, rec, snapshots
 
 
@@ -351,6 +402,59 @@ def test_solve_bitwise_matches_reference(overrides, t1):
     assert len(traj.snapshots) == len(snapshots)
     for (t, snap), (t_ref, snap_ref) in zip(traj.snapshots, snapshots):
         assert t == t_ref and np.array_equal(snap, snap_ref)
+
+
+@SOLVE_CASES
+def test_kernel_step_matches_numpy_step(overrides, t1):
+    # the kernel's step, pinned bitwise to `numpy_step` on U and V: five
+    # rows, of which a prefix is active, reading three z series in a
+    # gathered order, over steps at several z rows and active counts; the
+    # rows past the prefix stay untouched
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec, dt = cfg.model_spec(), cfg.solver_spec().dt
+    grid = spec.grid
+    rng = np.random.default_rng(5)
+    Z1, Z2 = 0.3 * rng.standard_normal((2, 7, 3))
+    group = [2, 0, 2, 1, 0]
+    step = _Step(spec, grid, dt, 5, Z1, Z2, group)
+    u0 = bump_field(grid, amplitude=1.5, width=3.0).values
+    v0 = bump_field(grid, center=1.0, amplitude=0.5).values
+    for b in range(5):
+        step.row(step.u, b)[...] = u0 * (1.0 - 0.3 * b) + 0.01 * rng.standard_normal(grid.shape)
+        step.row(step.v, b)[...] = v0 * (0.5 + 0.2 * b)
+    implicit = reference_implicit(grid, spec.lam, dt)
+    gfactor, hfactor = spec.g.factor, spec.h.factor
+    for A, j in ((2, 0), (2, 1), (4, 6), (5, 3)):
+        u, v = (np.array(step.rows(x, slice(None))) for x in (step.u, step.v))
+        rows = group[:A]
+        want_u, want_v = numpy_step(spec, dt, implicit, u[:A], v[:A], Z1[j, rows], Z2[j, rows],
+                                    gfactor(j * dt), hfactor(j * dt))
+        assert not step(A, j, gfactor(j * dt), hfactor(j * dt))
+        got_u, got_v = step.rows(step.u, slice(None)), step.rows(step.v, slice(None))
+        assert np.array_equal(got_u[:A], want_u), (A, j)
+        assert np.array_equal(got_v[:A], want_v), (A, j)
+        assert np.array_equal(got_u[A:], u[A:]) and np.array_equal(got_v[A:], v[A:]), (A, j)
+    # no pointer past the z series or the rows reaches the kernel
+    for A, j in ((2, 7), (2, -1), (6, 0)):
+        with pytest.raises(IndexError):
+            step(A, j, 1.0, 1.0)
+
+
+def test_kernel_sweep_matches_dpttrs():
+    # `_ImplicitOperator.solve` on 1-D grids runs the kernel's sweep over
+    # row-major rows: bitwise dpttrs and the written-out periodic correction
+    rng = np.random.default_rng(3)
+    for boundary in ("dirichlet0", "neumann0", "periodic"):
+        for n in (3, 4, 64, 1024):
+            grid = Grid(half_width=8.0, n=n, boundary=boundary)
+            rhs = rng.standard_normal((4, n))
+            got = _ImplicitOperator(grid, 1.0, 0.002).solve(rhs.copy())
+            assert np.array_equal(got, reference_implicit(grid, 1.0, 0.002)(rhs)), (boundary, n)
+    # the sweep walks C-ordered float64 rows of the grid's length, and nothing else
+    op = _ImplicitOperator(Grid(half_width=8.0, n=64), 1.0, 0.002)
+    for bad in (np.ones((64, 4)).T, np.ones((4, 63)), np.ones((4, 64), dtype=np.float32), np.ones(64)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.solve(bad)
 
 
 # Residual bound of the implicit solve, relative to |rhs| in the 2-norm.
@@ -577,16 +681,17 @@ def test_blow_up_detected():
 
 
 def edit_solves(monkeypatch, edit):
-    """Let `edit(call, x)` change the solution x of each implicit solve, calls counted from 1."""
-    real = _ImplicitOperator.solve
+    """Let `edit(call, x)` change the rows x of u after each step's implicit solve, calls
+    counted from 1; the step's blow-up scan then reads the edited values."""
+    real = _Step.__call__
     calls = [0]
 
-    def edited(self, rhs):
-        x = real(self, rhs)
+    def edited(self, A, *args):
+        real(self, A, *args)
         calls[0] += 1
-        edit(calls[0], x)
-        return x
-    monkeypatch.setattr(_ImplicitOperator, "solve", edited)
+        edit(calls[0], self.rows(self.u, slice(0, A)))
+        return self.scan(A)
+    monkeypatch.setattr(_Step, "__call__", edited)
 
 
 def two_runs(dt=1e-3):
@@ -598,8 +703,7 @@ def two_runs(dt=1e-3):
 
 
 def test_blow_up_guard_passes_values_at_the_threshold(monkeypatch):
-    # every |x| = 1e8 after each solve: each row's sum of squares, 64e16, is far
-    # above 1e16, and the exact scan finds no value past the threshold
+    # every |x| = 1e8 after each solve: the scan finds no value past the threshold
     def at_threshold(call, x):
         x[...] = 1e8
         x[:, ::2] = -1e8
@@ -621,8 +725,8 @@ def test_blow_up_guard_passes_values_at_the_threshold(monkeypatch):
 
 
 def test_blow_up_nan_cell_names_its_step_and_member(monkeypatch):
-    # one NaN cell: the guard's sum is NaN and the exact scan reports the
-    # step after the solve, a NaN max|u| and the member of the row
+    # one NaN cell: the scan reports the step after the solve, a NaN
+    # max|u| and the member of the row
     def one_nan(call, x):
         if call == 23:
             x[0, 17] = np.nan
@@ -633,6 +737,35 @@ def test_blow_up_nan_cell_names_its_step_and_member(monkeypatch):
     assert exc.value.t == 23 * solver.dt
     assert np.isnan(exc.value.max_u)
     assert exc.value.member == (5, 0.05)
+
+
+@pytest.mark.parametrize("overrides, amplitude, t, max_u", [
+    ({}, 10.0, 0.6000000000000001, 2059209515674.1704),
+    ({"grid.boundary": "periodic"}, 10.0, 0.6000000000000001, 2059209515674.1816),
+    ({"grid.dim": 2, "grid.n": 16}, 10.0, 0.6000000000000001, 582545319652.0045),
+    ({}, 1e110, 0.4, np.inf),
+    ({"grid.boundary": "neumann0"}, 1e110, 0.4, np.inf),
+    ({"model.p": 3.0}, 1e160, 0.4, np.inf),
+    ({"grid.boundary": "periodic"}, 1e110, 0.4, np.nan),
+    ({"grid.dim": 2, "grid.n": 16}, 1e110, 0.4, np.nan),
+], ids=["finite", "periodic-finite", "2d-finite", "inf", "neumann0-inf", "p3-inf", "periodic-nan",
+        "2d-nan"])
+def test_blow_up_step_value_and_member_are_the_numpy_steps(overrides, amplitude, t, max_u):
+    # t, max|u| and member as the numpy step of solve_batch gave them (the
+    # values here are that step's): a wild row that joins late between two
+    # calm ones, on each solve path, with f overflowing to inf, and with the
+    # infinities of the solve making NaN
+    cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0, "solver.dt": 0.1, **overrides})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    calm = FhnState(0.0, ScalarField.zeros(spec.grid), ScalarField.zeros(spec.grid))
+    wild = FhnState(0.3, bump_field(spec.grid, amplitude=amplitude, width=4.0), ScalarField.zeros(spec.grid))
+    members = [(WienerPath(seed=0, dt=solver.dt), calm),
+               (WienerPath(seed=5, dt=solver.dt).shift(0.3), wild),
+               (WienerPath(seed=7, dt=solver.dt), calm)]
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as exc:
+        solve_batch(spec, solver, members, 8.0)
+    assert exc.value.t == t and exc.value.member == (5, 7.7)
+    assert np.array_equal(exc.value.max_u, max_u, equal_nan=True)
 
 
 def test_blow_up_error_pickles():

@@ -11,6 +11,7 @@ an attractor.json are validated on a small grid.
 
 import copy
 import json
+import os
 
 from jsonschema import Draft202012Validator
 
@@ -82,14 +83,14 @@ def report_schema(seeds, degenerate=False):
     })
 
 
-def manifest_schema(out, report):
+def manifest_schema(out, report, threads=1):
     return closed({
         "artifacts": {"const": [str(out / name) for name in ARTIFACTS]},
         "checks": closed({name: {"type": "boolean"} for name in CHECK_FIELDS}),
         "config_hash": {"const": report["config_hash"]},
         "error": {"type": "null"},
         "seed": {"const": report["seed"]},
-        "threads": {"const": 1},
+        "threads": {"const": threads},
         "tool_version": {"const": __version__},
         "wall_clock_seconds": NONNEGATIVE,
     })
@@ -151,7 +152,9 @@ def test_one_entry_schedule_report_matches_its_schema(tmp_path):
     assert not errors, errors
     assert not validator(report_schema(["42", "43"])).is_valid(report)
     manifest = json.loads((out / "manifest.json").read_text())
-    errors = [e.message for e in validator(manifest_schema(out, report)).iter_errors(manifest)]
+    # the run took the default worker count, one per CPU of the process
+    threads = len(os.sched_getaffinity(0))
+    errors = [e.message for e in validator(manifest_schema(out, report, threads)).iter_errors(manifest)]
     assert not errors, errors
     assert manifest["checks"]["bispatial_equality"] is False
 
