@@ -5,3 +5,10 @@ experiments, and quantitative dissipation/absorption/tail diagnostics.
 """
 
 __version__ = "0.1.0"
+
+
+class RunError(Exception):
+    """An expected failure of a run, which `cli.main` turns into exit code 2
+    with `"<kind>: <message>"` in the manifest; each subclass names its
+    `kind`.  It lives in the package root, which imports none of the
+    modules, so no module imports another for it."""

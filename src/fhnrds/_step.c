@@ -1,4 +1,5 @@
-/* The IMEX step of fhnrds.model.solve_batch, one call per step.
+/* The IMEX step of fhnrds.model.solve_batch, one call per step, and the OU
+ * block fill of fhnrds.noise.
  *
  * Every operation is one IEEE double operation, in the order of the numpy
  * expressions it replaces (model._Step); built with -ffp-contract=off and
@@ -207,4 +208,25 @@ int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
             point_rows(p, A, i, NULL, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
     }
     return back_substitute(p->tri, p->u, A, B, 1, coef);
+}
+
+/* The forced parts of m OU blocks of B values (fhnrds.noise.OuProcess).
+ * Window i is the 2B-1 increments from xi + i*B; y = xi[k] + a*y runs over
+ * it from y = xi[i*B], and its last B values are added to block i, which
+ * holds the decayed stationary draw.  Each y is the one rounded sum that
+ * lfilter([1], [1, -a]) forms as xi[k] - (-a)*y. */
+void fhn_ou_blocks(const double *xi, int64_t m, int64_t B, double a, double *blocks)
+{
+    for (int64_t i = 0; i < m; i++) {
+        const double *x = xi + i * B;
+        double *block = blocks + i * B;
+        double y = x[0];
+        for (int64_t k = 1; k < B; k++)
+            y = x[k] + a * y;
+        block[0] += y;
+        for (int64_t k = 1; k < B; k++) {
+            y = x[B - 1 + k] + a * y;
+            block[k] += y;
+        }
+    }
 }

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics as dg
+from . import RunError, __version__, diagnostics as dg
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, open_new, write_snapshot
 from .model import FhnState, solve, solve_batch
-from .noise import GridAlignmentError, OuProcess, RunError, WienerPath, step_index, temperedness_probe
+from .noise import GridAlignmentError, OuProcess, WienerPath, step_index, temperedness_probe
 
 
 def _fmt(x):

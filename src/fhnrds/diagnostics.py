@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import RunError
 # `pullback` is imported for the per-layer tracer of perfbench/spans.py,
 # which wraps it here; the ensemble below steps its runs with `phi_batch`
 from .cocycle import CocycleInput, phi_batch, pullback, sample_family  # noqa: F401
 from .fields import ScalarField, l2_sq, lp_p, superlevel_measure, tail_integrals
 from .model import history_quadrature
-from .noise import OuProcess, RunError, step_index
+from .noise import OuProcess, step_index
 
 CALIBRATION_CAP = 1e6
 CALIBRATION_FLOOR = 1e-6

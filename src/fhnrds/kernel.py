@@ -1,4 +1,6 @@
-"""The compiled IMEX step (`_step.c`), built on first use and loaded with ctypes.
+"""The compiled kernel (`_step.c`), built on first use and loaded with ctypes:
+the IMEX step and tridiagonal sweep of `model`, and the OU block fill of
+`noise`.
 
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O2 -fPIC -ffp-contract=off`: no `-ffast-math`, so
@@ -22,7 +24,7 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from .noise import RunError
+from . import RunError
 
 FLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-shared")
 
@@ -30,7 +32,7 @@ _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 class KernelBuildError(RunError, RuntimeError):
-    """The step kernel could not be compiled."""
+    """The kernel could not be compiled."""
 
     kind = "kernel build"
 
@@ -58,6 +60,7 @@ _SIGNATURES = {
     "fhn_scan": (ctypes.c_int, (_P, _I64)),
     "fhn_shift": (None, (_P, _I64, _I64)),
     "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),
+    "fhn_ou_blocks": (None, (_P, _I64, _I64, _F64, _P)),
 }
 
 _lib = None
@@ -117,6 +120,6 @@ def _compile(cc, source, target):
         raise KernelBuildError(f"cannot run the C compiler {cc!r} (sysconfig's CC): {exc}") from None
     if done.returncode != 0:
         raise KernelBuildError(
-            f"the C compiler {cc!r} (sysconfig's CC) failed on the step kernel:\n"
+            f"the C compiler {cc!r} (sysconfig's CC) failed on the kernel `_step.c`:\n"
             + done.stderr.decode(errors="replace")
         )

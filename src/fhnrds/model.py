@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf
 
-from . import kernel
+from . import RunError, kernel
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
-from .noise import OuProcess, RunError, step_index
+from .noise import OuProcess, step_index
 
 BLOWUP_THRESHOLD = 1e8  # also the kernel's, `_step.c`
 RECORD_STRIDE = 10  # steps between the records of a solve

@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrs
 from scipy.special import ndtri
 
-
-class RunError(Exception):
-    """An expected failure of a run, which `cli.main` turns into exit code 2
-    with `"<kind>: <message>"` in the manifest; each subclass names its
-    `kind`.  It lives here because every module that raises one imports
-    `noise`."""
+from . import RunError, kernel
 
 
 class GridAlignmentError(RunError, ValueError):
@@ -126,10 +120,10 @@ def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 
 
-# increments hashed at once, and window values swept per LAPACK call (a few
-# hundred kB of scratch, so both stay in cache), and window values per piece
-# of a fill; counted in values, not blocks, so the memory of a process does
-# not grow as its block length B = 20/(rate*dt)
+# increments hashed at once (a few hundred kB of scratch, so they stay in
+# cache), and window values per piece of a fill; counted in values, not
+# blocks, so the memory of a process does not grow as its block length
+# B = 20/(rate*dt)
 _CHUNK = 1 << 14
 _SOLVE_VALUES = 1 << 17
 
@@ -154,22 +148,12 @@ class OuProcess:
     bitwise the same; a caller that reads overlapping windows reads their
     union once.
 
-    The recursion y[n] = xi[n] + a*y[n-1] runs as the forward sweep of
-    LAPACK `zgttrs` on the unit lower bidiagonal matrix with subdiagonal -a
-    and no pivoting, which forms xi[n] - (-a)*y[n-1].
+    The recursion y[n] = xi[n] + a*y[n-1] over each window runs in the
+    kernel's `fhn_ou_blocks`, built without FMA contraction, so each y is
+    the rounded product a*y[n-1] plus xi[n], rounded once.
     `scipy.signal.lfilter([1], [1, -a], xi)` forms xi[n] + (0*xi[n-1] -
-    (-a)*y[n-1]).  Both round the one sum xi[n] + a*y[n-1], so every block is
-    bitwise the filtered one.  Two windows are swept as the real and
-    imaginary parts of one complex column, and an odd window with zeros.
-    The coefficients have zero imaginary part, so (-a + 0i)*y has the parts
-    (-a)*re - 0*im and (-a)*im + 0*re: the zero term is exact and leaves the
-    rounded product as it is, and each part is swept bitwise as `dgttrs`
-    sweeps one real window.  With d = 1 and du = du2 = 0 the back sweep
-    (b - 0*b' - 0*b'')/1 returns its input unchanged.  Adding a signed zero
-    changes no value but a zero, which a sweep of hashed increments never
-    meets (its -0 could come back +0).  The sweep runs in chunks of at most
-    `_CHUNK` values, each starting at the last value of the chunk before,
-    which both sweeps leave as it is.
+    (-a)*y[n-1]), and (-a)*y is exactly -(a*y), so it rounds the same sum
+    and every block is bitwise the filtered one.
     """
 
     def __init__(self, seed, component, rate, dt):
@@ -187,19 +171,18 @@ class OuProcess:
         self._blocks = {}  # the blocks of the fill a read is copying out of
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts
-        # among them, and the `zgttrs` arguments and decay powers its fills
-        # share, which depend only on B; a read drops all three when it is done
+        # among them, and the decay powers its fills share, which depend only
+        # on B; a read drops both when it is done
         self._tail = (0, np.empty(0))
-        self._sweep = None
+        self._pows = None
 
     def _compute_blocks(self, ms):
         """Fill the blocks of the indices in `ms` into `_blocks`, in place of
         the blocks held before.
 
         The blocks are filled in pieces of at most `piece_blocks` consecutive
-        blocks, whose windows are swept in pairs, one `zgttrs` call per chunk,
-        so a fill's scratch is one piece's increments and one chunk of its
-        pairs however long its span.
+        blocks, one kernel call per piece, so a fill's scratch is one piece's
+        increments however long its span.
         """
         self._blocks = {}
         pieces = []
@@ -209,32 +192,19 @@ class OuProcess:
             else:
                 pieces.append([m])
         B = self.B
-        w = 2 * B - 1
-        a = self._decay
-        # consecutive chunks share one value; an even step leaves every chunk
-        # of an odd window an odd length, 3 or more, as scipy's `zgttrs`
-        # takes no n = 2
-        step = _CHUNK - 2
-        n = min(w, step + 1)
-        if self._sweep is None:
-            # y[i, n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
-            # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2;
-            # du and du2 are zero, so they share one array
-            self._sweep = (np.full(n - 1, -a, dtype=complex), np.ones(n, dtype=complex),
-                           np.zeros(n - 1, dtype=complex), np.arange(1, n + 1, dtype=np.int32),
-                           a ** np.arange(B, 2 * B))
-        dl, d, zero, ipiv, pows = self._sweep
-        # scratch shared by the pieces of this fill: one piece's increments
-        # and one chunk of its pairs of windows
+        if self._pows is None:
+            # y[n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
+            # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
+            self._pows = self._decay ** np.arange(B, 2 * B)
+        fill = kernel.load().fhn_ou_blocks
         longest = max(len(piece) for piece in pieces)
-        xi_buf = np.empty((longest + 1) * B - 1)
-        pair_buf = np.empty((longest + 1) // 2 * n, dtype=complex)
+        xi_buf = np.empty((longest + 1) * B - 1)  # one piece's increments
         sd = np.sqrt(stationary_variance(self.rate))
         k1, xi = self._tail  # the end step of the increments drawn last, and their tail
         for piece in pieces:
             # block m filters the 2B-1 increments from step (m-1)*B; consecutive
             # windows overlap by B-1 steps, so the piece's increments are drawn
-            # once and its windows are views into them.  The B-1 it shares
+            # once and its windows start B apart in them.  The B-1 it shares
             # with the piece or fill before are carried over, not drawn again.
             k0 = (piece[0] - 1) * B
             carried = k1 - k0 if 0 < k1 - k0 <= xi.size else 0
@@ -245,30 +215,9 @@ class OuProcess:
                 ks = np.arange(k0 + i, k0 + min(i + _CHUNK, xi.size), dtype=np.int64)
                 xi_i = wiener_increment(self.seed, ks, self.dt)
                 np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
-            windows = np.lib.stride_tricks.sliding_window_view(xi, w)[::B]
             u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
-            blocks = [z0 * pows for z0 in ndtri(u) * sd]
-            pairs, full = (len(piece) + 1) // 2, len(piece) // 2  # full: pairs of two windows
-            for s in range(0, max(w - 1, 1), step):
-                size = min(n, w - s)
-                y = pair_buf[: pairs * size].reshape(pairs, size)  # the solve overwrites it
-                y.real[...] = windows[0::2, s : s + size]
-                y.imag[:full] = windows[1::2, s : s + size]
-                y.imag[full:] = 0.0
-                if s:
-                    y[:, 0] = carry
-                if size > 1:  # a one-step window is its own solution
-                    y = zgttrs(dl[: size - 1], d[:size], zero[: size - 1], zero[: size - 2],
-                               ipiv[:size], y.T, overwrite_b=1)[0].T
-                carry = y[:, -1].copy()
-                # the chunk's values at steps of the block (n >= B - 1); the
-                # first value of a later chunk is the chunk before's last,
-                # already added
-                lo = max(s + (s > 0), B - 1)
-                if lo < s + size:
-                    for i, block in enumerate(blocks):
-                        part = y.imag if i % 2 else y.real
-                        block[lo - (B - 1) : s + size - (B - 1)] += part[i // 2, lo - s :]
+            blocks = np.multiply.outer(ndtri(u) * sd, self._pows)
+            fill(xi.ctypes.data, len(piece), B, self._decay, blocks.ctypes.data)
             self._blocks.update(zip(piece, blocks))
         self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
@@ -289,15 +238,16 @@ class OuProcess:
         for g in range(0, len(ms), self.piece_blocks):
             group = ms[g : g + self.piece_blocks]
             self._compute_blocks(group)
+            # a block is a row of its piece's array, so no name holds one
+            # into the next fill, which would keep its whole piece alive
             for m in group:
-                block = self._blocks[m]
                 for s, ((j0, j1, stride), out) in enumerate(zip(spans, outs)):
                     j, last = j0 + done[s] * stride, min(j1, (m + 1) * B - 1)
                     if j <= last:
                         count = (last - j) // stride + 1
-                        out[done[s] : done[s] + count] = block[j - m * B : last - m * B + 1 : stride]
+                        out[done[s] : done[s] + count] = self._blocks[m][j - m * B : last - m * B + 1 : stride]
                         done[s] += count
-        self._blocks, self._tail, self._sweep = {}, (0, np.empty(0)), None
+        self._blocks, self._tail, self._pows = {}, (0, np.empty(0)), None
         return outs
 
     def values(self, j0, j1, stride=1):

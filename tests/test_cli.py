@@ -696,9 +696,9 @@ def test_horizon_long_layers_bound_their_scratch(tmp_path):
     samples = step_index(2000.0, cfg["solver.dt"]) + 1
     assert resolve_peak <= 2**20, resolve_peak
     assert guard_peak <= 1.5 * 8 * samples, guard_peak
-    assert noise_peaks[1e-3, 2000.0] <= 8 * 2**20, noise_peaks
-    assert noise_peaks[1e-3, 8000.0] <= 8 * 2**20, noise_peaks
-    assert noise_peaks[1e-4, 200.0] <= 24 * 2**20, noise_peaks
+    assert noise_peaks[1e-3, 2000.0] <= 4 * 2**20, noise_peaks
+    assert noise_peaks[1e-3, 8000.0] <= 4 * 2**20, noise_peaks
+    assert noise_peaks[1e-4, 200.0] <= 14 * 2**20, noise_peaks
 
 
 class CountedFills(list):

@@ -1,4 +1,4 @@
-"""Build, cache and load of the compiled step kernel (`fhnrds.kernel`)."""
+"""Build, cache and load of the compiled kernel (`fhnrds.kernel`)."""
 
 import json
 import os
@@ -60,11 +60,26 @@ def test_missing_compiler_is_a_named_error(cold, tmp_path, monkeypatch, cc):
         kernel.load()
     if cc:
         assert cc in str(exc.value)
-    # a run exits 2 with the error in its manifest
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--duration", "0.01", "--out", str(out)]) == 2
-    error = json.loads((out / "manifest.json").read_text())["error"]
-    assert error.startswith("kernel build: ") and "CC" in error, error
+    # a run exits 2 with the error in its manifest: `noise` too, whose OU
+    # fill is in the kernel, and it writes no CSV
+    for name, args in (("simulate", ["--duration", "0.01"]), ("noise", [])):
+        out = tmp_path / name
+        assert cli.main([name, *args, "--out", str(out)]) == 2
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error.startswith("kernel build: ") and "CC" in error, (name, error)
+    assert not list((tmp_path / "noise").glob("*.csv"))
+
+
+@pytest.mark.parametrize("module", ["fhnrds.noise", "fhnrds.kernel"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # `noise` imports `kernel`, and neither needs the other imported first;
+    # neither loads scipy.stats, scipy.signal or scipy.fft
+    code = (f"import sys, {module}; "
+            "loaded = {'scipy.stats', 'scipy.signal', 'scipy.fft'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_processes_racing_on_a_cold_cache_agree(tmp_path):

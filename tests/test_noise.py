@@ -128,20 +128,28 @@ def filtered_block(proc, m):
 
 
 @pytest.mark.parametrize("chunk", [1 << 14, 502, 1 << 8])
-def test_ou_paired_chunked_sweep_is_the_filter_of_each_window(monkeypatch, chunk):
-    # B = 1001, so a window has 2001 values: one chunk of the default, four
-    # of 502 whose third starts at the block's first value (step B - 1), and
-    # eight of 256.  Each block is bitwise `lfilter` of its own window when
-    # it is the lone window of its fill (a pair with zeros), or one of an odd
-    # or even piece of negative indices, or of an odd piece over both signs
+@pytest.mark.parametrize("B", [1, 2, 3, 1001])
+def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
+    # the kernel's recursion is bitwise `lfilter` of each block's own window
+    # of 2B-1 values, whose increments are hashed in chunks: for B = 1001,
+    # one chunk of the default, four of 502 and eight of 256.  Each block is
+    # checked as the lone block of its fill, in a piece of negative indices
+    # or over both signs, and on both sides of a boundary between pieces
+    # (pieces of two blocks) or between two fills of a read, across which
+    # the B-1 increments the windows share are carried, not drawn again
     monkeypatch.setattr(noise, "_CHUNK", chunk)
-    proc = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / 1001)
-    assert proc.B == 1001 and proc.piece_blocks == 64
-    for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-9, -5)], [range(-3, 4)]):
-        for ms in fills:
-            proc._compute_blocks(ms)
-        for m in ms:
-            assert np.array_equal(proc._blocks[m], filtered_block(proc, m)), (chunk, list(ms), m)
+    default = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
+    set_block_counts(monkeypatch, B, 2)
+    twos = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
+    assert default.B == twos.B == B and twos.piece_blocks == 2
+    for proc in (default, twos):
+        for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-3, 4)],
+                      [range(-9, -5), range(-5, -1)], [range(-2, 1), range(1, 6)]):
+            for ms in fills:
+                proc._compute_blocks(ms)
+                for m in ms:
+                    block = filtered_block(proc, m)
+                    assert np.array_equal(proc._blocks[m], block), (proc.piece_blocks, list(ms), m)
 
 
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
