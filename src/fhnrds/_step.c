@@ -4,9 +4,12 @@
  * Every operation is one IEEE double operation, in the order of the numpy
  * expressions it replaces (model._Step); built with -ffp-contract=off and
  * without -ffast-math, each rounds as numpy's does, so a step is bitwise
- * the numpy step.  Point i of row b sits at i*ps + b*rs: rows innermost
- * (ps = B, rs = 1) on 1-D grids, where the tridiagonal sweep runs across
- * the rows at once, and row-major (ps = 1, rs = n) on 2-D grids.
+ * the numpy step.  That holds at -O3 and in each clone (CLONES below): a
+ * vector lane rounds as the scalar operation would, no FMA is formed, and
+ * no float reduction is reordered.  Point i of row b sits at i*ps + b*rs:
+ * rows innermost (ps = B, rs = 1) on 1-D grids, where the tridiagonal
+ * sweep runs across the rows at once and vectorizes, and row-major
+ * (ps = 1, rs = n) on 2-D grids.
  */
 #include <math.h>
 #include <stddef.h>
@@ -14,6 +17,21 @@
 
 #define BLOWUP_THRESHOLD 1e8 /* model.BLOWUP_THRESHOLD */
 #define INLINE static inline __attribute__((always_inline))
+
+/* The functions whose loops over rows vectorize carry an x86-64-v4, a v3
+ * and a baseline copy; the dynamic loader picks one for the CPU when the
+ * object loads, and fhn_isa names the level it picked: 4, 3, or 0 for the
+ * baseline copy, which is the only one on other compilers and machines. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+int fhn_isa(void)
+{
+    return __builtin_cpu_supports("x86-64-v4") ? 4 : __builtin_cpu_supports("x86-64-v3") ? 3 : 0;
+}
+#else
+#define CLONES
+int fhn_isa(void) { return 0; }
+#endif
 
 typedef struct {
     int64_t n;           /* unknowns */
@@ -75,7 +93,7 @@ INLINE int back_substitute(const fhn_tridiag *t, double *x, int64_t A, int64_t p
 
 /* Solve T x = rhs in place for the rows b < A, as dptts2 does column by
  * column; returns whether a solution value is out of range. */
-int fhn_sweep(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs, double *coef)
+CLONES int fhn_sweep(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs, double *coef)
 {
     for (int64_t i = 1; i < t->n; i++)
         for (int64_t b = 0; b < A; b++)
@@ -176,7 +194,7 @@ INLINE void point_rows(const fhn_plan *p, int64_t A, int64_t i, const double *f,
  * runs with the explicit update, one point after the other, and the back
  * substitution follows.  Returns whether a value of the new u is out of
  * range (0 on 2-D grids, whose caller solves and then scans). */
-int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
+CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
 {
     const int64_t n = p->n, B = p->B;
     double *coef = p->scratch, *z1 = coef + B, *az2 = z1 + B, *bz1 = az2 + B;

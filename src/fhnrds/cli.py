@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import RunError, __version__, diagnostics as dg
+from . import RunError, __version__, diagnostics as dg, kernel
 from .config import ConfigError, check_forcing, read_config, resolve
 from .fields import bump_field, open_new, write_snapshot
 from .model import FhnState, solve, solve_batch
@@ -85,6 +85,7 @@ class Manifest:
             "checks": self.summary,
             "error": self.error,
             "artifacts": sorted(self.artifacts),
+            "kernel": kernel.loaded(),
         }
         write_json(out / "manifest.json", payload)
 

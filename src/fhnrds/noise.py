@@ -140,13 +140,12 @@ class OuProcess:
     law test relies on.
 
     A fill solves its blocks in pieces of `piece_blocks` consecutive blocks,
-    as many 2B-1 step windows as `_SOLVE_VALUES` holds, rounded down to an
-    even count and at least two.  A read fills one group of at most
-    `piece_blocks` blocks at a time and holds no block once it returns, so a
-    read's memory grows neither with its span nor with 1/dt, and nothing is
-    carried from one read to the next.  A block read again is filled again,
-    bitwise the same; a caller that reads overlapping windows reads their
-    union once.
+    as many 2B-1 step windows as `_SOLVE_VALUES` holds, and at least one.
+    A read fills one group of at most `piece_blocks` blocks at a time and
+    holds no block once it returns, so a read's memory grows neither with
+    its span nor with 1/dt, and nothing is carried from one read to the
+    next.  A block read again is filled again, bitwise the same; a caller
+    that reads overlapping windows reads their union once.
 
     The recursion y[n] = xi[n] + a*y[n-1] over each window runs in the
     kernel's `fhn_ou_blocks`, built without FMA contraction, so each y is
@@ -167,7 +166,7 @@ class OuProcess:
         self.B = max(1, int(round(20.0 / rate / dt)))
         self._decay = np.exp(-rate * dt)
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
-        self.piece_blocks = max(2, _SOLVE_VALUES // (2 * self.B - 1) // 2 * 2)
+        self.piece_blocks = max(1, _SOLVE_VALUES // (2 * self.B - 1))
         self._blocks = {}  # the blocks of the fill a read is copying out of
         # the end step and the last B - 1 increments of a read's latest fill,
         # carried into its next fill when that fill's first window starts

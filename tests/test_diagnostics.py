@@ -202,7 +202,7 @@ def test_absorbing_radius_monotone_in_constant(small, small_runs):
 
 
 def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
-    # one-pair pieces, and a window read twice is filled twice: the 26
+    # one-block pieces, and a window read twice is filled twice: the 26
     # shifted histories fill each block of their union once, and the series
     # is bitwise the one of 26 separate reads
     _, spec, solver, _ = small
@@ -220,7 +220,7 @@ def test_radius_temperedness_fills_each_ou_block_once(small, monkeypatch):
     forcing = validate_forcing(spec, 0.0, 40.0, path.dt)
     check = dg.radius_temperedness(path, spec, 1.5, forcing, 40.0)
     assert filled and len(filled) == len(set(filled))
-    assert pieces == {2}
+    assert pieces == {1}
     ts, series = zip(*check.table[2])
     for t, value in zip(ts, series):
         shifted = path.shift(-t)

@@ -97,23 +97,25 @@ def test_ou_values_pure_across_instances():
 
 def set_block_counts(monkeypatch, B, piece_blocks):
     """Set the value bound to the largest that gives a process of block
-    length B this many blocks per piece, an even count, so the count is a
-    floor."""
-    assert piece_blocks % 2 == 0, piece_blocks
-    monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 2) * (2 * B - 1) - 1)
+    length B this many blocks per piece, so the count is a floor."""
+    assert piece_blocks >= 1, piece_blocks
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", (piece_blocks + 1) * (2 * B - 1) - 1)
 
 
 def test_ou_block_counts_follow_the_value_bounds(monkeypatch):
-    # the default bound: a piece's windows stay within its values whatever
-    # B is, in pairs, down to one pair per piece
-    for rate, dt, piece in ((2.0, 0.01, 64), (1.0, 2e-3, 6), (1.0, 1e-3, 2), (1.0, 1e-4, 2),
-                            (1.0, 1e-6, 2)):
+    # the default bound: a piece holds as many windows as fit in its values,
+    # odd counts too, whatever B is, down to one window per piece
+    for rate, dt, piece in ((2.0, 0.01, 65), (1.0, 2e-3, 6), (1.0, 1e-3, 3), (1.0, 1e-4, 1),
+                            (1.0, 1e-6, 1)):
         proc = OuProcess(seed=1, component=1, rate=rate, dt=dt)
+        window = 2 * proc.B - 1
         assert proc.piece_blocks == piece, (rate, dt)
-        assert proc.piece_blocks * (2 * proc.B - 1) <= noise._SOLVE_VALUES or piece == 2
+        assert piece * window <= noise._SOLVE_VALUES or piece == 1, (rate, dt)
+        assert (piece + 1) * window > noise._SOLVE_VALUES, (rate, dt)
     B = OuProcess(seed=1, component=1, rate=2.0, dt=0.01).B
-    set_block_counts(monkeypatch, B, 16)
-    assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).piece_blocks == 16
+    for piece in (16, 3, 1):
+        set_block_counts(monkeypatch, B, piece)
+        assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).piece_blocks == piece
 
 
 def filtered_block(proc, m):
@@ -135,14 +137,17 @@ def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
     # one chunk of the default, four of 502 and eight of 256.  Each block is
     # checked as the lone block of its fill, in a piece of negative indices
     # or over both signs, and on both sides of a boundary between pieces
-    # (pieces of two blocks) or between two fills of a read, across which
-    # the B-1 increments the windows share are carried, not drawn again
+    # (pieces of two blocks, or of one) or between two fills of a read,
+    # across which the B-1 increments the windows share are carried, not
+    # drawn again
     monkeypatch.setattr(noise, "_CHUNK", chunk)
     default = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
     set_block_counts(monkeypatch, B, 2)
     twos = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
-    assert default.B == twos.B == B and twos.piece_blocks == 2
-    for proc in (default, twos):
+    set_block_counts(monkeypatch, B, 1)
+    ones = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
+    assert default.B == twos.B == ones.B == B and (twos.piece_blocks, ones.piece_blocks) == (2, 1)
+    for proc in (default, twos, ones):
         for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-3, 4)],
                       [range(-9, -5), range(-5, -1)], [range(-2, 1), range(1, 6)]):
             for ms in fills:

@@ -3,10 +3,10 @@ and of the attractor.json of `fhnrds attractor`.
 
 The schemas pin the typed shape of the files: the checks by name and in
 report order, every verdict a JSON boolean, every fixture a JSON number keyed
-by pullback seed, and the manifest's artifact list.  They are validated
-against the canonical run that conftest's `canonical_verify` makes once per
-pytest session, so no extra run is made; a one-entry schedule's report and
-an attractor.json are validated on a small grid.
+by pullback seed, and the manifest's artifact list and kernel entry.  They
+are validated against the canonical run that conftest's `canonical_verify`
+makes once per pytest session, so no extra run is made; a one-entry
+schedule's report and an attractor.json are validated on a small grid.
 """
 
 import copy
@@ -89,6 +89,9 @@ def manifest_schema(out, report, threads=1):
         "checks": closed({name: {"type": "boolean"} for name in CHECK_FIELDS}),
         "config_hash": {"const": report["config_hash"]},
         "error": {"type": "null"},
+        # the loaded kernel object and the x86-64 level of its clones
+        "kernel": closed({"object": {"type": "string", "pattern": r"^step-[0-9a-f]{20}\.so$"},
+                          "isa": {"enum": [0, 3, 4]}}),
         "seed": {"const": report["seed"]},
         "threads": {"const": threads},
         "tool_version": {"const": __version__},
@@ -131,6 +134,8 @@ def test_canonical_report_and_manifest_match_their_schemas(cfg, canonical_verify
         lambda m: m["artifacts"].pop(),
         lambda m: m["checks"].update({"absorption": None}),
         lambda m: m.update({"error": "blow-up"}),
+        lambda m: m["kernel"].update({"isa": 2}),
+        lambda m: m.update({"kernel": None}),
     ):
         assert not manifest_check.is_valid(corrupted(manifest, change))
 
