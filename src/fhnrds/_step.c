@@ -18,16 +18,16 @@
 #define BLOWUP_THRESHOLD 1e8 /* model.BLOWUP_THRESHOLD */
 #define INLINE static inline __attribute__((always_inline))
 
-/* The functions whose loops over rows vectorize carry an x86-64-v4, a v3
+/* The functions whose loops over rows vectorize carry an x86-64-v3 (AVX2)
  * and a baseline copy; the dynamic loader picks one for the CPU when the
- * object loads, and fhn_isa names the level it picked: 4, 3, or 0 for the
- * baseline copy, which is the only one on other compilers and machines. */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-int fhn_isa(void)
-{
-    return __builtin_cpu_supports("x86-64-v4") ? 4 : __builtin_cpu_supports("x86-64-v3") ? 3 : 0;
-}
+ * object loads, and fhn_isa names the level it picked: 3, or 0 for the
+ * baseline copy.  The clones are built only by GCC 12 or later, the
+ * version tested (GCC 11's target_clones is reported to reject x86-64
+ * levels), and only on glibc, whose ifunc they need; every other compiler,
+ * C library and machine builds the baseline copy alone. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
+#define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
+int fhn_isa(void) { return __builtin_cpu_supports("x86-64-v3") ? 3 : 0; }
 #else
 #define CLONES
 int fhn_isa(void) { return 0; }

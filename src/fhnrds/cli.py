@@ -85,7 +85,9 @@ class Manifest:
             "checks": self.summary,
             "error": self.error,
             "artifacts": sorted(self.artifacts),
-            "kernel": kernel.loaded(),
+            # the kernel stays loaded in the process: a run names it only
+            # when its config is valid, so that its subcommand ran
+            "kernel": kernel.loaded() if self.cfg else None,
         }
         write_json(out / "manifest.json", payload)
 

@@ -4,12 +4,13 @@ the IMEX step and tridiagonal sweep of `model`, and the OU block fill of
 
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
-no FMA contraction, so every operation rounds as numpy's does.  With GCC on
-x86-64 the step and the sweep carry x86-64-v4, v3 and baseline clones, one
-of which the dynamic loader picks for the CPU when the object loads, so a
-cached object runs on any CPU of its architecture and the key needs no CPU
-(`-march=native` would).  A cold compile takes about 0.8-0.9 s, and the
-object is about 77 KB.  The object goes to
+no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
+or later on x86-64 glibc the step and the sweep carry an x86-64-v3 and a
+baseline clone, one of which the dynamic loader picks for the CPU when the
+object loads, so a cached object runs on any CPU of its architecture and
+the key needs no CPU (`-march=native` would); other compilers build the
+baseline alone.  A cold compile takes about 0.5 s, and the object is about
+53 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
@@ -89,9 +90,11 @@ def _open(path):
 
 
 def loaded():
-    """The loaded object's file name and the x86-64 level of the clones the
-    loader picked for this CPU (4, 3, or 0 for the baseline copy); None
-    while no solve or OU fill has loaded the kernel."""
+    """The loaded object's file name and the x86-64 level of the clone the
+    loader picked for this CPU (3, or 0 for the baseline copy); None
+    while no solve or OU fill of this process has loaded the kernel.  The
+    kernel stays loaded for the life of the process, so this names the
+    object of any earlier call too."""
     if _lib is None:
         return None
     return {"object": Path(_lib._name).name, "isa": _lib.fhn_isa()}

@@ -2,31 +2,17 @@
 
 import json
 import os
-import platform
 import subprocess
 import sys
 import sysconfig
 import tempfile
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
-from test_model import SMALL_GRID, SOLVE_CASES
 
 from fhnrds import cli, kernel
-from fhnrds.config import default_config
-from fhnrds.fields import bump_field
-from fhnrds.model import FhnState, _ImplicitOperator, solve_batch
-from fhnrds.noise import OuProcess, WienerPath
 
 SRC = Path(kernel.__file__).resolve().parents[1]
-
-# the clone attribute of `_step.c`; the source without it builds one copy
-# of each function, for the -march given
-CLONES = b'__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))'
-# each -march level of the clones, with the `fhn_isa` value of a CPU that has it
-LEVELS = {"x86-64": 0, "x86-64-v3": 3, "x86-64-v4": 4}
 
 
 @pytest.fixture
@@ -114,67 +100,12 @@ def test_processes_racing_on_a_cold_cache_agree(tmp_path):
     assert built.suffix == ".so"
 
 
-@pytest.fixture(scope="module", params=list(LEVELS))
-def level_lib(request, tmp_path_factory):
-    """The kernel built for one x86-64 level alone, with the shipped FLAGS and
-    no clones, loaded; skipped where this CPU cannot run that level."""
-    if platform.machine() != "x86_64":
-        pytest.skip(f"the clones are x86-64 code, and this machine is {platform.machine()}")
-    level = request.param
-    if kernel.load().fhn_isa() < LEVELS[level]:
-        pytest.skip(f"this CPU lacks {level}, or the kernel was built without clones")
-    source = resources.files("fhnrds").joinpath("_step.c").read_bytes()
-    assert source.count(CLONES) == 1
-    target = tmp_path_factory.mktemp("levels") / f"step-{level}.so"
-    kernel._compile(f"{sysconfig.get_config_var('CC')} -march={level}", source.replace(CLONES, b""),
-                    str(target))
-    return kernel._open(target)
-
-
-def shipped_and_level(monkeypatch, level_lib, run):
-    """`run()` with the shipped kernel, then with the one of `level_lib`."""
-    shipped = run()
-    monkeypatch.setattr(kernel, "_lib", level_lib)
-    return shipped, run()
-
-
-@SOLVE_CASES
-def test_each_clone_steps_and_sweeps_bitwise_as_the_shipped_kernel(level_lib, monkeypatch,
-                                                                    overrides, t1):
-    # fhn_step's U and V and fhn_sweep, built for each level alone, against
-    # the shipped object, whose loader picked the clone of this CPU.  Eleven
-    # rows fill whole vectors of two, four and eight lanes and leave a
-    # remainder, so the vector loops and their scalar tails both run
-    cfg = default_config(**{**SMALL_GRID, **overrides})
-    spec, solver = cfg.model_spec(), cfg.solver_spec()
-    grid = spec.grid
-    members = [(WienerPath(seed=23 + b, dt=solver.dt).shift(-0.5),
-                FhnState(0.0, bump_field(grid, amplitude=1.5 - 0.2 * b, width=3.0),
-                         bump_field(grid, center=1.0, amplitude=0.5 + 0.1 * b)))
-               for b in range(11)]
-    rhs = np.random.default_rng(7).standard_normal((11, grid.n))
-
-    def run():
-        trajs = solve_batch(spec, solver, members, t1)
-        swept = _ImplicitOperator(grid, spec.lam, solver.dt).solve(rhs.copy()) if grid.dim == 1 else None
-        return [(t.final.u.values, t.final.v.values, t.u_l2sq, t.utilde_lp_p) for t in trajs], swept
-
-    (shipped, shipped_sweep), (level, level_sweep) = shipped_and_level(monkeypatch, level_lib, run)
-    for b, (want, got) in enumerate(zip(shipped, level)):
-        for name, w, g in zip(("u", "v", "u_l2sq", "utilde_lp_p"), want, got):
-            assert np.array_equal(w, g), (b, name)
-    assert np.array_equal(shipped_sweep, level_sweep)
-
-
-def test_each_clone_fills_ou_blocks_bitwise_as_the_shipped_kernel(level_lib, monkeypatch):
-    # fhn_ou_blocks at B = 1001, over pieces of both signs
-    def run():
-        proc = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / 1001)
-        assert proc.B == 1001
-        proc._compute_blocks(range(-3, 4))
-        return proc._blocks
-
-    shipped, level = shipped_and_level(monkeypatch, level_lib, run)
-    assert shipped.keys() == level.keys()
-    for m in shipped:
-        assert np.array_equal(shipped[m], level[m]), m
+def test_manifest_names_the_kernel_of_its_own_run(tmp_path):
+    # the kernel stays loaded in the process, and a later run whose config
+    # is invalid, which runs no subcommand, names none
+    assert cli.main(["simulate", "--duration", "0.01", "--out", str(tmp_path / "run")]) == 0
+    loaded = json.loads((tmp_path / "run" / "manifest.json").read_text())["kernel"]
+    assert loaded == kernel.loaded() and loaded["isa"] == kernel.load().fhn_isa()
+    assert cli.main(["simulate", "--threads", "0", "--out", str(tmp_path / "bad")]) == 2
+    manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert manifest["error"].startswith("invalid config") and manifest["kernel"] is None

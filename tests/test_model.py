@@ -544,6 +544,22 @@ def test_solve_batch_rows_match_single_solves(overrides, t1):
         assert_same_trajectory(traj, alone)
 
 
+@SOLVE_CASES
+def test_each_kernel_build_steps_and_solves_as_numpy(kernel_build, overrides, t1):
+    # conftest's `kernel_build` loads the kernel built without clones, for
+    # the baseline and for the x86-64-v3 clone's level, and each build
+    # passes the numpy pins of the step, the solve and the batched solve:
+    # five rows, of which a prefix of two, four or five is active, fill
+    # whole vectors of two and four lanes and leave a scalar tail
+    test_kernel_step_matches_numpy_step(overrides, t1)
+    test_solve_bitwise_matches_reference(overrides, t1)
+    test_solve_batch_rows_match_single_solves(overrides, t1)
+
+
+def test_each_kernel_build_sweeps_as_dpttrs(kernel_build):
+    test_kernel_sweep_matches_dpttrs()
+
+
 def count_ou_reads(monkeypatch):
     """Count the OuProcess.values calls, one per z series and component."""
     calls = []

@@ -157,6 +157,11 @@ def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
                     assert np.array_equal(proc._blocks[m], block), (proc.piece_blocks, list(ms), m)
 
 
+def test_each_kernel_build_fills_as_the_filter(kernel_build, monkeypatch):
+    # conftest's `kernel_build`: the OU fill of each build without clones at B = 1001
+    test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, 1001, 1 << 14)
+
+
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
     # the fills below span more than two pieces of 16 blocks and read back
     # more blocks than a piece holds
