@@ -7,18 +7,17 @@
  * the numpy step.  That holds at -O3 and in each clone (CLONES below): a
  * vector lane rounds as the scalar operation would, no FMA is formed, and
  * no float reduction is reordered.  Point i of row b sits at i*ps + b*rs:
- * rows innermost (ps = B, rs = 1) on 1-D grids, where the tridiagonal
- * sweep runs across the rows at once and vectorizes, and row-major
- * (ps = 1, rs = n) on 2-D grids.
+ * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
+ * across the rows at once on the plan's LDL^T factor, and row-major
+ * (ps = 1, rs = n) on 2-D grids, whose caller solves.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-#define BLOWUP_THRESHOLD 1e8 /* model.BLOWUP_THRESHOLD */
 #define INLINE static inline __attribute__((always_inline))
 
-/* The functions whose loops over rows vectorize carry an x86-64-v3 (AVX2)
+/* fhn_step, whose loops over rows vectorize, carries an x86-64-v3 (AVX2)
  * and a baseline copy; the dynamic loader picks one for the CPU when the
  * object loads, and fhn_isa names the level it picked: 3, or 0 for the
  * baseline copy.  The clones are built only by GCC 12 or later, the
@@ -34,13 +33,6 @@ int fhn_isa(void) { return 0; }
 #endif
 
 typedef struct {
-    int64_t n;           /* unknowns */
-    const double *d, *e; /* the LDL^T factor of dpttrf */
-    const double *w;     /* periodic: T^-1 u of the Sherman-Morrison correction; else NULL */
-    double scale;
-} fhn_tridiag;
-
-typedef struct {
     int64_t n, B;              /* points of a row, rows */
     int64_t ps, rs;            /* strides of a point and of a row in u and v */
     double *u, *v;
@@ -50,64 +42,59 @@ typedef struct {
     int64_t S;
     const int64_t *group;      /* the z series of each row */
     double sign, dt, alpha, beta, ev, gain;
-    const fhn_tridiag *tri;    /* NULL: the caller solves (2-D) */
+    double threshold;          /* model.BLOWUP_THRESHOLD */
+    const double *d, *e;       /* 1-D: the LDL^T factor of T; d NULL: the caller solves (2-D) */
+    const double *w;           /* periodic: T^-1 u of the Sherman-Morrison correction; else NULL */
+    double scale;
     double *scratch;           /* 4*B values, and 2*n more on 2-D grids */
 } fhn_plan;
 
 /* A value is out of range when |x| <= threshold fails, NaN included. */
-INLINE int out_of_range(double x) { return !(fabs(x) <= BLOWUP_THRESHOLD); }
+INLINE int out_of_range(double x, double threshold) { return !(fabs(x) <= threshold); }
 
-/* The rest of dptts2's solve after the forward elimination: the division
- * by D and the back substitution, then the periodic correction
- * x - ((x_0 - x_(n-1))*scale)*w; returns whether a solution value is out
- * of range.  `coef` holds a value per row. */
-INLINE int back_substitute(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs,
-                           double *coef)
+/* The rest of dptts2's solve of the rows b < A of u (1-D) after the
+ * forward elimination: the division by D and the back substitution, then
+ * the periodic correction x - ((x_0 - x_(n-1))*scale)*w; returns whether a
+ * solution value is out of range.  `coef` holds a value per row. */
+INLINE int back_substitute(const fhn_plan *p, int64_t A, double *coef)
 {
-    const int64_t n = t->n;
-    const double *d = t->d, *e = t->e;
+    const int64_t n = p->n, B = p->B;
+    const double *d = p->d, *e = p->e, *w = p->w;
+    const double threshold = p->threshold, scale = p->scale;
+    double *x = p->u;
     int bad = 0;
     for (int64_t b = 0; b < A; b++) {
-        x[(n - 1) * ps + b * rs] = x[(n - 1) * ps + b * rs] / d[n - 1];
-        bad |= out_of_range(x[(n - 1) * ps + b * rs]);
+        x[(n - 1) * B + b] = x[(n - 1) * B + b] / d[n - 1];
+        bad |= out_of_range(x[(n - 1) * B + b], threshold);
     }
     for (int64_t i = n - 2; i >= 0; i--)
         for (int64_t b = 0; b < A; b++) {
-            const double y = x[i * ps + b * rs] / d[i] - x[(i + 1) * ps + b * rs] * e[i];
-            x[i * ps + b * rs] = y;
-            bad |= out_of_range(y);
+            const double y = x[i * B + b] / d[i] - x[(i + 1) * B + b] * e[i];
+            x[i * B + b] = y;
+            bad |= out_of_range(y, threshold);
         }
-    if (!t->w)
+    if (!w)
         return bad;
     bad = 0; /* the corrected values decide */
     for (int64_t b = 0; b < A; b++)
-        coef[b] = (x[b * rs] - x[(n - 1) * ps + b * rs]) * t->scale;
+        coef[b] = (x[b] - x[(n - 1) * B + b]) * scale;
     for (int64_t i = 0; i < n; i++)
         for (int64_t b = 0; b < A; b++) {
-            const double y = x[i * ps + b * rs] - coef[b] * t->w[i];
-            x[i * ps + b * rs] = y;
-            bad |= out_of_range(y);
+            const double y = x[i * B + b] - coef[b] * w[i];
+            x[i * B + b] = y;
+            bad |= out_of_range(y, threshold);
         }
     return bad;
-}
-
-/* Solve T x = rhs in place for the rows b < A, as dptts2 does column by
- * column; returns whether a solution value is out of range. */
-CLONES int fhn_sweep(const fhn_tridiag *t, double *x, int64_t A, int64_t ps, int64_t rs, double *coef)
-{
-    for (int64_t i = 1; i < t->n; i++)
-        for (int64_t b = 0; b < A; b++)
-            x[i * ps + b * rs] = x[i * ps + b * rs] - x[(i - 1) * ps + b * rs] * t->e[i - 1];
-    return back_substitute(t, x, A, ps, rs, coef);
 }
 
 /* Whether a value of the rows b < A of u is out of range. */
 int fhn_scan(const fhn_plan *p, int64_t A)
 {
+    const double threshold = p->threshold;
     int bad = 0;
     for (int64_t i = 0; i < p->n; i++)
         for (int64_t b = 0; b < A; b++)
-            bad |= out_of_range(p->u[i * p->ps + b * p->rs]);
+            bad |= out_of_range(p->u[i * p->ps + b * p->rs], threshold);
     return bad;
 }
 
@@ -141,7 +128,7 @@ void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
  * bz1 = beta*z1 by zstep; one of the two steps is 0.
  *   rhs = u + dt*(f(u + h1*z1) + g - alpha*v + lh*z1 - h2*az2)
  *   v   = ev*v + gain*(beta*u + h + h1*bz1)
- * With `prev`, u gets rhs - prev*em, the forward elimination of the sweep. */
+ * With `prev`, u gets rhs - prev*em, the forward elimination of the solve. */
 INLINE void explicit_run(const fhn_plan *p, int64_t m, double *restrict u, double *restrict v,
                          const double *restrict f, const double *h1, const double *lh,
                          const double *h2, const double *g, const double *h, int64_t pstep,
@@ -184,7 +171,7 @@ INLINE void point_rows(const fhn_plan *p, int64_t A, int64_t i, const double *f,
                        double gf, double hf, const double *z1, const double *az2, const double *bz1)
 {
     const double g = p->gprof[i] * gf, h = p->hprof[i] * hf;
-    const double em = prev ? p->tri->e[i - 1] : 0.0;
+    const double em = prev ? p->e[i - 1] : 0.0;
     explicit_run(p, A, p->u + i * p->ps, p->v + i * p->ps, f, p->h1 + i, p->lap_h1 + i,
                  p->h2 + i, &g, &h, 0, z1, az2, bz1, 1, prev, em);
 }
@@ -199,7 +186,7 @@ CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double h
     const int64_t n = p->n, B = p->B;
     double *coef = p->scratch, *z1 = coef + B, *az2 = z1 + B, *bz1 = az2 + B;
     row_z(p, A, j, z1, az2, bz1);
-    if (!p->tri) {
+    if (!p->d) {
         double *g = p->scratch + 4 * B, *h = g + n;
         for (int64_t i = 0; i < n; i++) {
             g[i] = p->gprof[i] * gf;
@@ -225,7 +212,7 @@ CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double h
         for (int64_t i = 1; i < n; i++)
             point_rows(p, A, i, NULL, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
     }
-    return back_substitute(p->tri, p->u, A, B, 1, coef);
+    return back_substitute(p, A, coef);
 }
 
 /* The forced parts of m OU blocks of B values (fhnrds.noise.OuProcess).

@@ -1,16 +1,16 @@
 """The compiled kernel (`_step.c`), built on first use and loaded with ctypes:
-the IMEX step and tridiagonal sweep of `model`, and the OU block fill of
-`noise`.
+the IMEX step of `model`, with the 1-D tridiagonal solve, and the OU block
+fill of `noise`.
 
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
 no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the step and the sweep carry an x86-64-v3 and a
-baseline clone, one of which the dynamic loader picks for the CPU when the
+or later on x86-64 glibc the step carries an x86-64-v3 and a baseline
+clone, one of which the dynamic loader picks for the CPU when the
 object loads, so a cached object runs on any CPU of its architecture and
 the key needs no CPU (`-march=native` would); other compilers build the
-baseline alone.  A cold compile takes about 0.5 s, and the object is about
-53 KB.  The object goes to
+baseline alone.  A cold compile takes 0.6-0.7 s on 2 shared cores of an
+Intel Xeon, and the object is about 40 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
@@ -42,12 +42,6 @@ class KernelBuildError(RunError, RuntimeError):
     kind = "kernel build"
 
 
-class Tridiag(ctypes.Structure):
-    """`fhn_tridiag`: an LDL^T factor and the periodic correction."""
-
-    _fields_ = [("n", _I64), ("d", _P), ("e", _P), ("w", _P), ("scale", _F64)]
-
-
 class Plan(ctypes.Structure):
     """`fhn_plan`: the buffers, profiles and constants of one `solve_batch`."""
 
@@ -56,12 +50,11 @@ class Plan(ctypes.Structure):
         ("shifted", _P), ("f", _P), ("h1", _P), ("lap_h1", _P), ("h2", _P), ("gprof", _P),
         ("hprof", _P), ("z1", _P), ("z2", _P), ("S", _I64), ("group", _P),
         ("sign", _F64), ("dt", _F64), ("alpha", _F64), ("beta", _F64), ("ev", _F64), ("gain", _F64),
-        ("tri", _P), ("scratch", _P),
+        ("threshold", _F64), ("d", _P), ("e", _P), ("w", _P), ("scale", _F64), ("scratch", _P),
     ]
 
 
 _SIGNATURES = {
-    "fhn_sweep": (ctypes.c_int, (_P, _P, _I64, _I64, _I64, _P)),
     "fhn_scan": (ctypes.c_int, (_P, _I64)),
     "fhn_shift": (None, (_P, _I64, _I64)),
     "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),

@@ -18,16 +18,16 @@ in two reproduces the single run bitwise.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
 
 from . import RunError, kernel
 from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
 from .noise import OuProcess, step_index
 
-BLOWUP_THRESHOLD = 1e8  # also the kernel's, `_step.c`
+BLOWUP_THRESHOLD = 1e8
 RECORD_STRIDE = 10  # steps between the records of a solve
 
 
@@ -169,21 +169,27 @@ class _ImplicitOperator:
     """Solver for (1 + dt*lam) I - dt*Lap, set up once per `solve_batch` call.
 
     1-D grids factor the SPD tridiagonal matrix T of the dirichlet0 or
-    neumann0 closure as LDL^T.  A periodic grid adds the corners, which make
-    the neumann0 matrix plus u u^T with u = sqrt(d)(e_0 - e_(n-1)), d =
-    dt/h^2; it is solved on the neumann0 factor with the Sherman-Morrison
-    correction x = y - w*sqrt(d)(y_0 - y_(n-1))/(1 + u^T w), y = T^-1 rhs and
-    w = T^-1 u.  2-D grids solve in the eigenbasis of L1, minus the
-    closure's 1-D second difference times h^2, with L1 = Q diag(mu) Q^T taken
-    once by `eigh`: X = Q (Q^T R Q / (1 + dt*lam + d(mu_i + mu_j))) Q^T.
-    That costs O(n^3) per row against O(n^2 log n) for a fast transform,
-    and is faster up to n = 64 on every closure (README).
+    neumann0 closure as LDL^T into `d` and `e`, for the kernel's step to
+    solve with.  The factor is formed in the order of operations of
+    LAPACK's dpttrf, in Python floats, which round each operation as IEEE
+    doubles, so it is bitwise dpttrf's.  A periodic grid adds the corners,
+    which make the neumann0 matrix plus u u^T with u = sqrt(d)(e_0 -
+    e_(n-1)), d = dt/h^2; it is solved on the neumann0 factor with the
+    Sherman-Morrison correction x = y - w*sqrt(d)(y_0 - y_(n-1))/(1 + u^T w),
+    y = T^-1 rhs and w = T^-1 u, with `w` formed once here in the order of
+    dptts2 and `scale` = sqrt(d)/(1 + u^T w).  2-D grids solve in the
+    eigenbasis of L1, minus the closure's 1-D second difference times h^2,
+    with L1 = Q diag(mu) Q^T taken once by `eigh`: X = Q (Q^T R Q / (1 +
+    dt*lam + d(mu_i + mu_j))) Q^T.  That costs O(n^3) per row against
+    O(n^2 log n) for a fast transform, and is faster up to n = 64 on every
+    closure (README).
     """
 
     def __init__(self, grid, lam, dt):
         n = grid.n
-        d = dt / grid.spacing**2
-        self._q = None
+        d = float(dt / grid.spacing**2)
+        self.d = self.e = self.w = None
+        self.scale = 0.0
         if grid.dim == 2:
             # minus the 1-D second difference of the closure, times h^2
             L1 = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -195,44 +201,42 @@ class _ImplicitOperator:
             self._qt = np.ascontiguousarray(self._q.T)  # 10% faster products than the view
             self._denom = 1.0 + dt * lam + d * (mu[:, None] + mu[None, :])
             return
-        # SPD tridiagonal: LDL^T, factored once; the kernel's `fhn_sweep`
-        # solves with it in the order of operations of LAPACK's dptts2
-        diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
+        diag = [float(1.0 + dt * lam + 2.0 * d)] * n
         if grid.boundary != "dirichlet0":
             diag[0] -= d
             diag[-1] -= d
-        self._d, self._e, info = dpttrf(diag, np.full(n - 1, -d))
-        if info != 0:
-            raise ValueError(f"pttrf failed with info {info}")
-        self._sweep = kernel.load().fhn_sweep
-        self.tridiag = kernel.Tridiag(n, self._d.ctypes.data, self._e.ctypes.data)
+        off = [-d] * (n - 1)
+        for i in range(n - 1):  # dpttrf
+            if diag[i] <= 0.0:
+                raise ValueError(f"pttrf failed with info {i + 1}")
+            ei = off[i]
+            off[i] = ei / diag[i]
+            diag[i + 1] = diag[i + 1] - off[i] * ei
+        if diag[-1] <= 0.0:
+            raise ValueError(f"pttrf failed with info {n}")
+        self.d, self.e = np.array(diag), np.array(off)
         if grid.boundary == "periodic":
-            root = np.sqrt(d)
-            u = np.zeros(n)
-            u[0], u[-1] = root, -root
-            self._w = self.solve(u[None])[0]
-            self.tridiag.w = self._w.ctypes.data
-            self.tridiag.scale = root / (1.0 + root * (self._w[0] - self._w[-1]))
+            root = math.sqrt(d)
+            w = [0.0] * n
+            w[0], w[-1] = root, -root
+            for i in range(1, n):  # dptts2
+                w[i] = w[i] - w[i - 1] * off[i - 1]
+            w[-1] = w[-1] / diag[-1]
+            for i in range(n - 2, -1, -1):
+                w[i] = w[i] / diag[i] - w[i + 1] * off[i]
+            self.w = np.array(w)
+            self.scale = root / (1.0 + root * (w[0] - w[-1]))
 
     def solve(self, rhs):
-        """Overwrite `rhs`, one right-hand side per row, with the solutions.
+        """Overwrite `rhs`, the (n, n) rows of a 2-D grid, with the solutions.
 
-        Each row is solved exactly as it would be alone: the sweep and the
-        periodic correction treat each row by itself, and each product of
-        the 2-D solve is one GEMM of an (n, n) row against Q or Q^T (a
-        single reshaped GEMM would pick its BLAS kernel by the batch size).
+        Each row is solved exactly as it would be alone: each product is
+        one GEMM of an (n, n) row against Q or Q^T (a single reshaped GEMM
+        would pick its BLAS kernel by the batch size).
         """
-        if self._q is not None:
-            y = np.matmul(np.matmul(self._qt, rhs), self._q)
-            y /= self._denom
-            np.matmul(np.matmul(self._q, y), self._qt, out=rhs)
-            return rhs
-        if rhs.ndim != 2 or rhs.shape[1] != self._d.size or rhs.dtype != np.float64 \
-                or not rhs.flags.c_contiguous:
-            raise ValueError("the 1-D solve overwrites a C-contiguous float64 array of grid rows")
-        rows, n = rhs.shape
-        coef = np.empty(rows)
-        self._sweep(ctypes.addressof(self.tridiag), rhs.ctypes.data, rows, 1, n, coef.ctypes.data)
+        y = np.matmul(np.matmul(self._qt, rhs), self._q)
+        y /= self._denom
+        np.matmul(np.matmul(self._q, y), self._qt, out=rhs)
         return rhs
 
 
@@ -287,7 +291,7 @@ class _Step:
             at(self.u), at(self.v), at(self._shifted), at(self._f), *map(at, profiles),
             at(Z1), at(Z2), Z1.shape[1], at(group),
             spec.nonlin.sign, dt, spec.alpha, spec.beta, ev, (1.0 - ev) / spec.sigma,
-            ctypes.addressof(self.op.tridiag) if self.one_d else None, at(scratch),
+            BLOWUP_THRESHOLD, at(self.op.d), at(self.op.e), at(self.op.w), self.op.scale, at(scratch),
         )
         self._addr = ctypes.addressof(self.plan)
 
@@ -311,7 +315,7 @@ class _Step:
             self._shift(self._addr, A, j)
             m = A * self.size
             self._nl(self._shifted[:m], out=self._f[:m])
-        out_of_range = self._step(self._addr, A, j, gf, hf)  # with the sweep and its scan in 1-D
+        out_of_range = self._step(self._addr, A, j, gf, hf)  # with the solve and its scan in 1-D
         if not self.one_d:
             self.op.solve(self.u[:A])
             out_of_range = self.scan(A)

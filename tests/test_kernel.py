@@ -72,12 +72,13 @@ def test_missing_compiler_is_a_named_error(cold, tmp_path, monkeypatch, cc):
     assert not list((tmp_path / "noise").glob("*.csv"))
 
 
-@pytest.mark.parametrize("module", ["fhnrds.noise", "fhnrds.kernel"])
+@pytest.mark.parametrize("module", ["fhnrds.noise", "fhnrds.kernel", "fhnrds.cli"])
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # `noise` imports `kernel`, and neither needs the other imported first;
-    # neither loads scipy.stats, scipy.signal or scipy.fft
+    # none loads scipy.stats, scipy.signal, scipy.fft or scipy.linalg, and
+    # `cli` imports every module of the package
     code = (f"import sys, {module}; "
-            "loaded = {'scipy.stats', 'scipy.signal', 'scipy.fft'} & set(sys.modules); "
+            "loaded = {'scipy.stats', 'scipy.signal', 'scipy.fft', 'scipy.linalg'} & set(sys.modules); "
             "assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

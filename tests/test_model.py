@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fhnrds import diagnostics as dg
+from fhnrds import model
 from fhnrds.cocycle import FamilySpec, pullback
 from fhnrds.config import ConfigError, check_forcing, default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
@@ -259,6 +260,17 @@ def test_solve_one_step_advances_time_one_dt():
     assert len(traj.t) == 2
 
 
+def lapack_factor(grid, lam, dt):
+    """dpttrf's (d, e, info) of the 1-D matrix (1 + dt*lam) I - dt*Lap of the grid's closure,
+    the corners of a periodic grid left out."""
+    n, d = grid.n, dt / grid.spacing**2
+    diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
+    if grid.boundary != "dirichlet0":
+        diag[0] -= d
+        diag[-1] -= d
+    return dpttrf(diag, np.full(n - 1, -d))
+
+
 def reference_implicit(grid, lam, dt):
     """The implicit solve of (1 + dt*lam) I - dt*Lap for rows of right-hand sides, in numpy.
 
@@ -272,11 +284,7 @@ def reference_implicit(grid, lam, dt):
         op = _ImplicitOperator(grid, lam, dt)
         return lambda rhs: op.solve(rhs.copy())
     n, d = grid.n, dt / grid.spacing**2
-    diag = np.full(n, 1.0 + dt * lam + 2.0 * d)
-    if grid.boundary != "dirichlet0":
-        diag[0] -= d
-        diag[-1] -= d
-    df, ef, info = dpttrf(diag, np.full(n - 1, -d))
+    df, ef, info = lapack_factor(grid, lam, dt)
     assert info == 0
 
     def tridiag(rhs):
@@ -366,23 +374,27 @@ SMALL_GRID = {"grid.n": 64, "grid.half_width": 8.0}
 
 # (config overrides, end time): one case per implicit-solve branch and per
 # branch of `Nonlinearity.__call__`
-SOLVE_CASES = pytest.mark.parametrize(
-    "overrides, t1",
-    [
-        ({}, 0.4),  # tridiagonal path, cubic f
-        ({"grid.boundary": "neumann0"}, 0.4),
-        ({"model.p": 3.0}, 0.4),  # the `**=` branch of f
-        ({"grid.boundary": "periodic"}, 0.4),  # Sherman-Morrison correction
-        ({"grid.dim": 2, "grid.n": 16}, 0.1),  # eigenbasis path in 2-D
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, 0.1),
-        ({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, 0.1),
-        # the forcing factors of the other kinds, evaluated once per stride
-        ({"forcing.g.kind": "exp", "forcing.g.a": 0.5, "forcing.g.c": 1.0}, 0.4),
-        ({"forcing.h.kind": "constant", "forcing.h.c": 0.8}, 0.4),
-    ],
-    ids=["dirichlet0-cubic", "neumann0", "p3", "periodic", "2d", "2d-neumann0",
-         "2d-periodic", "g-exp", "h-constant"],
-)
+SOLVE_PARAMS = [
+    pytest.param({}, 0.4, id="dirichlet0-cubic"),  # tridiagonal path, cubic f
+    pytest.param({"grid.boundary": "neumann0"}, 0.4, id="neumann0"),
+    pytest.param({"model.p": 3.0}, 0.4, id="p3"),  # the `**=` branch of f
+    pytest.param({"grid.boundary": "periodic"}, 0.4, id="periodic"),  # Sherman-Morrison correction
+    pytest.param({"grid.dim": 2, "grid.n": 16}, 0.1, id="2d"),  # eigenbasis path in 2-D
+    pytest.param({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, 0.1, id="2d-neumann0"),
+    pytest.param({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, 0.1, id="2d-periodic"),
+    # the forcing factors of the other kinds, evaluated once per stride
+    pytest.param({"forcing.g.kind": "exp", "forcing.g.a": 0.5, "forcing.g.c": 1.0}, 0.4, id="g-exp"),
+    pytest.param({"forcing.h.kind": "constant", "forcing.h.c": 0.8}, 0.4, id="h-constant"),
+]
+SOLVE_CASES = pytest.mark.parametrize("overrides, t1", SOLVE_PARAMS)
+# the 1-D grids of three, four and 1024 points on each closure, for the
+# step's tridiagonal solve at its smallest sizes and at the canonical one
+SIZE_PARAMS = [
+    pytest.param({"grid.boundary": boundary, "grid.n": n}, 0.4, id=f"{boundary}-n{n}")
+    for boundary in ("dirichlet0", "neumann0", "periodic") for n in (3, 4, 1024)
+]
+SIZE_CASES = pytest.mark.parametrize("overrides, t1", SIZE_PARAMS)
+STEP_CASES = pytest.mark.parametrize("overrides, t1", SOLVE_PARAMS + SIZE_PARAMS)
 
 
 @SOLVE_CASES
@@ -404,7 +416,7 @@ def test_solve_bitwise_matches_reference(overrides, t1):
         assert t == t_ref and np.array_equal(snap, snap_ref)
 
 
-@SOLVE_CASES
+@STEP_CASES
 def test_kernel_step_matches_numpy_step(overrides, t1):
     # the kernel's step, pinned bitwise to `numpy_step` on U and V: five
     # rows, of which a prefix is active, reading three z series in a
@@ -440,21 +452,33 @@ def test_kernel_step_matches_numpy_step(overrides, t1):
             step(A, j, 1.0, 1.0)
 
 
-def test_kernel_sweep_matches_dpttrs():
-    # `_ImplicitOperator.solve` on 1-D grids runs the kernel's sweep over
-    # row-major rows: bitwise dpttrs and the written-out periodic correction
-    rng = np.random.default_rng(3)
+def test_implicit_operator_factors_as_dpttrf():
+    # the 1-D factor the step solves with is bitwise LAPACK's dpttrf of the
+    # same matrix, and the periodic correction's w bitwise dpttrs on it
     for boundary in ("dirichlet0", "neumann0", "periodic"):
         for n in (3, 4, 64, 1024):
             grid = Grid(half_width=8.0, n=n, boundary=boundary)
-            rhs = rng.standard_normal((4, n))
-            got = _ImplicitOperator(grid, 1.0, 0.002).solve(rhs.copy())
-            assert np.array_equal(got, reference_implicit(grid, 1.0, 0.002)(rhs)), (boundary, n)
-    # the sweep walks C-ordered float64 rows of the grid's length, and nothing else
-    op = _ImplicitOperator(Grid(half_width=8.0, n=64), 1.0, 0.002)
-    for bad in (np.ones((64, 4)).T, np.ones((4, 63)), np.ones((4, 64), dtype=np.float32), np.ones(64)):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            op.solve(bad)
+            op = _ImplicitOperator(grid, 1.0, 0.002)
+            df, ef, info = lapack_factor(grid, 1.0, 0.002)
+            assert info == 0
+            assert np.array_equal(op.d, df) and np.array_equal(op.e, ef), (boundary, n)
+            if boundary != "periodic":
+                assert op.w is None, (boundary, n)
+                continue
+            root = np.sqrt(0.002 / grid.spacing**2)
+            c = np.zeros(n)
+            c[0], c[-1] = root, -root
+            w, info = dpttrs(df, ef, c)
+            assert info == 0
+            assert np.array_equal(op.w, w), n
+            assert op.scale == root / (1.0 + root * (w[0] - w[-1])), n
+    # a matrix that is not positive definite fails at dpttrf's first
+    # pivot that is not positive, here a later one
+    grid = Grid(half_width=8.0, n=64)
+    info = lapack_factor(grid, -510.0, 0.002)[2]
+    assert info > 1
+    with pytest.raises(ValueError, match=f"pttrf failed with info {info}$"):
+        _ImplicitOperator(grid, -510.0, 0.002)
 
 
 # Residual bound of the implicit solve, relative to |rhs| in the 2-norm.
@@ -478,26 +502,51 @@ def test_kernel_sweep_matches_dpttrs():
 OPERATOR_RTOL = 1e-13
 
 
+def stencil_solutions(grid, lam, dt, rows):
+    """(rhs, x) of the implicit solve of `rows` right-hand sides on `grid`.
+
+    A 1-D grid solves within the kernel's step, so its rhs is the one that
+    `numpy_step`'s formula forms from random u and v; a 2-D grid solves
+    random rows with `_ImplicitOperator.solve`, and each is bitwise that
+    row solved alone.
+    """
+    rng = np.random.default_rng(11)
+    if grid.dim == 2:
+        op = _ImplicitOperator(grid, lam, dt)
+        rhs = rng.standard_normal((rows,) + grid.shape)
+        x = op.solve(rhs.copy())
+        for xb, rb in zip(x, rhs):
+            assert np.array_equal(op.solve(rb[None].copy())[0], xb)
+        return rhs, x
+    spec = linear_spec(grid, lam=lam)
+    Z = np.zeros((1, 1))
+    step = _Step(spec, grid, dt, rows, Z, Z, [0] * rows)
+    u, v = rng.standard_normal((2, rows) + grid.shape)
+    for b in range(rows):
+        step.row(step.u, b)[...] = u[b]
+        step.row(step.v, b)[...] = v[b]
+    rhs, _ = numpy_step(spec, dt, lambda r: r, u, v, np.zeros(rows), np.zeros(rows), 0.0, 0.0)
+    assert not step(rows, 0, 0.0, 0.0)
+    return rhs, step.rows(step.u, slice(None))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("boundary", ["dirichlet0", "neumann0", "periodic"])
 def test_implicit_operator_solves_the_stencil(boundary, dim):
     lam, dt = 1.0, 0.01
     for n in (32, 64):  # 64 is the grid of the pullback-2d benchmark
         grid = Grid(dim=dim, half_width=8.0, n=n, boundary=boundary)
-        rhs = np.random.default_rng(11).standard_normal((3,) + grid.shape)
-        op = _ImplicitOperator(grid, lam, dt)
 
         def residual(xb, rb):
             r = (1.0 + dt * lam) * xb - dt * laplacian_values(xb, grid) - rb
             return np.linalg.norm(r) / np.linalg.norm(rb)
-        for xb, rb in zip(op.solve(rhs.copy()), rhs):
+        rhs, x = stencil_solutions(grid, lam, dt, 3)
+        for xb, rb in zip(x, rhs):
             assert residual(xb, rb) <= OPERATOR_RTOL, n
-            # each row of the batch is bitwise that row solved alone
-            assert np.array_equal(op.solve(rb[None].copy())[0], xb), n
         # the stencil of the grid's own closure tells the closures apart
         for other in {"dirichlet0", "neumann0", "periodic"} - {boundary}:
-            wrong = _ImplicitOperator(dataclasses.replace(grid, boundary=other), lam, dt)
-            for xb, rb in zip(wrong.solve(rhs.copy()), rhs):
+            rhs, x = stencil_solutions(dataclasses.replace(grid, boundary=other), lam, dt, 3)
+            for xb, rb in zip(x, rhs):
                 assert residual(xb, rb) > 1e8 * OPERATOR_RTOL, (n, other)
 
 
@@ -556,8 +605,9 @@ def test_each_kernel_build_steps_and_solves_as_numpy(kernel_build, overrides, t1
     test_solve_batch_rows_match_single_solves(overrides, t1)
 
 
-def test_each_kernel_build_sweeps_as_dpttrs(kernel_build):
-    test_kernel_sweep_matches_dpttrs()
+@SIZE_CASES
+def test_each_kernel_build_steps_as_numpy_at_each_size(kernel_build, overrides, t1):
+    test_kernel_step_matches_numpy_step(overrides, t1)
 
 
 def count_ou_reads(monkeypatch):
@@ -782,6 +832,23 @@ def test_blow_up_step_value_and_member_are_the_numpy_steps(overrides, amplitude,
         solve_batch(spec, solver, members, 8.0)
     assert exc.value.t == t and exc.value.member == (5, 7.7)
     assert np.array_equal(exc.value.max_u, max_u, equal_nan=True)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"grid.boundary": "periodic"}, {"grid.dim": 2, "grid.n": 16}],
+                         ids=["1d", "periodic", "2d"])
+def test_blow_up_threshold_is_the_models(monkeypatch, overrides):
+    # the kernel's scans read model.BLOWUP_THRESHOLD: below the solution's
+    # scale, the first step of the bump's row raises, and the calm row's does not
+    monkeypatch.setattr(model, "BLOWUP_THRESHOLD", 1.0)
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    calm = FhnState(0.0, ScalarField.zeros(spec.grid), ScalarField.zeros(spec.grid))
+    bump = FhnState(0.0, bump_field(spec.grid, amplitude=1.5, width=3.0), ScalarField.zeros(spec.grid))
+    members = [(WienerPath(seed=0, dt=solver.dt), calm), (WienerPath(seed=5, dt=solver.dt), bump)]
+    with pytest.raises(BlowUpError) as exc:
+        solve_batch(spec, solver, members, 0.4)
+    assert exc.value.t == solver.dt and exc.value.member == (5, 0.4)
+    assert exc.value.max_u > 1.0
 
 
 def test_blow_up_error_pickles():
