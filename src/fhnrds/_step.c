@@ -1,12 +1,14 @@
 /* The IMEX step of fhnrds.model.solve_batch, one call per step, and the OU
- * block fill of fhnrds.noise.
+ * block fill and the Gaussian draws of fhnrds.noise.
  *
  * Every operation is one IEEE double operation, in the order of the numpy
  * expressions it replaces (model._Step); built with -ffp-contract=off and
  * without -ffast-math, each rounds as numpy's does, so a step is bitwise
- * the numpy step.  That holds at -O3 and in each clone (CLONES below): a
- * vector lane rounds as the scalar operation would, no FMA is formed, and
- * no float reduction is reordered.  Point i of row b sits at i*ps + b*rs:
+ * the numpy step, and a draw is bitwise scipy.special.ndtri of the numpy
+ * hash, whose libm log and sqrt it calls too.  That holds at -O3 and in
+ * each clone (CLONES below): a vector lane rounds as the scalar operation
+ * would, no FMA is formed, and no float reduction is reordered.  Point i
+ * of row b sits at i*ps + b*rs:
  * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
  * across the rows at once on the plan's LDL^T factor, and row-major
  * (ps = 1, rs = n) on 2-D grids, whose caller solves.
@@ -234,4 +236,143 @@ void fhn_ou_blocks(const double *xi, int64_t m, int64_t B, double a, double *blo
             block[k] += y;
         }
     }
+}
+
+/* The normal draws of fhnrds.noise: a splitmix64-style counter hash of
+ * (seed, component, tag, step) gives a uniform in (0, 1), Cephes' ndtri
+ * maps it to N(0, 1), and one product scales it.  The uint64 operations
+ * wrap modulo 2^64, as numpy's do. */
+static const uint64_t GOLDEN = 0x9E3779B97F4A7C15u;
+
+INLINE uint64_t mix64(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9u;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBu;
+    return x ^ (x >> 31);
+}
+
+INLINE uint64_t stream_key(uint64_t seed, int64_t component, uint64_t tag)
+{
+    return mix64(seed + GOLDEN * (uint64_t)(component + 1) + tag);
+}
+
+/* The top 53 bits of the hash of step k, offset by half a unit so that the
+ * uniform is never 0 (it is 1 for the largest, where the sum rounds up). */
+INLINE double uniform01(uint64_t key, int64_t k)
+{
+    const uint64_t x = mix64(mix64((uint64_t)k * GOLDEN + key) ^ key);
+    return (double)(int64_t)(x >> 11) * 0x1p-53 + 0x1p-54;
+}
+
+/* Cephes' ndtri (S. L. Moshier, Methods and Programs for Mathematical
+ * Functions, 1989), with its coefficients and its order of operations,
+ * as scipy.special.ndtri evaluates it: a rational function of (y - 1/2)^2
+ * for exp(-2) < y < 1 - exp(-2), and x - log(x)/x - R(1/x) with
+ * x = sqrt(-2 log y) in the tails, whose rational R changes at x = 8. */
+static const double NDTRI_P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+    1.39312609387279679503E1, -1.23916583867381258016E0,
+};
+static const double NDTRI_Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+    -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+};
+static const double NDTRI_P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+    4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4,
+};
+static const double NDTRI_Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+    1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+};
+static const double NDTRI_P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+    1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9,
+};
+static const double NDTRI_Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+    2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+};
+
+/* Horner's rule on c[0] x^n + ... + c[n], and on x^n + c[0] x^(n-1) + ... */
+INLINE double polevl(double x, const double *c, int n)
+{
+    double a = c[0];
+    for (int i = 1; i <= n; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+INLINE double p1evl(double x, const double *c, int n)
+{
+    double a = x + c[0];
+    for (int i = 1; i < n; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+INLINE double ndtri(double y0)
+{
+    const double e2 = 0.13533528323661269189; /* exp(-2) */
+    if (y0 == 0.0)
+        return -INFINITY;
+    if (y0 == 1.0)
+        return INFINITY;
+    if (y0 < 0.0 || y0 > 1.0)
+        return NAN;
+    double y = y0;
+    int negate = 1;
+    if (y > 1.0 - e2) {
+        y = 1.0 - y;
+        negate = 0;
+    }
+    if (y > e2) {
+        y = y - 0.5;
+        const double y2 = y * y;
+        const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+        return x * 2.50662827463100050242E0; /* sqrt(2 pi) */
+    }
+    const double x = sqrt(-2.0 * log(y));
+    const double x0 = x - log(x) / x;
+    const double z = 1.0 / x;
+    double x1;
+    if (x < 8.0) /* y > exp(-32) */
+        x1 = z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8);
+    else
+        x1 = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    return negate ? -(x0 - x1) : x0 - x1;
+}
+
+/* out[i] = ndtri(u) * scale for the uniform u of step steps[i] of the
+ * stream (seed, component, tag): fhnrds.noise's Wiener increments and
+ * stationary OU draws. */
+void fhn_increments(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
+                    int64_t count, double scale, double *out)
+{
+    const uint64_t key = stream_key(seed, component, tag);
+    for (int64_t i = 0; i < count; i++)
+        out[i] = ndtri(uniform01(key, steps[i])) * scale;
+}
+
+/* The two halves of fhn_increments alone, which the tests pin one by one:
+ * the uniforms of the steps, and ndtri(y) * scale of any y. */
+void fhn_uniforms(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
+                  int64_t count, double *out)
+{
+    const uint64_t key = stream_key(seed, component, tag);
+    for (int64_t i = 0; i < count; i++)
+        out[i] = uniform01(key, steps[i]);
+}
+
+void fhn_ndtri(const double *y, int64_t count, double scale, double *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = ndtri(y[i]) * scale;
 }

@@ -1,6 +1,6 @@
 """The compiled kernel (`_step.c`), built on first use and loaded with ctypes:
 the IMEX step of `model`, with the 1-D tridiagonal solve, and the OU block
-fill of `noise`.
+fill and the Gaussian draws of `noise`.
 
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
@@ -16,24 +16,37 @@ the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
 temporary name and renamed into place, so processes racing on a cold cache
 (the forked workers of `cli --threads`) never load a half-written file.
+Each load refreshes the mtime of its object, and a cold build deletes the
+other objects of its cache that are older than `STALE_S` (30 days), so
+objects of an edited source do not pile up while none in use goes.
+
+The Gaussian draws call libm's `log` and `sqrt` in Cephes' `ndtri`, as
+`scipy.special.ndtri` does.  glibc picks an FMA variant of `log` on CPUs
+that have FMA, so an increment may differ in its last bit between a CPU
+with FMA and one without; within one process it is bitwise scipy's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import subprocess
 import sysconfig
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
 from . import RunError
 
 FLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-shared")
+# a cold build deletes the other objects of its cache whose mtime is older
+# than this; each load refreshes the mtime of its object
+STALE_S = 30 * 24 * 3600
 
-_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_P, _I64, _U64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 
 
 class KernelBuildError(RunError, RuntimeError):
@@ -59,6 +72,9 @@ _SIGNATURES = {
     "fhn_shift": (None, (_P, _I64, _I64)),
     "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),
     "fhn_ou_blocks": (None, (_P, _I64, _I64, _F64, _P)),
+    "fhn_increments": (None, (_U64, _I64, _U64, _P, _I64, _F64, _P)),
+    "fhn_uniforms": (None, (_U64, _I64, _U64, _P, _I64, _P)),
+    "fhn_ndtri": (None, (_P, _I64, _F64, _P)),
     "fhn_isa": (ctypes.c_int, ()),
 }
 
@@ -85,9 +101,9 @@ def _open(path):
 def loaded():
     """The loaded object's file name and the x86-64 level of the clone the
     loader picked for this CPU (3, or 0 for the baseline copy); None
-    while no solve or OU fill of this process has loaded the kernel.  The
-    kernel stays loaded for the life of the process, so this names the
-    object of any earlier call too."""
+    while no solve, OU fill or draw of this process has loaded the
+    kernel.  The kernel stays loaded for the life of the process, so this
+    names the object of any earlier call too."""
     if _lib is None:
         return None
     return {"object": Path(_lib._name).name, "isa": _lib.fhn_isa()}
@@ -112,6 +128,8 @@ def _build():
             if cache.stat().st_uid != os.getuid():  # load nothing from another user's directory
                 continue
             if path.exists():
+                with contextlib.suppress(OSError):  # a read-only cache still loads
+                    os.utime(path)  # in use: no cold build prunes it
                 return path
             fd, tmp = tempfile.mkstemp(prefix=path.name, dir=cache)
         except OSError:
@@ -123,8 +141,21 @@ def _build():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        _prune(cache, path)
         return path
     raise KernelBuildError(f"no writable cache directory for the kernel among {list(_cache_dirs())}")
+
+
+def _prune(cache, built):
+    """Delete the objects in `cache` other than `built` that no process has
+    loaded for `STALE_S`: those of an older `_step.c`, FLAGS or CC."""
+    cutoff = time.time() - STALE_S
+    for path in cache.glob("step-*.so"):
+        try:
+            if path != built and path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:  # another process pruned it first
+            continue
 
 
 def _compile(cc, source, target):

@@ -5,6 +5,14 @@ pure hash of (seed, component, k), so a path can be extended arbitrarily
 far backward in time without perturbing values that were already generated.
 That property is what makes pullback experiments (same noise realization,
 initial time receding to -infinity) well defined at the discrete level.
+
+The hash and its map to N(0, 1) run in the compiled kernel's
+`fhn_increments` (`_step.c`): a splitmix64-style hash gives a uniform in
+(0, 1), and Cephes' `ndtri`, ported with its coefficients and its order
+of operations, inverts the normal distribution function at it.  Each draw
+is bitwise `scipy.special.ndtri(u) * scale` of the numpy hash that the
+tests keep as their reference, so the package needs numpy alone at run
+time.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import RunError, kernel
 
@@ -31,42 +38,20 @@ def step_index(t, dt):
     return k
 
 
-# splitmix64-style finalizer, vectorized over uint64 arrays
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_TAG_INCREMENT = np.uint64(0x243F6A8885A308D3)
-_TAG_INIT = np.uint64(0x13198A2E03707344)
+# the tags of the two streams of each (seed, component): the increments,
+# and the stationary draw that anchors each OU block
+_TAG_INCREMENT = 0x243F6A8885A308D3
+_TAG_INIT = 0x13198A2E03707344
 
 
-def _mix64(x, tmp):
-    """Finalize the uint64 array `x` in place; `tmp` is scratch of its shape."""
-    for shift, mult in ((np.uint64(30), _M1), (np.uint64(27), _M2)):
-        x ^= np.right_shift(x, shift, out=tmp)
-        x *= mult
-    x ^= np.right_shift(x, np.uint64(31), out=tmp)
-    return x
-
-
-def _uniform01(seed, component, k, tag):
-    """Deterministic uniforms in (0,1) keyed by (seed, component, k, tag), one per k."""
-    with np.errstate(over="ignore"):
-        key = np.array(np.uint64(seed) + _GOLDEN * np.uint64(component + 1) + tag)
-        key = _mix64(key, np.empty_like(key))
-    # the one copy of k, read as uint64 modulo 2**64 and hashed in place
-    x = np.array(k, dtype=np.int64).view(np.uint64)
-    tmp = np.empty_like(x)
-    x *= _GOLDEN
-    x += key
-    _mix64(x, tmp)
-    x ^= key
-    _mix64(x, tmp)
-    # 53-bit mantissa, offset keeps the value strictly inside (0,1)
-    x >>= np.uint64(11)
-    u = x.astype(np.float64)
-    u *= 2.0**-53
-    u += 2.0**-54
-    return u
+def _normals(seed, k, tag, scale):
+    """N(0, scale**2) values keyed by (seed, tag, k), one per step of `k`,
+    from the kernel's `fhn_increments`; a scalar for a scalar `k`."""
+    ks = np.asarray(k, dtype=np.int64, order="C")
+    out = np.empty(ks.shape)
+    kernel.load().fhn_increments(seed.seed, seed.component, tag, ks.ctypes.data, ks.size, scale,
+                                 out.ctypes.data)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -79,6 +64,8 @@ class NoiseSeed:
     def __post_init__(self):
         if self.component not in (1, 2):
             raise ValueError("component must be 1 or 2")
+        if not 0 <= self.seed < 2**64:  # the hash keys on uint64 seeds
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def wiener_increment(seed, k, dt):
@@ -89,8 +76,7 @@ def wiener_increment(seed, k, dt):
     """
     if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
-    u = _uniform01(seed.seed, seed.component, k, _TAG_INCREMENT)
-    return ndtri(u) * np.sqrt(dt)
+    return _normals(seed, k, _TAG_INCREMENT, np.sqrt(dt))
 
 
 @dataclass(frozen=True)
@@ -214,8 +200,7 @@ class OuProcess:
                 ks = np.arange(k0 + i, k0 + min(i + _CHUNK, xi.size), dtype=np.int64)
                 xi_i = wiener_increment(self.seed, ks, self.dt)
                 np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
-            u = _uniform01(self.seed.seed, self.seed.component, np.array(piece) - 1, _TAG_INIT)
-            blocks = np.multiply.outer(ndtri(u) * sd, self._pows)
+            blocks = np.multiply.outer(_normals(self.seed, np.array(piece) - 1, _TAG_INIT, sd), self._pows)
             fill(xi.ctypes.data, len(piece), B, self._decay, blocks.ctypes.data)
             self._blocks.update(zip(piece, blocks))
         self._tail = (k1, xi[xi.size - (B - 1) :].copy())

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from fhnrds import noise
+from fhnrds import kernel, noise
 from fhnrds.noise import (
     GridAlignmentError,
     NoiseSeed,
@@ -14,6 +16,146 @@ from fhnrds.noise import (
     temperedness_probe,
     wiener_increment,
 )
+
+
+# the counter hash in numpy, the reference of the kernel's: a
+# splitmix64-style finalizer over uint64 arrays, which wrap modulo 2**64
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(x, tmp):
+    """Finalize the uint64 array `x` in place; `tmp` is scratch of its shape."""
+    for shift, mult in ((np.uint64(30), _M1), (np.uint64(27), _M2)):
+        x ^= np.right_shift(x, shift, out=tmp)
+        x *= mult
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
+
+
+def uniform01(seed, component, k, tag):
+    """Uniforms keyed by (seed, component, k, tag), one per k: the top 53 bits
+    of the hash, offset by 2**-54."""
+    with np.errstate(over="ignore"):
+        key = np.array(np.uint64(seed) + _GOLDEN * np.uint64(component + 1) + np.uint64(tag))
+        key = _mix64(key, np.empty_like(key))
+    x = np.array(k, dtype=np.int64).view(np.uint64)
+    tmp = np.empty_like(x)
+    x *= _GOLDEN
+    x += key
+    _mix64(x, tmp)
+    x ^= key
+    _mix64(x, tmp)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return u
+
+
+def stationary_draw(proc, m):
+    """The stationary draw that anchors block m of `proc`, from the reference hash."""
+    u = uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
+    return ndtri(u) * np.sqrt(stationary_variance(proc.rate))
+
+
+def kernel_uniforms(seed, component, tag, ks):
+    ks = np.ascontiguousarray(ks, dtype=np.int64)
+    out = np.empty(ks.shape)
+    kernel.load().fhn_uniforms(seed, component, tag, ks.ctypes.data, ks.size, out.ctypes.data)
+    return out
+
+
+def kernel_ndtri(y, scale):
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    out = np.empty(y.shape)
+    kernel.load().fhn_ndtri(y.ctypes.data, y.size, scale, out.ctypes.data)
+    return out
+
+
+# (seed, component, steps): both components, the extreme seeds, steps of
+# both signs and at the ends of int64, a million values in all
+STREAMS = [
+    (0, 1, np.arange(-250_000, 250_000)),
+    (2**64 - 1, 2, np.arange(-250_000, 250_000)),
+    (42, 1, np.concatenate([np.arange(-2**63, -2**63 + 1000), np.arange(2**63 - 1000, 2**63 - 1)])),
+    (7, 2, np.random.default_rng(3).integers(-2**62, 2**62, 100_000)),
+]
+
+
+def ndtri_points():
+    """Points where Cephes' ndtri changes its branch or runs out of precision:
+    the tails from 2**-1 down to 2**-54, the hash's smallest uniform, and
+    from 1 - 2**-1 up to 1 - 2**-53 and 1; forty neighbours on each side of
+    exp(-2) and of 1 - exp(-2), where the middle rational hands over to the
+    tails, and steps of y in the lower tail whose x = sqrt(-2 log y) lies on
+    each side of 8, where the tail rationals change; and 200,000 points
+    log-uniform in each tail, down to 2**-54 and up to 1 - 2**-53."""
+    e2 = 0.13533528323661269189
+    exponents = np.random.default_rng(11).uniform(-54.0, -1.0, (2, 200_000))
+    ys = [2.0**-np.arange(1, 55), 1.0 - 2.0**-np.arange(1, 54), [0.0, 1.0],
+          2.0 ** exponents[0], 1.0 - 2.0 ** np.maximum(exponents[1], -53.0)]
+    for y in (e2, 1.0 - e2):
+        down, up = [y], [y]
+        for _ in range(40):
+            down.append(np.nextafter(down[-1], 0.0))
+            up.append(np.nextafter(up[-1], 1.0))
+        ys += [down, up]
+    at8 = math.exp(-32.0) * (1.0 + np.arange(-400, 400) * 2.0**-52)
+    x = np.array([math.sqrt(-2.0 * math.log(y)) for y in at8])
+    assert np.any(x < 8.0) and np.any(x >= 8.0)
+    return np.concatenate([*ys, at8])
+
+
+def test_kernel_hash_is_the_numpy_hash():
+    for seed, component, ks in STREAMS:
+        for tag in (noise._TAG_INCREMENT, noise._TAG_INIT):
+            assert np.array_equal(kernel_uniforms(seed, component, tag, ks),
+                                  uniform01(seed, component, ks, tag)), (seed, component, tag)
+
+
+def test_kernel_ndtri_is_scipys():
+    ys = ndtri_points()
+    for scale in (1.0, np.sqrt(1e-3)):
+        assert np.array_equal(kernel_ndtri(ys, scale), ndtri(ys) * scale), scale
+    # a hash whose top 53 bits are all ones gives the uniform 1 (the sum
+    # rounds up), and so an infinite draw, as scipy's does
+    assert (1.0 - 2.0**-53) + 2.0**-54 == 1.0 and kernel_ndtri([1.0], 1.0)[0] == np.inf
+
+
+def test_increments_are_scipys_ndtri_of_the_numpy_hash():
+    # the fused draw, bitwise scipy's ndtri of the reference uniform times
+    # the scale: the increments at sqrt(dt), and an OU block's stationary
+    # draw at its standard deviation
+    for seed, component, ks in STREAMS:
+        s = NoiseSeed(seed, component)
+        u = uniform01(seed, component, ks, noise._TAG_INCREMENT)
+        assert np.array_equal(wiener_increment(s, ks, 1e-3), ndtri(u) * np.sqrt(1e-3)), (seed, component)
+        proc = OuProcess(seed, component, 2.0, 0.01)
+        assert np.array_equal(noise._normals(s, ks[:1000], noise._TAG_INIT, np.sqrt(0.25)),
+                              stationary_draw(proc, ks[:1000] + 1)), (seed, component)
+
+
+def test_each_kernel_build_draws_as_scipy(kernel_build):
+    # conftest's `kernel_build`: the hash, ndtri and the fused draw of each build without clones
+    test_kernel_hash_is_the_numpy_hash()
+    test_kernel_ndtri_is_scipys()
+    test_increments_are_scipys_ndtri_of_the_numpy_hash()
+
+
+def test_wiener_increment_shape_and_seed_checks():
+    # a scalar step gives a numpy scalar, an array its shape; a seed outside
+    # the uint64 range of the hash is refused, not wrapped
+    s = NoiseSeed(5, 1)
+    assert isinstance(wiener_increment(s, 3, 1e-3), np.float64)
+    ks = np.arange(-6, 6).reshape(3, 4)
+    grid = wiener_increment(s, ks, 1e-3)
+    assert grid.shape == (3, 4) and np.array_equal(grid.ravel(), wiener_increment(s, ks.ravel(), 1e-3))
+    assert np.array_equal(wiener_increment(s, ks.T, 1e-3), grid.T)  # a strided view of the steps
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSeed(seed, 1)
 
 
 def test_step_index_snaps_grid_times():
@@ -124,9 +266,7 @@ def filtered_block(proc, m):
     B, decay = proc.B, proc._decay
     ks = np.arange((m - 1) * B, (m + 1) * B - 1)
     y = lfilter([1.0], [1.0, -decay], proc._damp * wiener_increment(proc.seed, ks, proc.dt))
-    u = noise._uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
-    z0 = float(ndtri(u)) * np.sqrt(stationary_variance(proc.rate))
-    return z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]
+    return stationary_draw(proc, m) * decay ** np.arange(B, 2 * B) + y[B - 1 :]
 
 
 @pytest.mark.parametrize("chunk", [1 << 14, 502, 1 << 8])
@@ -187,7 +327,6 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     for m in ms:
         assert np.array_equal(c._blocks[m], filtered_block(c, m)), m
     B, decay = c.B, c._decay
-    sd = np.sqrt(stationary_variance(c.rate))
     # a fill over more than two pieces: each increment of its span is drawn
     # once, and each block is the filter of its window of the one span
     drawn = []
@@ -206,9 +345,7 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     xi = proc._damp * real(proc.seed, span, proc.dt)
     for i, m in enumerate(ms):
         y = lfilter([1.0], [1.0, -decay], xi[i * B : i * B + 2 * B - 1])
-        u = noise._uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
-        z0 = float(ndtri(u)) * sd
-        assert np.array_equal(proc._blocks[m], z0 * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
+        assert np.array_equal(proc._blocks[m], stationary_draw(proc, m) * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
 
 
 def test_ou_strided_values_are_the_full_read_strided(monkeypatch):
