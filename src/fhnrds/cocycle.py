@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not inside a run's first `sample_family`
 
 from .fields import ScalarField, bump_field, l2_sq
 # `solve` is imported for the per-layer tracer of perfbench/spans.py, which
