@@ -435,14 +435,23 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     # are by_phase[k % stride], in row order
     by_phase = [np.flatnonzero(k0a % stride == r) for r in range(stride)]
 
+    # the row-major copies of u and v and u + h1*z1 of a record, in scratch
+    # that every record reuses: three fresh (m, n) arrays per record made
+    # glibc grow and trim its heap on each, about 40,000 page faults in one
+    # `verify` on the verify-1d benchmark config
+    rec_u, rec_v, rec_ut = (np.empty((B,) + grid.shape) for _ in range(3))
+
     def record(due, k):
         """Record the rows `due`, increasing, at step k, all at once from a row-major copy."""
         m = len(due)
         sel = slice(due[0], due[-1] + 1) if due[-1] - due[0] == m - 1 else due
-        u, v = (np.ascontiguousarray(step.rows(X, sel)) for X in (U, V))
+        u, v, ut = rec_u[:m], rec_v[:m], rec_ut[:m]
+        np.copyto(u, step.rows(U, sel))
+        np.copyto(v, step.rows(V, sel))
         j = k - kmin
         z1 = Z1[j, group[sel]]
-        ut = u + h1 * z1.reshape((m,) + zcol)
+        np.multiply(h1, z1.reshape((m,) + zcol), out=ut)
+        ut += u  # h1*z1 + u rounds as u + h1*z1
         nxt[sel] += 1
         at = nxt[sel] - 1
         recs[0, at] = k * dt

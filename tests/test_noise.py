@@ -75,7 +75,7 @@ def kernel_ndtri(y, scale):
 
 
 # (seed, component, steps): both components, the extreme seeds, steps of
-# both signs and at the ends of int64, a million values in all
+# both signs and at the ends of int64, 1.1 million values in all
 STREAMS = [
     (0, 1, np.arange(-250_000, 250_000)),
     (2**64 - 1, 2, np.arange(-250_000, 250_000)),
