@@ -7,7 +7,9 @@
  * the numpy step, and a draw is bitwise scipy.special.ndtri of the numpy
  * hash, whose libm log and sqrt it calls too.  That holds at -O3 and in
  * each clone (CLONES below): a vector lane rounds as the scalar operation
- * would, no FMA is formed, and no float reduction is reordered.  Point i
+ * would, no FMA is formed, and no float reduction is reordered.  So the
+ * draws may run in passes, the middle rational of ndtri vectorized, and
+ * the OU windows side by side, each value rounded as one at a time.  Point i
  * of row b sits at i*ps + b*rs:
  * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
  * across the rows at once on the plan's LDL^T factor, and row-major
@@ -19,10 +21,11 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* fhn_step, whose loops over rows vectorize, carries an x86-64-v3 (AVX2)
- * and a baseline copy; the dynamic loader picks one for the CPU when the
- * object loads, and fhn_isa names the level it picked: 3, or 0 for the
- * baseline copy.  The clones are built only by GCC 12 or later, the
+/* fhn_step, whose loops over rows vectorize, and fhn_increments, whose
+ * middle pass does, carry an x86-64-v3 (AVX2) and a baseline copy; the
+ * dynamic loader picks one for the CPU when the object loads, and fhn_isa
+ * names the level it picked: 3, or 0 for the baseline copy.  fhn_scan and
+ * fhn_ou_blocks have none: their v3 clones measured no faster.  The clones are built only by GCC 12 or later, the
  * version tested (GCC 11's target_clones is reported to reject x86-64
  * levels), and only on glibc, whose ifunc they need; every other compiler,
  * C library and machine builds the baseline copy alone. */
@@ -221,19 +224,32 @@ CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double h
  * Window i is the 2B-1 increments from xi + i*B; y = xi[k] + a*y runs over
  * it from y = xi[i*B], and its last B values are added to block i, which
  * holds the decayed stationary draw.  Each y is the one rounded sum that
- * lfilter([1], [1, -a]) forms as xi[k] - (-a)*y. */
+ * lfilter([1], [1, -a]) forms as xi[k] - (-a)*y.  The windows run OU_LANES
+ * at a time, one independent chain each, so the chains' latencies overlap;
+ * a group of fewer windows repeats its last window in the spare lanes and
+ * writes it once. */
+#define OU_LANES 4
+
 void fhn_ou_blocks(const double *xi, int64_t m, int64_t B, double a, double *blocks)
 {
-    for (int64_t i = 0; i < m; i++) {
-        const double *x = xi + i * B;
-        double *block = blocks + i * B;
-        double y = x[0];
+    for (int64_t i = 0; i < m; i += OU_LANES) {
+        const int64_t lanes = m - i < OU_LANES ? m - i : OU_LANES;
+        const double *x[OU_LANES];
+        double y[OU_LANES];
+        for (int j = 0; j < OU_LANES; j++) {
+            x[j] = xi + (i + (j < lanes ? j : lanes - 1)) * B;
+            y[j] = x[j][0];
+        }
         for (int64_t k = 1; k < B; k++)
-            y = x[k] + a * y;
-        block[0] += y;
+            for (int j = 0; j < OU_LANES; j++)
+                y[j] = x[j][k] + a * y[j];
+        for (int j = 0; j < lanes; j++)
+            blocks[(i + j) * B] += y[j];
         for (int64_t k = 1; k < B; k++) {
-            y = x[B - 1 + k] + a * y;
-            block[k] += y;
+            for (int j = 0; j < OU_LANES; j++)
+                y[j] = x[j][B - 1 + k] + a * y[j];
+            for (int j = 0; j < lanes; j++)
+                blocks[(i + j) * B + k] += y[j];
         }
     }
 }
@@ -259,11 +275,14 @@ INLINE uint64_t stream_key(uint64_t seed, int64_t component, uint64_t tag)
 }
 
 /* The top 53 bits of the hash of step k, offset by half a unit so that the
- * uniform is never 0 (it is 1 for the largest, where the sum rounds up). */
+ * uniform is never 0, and at most 1 - 2^-53: the sum rounds up to 1 for the
+ * largest, which the clamp takes back to the uniform below it.  The clamp is
+ * a compare and select, a min instruction, where fmin would be a libm call. */
 INLINE double uniform01(uint64_t key, int64_t k)
 {
     const uint64_t x = mix64(mix64((uint64_t)k * GOLDEN + key) ^ key);
-    return (double)(int64_t)(x >> 11) * 0x1p-53 + 0x1p-54;
+    const double u = (double)(int64_t)(x >> 11) * 0x1p-53 + 0x1p-54;
+    return u < 1.0 - 0x1p-53 ? u : 1.0 - 0x1p-53;
 }
 
 /* Cephes' ndtri (S. L. Moshier, Methods and Programs for Mathematical
@@ -318,9 +337,22 @@ INLINE double p1evl(double x, const double *c, int n)
     return a;
 }
 
+static const double NDTRI_E2 = 0.13533528323661269189; /* exp(-2) */
+
+/* The middle rational of ndtri, for NDTRI_E2 < y <= 1 - NDTRI_E2; free of
+ * branches, so a loop of it vectorizes. */
+INLINE double ndtri_mid(double y)
+{
+    y = y - 0.5;
+    const double y2 = y * y;
+    const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+    return x * 2.50662827463100050242E0; /* sqrt(2 pi) */
+}
+
+INLINE int ndtri_is_mid(double y) { return NDTRI_E2 < y && y <= 1.0 - NDTRI_E2; }
+
 INLINE double ndtri(double y0)
 {
-    const double e2 = 0.13533528323661269189; /* exp(-2) */
     if (y0 == 0.0)
         return -INFINITY;
     if (y0 == 1.0)
@@ -329,16 +361,12 @@ INLINE double ndtri(double y0)
         return NAN;
     double y = y0;
     int negate = 1;
-    if (y > 1.0 - e2) {
+    if (y > 1.0 - NDTRI_E2) {
         y = 1.0 - y;
         negate = 0;
     }
-    if (y > e2) {
-        y = y - 0.5;
-        const double y2 = y * y;
-        const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
-        return x * 2.50662827463100050242E0; /* sqrt(2 pi) */
-    }
+    if (y > NDTRI_E2)
+        return ndtri_mid(y);
     const double x = sqrt(-2.0 * log(y));
     const double x0 = x - log(x) / x;
     const double z = 1.0 / x;
@@ -352,13 +380,28 @@ INLINE double ndtri(double y0)
 
 /* out[i] = ndtri(u) * scale for the uniform u of step steps[i] of the
  * stream (seed, component, tag): fhnrds.noise's Wiener increments and
- * stationary OU draws. */
-void fhn_increments(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
+ * stationary OU draws.  Each chunk of DRAW_CHUNK runs in three passes: the
+ * hash of its uniforms; the middle rational of every lane, which vectorizes;
+ * and the scalar ndtri of the lanes outside the middle (about 27% of them,
+ * u = 1 - 2^-53 included), exactly those ndtri's own tests send elsewhere. */
+#define DRAW_CHUNK 512
+
+CLONES void fhn_increments(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
                     int64_t count, double scale, double *out)
 {
     const uint64_t key = stream_key(seed, component, tag);
-    for (int64_t i = 0; i < count; i++)
-        out[i] = ndtri(uniform01(key, steps[i])) * scale;
+    double u[DRAW_CHUNK];
+    for (int64_t c = 0; c < count; c += DRAW_CHUNK) {
+        const int64_t n = count - c < DRAW_CHUNK ? count - c : DRAW_CHUNK;
+        double *o = out + c;
+        for (int64_t i = 0; i < n; i++)
+            u[i] = uniform01(key, steps[c + i]);
+        for (int64_t i = 0; i < n; i++)
+            o[i] = ndtri_mid(u[i]) * scale;
+        for (int64_t i = 0; i < n; i++)
+            if (!ndtri_is_mid(u[i]))
+                o[i] = ndtri(u[i]) * scale;
+    }
 }
 
 /* The two halves of fhn_increments alone, which the tests pin one by one:

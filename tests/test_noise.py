@@ -1,4 +1,7 @@
+import contextlib
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -34,12 +37,16 @@ def _mix64(x, tmp):
     return x
 
 
-def uniform01(seed, component, k, tag):
-    """Uniforms keyed by (seed, component, k, tag), one per k: the top 53 bits
-    of the hash, offset by 2**-54."""
+def _key(seed, component, tag):
     with np.errstate(over="ignore"):
         key = np.array(np.uint64(seed) + _GOLDEN * np.uint64(component + 1) + np.uint64(tag))
-        key = _mix64(key, np.empty_like(key))
+        return _mix64(key, np.empty_like(key))
+
+
+def uniform01(seed, component, k, tag):
+    """Uniforms keyed by (seed, component, k, tag), one per k: the top 53 bits
+    of the hash, offset by 2**-54, and at most 1 - 2**-53."""
+    key = _key(seed, component, tag)
     x = np.array(k, dtype=np.int64).view(np.uint64)
     tmp = np.empty_like(x)
     x *= _GOLDEN
@@ -51,7 +58,42 @@ def uniform01(seed, component, k, tag):
     u = x.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
-    return u
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def _unxorshift(x, shift):
+    """The x of y = x ^ (x >> shift), for a uint64 Python int y."""
+    y = x
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(x):
+    """The inverse of `_mix64` on a Python int: undo each xorshift and
+    multiply by each multiplier's inverse modulo 2**64."""
+    x = _unxorshift(x, 31)
+    x = x * pow(int(_M2), -1, 2**64) % 2**64
+    x = _unxorshift(x, 27)
+    x = x * pow(int(_M1), -1, 2**64) % 2**64
+    return _unxorshift(x, 30)
+
+
+def step_of_hash(seed, component, tag, x):
+    """The int64 step whose hash is the uint64 `x` in the stream (seed,
+    component, tag): the hash run backwards."""
+    key = int(_key(seed, component, tag))
+    k = (_unmix64(_unmix64(x) ^ key) - key) * pow(int(_GOLDEN), -1, 2**64) % 2**64
+    return k - 2**64 if k >= 2**63 else k
+
+
+def step_of_uniform(seed, component, tag, y):
+    """A step whose uniform is `y`, which must be one the hash can give."""
+    for top in (int(y * 2.0**53), int(y * 2.0**53) - 1):
+        k = step_of_hash(seed, component, tag, top << 11 | 0x5A5)
+        if uniform01(seed, component, [k], tag)[0] == y:
+            return k
+    raise ValueError(f"no uniform of the hash is {y!r}")
 
 
 def stationary_draw(proc, m):
@@ -119,9 +161,25 @@ def test_kernel_ndtri_is_scipys():
     ys = ndtri_points()
     for scale in (1.0, np.sqrt(1e-3)):
         assert np.array_equal(kernel_ndtri(ys, scale), ndtri(ys) * scale), scale
-    # a hash whose top 53 bits are all ones gives the uniform 1 (the sum
-    # rounds up), and so an infinite draw, as scipy's does
+    # ndtri(1) is infinite, as scipy's is; the hash never gives 1, where its
+    # largest sum rounds (test_the_largest_hash_is_clamped_below_one)
     assert (1.0 - 2.0**-53) + 2.0**-54 == 1.0 and kernel_ndtri([1.0], 1.0)[0] == np.inf
+
+
+def test_the_largest_hash_is_clamped_below_one():
+    # the step whose hash has its top 53 bits all ones, found by running the
+    # hash backwards: its uniform is 1 - 2**-53, not the 1 its sum rounds
+    # to, so its draw is finite
+    for seed, component in ((0, 1), (2**64 - 1, 2), (42, 1)):
+        for tag in (noise._TAG_INCREMENT, noise._TAG_INIT):
+            k = step_of_hash(seed, component, tag, 2**64 - 1)
+            assert kernel_uniforms(seed, component, tag, [k])[0] == 1.0 - 2.0**-53
+            assert uniform01(seed, component, [k], tag)[0] == 1.0 - 2.0**-53
+            draw = noise._normals(NoiseSeed(seed, component), [k], tag, np.sqrt(1e-3))
+            assert np.isfinite(draw[0]) and draw[0] == ndtri(1.0 - 2.0**-53) * np.sqrt(1e-3)
+            # its neighbour below in the hash keeps its uniform
+            below = step_of_hash(seed, component, tag, 2**64 - 1 - 2**11)
+            assert kernel_uniforms(seed, component, tag, [below])[0] == (2.0**53 - 2) * 2.0**-53 + 2.0**-54
 
 
 def test_increments_are_scipys_ndtri_of_the_numpy_hash():
@@ -137,11 +195,49 @@ def test_increments_are_scipys_ndtri_of_the_numpy_hash():
                               stationary_draw(proc, ks[:1000] + 1)), (seed, component)
 
 
+def _define(name):
+    """The value of `#define name` in the kernel source."""
+    source = resources.files("fhnrds").joinpath("_step.c").read_text()
+    return int(re.search(rf"^#define {name} (\d+)$", source, re.M).group(1))
+
+
+def test_increments_at_the_chunk_edges():
+    # fhn_increments hashes, inverts the middle and then the tails chunk by
+    # chunk: counts on each side of one and two chunks, with the branch
+    # neighbours of ndtri_points() and the largest hash at the first and
+    # last lane of a chunk, each draw bitwise fhn_ndtri of fhn_uniforms and
+    # scipy's ndtri of the reference hash, and nothing written past count
+    chunk = _define("DRAW_CHUNK")
+    seed, component, tag, scale = 2**64 - 1, 2, noise._TAG_INCREMENT, np.sqrt(1e-3)
+    e2 = 0.13533528323661269189
+    ys = [y for y in ndtri_points() if abs(y - e2) < 1e-14 or abs(y - (1.0 - e2)) < 1e-14]
+    edges = []
+    for y in ys:
+        with contextlib.suppress(ValueError):  # a neighbour the hash cannot give
+            edges.append(step_of_uniform(seed, component, tag, y))
+    edges.append(step_of_hash(seed, component, tag, 2**64 - 1))
+    assert len(edges) > 40
+    lib = kernel.load()
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        for first, last in zip(edges, edges[::-1]):
+            ks = np.arange(-(count // 2), count - count // 2, dtype=np.int64)
+            for at in {0, chunk - 1, chunk, count - 1} & set(range(count)):
+                ks[at] = first if at % chunk == 0 else last
+            out = np.full(count + 1, 7.0)
+            lib.fhn_increments(seed, component, tag, ks.ctypes.data, count, scale, out.ctypes.data)
+            assert out[count] == 7.0, count
+            u = uniform01(seed, component, ks, tag)
+            assert np.array_equal(out[:count], kernel_ndtri(kernel_uniforms(seed, component, tag, ks), scale)), count
+            assert np.array_equal(out[:count], ndtri(u) * scale), count
+
+
 def test_each_kernel_build_draws_as_scipy(kernel_build):
     # conftest's `kernel_build`: the hash, ndtri and the fused draw of each build without clones
     test_kernel_hash_is_the_numpy_hash()
     test_kernel_ndtri_is_scipys()
+    test_the_largest_hash_is_clamped_below_one()
     test_increments_are_scipys_ndtri_of_the_numpy_hash()
+    test_increments_at_the_chunk_edges()
 
 
 def test_wiener_increment_shape_and_seed_checks():
@@ -297,9 +393,30 @@ def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
                     assert np.array_equal(proc._blocks[m], block), (proc.piece_blocks, list(ms), m)
 
 
+def test_ou_blocks_are_the_filter_of_each_window():
+    # fhn_ou_blocks called directly: m = 1..9 windows, so every group of
+    # OU_LANES and each size of the group left over, over anchor blocks of
+    # non-zero values; each block is its anchor plus the last B values of
+    # `lfilter` over its own window alone
+    lanes = _define("OU_LANES")
+    rng = np.random.default_rng(5)
+    lib = kernel.load()
+    for B in (1, 2, 7, 100):
+        for m in range(1, 2 * lanes + 2):
+            a = float(rng.uniform(0.5, 1.0))
+            xi = rng.standard_normal((m + 1) * B - 1)
+            anchors = rng.standard_normal((m, B))
+            blocks = anchors.copy()
+            lib.fhn_ou_blocks(xi.ctypes.data, m, B, a, blocks.ctypes.data)
+            for i in range(m):
+                y = lfilter([1.0], [1.0, -a], xi[i * B : i * B + 2 * B - 1])
+                assert np.array_equal(blocks[i], anchors[i] + y[B - 1 :]), (B, m, i)
+
+
 def test_each_kernel_build_fills_as_the_filter(kernel_build, monkeypatch):
     # conftest's `kernel_build`: the OU fill of each build without clones at B = 1001
     test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, 1001, 1 << 14)
+    test_ou_blocks_are_the_filter_of_each_window()
 
 
 def test_ou_blocks_independent_of_fill_order(monkeypatch):
