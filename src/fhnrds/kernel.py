@@ -5,12 +5,12 @@ fill and the Gaussian draws of `noise`.
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
 no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the step carries an x86-64-v3 and a baseline
-clone, one of which the dynamic loader picks for the CPU when the
+or later on x86-64 glibc the step and the draws carry an x86-64-v3 and a
+baseline clone, one of which the dynamic loader picks for the CPU when the
 object loads, so a cached object runs on any CPU of its architecture and
 the key needs no CPU (`-march=native` would); other compilers build the
-baseline alone.  A cold compile takes 0.6-0.7 s on 2 shared cores of an
-Intel Xeon, and the object is about 40 KB.  The object goes to
+baseline alone.  A cold compile takes 0.7-0.9 s on 2 shared cores of an
+Intel Xeon, and the object is about 48 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
