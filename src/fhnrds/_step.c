@@ -13,7 +13,12 @@
  * of row b sits at i*ps + b*rs:
  * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
  * across the rows at once on the plan's LDL^T factor, and row-major
- * (ps = 1, rs = n) on 2-D grids, whose caller solves.
+ * (ps = 1, rs = n) on 2-D grids, whose caller solves.  The 1-D step (SWEEP)
+ * runs on whole vectors of rows, 4 lanes in the x86-64-v3 code and 2 in
+ * the baseline, and carries each row's forward elimination and back
+ * substitution in registers; it divides by D in the forward pass, as soon
+ * as a right-hand side is final, which rounds as dptts2's division in the
+ * back substitution does.
  */
 #include <math.h>
 #include <stddef.h>
@@ -21,24 +26,8 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* fhn_step, whose loops over rows vectorize, and fhn_increments, whose
- * middle pass does, carry an x86-64-v3 (AVX2) and a baseline copy; the
- * dynamic loader picks one for the CPU when the object loads, and fhn_isa
- * names the level it picked: 3, or 0 for the baseline copy.  fhn_scan and
- * fhn_ou_blocks have none: their v3 clones measured no faster.  The clones are built only by GCC 12 or later, the
- * version tested (GCC 11's target_clones is reported to reject x86-64
- * levels), and only on glibc, whose ifunc they need; every other compiler,
- * C library and machine builds the baseline copy alone. */
-#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
-#define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
-int fhn_isa(void) { return __builtin_cpu_supports("x86-64-v3") ? 3 : 0; }
-#else
-#define CLONES
-int fhn_isa(void) { return 0; }
-#endif
-
 typedef struct {
-    int64_t n, B;              /* points of a row, rows */
+    int64_t n, B;              /* points of a row, rows; 1-D: B is a multiple of 4 */
     int64_t ps, rs;            /* strides of a point and of a row in u and v */
     double *u, *v;
     double *shifted, *f;       /* u + h1*z1 and f of it, packed as u with A rows; f NULL: p = 4 */
@@ -51,63 +40,19 @@ typedef struct {
     const double *d, *e;       /* 1-D: the LDL^T factor of T; d NULL: the caller solves (2-D) */
     const double *w;           /* periodic: T^-1 u of the Sherman-Morrison correction; else NULL */
     double scale;
-    double *scratch;           /* 4*B values, and 2*n more on 2-D grids */
+    double *scratch;           /* 3*B values, and 2*n more on 2-D grids */
 } fhn_plan;
 
 /* A value is out of range when |x| <= threshold fails, NaN included. */
 INLINE int out_of_range(double x, double threshold) { return !(fabs(x) <= threshold); }
 
-/* The rest of dptts2's solve of the rows b < A of u (1-D) after the
- * forward elimination: the division by D and the back substitution, then
- * the periodic correction x - ((x_0 - x_(n-1))*scale)*w; returns whether a
- * solution value is out of range.  `coef` holds a value per row. */
-INLINE int back_substitute(const fhn_plan *p, int64_t A, double *coef)
-{
-    const int64_t n = p->n, B = p->B;
-    const double *d = p->d, *e = p->e, *w = p->w;
-    const double threshold = p->threshold, scale = p->scale;
-    double *x = p->u;
-    int bad = 0;
-    for (int64_t b = 0; b < A; b++) {
-        x[(n - 1) * B + b] = x[(n - 1) * B + b] / d[n - 1];
-        bad |= out_of_range(x[(n - 1) * B + b], threshold);
-    }
-    for (int64_t i = n - 2; i >= 0; i--)
-        for (int64_t b = 0; b < A; b++) {
-            const double y = x[i * B + b] / d[i] - x[(i + 1) * B + b] * e[i];
-            x[i * B + b] = y;
-            bad |= out_of_range(y, threshold);
-        }
-    if (!w)
-        return bad;
-    bad = 0; /* the corrected values decide */
-    for (int64_t b = 0; b < A; b++)
-        coef[b] = (x[b] - x[(n - 1) * B + b]) * scale;
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t b = 0; b < A; b++) {
-            const double y = x[i * B + b] - coef[b] * w[i];
-            x[i * B + b] = y;
-            bad |= out_of_range(y, threshold);
-        }
-    return bad;
-}
-
-/* Whether a value of the rows b < A of u is out of range. */
-int fhn_scan(const fhn_plan *p, int64_t A)
-{
-    const double threshold = p->threshold;
-    int bad = 0;
-    for (int64_t i = 0; i < p->n; i++)
-        for (int64_t b = 0; b < A; b++)
-            bad |= out_of_range(p->u[i * p->ps + b * p->rs], threshold);
-    return bad;
-}
-
-/* z1, alpha*z2 and beta*z1 of the rows b < A at step j. */
-static void row_z(const fhn_plan *p, int64_t A, int64_t j, double *z1, double *az2, double *bz1)
+/* z1, alpha*z2 and beta*z1 of every row b < B at step j: the rows past the
+ * active ones, and on 1-D grids the padding rows, fill the spare lanes of
+ * the step's vectors. */
+static void row_z(const fhn_plan *p, int64_t j, double *z1, double *az2, double *bz1)
 {
     const double *z1s = p->z1 + j * p->S, *z2s = p->z2 + j * p->S;
-    for (int64_t b = 0; b < A; b++) {
+    for (int64_t b = 0; b < p->B; b++) {
         const int64_t g = p->group[b];
         z1[b] = z1s[g];
         az2[b] = p->alpha * z2s[g];
@@ -118,8 +63,8 @@ static void row_z(const fhn_plan *p, int64_t A, int64_t j, double *z1, double *a
 /* shifted = u + h1*z1 for the rows b < A at step j, for f outside the kernel. */
 void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
 {
-    double *z1 = p->scratch + p->B, *az2 = z1 + p->B, *bz1 = az2 + p->B;
-    row_z(p, A, j, z1, az2, bz1);
+    double *z1 = p->scratch, *az2 = z1 + p->B, *bz1 = az2 + p->B;
+    row_z(p, j, z1, az2, bz1);
     for (int64_t i = 0; i < p->n; i++)
         for (int64_t b = 0; b < A; b++) {
             const int64_t at = i * p->ps + b * p->rs;
@@ -127,97 +72,301 @@ void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
         }
 }
 
-/* The explicit update of m values at unit stride: the rows at one point
- * (1-D) or the points of one row (2-D).  A point's values h1, lh, h2,
- * g = G*gf and h = H*hf advance by pstep, a row's z1, az2 = alpha*z2 and
- * bz1 = beta*z1 by zstep; one of the two steps is 0.
+/* The explicit update of one row of a 2-D grid, point after point, with
+ * the row's z1, az2 = alpha*z2 and bz1 = beta*z1 and the forcing values
+ * g = G*gf and h = H*hf of each point:
  *   rhs = u + dt*(f(u + h1*z1) + g - alpha*v + lh*z1 - h2*az2)
  *   v   = ev*v + gain*(beta*u + h + h1*bz1)
- * With `prev`, u gets rhs - prev*em, the forward elimination of the solve. */
-INLINE void explicit_run(const fhn_plan *p, int64_t m, double *restrict u, double *restrict v,
-                         const double *restrict f, const double *h1, const double *lh,
-                         const double *h2, const double *g, const double *h, int64_t pstep,
-                         const double *z1, const double *az2, const double *bz1, int64_t zstep,
-                         const double *prev, double em)
+ * u gets rhs, for the caller to solve. */
+INLINE void explicit_row(const fhn_plan *p, double *restrict u, double *restrict v,
+                         const double *restrict f, const double *g, const double *h,
+                         double z1, double az2, double bz1)
 {
     const double sign = p->sign, dt = p->dt, alpha = p->alpha, beta = p->beta;
     const double ev = p->ev, gain = p->gain;
-    for (int64_t k = 0; k < m; k++) {
-        const int64_t x = k * pstep, r = k * zstep;
-        const double uo = u[k], vo = v[k];
+    const double *h1 = p->h1, *lh = p->lap_h1, *h2 = p->h2;
+    for (int64_t i = 0; i < p->n; i++) {
+        const double uo = u[i], vo = v[i];
         double fv;
         if (f) {
-            fv = f[k];
+            fv = f[i];
         } else {
-            const double s = uo + h1[x] * z1[r];
+            const double s = uo + h1[i] * z1;
             fv = s * s;
             fv = fv * s;
             fv = fv * sign;
         }
-        double ac = fv + g[x];
+        double ac = fv + g[i];
         ac = ac - vo * alpha;
-        ac = ac + lh[x] * z1[r];
-        ac = ac - h2[x] * az2[r];
+        ac = ac + lh[i] * z1;
+        ac = ac - h2[i] * az2;
         ac = ac * dt;
-        double rhs = uo + ac;
-        if (prev)
-            rhs = rhs - prev[k] * em;
-        double bv = uo * beta + h[x];
-        bv = bv + h1[x] * bz1[r];
+        double bv = uo * beta + h[i];
+        bv = bv + h1[i] * bz1;
         bv = bv * gain;
-        u[k] = rhs;
-        v[k] = vo * ev + bv;
+        u[i] = uo + ac;
+        v[i] = vo * ev + bv;
     }
 }
 
-/* The rows of one point i of a 1-D grid, with the forward elimination from
- * point i-1 (none at i = 0); f and prev select a specialised loop. */
-INLINE void point_rows(const fhn_plan *p, int64_t A, int64_t i, const double *f, const double *prev,
-                       double gf, double hf, const double *z1, const double *az2, const double *bz1)
+/* KEEP + 4 - r: the keep mask of a vector whose first r lanes are active
+ * (below), read from memory, where the compiler cannot see its lanes and
+ * so blends with whole-vector logic, not lane by lane. */
+static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
+
+/* SWEEP(NAME, VD, VI, L, ATTR) defines NAME(p, A, gf, hf), the step of the
+ * rows b < A of a 1-D grid with its solve, on vectors VD of L doubles (VI:
+ * L int64), each function carrying ATTR.  The rows go in tiles of up to
+ * four vectors, as even as the count allows; within a tile the explicit
+ * update (as explicit_row's, lane by lane) and dptts2's forward elimination
+ * run point after point, then the back substitution, each recurrence
+ * carried in registers: the forward pass keeps each row's rhs and stores
+ * rhs / d[i] once rhs is final, so the back substitution is
+ * y = q[i] - y_next*e[i], the same operations in the same order as
+ * dptts2's x[i]/d[i] - x[i+1]*e[i].  A periodic grid then applies
+ * x - ((x_0 - x_(n-1))*scale)*w, whose values alone decide the flag.
+ * Vectors are loaded and stored unaligned.  The lanes of the last vector
+ * past A are computed, from the zeros or whatever values their rows hold,
+ * but not stored (`keep`) and not flagged; the packed f is read one
+ * vector past A*n there, which its buffer pads. */
+#define SWEEP(NAME, VD, VI, L, ATTR)                                                       \
+    /* x in the lanes where keep is 0, old where it is -1 */                               \
+    ATTR INLINE VD NAME##_blend(VD x, VD old, VI keep)                                     \
+    {                                                                                      \
+        return (VD)(((VI)x & ~keep) | ((VI)old & keep));                                   \
+    }                                                                                      \
+                                                                                           \
+    /* -1 in the lanes that are out of range, NaN included */                              \
+    ATTR INLINE VI NAME##_out(VD x, double threshold)                                      \
+    {                                                                                      \
+        return ~((VD)((VI)x & INT64_MAX) <= threshold);                                    \
+    }                                                                                      \
+                                                                                           \
+    ATTR INLINE VD NAME##_splat(double x)                                                  \
+    {                                                                                      \
+        VD v;                                                                              \
+        for (int l = 0; l < L; l++)                                                        \
+            v[l] = x;                                                                      \
+        return v;                                                                          \
+    }                                                                                      \
+                                                                                           \
+    /* the plan's constants in every lane, held in registers, where the                    \
+     * stores to u and v could not overwrite them */                                       \
+    struct NAME##_constants { VD sign, dt, alpha, beta, ev, gain; };                       \
+                                                                                           \
+    /* The explicit update and forward elimination of point i of the T vectors             \
+     * of rows from b0, with rhs carried in c (none before i = 0). */                      \
+    ATTR INLINE void NAME##_point(const fhn_plan *p, int64_t A, int64_t b0, const int T,   \
+                                  int64_t i, const int first, double gf, double hf,        \
+                                  struct NAME##_constants kc, VI keep, VD *c)              \
+    {                                                                                      \
+        const int64_t B = p->B;                                                            \
+        const double *f = p->f;                                                            \
+        const double *z1 = p->scratch + b0, *az2 = z1 + B, *bz1 = az2 + B;                 \
+        const double g = p->gprof[i] * gf, h = p->hprof[i] * hf;                           \
+        const double h1 = p->h1[i], lh = p->lap_h1[i], h2 = p->h2[i], d = p->d[i];         \
+        const double em = first ? 0.0 : p->e[i - 1];                                       \
+        for (int k = 0; k < T; k++) {                                                      \
+            VD *u = (VD *)(p->u + i * B + b0 + k * L);                                     \
+            VD *v = (VD *)(p->v + i * B + b0 + k * L);                                     \
+            const VD uo = *u, vo = *v, zk = *(const VD *)(z1 + k * L);                     \
+            VD fv;                                                                         \
+            if (f) {                                                                       \
+                fv = *(const VD *)(f + i * A + b0 + k * L);                                \
+            } else {                                                                       \
+                const VD s = uo + h1 * zk;                                                 \
+                fv = s * s;                                                                \
+                fv = fv * s;                                                               \
+                fv = fv * kc.sign;                                                         \
+            }                                                                              \
+            VD ac = fv + g;                                                                \
+            ac = ac - vo * kc.alpha;                                                       \
+            ac = ac + lh * zk;                                                             \
+            ac = ac - h2 * *(const VD *)(az2 + k * L);                                     \
+            ac = ac * kc.dt;                                                               \
+            VD rhs = uo + ac;                                                              \
+            if (!first)                                                                    \
+                rhs = rhs - c[k] * em;                                                     \
+            c[k] = rhs;                                                                    \
+            VD bv = uo * kc.beta + h;                                                      \
+            bv = bv + h1 * *(const VD *)(bz1 + k * L);                                     \
+            bv = bv * kc.gain;                                                             \
+            VD q = rhs / d, vn = vo * kc.ev + bv;                                          \
+            if (k == T - 1) {                                                              \
+                q = NAME##_blend(q, uo, keep);                                             \
+                vn = NAME##_blend(vn, vo, keep);                                           \
+            }                                                                              \
+            *u = q;                                                                        \
+            *v = vn;                                                                       \
+        }                                                                                  \
+    }                                                                                      \
+                                                                                           \
+    /* One tile: the T vectors of rows from b0; returns whether a value of                 \
+     * the new u in the rows b < A is out of range. */                                     \
+    ATTR INLINE int NAME##_tile(const fhn_plan *p, int64_t A, int64_t b0, const int T,     \
+                                double gf, double hf)                                      \
+    {                                                                                      \
+        const int64_t n = p->n, B = p->B;                                                  \
+        const double threshold = p->threshold;                                             \
+        double *const x = p->u + b0;                                                       \
+        VD c[4], y[4], last[4];                                                            \
+        VI bad = {0}, bad_last = {0};                                                      \
+        const int64_t active = A - b0 - (T - 1) * L; /* rows of the last vector */         \
+        const VI keep = *(const VI *)(KEEP + 4 - (active < L ? active : L));               \
+        const struct NAME##_constants kc = {                                               \
+            NAME##_splat(p->sign), NAME##_splat(p->dt), NAME##_splat(p->alpha),            \
+            NAME##_splat(p->beta), NAME##_splat(p->ev), NAME##_splat(p->gain)};            \
+        NAME##_point(p, A, b0, T, 0, 1, gf, hf, kc, keep, c);                              \
+        for (int64_t i = 1; i < n; i++)                                                    \
+            NAME##_point(p, A, b0, T, i, 0, gf, hf, kc, keep, c);                          \
+        for (int k = 0; k < T; k++) {                                                      \
+            y[k] = last[k] = *(const VD *)(x + (n - 1) * B + k * L);                       \
+            if (k == T - 1)                                                                \
+                bad_last |= NAME##_out(y[k], threshold);                                   \
+            else                                                                           \
+                bad |= NAME##_out(y[k], threshold);                                        \
+        }                                                                                  \
+        for (int64_t i = n - 2; i >= 0; i--) {                                             \
+            const double e = p->e[i];                                                      \
+            for (int k = 0; k < T; k++) {                                                  \
+                VD *at = (VD *)(x + i * B + k * L);                                        \
+                const VD q = *at;                                                          \
+                y[k] = q - y[k] * e;                                                       \
+                if (k == T - 1) {                                                          \
+                    *at = NAME##_blend(y[k], q, keep);                                     \
+                    bad_last |= NAME##_out(y[k], threshold);                               \
+                } else {                                                                   \
+                    *at = y[k];                                                            \
+                    bad |= NAME##_out(y[k], threshold);                                    \
+                }                                                                          \
+            }                                                                              \
+        }                                                                                  \
+        if (p->w) {                                                                        \
+            VD coef[4];                                                                    \
+            bad = bad_last = (VI){0}; /* the corrected values decide */                    \
+            for (int k = 0; k < T; k++)                                                    \
+                coef[k] = (y[k] - last[k]) * p->scale;                                     \
+            for (int64_t i = 0; i < n; i++) {                                              \
+                const double w = p->w[i];                                                  \
+                for (int k = 0; k < T; k++) {                                              \
+                    VD *at = (VD *)(x + i * B + k * L);                                    \
+                    const VD old = *at, yc = old - coef[k] * w;                            \
+                    if (k == T - 1) {                                                      \
+                        *at = NAME##_blend(yc, old, keep);                                 \
+                        bad_last |= NAME##_out(yc, threshold);                             \
+                    } else {                                                               \
+                        *at = yc;                                                          \
+                        bad |= NAME##_out(yc, threshold);                                  \
+                    }                                                                      \
+                }                                                                          \
+            }                                                                              \
+        }                                                                                  \
+        bad |= bad_last & ~keep;                                                           \
+        int any = 0;                                                                       \
+        for (int l = 0; l < L; l++)                                                        \
+            any |= bad[l] != 0;                                                            \
+        return any;                                                                        \
+    }                                                                                      \
+                                                                                           \
+    ATTR __attribute__((noinline)) static int NAME(const fhn_plan *p, int64_t A,           \
+                                                   double gf, double hf)                   \
+    {                                                                                      \
+        const int64_t vectors = (A + L - 1) / L, tiles = (vectors + 3) / 4;                \
+        int bad = 0;                                                                       \
+        for (int64_t t = 0, b0 = 0; t < tiles; t++) {                                      \
+            const int64_t T = vectors / tiles + (t < vectors % tiles);                     \
+            bad |= T == 4   ? NAME##_tile(p, A, b0, 4, gf, hf)                             \
+                   : T == 3 ? NAME##_tile(p, A, b0, 3, gf, hf)                             \
+                   : T == 2 ? NAME##_tile(p, A, b0, 2, gf, hf)                             \
+                            : NAME##_tile(p, A, b0, 1, gf, hf);                            \
+            b0 += T * L;                                                                   \
+        }                                                                                  \
+        return bad;                                                                        \
+    }
+
+/* Vectors of 2 and 4 doubles and int64s, loaded and stored at any 8-byte
+ * alignment, since numpy aligns its buffers to 16 bytes only. */
+typedef double vd2 __attribute__((vector_size(16), aligned(8)));
+typedef int64_t vi2 __attribute__((vector_size(16), aligned(8)));
+typedef double vd4 __attribute__((vector_size(32), aligned(8)));
+typedef int64_t vi4 __attribute__((vector_size(32), aligned(8)));
+
+/* fhn_step, whose loops over points (2-D) vectorize, fhn_scan, whose
+ * loop does, and fhn_increments, whose middle pass does, carry an
+ * x86-64-v3 (AVX2) and a baseline copy; the dynamic loader picks one for
+ * the CPU when the object loads, and fhn_isa names the level it picked: 3,
+ * or 0 for the baseline copy.  The 1-D sweep (SWEEP) runs on 4 lanes
+ * (32-byte vectors) at x86-64-v3 and on 2 lanes (16-byte vectors) in the
+ * baseline, where 32-byte vectors split in two ran 3-4x slower; it is
+ * built once for each level, and fhn_step picks by the same test as the
+ * loader.  fhn_ou_blocks has no clone: its clone measured no faster.  The
+ * clones are built only by GCC 12 or later, the version tested (GCC 11's
+ * target_clones is reported to reject x86-64 levels), and only on glibc,
+ * whose ifunc they need; every other compiler, C library and machine
+ * builds the baseline copy alone, with the 4-lane sweep where it targets
+ * AVX2. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
+#define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
+int fhn_isa(void) { return __builtin_cpu_supports("x86-64-v3") ? 3 : 0; }
+SWEEP(sweep4, vd4, vi4, 4, __attribute__((target("arch=x86-64-v3"))))
+SWEEP(sweep2, vd2, vi2, 2, )
+static int sweep(const fhn_plan *p, int64_t A, double gf, double hf)
 {
-    const double g = p->gprof[i] * gf, h = p->hprof[i] * hf;
-    const double em = prev ? p->e[i - 1] : 0.0;
-    explicit_run(p, A, p->u + i * p->ps, p->v + i * p->ps, f, p->h1 + i, p->lap_h1 + i,
-                 p->h2 + i, &g, &h, 0, z1, az2, bz1, 1, prev, em);
+    return fhn_isa() ? sweep4(p, A, gf, hf) : sweep2(p, A, gf, hf);
+}
+#else
+#define CLONES
+int fhn_isa(void) { return 0; }
+#ifdef __AVX2__
+SWEEP(sweep, vd4, vi4, 4, )
+#else
+SWEEP(sweep, vd2, vi2, 2, )
+#endif
+#endif
+
+/* Whether a value of the rows b < A of u is out of range, read in memory
+ * order: one run of A*n values on 2-D grids, n runs of A at stride B on
+ * 1-D grids.  The loop over a run vectorizes in the x86-64-v3 clone, a
+ * flag as wide as a double letting it; GCC 12 leaves it scalar in the
+ * baseline. */
+CLONES int fhn_scan(const fhn_plan *p, int64_t A)
+{
+    const double threshold = p->threshold;
+    const int one_run = p->ps == 1;
+    const int64_t runs = one_run ? 1 : p->n, length = one_run ? A * p->n : A;
+    int64_t bad = 0;
+    for (int64_t r = 0; r < runs; r++) {
+        const double *run = p->u + r * p->ps;
+        for (int64_t k = 0; k < length; k++)
+            bad |= out_of_range(run[k], threshold);
+    }
+    return bad != 0;
 }
 
 /* One step of the rows b < A at step j of the z series, with the forcing
- * factors gf and hf.  On 1-D grids it also solves: the forward elimination
- * runs with the explicit update, one point after the other, and the back
- * substitution follows.  Returns whether a value of the new u is out of
- * range (0 on 2-D grids, whose caller solves and then scans). */
+ * factors gf and hf.  On 1-D grids it also solves (SWEEP).  Returns
+ * whether a value of the new u is out of range (0 on 2-D grids, whose
+ * caller solves and then scans). */
 CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
 {
     const int64_t n = p->n, B = p->B;
-    double *coef = p->scratch, *z1 = coef + B, *az2 = z1 + B, *bz1 = az2 + B;
-    row_z(p, A, j, z1, az2, bz1);
-    if (!p->d) {
-        double *g = p->scratch + 4 * B, *h = g + n;
-        for (int64_t i = 0; i < n; i++) {
-            g[i] = p->gprof[i] * gf;
-            h[i] = p->hprof[i] * hf;
-        }
-        for (int64_t b = 0; b < A; b++) {
-            double *u = p->u + b * p->rs, *v = p->v + b * p->rs;
-            if (p->f)
-                explicit_run(p, n, u, v, p->f + b * n, p->h1, p->lap_h1, p->h2, g, h, 1,
-                             z1 + b, az2 + b, bz1 + b, 0, NULL, 0.0);
-            else
-                explicit_run(p, n, u, v, NULL, p->h1, p->lap_h1, p->h2, g, h, 1,
-                             z1 + b, az2 + b, bz1 + b, 0, NULL, 0.0);
-        }
-        return 0;
+    double *z1 = p->scratch, *az2 = z1 + B, *bz1 = az2 + B;
+    row_z(p, j, z1, az2, bz1);
+    if (p->d)
+        return sweep(p, A, gf, hf);
+    double *g = p->scratch + 3 * B, *h = g + n;
+    for (int64_t i = 0; i < n; i++) {
+        g[i] = p->gprof[i] * gf;
+        h[i] = p->hprof[i] * hf;
     }
-    if (p->f) {
-        point_rows(p, A, 0, p->f, NULL, gf, hf, z1, az2, bz1);
-        for (int64_t i = 1; i < n; i++)
-            point_rows(p, A, i, p->f + i * A, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
-    } else {
-        point_rows(p, A, 0, NULL, NULL, gf, hf, z1, az2, bz1);
-        for (int64_t i = 1; i < n; i++)
-            point_rows(p, A, i, NULL, p->u + (i - 1) * B, gf, hf, z1, az2, bz1);
+    for (int64_t b = 0; b < A; b++) {
+        double *u = p->u + b * p->rs, *v = p->v + b * p->rs;
+        if (p->f)
+            explicit_row(p, u, v, p->f + b * n, g, h, z1[b], az2[b], bz1[b]);
+        else
+            explicit_row(p, u, v, NULL, g, h, z1[b], az2[b], bz1[b]);
     }
-    return back_substitute(p, A, coef);
+    return 0;
 }
 
 /* The forced parts of m OU blocks of B values (fhnrds.noise.OuProcess).

@@ -29,6 +29,7 @@ from .noise import OuProcess, step_index
 
 BLOWUP_THRESHOLD = 1e8
 RECORD_STRIDE = 10  # steps between the records of a solve
+_LANES = 4  # rows of the widest vector of the kernel's 1-D sweep
 
 
 class BlowUpError(RunError, RuntimeError):
@@ -247,7 +248,12 @@ class _Step:
     the kernel's tridiagonal sweep runs across the rows at once (the
     interleaved layout of Laszlo, Giles & Appleyard, ACM TOMS 42 (2016));
     2-D grids keep rows outermost, u[b], and solve each row by the
-    operator's GEMMs.  The active rows are a prefix b < A.  At step j of the
+    operator's GEMMs.  The active rows are a prefix b < A.  The kernel's
+    1-D sweep steps whole vectors of up to four rows, so on 1-D grids the
+    buffers behind u, v, `group` and the scratch hold the rows rounded up
+    to a multiple of four, zero-filled, so that the spare lanes step no
+    denormal or NaN garbage; u and v are views of the first B rows, and
+    the kernel stores nothing into a row b >= A.  At step j of the
     z series Z1, Z2 (a column per source; `group` names each row's) the
     kernel evaluates, one IEEE operation at a time and in this order,
       rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
@@ -265,12 +271,13 @@ class _Step:
         self._step, self._shift, self._scan = lib.fhn_step, lib.fhn_shift, lib.fhn_scan
         self.one_d = grid.dim == 1
         self.size = grid.n**grid.dim
-        self.u = np.empty((self.size, B) if self.one_d else (B,) + grid.shape)
-        self.v = np.empty_like(self.u)
+        rows = -(-B // _LANES) * _LANES if self.one_d else B
+        u, v = (np.zeros((self.size, rows) if self.one_d else (B,) + grid.shape) for _ in range(2))
+        self.u, self.v = (x[:, :B] if self.one_d else x for x in (u, v))
         self._nl = None if spec.p == 4 else spec.nonlin
         self._shifted = self._f = None
-        if self._nl is not None:
-            self._shifted, self._f = np.empty(self.size * B), np.empty(self.size * B)
+        if self._nl is not None:  # f packed as A rows, and one vector past them
+            self._shifted, self._f = np.empty(self.size * B), np.zeros(self.size * B + _LANES)
         ev = np.exp(-spec.sigma * dt)
         profiles = [np.ascontiguousarray(a, dtype=float) for a in (
             spec.h1.values, laplacian_values(spec.h1.values, grid), spec.h2.values,
@@ -281,14 +288,15 @@ class _Step:
                 or not np.all((0 <= group) & (group < Z1.shape[1])):
             raise ValueError("Z1 and Z2 need one column per z series, which `group` indexes per row")
         self._bounds = (len(Z1), B)
-        scratch = np.empty(4 * B + 2 * self.size)
-        self._keep = (profiles, Z1, Z2, group, scratch)  # the arrays the plan points into
+        group = np.concatenate((group, np.zeros(rows - B, dtype=np.int64)))
+        scratch = np.zeros(3 * rows + 2 * self.size)
+        self._keep = (u, v, profiles, Z1, Z2, group, scratch)  # the arrays the plan points into
 
         def at(a):
             return None if a is None else a.ctypes.data
         self.plan = kernel.Plan(
-            self.size, B, B if self.one_d else 1, 1 if self.one_d else self.size,
-            at(self.u), at(self.v), at(self._shifted), at(self._f), *map(at, profiles),
+            self.size, rows, rows if self.one_d else 1, 1 if self.one_d else self.size,
+            at(u), at(v), at(self._shifted), at(self._f), *map(at, profiles),
             at(Z1), at(Z2), Z1.shape[1], at(group),
             spec.nonlin.sign, dt, spec.alpha, spec.beta, ev, (1.0 - ev) / spec.sigma,
             BLOWUP_THRESHOLD, at(self.op.d), at(self.op.e), at(self.op.w), self.op.scale, at(scratch),

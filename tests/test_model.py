@@ -416,38 +416,50 @@ def test_solve_bitwise_matches_reference(overrides, t1):
         assert t == t_ref and np.array_equal(snap, snap_ref)
 
 
+# active row counts on each side of the edges of the 1-D sweep's vectors of
+# 2 and 4 rows and of its tiles of up to four vectors, up to a batch of 37
+STEP_ROWS = 37
+STEP_ACTIVE = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 37)
+
+
 @STEP_CASES
 def test_kernel_step_matches_numpy_step(overrides, t1):
-    # the kernel's step, pinned bitwise to `numpy_step` on U and V: five
-    # rows, of which a prefix is active, reading three z series in a
-    # gathered order, over steps at several z rows and active counts; the
-    # rows past the prefix stay untouched
+    # the kernel's step, pinned bitwise to `numpy_step` on U and V: 37
+    # rows reading three z series in a gathered order, of which a prefix
+    # of A is active, at several z rows; the rows past the prefix stay
+    # untouched, and the two just past it, which hold NaN and 1e300 and
+    # share a vector with the prefix's last rows, set no blow-up flag
     cfg = default_config(**{**SMALL_GRID, **overrides})
     spec, dt = cfg.model_spec(), cfg.solver_spec().dt
     grid = spec.grid
     rng = np.random.default_rng(5)
     Z1, Z2 = 0.3 * rng.standard_normal((2, 7, 3))
-    group = [2, 0, 2, 1, 0]
-    step = _Step(spec, grid, dt, 5, Z1, Z2, group)
+    group = [(5 * b + 2) % 3 for b in range(STEP_ROWS)]
+    step = _Step(spec, grid, dt, STEP_ROWS, Z1, Z2, group)
     u0 = bump_field(grid, amplitude=1.5, width=3.0).values
     v0 = bump_field(grid, center=1.0, amplitude=0.5).values
-    for b in range(5):
-        step.row(step.u, b)[...] = u0 * (1.0 - 0.3 * b) + 0.01 * rng.standard_normal(grid.shape)
-        step.row(step.v, b)[...] = v0 * (0.5 + 0.2 * b)
     implicit = reference_implicit(grid, spec.lam, dt)
     gfactor, hfactor = spec.g.factor, spec.h.factor
-    for A, j in ((2, 0), (2, 1), (4, 6), (5, 3)):
+    for n, A in enumerate(STEP_ACTIVE):
+        j = n % len(Z1)
+        for b in range(STEP_ROWS):
+            step.row(step.u, b)[...] = u0 * (1.0 - 0.02 * b) + 0.01 * rng.standard_normal(grid.shape)
+            step.row(step.v, b)[...] = v0 * (0.5 + 0.02 * b)
+        for b, wild in zip(range(A, STEP_ROWS), (np.nan, 1e300)):
+            step.row(step.u, b)[...] = wild
+            step.row(step.v, b)[...] = wild
         u, v = (np.array(step.rows(x, slice(None))) for x in (step.u, step.v))
         rows = group[:A]
         want_u, want_v = numpy_step(spec, dt, implicit, u[:A], v[:A], Z1[j, rows], Z2[j, rows],
                                     gfactor(j * dt), hfactor(j * dt))
-        assert not step(A, j, gfactor(j * dt), hfactor(j * dt))
+        assert not step(A, j, gfactor(j * dt), hfactor(j * dt)), (A, j)
         got_u, got_v = step.rows(step.u, slice(None)), step.rows(step.v, slice(None))
         assert np.array_equal(got_u[:A], want_u), (A, j)
         assert np.array_equal(got_v[:A], want_v), (A, j)
-        assert np.array_equal(got_u[A:], u[A:]) and np.array_equal(got_v[A:], v[A:]), (A, j)
+        assert np.array_equal(got_u[A:], u[A:], equal_nan=True), (A, j)
+        assert np.array_equal(got_v[A:], v[A:], equal_nan=True), (A, j)
     # no pointer past the z series or the rows reaches the kernel
-    for A, j in ((2, 7), (2, -1), (6, 0)):
+    for A, j in ((2, 7), (2, -1), (STEP_ROWS + 1, 0)):
         with pytest.raises(IndexError):
             step(A, j, 1.0, 1.0)
 
@@ -596,10 +608,9 @@ def test_solve_batch_rows_match_single_solves(overrides, t1):
 @SOLVE_CASES
 def test_each_kernel_build_steps_and_solves_as_numpy(kernel_build, overrides, t1):
     # conftest's `kernel_build` loads the kernel built without clones, for
-    # the baseline and for the x86-64-v3 clone's level, and each build
-    # passes the numpy pins of the step, the solve and the batched solve:
-    # five rows, of which a prefix of two, four or five is active, fill
-    # whole vectors of two and four lanes and leave a scalar tail
+    # the baseline and for the x86-64-v3 clone's level, whose 1-D sweeps
+    # run on vectors of two and four rows, and each build passes the numpy
+    # pins of the step, the solve and the batched solve
     test_kernel_step_matches_numpy_step(overrides, t1)
     test_solve_bitwise_matches_reference(overrides, t1)
     test_solve_batch_rows_match_single_solves(overrides, t1)
