@@ -46,13 +46,11 @@ typedef struct {
 /* A value is out of range when |x| <= threshold fails, NaN included. */
 INLINE int out_of_range(double x, double threshold) { return !(fabs(x) <= threshold); }
 
-/* z1, alpha*z2 and beta*z1 of every row b < B at step j: the rows past the
- * active ones, and on 1-D grids the padding rows, fill the spare lanes of
- * the step's vectors. */
-static void row_z(const fhn_plan *p, int64_t j, double *z1, double *az2, double *bz1)
+/* z1, alpha*z2 and beta*z1 of the rows b < m at step j. */
+static void row_z(const fhn_plan *p, int64_t m, int64_t j, double *z1, double *az2, double *bz1)
 {
     const double *z1s = p->z1 + j * p->S, *z2s = p->z2 + j * p->S;
-    for (int64_t b = 0; b < p->B; b++) {
+    for (int64_t b = 0; b < m; b++) {
         const int64_t g = p->group[b];
         z1[b] = z1s[g];
         az2[b] = p->alpha * z2s[g];
@@ -64,7 +62,7 @@ static void row_z(const fhn_plan *p, int64_t j, double *z1, double *az2, double 
 void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
 {
     double *z1 = p->scratch, *az2 = z1 + p->B, *bz1 = az2 + p->B;
-    row_z(p, j, z1, az2, bz1);
+    row_z(p, A, j, z1, az2, bz1);
     for (int64_t i = 0; i < p->n; i++)
         for (int64_t b = 0; b < A; b++) {
             const int64_t at = i * p->ps + b * p->rs;
@@ -158,18 +156,18 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
      * of rows from b0, with rhs carried in c (none before i = 0). */                      \
     ATTR INLINE void NAME##_point(const fhn_plan *p, int64_t A, int64_t b0, const int T,   \
                                   int64_t i, const int first, double gf, double hf,        \
-                                  struct NAME##_constants kc, VI keep, VD *c)              \
+                                  struct NAME##_constants kc, const VD *z1,                \
+                                  const VD *az2, const VD *bz1, const VI *keep, VD *c)     \
     {                                                                                      \
         const int64_t B = p->B;                                                            \
         const double *f = p->f;                                                            \
-        const double *z1 = p->scratch + b0, *az2 = z1 + B, *bz1 = az2 + B;                 \
         const double g = p->gprof[i] * gf, h = p->hprof[i] * hf;                           \
         const double h1 = p->h1[i], lh = p->lap_h1[i], h2 = p->h2[i], d = p->d[i];         \
         const double em = first ? 0.0 : p->e[i - 1];                                       \
         for (int k = 0; k < T; k++) {                                                      \
             VD *u = (VD *)(p->u + i * B + b0 + k * L);                                     \
             VD *v = (VD *)(p->v + i * B + b0 + k * L);                                     \
-            const VD uo = *u, vo = *v, zk = *(const VD *)(z1 + k * L);                     \
+            const VD uo = *u, vo = *v, zk = z1[k];                                         \
             VD fv;                                                                         \
             if (f) {                                                                       \
                 fv = *(const VD *)(f + i * A + b0 + k * L);                                \
@@ -182,22 +180,18 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
             VD ac = fv + g;                                                                \
             ac = ac - vo * kc.alpha;                                                       \
             ac = ac + lh * zk;                                                             \
-            ac = ac - h2 * *(const VD *)(az2 + k * L);                                     \
+            ac = ac - h2 * az2[k];                                                         \
             ac = ac * kc.dt;                                                               \
             VD rhs = uo + ac;                                                              \
             if (!first)                                                                    \
                 rhs = rhs - c[k] * em;                                                     \
             c[k] = rhs;                                                                    \
             VD bv = uo * kc.beta + h;                                                      \
-            bv = bv + h1 * *(const VD *)(bz1 + k * L);                                     \
+            bv = bv + h1 * bz1[k];                                                         \
             bv = bv * kc.gain;                                                             \
             VD q = rhs / d, vn = vo * kc.ev + bv;                                          \
-            if (k == T - 1) {                                                              \
-                q = NAME##_blend(q, uo, keep);                                             \
-                vn = NAME##_blend(vn, vo, keep);                                           \
-            }                                                                              \
-            *u = q;                                                                        \
-            *v = vn;                                                                       \
+            *u = NAME##_blend(q, uo, keep[k]);                                             \
+            *v = NAME##_blend(vn, vo, keep[k]);                                            \
         }                                                                                  \
     }                                                                                      \
                                                                                            \
@@ -210,21 +204,25 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
         const double threshold = p->threshold;                                             \
         double *const x = p->u + b0;                                                       \
         VD c[4], y[4], last[4];                                                            \
-        VI bad = {0}, bad_last = {0};                                                      \
+        /* keep: -1 in the lanes of the rows past A, in the tile's last vector */          \
+        VI bad = {0}, keep[4] = {{0}};                                                     \
         const int64_t active = A - b0 - (T - 1) * L; /* rows of the last vector */         \
-        const VI keep = *(const VI *)(KEEP + 4 - (active < L ? active : L));               \
+        keep[T - 1] = *(const VI *)(KEEP + 4 - (active < L ? active : L));                 \
         const struct NAME##_constants kc = {                                               \
             NAME##_splat(p->sign), NAME##_splat(p->dt), NAME##_splat(p->alpha),            \
             NAME##_splat(p->beta), NAME##_splat(p->ev), NAME##_splat(p->gain)};            \
-        NAME##_point(p, A, b0, T, 0, 1, gf, hf, kc, keep, c);                              \
+        VD z1[4], az2[4], bz1[4];                                                          \
+        for (int k = 0; k < T; k++) {                                                      \
+            z1[k] = *(const VD *)(p->scratch + b0 + k * L);                                \
+            az2[k] = *(const VD *)(p->scratch + B + b0 + k * L);                           \
+            bz1[k] = *(const VD *)(p->scratch + 2 * B + b0 + k * L);                       \
+        }                                                                                  \
+        NAME##_point(p, A, b0, T, 0, 1, gf, hf, kc, z1, az2, bz1, keep, c);                \
         for (int64_t i = 1; i < n; i++)                                                    \
-            NAME##_point(p, A, b0, T, i, 0, gf, hf, kc, keep, c);                          \
+            NAME##_point(p, A, b0, T, i, 0, gf, hf, kc, z1, az2, bz1, keep, c);            \
         for (int k = 0; k < T; k++) {                                                      \
             y[k] = last[k] = *(const VD *)(x + (n - 1) * B + k * L);                       \
-            if (k == T - 1)                                                                \
-                bad_last |= NAME##_out(y[k], threshold);                                   \
-            else                                                                           \
-                bad |= NAME##_out(y[k], threshold);                                        \
+            bad |= NAME##_out(y[k], threshold) & ~keep[k];                                 \
         }                                                                                  \
         for (int64_t i = n - 2; i >= 0; i--) {                                             \
             const double e = p->e[i];                                                      \
@@ -232,18 +230,13 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
                 VD *at = (VD *)(x + i * B + k * L);                                        \
                 const VD q = *at;                                                          \
                 y[k] = q - y[k] * e;                                                       \
-                if (k == T - 1) {                                                          \
-                    *at = NAME##_blend(y[k], q, keep);                                     \
-                    bad_last |= NAME##_out(y[k], threshold);                               \
-                } else {                                                                   \
-                    *at = y[k];                                                            \
-                    bad |= NAME##_out(y[k], threshold);                                    \
-                }                                                                          \
+                *at = NAME##_blend(y[k], q, keep[k]);                                      \
+                bad |= NAME##_out(y[k], threshold) & ~keep[k];                             \
             }                                                                              \
         }                                                                                  \
         if (p->w) {                                                                        \
             VD coef[4];                                                                    \
-            bad = bad_last = (VI){0}; /* the corrected values decide */                    \
+            bad = (VI){0}; /* the corrected values decide */                               \
             for (int k = 0; k < T; k++)                                                    \
                 coef[k] = (y[k] - last[k]) * p->scale;                                     \
             for (int64_t i = 0; i < n; i++) {                                              \
@@ -251,17 +244,11 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
                 for (int k = 0; k < T; k++) {                                              \
                     VD *at = (VD *)(x + i * B + k * L);                                    \
                     const VD old = *at, yc = old - coef[k] * w;                            \
-                    if (k == T - 1) {                                                      \
-                        *at = NAME##_blend(yc, old, keep);                                 \
-                        bad_last |= NAME##_out(yc, threshold);                             \
-                    } else {                                                               \
-                        *at = yc;                                                          \
-                        bad |= NAME##_out(yc, threshold);                                  \
-                    }                                                                      \
+                    *at = NAME##_blend(yc, old, keep[k]);                                  \
+                    bad |= NAME##_out(yc, threshold) & ~keep[k];                           \
                 }                                                                          \
             }                                                                              \
         }                                                                                  \
-        bad |= bad_last & ~keep;                                                           \
         int any = 0;                                                                       \
         for (int l = 0; l < L; l++)                                                        \
             any |= bad[l] != 0;                                                            \
@@ -351,9 +338,11 @@ CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double h
 {
     const int64_t n = p->n, B = p->B;
     double *z1 = p->scratch, *az2 = z1 + B, *bz1 = az2 + B;
-    row_z(p, j, z1, az2, bz1);
-    if (p->d)
+    if (p->d) { /* the rows of A's last vector of 4 too, whose spare lanes read them */
+        row_z(p, (A + 3) & ~(int64_t)3, j, z1, az2, bz1);
         return sweep(p, A, gf, hf);
+    }
+    row_z(p, A, j, z1, az2, bz1);
     double *g = p->scratch + 3 * B, *h = g + n;
     for (int64_t i = 0; i < n; i++) {
         g[i] = p->gprof[i] * gf;
