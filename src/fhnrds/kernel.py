@@ -5,12 +5,14 @@ fill and the Gaussian draws of `noise`.
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
 no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the step and the draws carry an x86-64-v3 and a
-baseline clone, one of which the dynamic loader picks for the CPU when the
-object loads, so a cached object runs on any CPU of its architecture and
-the key needs no CPU (`-march=native` would); other compilers build the
-baseline alone.  A cold compile takes 0.7-0.9 s on 2 shared cores of an
-Intel Xeon, and the object is about 48 KB.  The object goes to
+or later on x86-64 glibc the step, the scan and the draws carry an
+x86-64-v3 and a baseline clone, one of which the dynamic loader picks for
+the CPU when the object loads, so a cached object runs on any CPU of its
+architecture and the key needs no CPU (`-march=native` would); the step's
+1-D sweep is built once per level, on vectors of 4 rows and of 2, and
+picked by the same CPU test.  Other compilers build the baseline alone.
+A cold compile takes 0.6-1.3 s on 2 shared cores of an Intel Xeon, as
+busy as the host is, and the object is about 53 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a

@@ -428,7 +428,8 @@ def test_kernel_step_matches_numpy_step(overrides, t1):
     # rows reading three z series in a gathered order, of which a prefix
     # of A is active, at several z rows; the rows past the prefix stay
     # untouched, and the two just past it, which hold NaN and 1e300 and
-    # share a vector with the prefix's last rows, set no blow-up flag
+    # fill spare lanes of the prefix's last vector wherever A is not a
+    # whole number of vectors, set no blow-up flag
     cfg = default_config(**{**SMALL_GRID, **overrides})
     spec, dt = cfg.model_spec(), cfg.solver_spec().dt
     grid = spec.grid
@@ -440,8 +441,8 @@ def test_kernel_step_matches_numpy_step(overrides, t1):
     v0 = bump_field(grid, center=1.0, amplitude=0.5).values
     implicit = reference_implicit(grid, spec.lam, dt)
     gfactor, hfactor = spec.g.factor, spec.h.factor
-    for n, A in enumerate(STEP_ACTIVE):
-        j = n % len(Z1)
+    for i, A in enumerate(STEP_ACTIVE):
+        j = i % len(Z1)
         for b in range(STEP_ROWS):
             step.row(step.u, b)[...] = u0 * (1.0 - 0.02 * b) + 0.01 * rng.standard_normal(grid.shape)
             step.row(step.v, b)[...] = v0 * (0.5 + 0.02 * b)
