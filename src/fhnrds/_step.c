@@ -6,19 +6,22 @@
  * without -ffast-math, each rounds as numpy's does, so a step is bitwise
  * the numpy step, and a draw is bitwise scipy.special.ndtri of the numpy
  * hash, whose libm log and sqrt it calls too.  That holds at -O3 and in
- * each clone (CLONES below): a vector lane rounds as the scalar operation
- * would, no FMA is formed, and no float reduction is reordered.  So the
- * draws may run in passes, the middle rational of ndtri vectorized, and
- * the OU windows side by side, each value rounded as one at a time.  Point i
- * of row b sits at i*ps + b*rs:
+ * each x86-64 level built (below): a vector lane rounds as the scalar
+ * operation would, no FMA is formed, and no float reduction is reordered.
+ * So the draws may run in passes, the middle rational of ndtri vectorized,
+ * and the OU windows side by side, each value rounded as one at a time.
+ * Point i of row b sits at i*ps + b*rs:
  * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
  * across the rows at once on the plan's LDL^T factor, and row-major
- * (ps = 1, rs = n) on 2-D grids, whose caller solves.  The 1-D step (SWEEP)
- * runs on whole vectors of rows, 4 lanes in the x86-64-v3 code and 2 in
- * the baseline, and carries each row's forward elimination and back
- * substitution in registers; it divides by D in the forward pass, as soon
- * as a right-hand side is final, which rounds as dptts2's division in the
- * back substitution does.
+ * (ps = 1, rs = n) on 2-D grids, whose caller solves.  The explicit update
+ * is written once (EXPLICIT), on doubles along a 2-D row and on vectors of
+ * rows in the 1-D sweep, and the whole step (STEP) is built once per
+ * level and picked by one CPU test.  The 1-D sweep runs on whole vectors
+ * of rows, 4 lanes in the x86-64-v3 code and 2 in the baseline, and
+ * carries each row's forward elimination and back substitution in
+ * registers; it divides by D in the forward pass, as soon as a right-hand
+ * side is final, which rounds as dptts2's division in the back
+ * substitution does.
  */
 #include <math.h>
 #include <stddef.h>
@@ -40,7 +43,7 @@ typedef struct {
     const double *d, *e;       /* 1-D: the LDL^T factor of T; d NULL: the caller solves (2-D) */
     const double *w;           /* periodic: T^-1 u of the Sherman-Morrison correction; else NULL */
     double scale;
-    double *scratch;           /* 3*B values, and 2*n more on 2-D grids */
+    double *scratch;           /* 3*B values: each row's z1, alpha*z2 and beta*z1 (row_z) */
 } fhn_plan;
 
 /* A value is out of range when |x| <= threshold fails, NaN included. */
@@ -70,64 +73,76 @@ void fhn_shift(const fhn_plan *p, int64_t A, int64_t j)
         }
 }
 
-/* The explicit update of one row of a 2-D grid, point after point, with
- * the row's z1, az2 = alpha*z2 and bz1 = beta*z1 and the forcing values
- * g = G*gf and h = H*hf of each point:
- *   rhs = u + dt*(f(u + h1*z1) + g - alpha*v + lh*z1 - h2*az2)
- *   v   = ev*v + gain*(beta*u + h + h1*bz1)
- * u gets rhs, for the caller to solve. */
-INLINE void explicit_row(const fhn_plan *p, double *restrict u, double *restrict v,
-                         const double *restrict f, const double *g, const double *h,
-                         double z1, double az2, double bz1)
-{
-    const double sign = p->sign, dt = p->dt, alpha = p->alpha, beta = p->beta;
-    const double ev = p->ev, gain = p->gain;
-    const double *h1 = p->h1, *lh = p->lap_h1, *h2 = p->h2;
-    for (int64_t i = 0; i < p->n; i++) {
-        const double uo = u[i], vo = v[i];
-        double fv;
-        if (f) {
-            fv = f[i];
-        } else {
-            const double s = uo + h1[i] * z1;
-            fv = s * s;
-            fv = fv * s;
-            fv = fv * sign;
-        }
-        double ac = fv + g[i];
-        ac = ac - vo * alpha;
-        ac = ac + lh[i] * z1;
-        ac = ac - h2[i] * az2;
-        ac = ac * dt;
-        double bv = uo * beta + h[i];
-        bv = bv + h1[i] * bz1;
-        bv = bv * gain;
-        u[i] = uo + ac;
-        v[i] = vo * ev + bv;
-    }
-}
+/* The explicit update of one point, the one definition of both grids: on
+ * TYPE double along a 2-D row, and on TYPE a vector of rows in the 1-D
+ * sweep, where the point's values (g, h, h1, lh, h2) stay doubles.  From
+ * the old uo and vo, the row's z1, az2 = alpha*z2 and bz1 = beta*z1, the
+ * forcing values g = G*gf and h = H*hf, and K's sign, dt, alpha, beta, ev
+ * and gain, it sets, one IEEE operation at a time in this order,
+ *   rhs = uo + dt*(f(uo + h1*z1) + g - alpha*vo + lh*z1 - h2*az2)
+ *   vn  = ev*vo + gain*(beta*uo + h + h1*bz1)
+ * with f read at fp, or formed as Nonlinearity does for p = 4 (fp NULL),
+ * ((s*s)*s)*sign. */
+#define EXPLICIT(TYPE, rhs, vn, uo, vo, fp, g, h, h1, lh, h2, z1, az2, bz1, K) \
+    do {                                                                       \
+        const TYPE uo_ = (uo), vo_ = (vo);                                     \
+        TYPE f_;                                                               \
+        if (fp) {                                                              \
+            f_ = *(fp);                                                        \
+        } else {                                                               \
+            const TYPE s_ = uo_ + (h1) * (z1);                                 \
+            f_ = s_ * s_;                                                      \
+            f_ = f_ * s_;                                                      \
+            f_ = f_ * (K).sign;                                                \
+        }                                                                      \
+        TYPE ac_ = f_ + (g);                                                   \
+        ac_ = ac_ - vo_ * (K).alpha;                                           \
+        ac_ = ac_ + (lh) * (z1);                                               \
+        ac_ = ac_ - (h2) * (az2);                                              \
+        ac_ = ac_ * (K).dt;                                                    \
+        TYPE bv_ = uo_ * (K).beta + (h);                                       \
+        bv_ = bv_ + (h1) * (bz1);                                              \
+        bv_ = bv_ * (K).gain;                                                  \
+        (rhs) = uo_ + ac_;                                                     \
+        (vn) = vo_ * (K).ev + bv_;                                             \
+    } while (0)
 
 /* KEEP + 4 - r: the keep mask of a vector whose first r lanes are active
  * (below), read from memory, where the compiler cannot see its lanes and
  * so blends with whole-vector logic, not lane by lane. */
 static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
 
-/* SWEEP(NAME, VD, VI, L, ATTR) defines NAME(p, A, gf, hf), the step of the
- * rows b < A of a 1-D grid with its solve, on vectors VD of L doubles (VI:
- * L int64), each function carrying ATTR.  The rows go in tiles of up to
- * four vectors, as even as the count allows; within a tile the explicit
- * update (as explicit_row's, lane by lane) and dptts2's forward elimination
- * run point after point, then the back substitution, each recurrence
- * carried in registers: the forward pass keeps each row's rhs and stores
- * rhs / d[i] once rhs is final, so the back substitution is
- * y = q[i] - y_next*e[i], the same operations in the same order as
- * dptts2's x[i]/d[i] - x[i+1]*e[i].  A periodic grid then applies
- * x - ((x_0 - x_(n-1))*scale)*w, whose values alone decide the flag.
- * Vectors are loaded and stored unaligned.  The lanes of the last vector
- * past A are computed, from the zeros or whatever values their rows hold,
- * but not stored (`keep`) and not flagged; the packed f is read one
- * vector past A*n there, which its buffer pads. */
-#define SWEEP(NAME, VD, VI, L, ATTR)                                                       \
+/* STEP(NAME, VD, VI, L, ATTR) defines NAME(p, A, gf, hf), the step of the
+ * rows b < A after row_z, each function carrying ATTR.  A 2-D row takes the
+ * explicit update point after point (NAME_row), a loop the compiler
+ * vectorizes, and u gets rhs, for the caller to solve.  A 1-D grid is
+ * swept on vectors VD of L doubles (VI: L int64), in tiles of up to four
+ * vectors of rows, as even as the count allows; within a tile the explicit
+ * update and dptts2's forward elimination run point after point, then the
+ * back substitution, each recurrence carried in registers: the forward
+ * pass keeps each row's rhs and stores rhs / d[i] once rhs is final, so
+ * the back substitution is y = q[i] - y_next*e[i], the same operations in
+ * the same order as dptts2's x[i]/d[i] - x[i+1]*e[i].  A periodic grid
+ * then applies x - ((x_0 - x_(n-1))*scale)*w, whose values alone decide
+ * the flag.  Vectors are loaded and stored unaligned.  The lanes of the
+ * last vector past A are computed, from the zeros or whatever values their
+ * rows hold, but not stored (`keep`) and not flagged; the packed f is read
+ * one vector past A*n there, which its buffer pads. */
+#define STEP(NAME, VD, VI, L, ATTR)                                                        \
+    /* The explicit update of one 2-D row; f is its packed f, or NULL */                   \
+    ATTR INLINE void NAME##_row(const fhn_plan *p, double *restrict u, double *restrict v, \
+                                const double *restrict f, double gf, double hf,            \
+                                double z1, double az2, double bz1)                         \
+    {                                                                                      \
+        const struct { double sign, dt, alpha, beta, ev, gain; } k = {                     \
+            p->sign, p->dt, p->alpha, p->beta, p->ev, p->gain};                            \
+        const double *h1 = p->h1, *lh = p->lap_h1, *h2 = p->h2;                            \
+        const double *gprof = p->gprof, *hprof = p->hprof;                                 \
+        for (int64_t i = 0; i < p->n; i++)                                                 \
+            EXPLICIT(double, u[i], v[i], u[i], v[i], f ? f + i : NULL, gprof[i] * gf,      \
+                     hprof[i] * hf, h1[i], lh[i], h2[i], z1, az2, bz1, k);                 \
+    }                                                                                      \
+                                                                                           \
     /* x in the lanes where keep is 0, old where it is -1 */                               \
     ATTR INLINE VD NAME##_blend(VD x, VD old, VI keep)                                     \
     {                                                                                      \
@@ -167,30 +182,14 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
         for (int k = 0; k < T; k++) {                                                      \
             VD *u = (VD *)(p->u + i * B + b0 + k * L);                                     \
             VD *v = (VD *)(p->v + i * B + b0 + k * L);                                     \
-            const VD uo = *u, vo = *v, zk = z1[k];                                         \
-            VD fv;                                                                         \
-            if (f) {                                                                       \
-                fv = *(const VD *)(f + i * A + b0 + k * L);                                \
-            } else {                                                                       \
-                const VD s = uo + h1 * zk;                                                 \
-                fv = s * s;                                                                \
-                fv = fv * s;                                                               \
-                fv = fv * kc.sign;                                                         \
-            }                                                                              \
-            VD ac = fv + g;                                                                \
-            ac = ac - vo * kc.alpha;                                                       \
-            ac = ac + lh * zk;                                                             \
-            ac = ac - h2 * az2[k];                                                         \
-            ac = ac * kc.dt;                                                               \
-            VD rhs = uo + ac;                                                              \
+            const VD uo = *u, vo = *v;                                                     \
+            VD rhs, vn;                                                                    \
+            EXPLICIT(VD, rhs, vn, uo, vo, f ? (const VD *)(f + i * A + b0 + k * L) : NULL, \
+                     g, h, h1, lh, h2, z1[k], az2[k], bz1[k], kc);                         \
             if (!first)                                                                    \
                 rhs = rhs - c[k] * em;                                                     \
             c[k] = rhs;                                                                    \
-            VD bv = uo * kc.beta + h;                                                      \
-            bv = bv + h1 * bz1[k];                                                         \
-            bv = bv * kc.gain;                                                             \
-            VD q = rhs / d, vn = vo * kc.ev + bv;                                          \
-            *u = NAME##_blend(q, uo, keep[k]);                                             \
+            *u = NAME##_blend(rhs / d, uo, keep[k]);                                       \
             *v = NAME##_blend(vn, vo, keep[k]);                                            \
         }                                                                                  \
     }                                                                                      \
@@ -258,6 +257,17 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
     ATTR __attribute__((noinline)) static int NAME(const fhn_plan *p, int64_t A,           \
                                                    double gf, double hf)                   \
     {                                                                                      \
+        if (!p->d) { /* 2-D */                                                             \
+            const double *z1 = p->scratch, *az2 = z1 + p->B, *bz1 = az2 + p->B;            \
+            for (int64_t b = 0; b < A; b++) {                                              \
+                double *u = p->u + b * p->rs, *v = p->v + b * p->rs;                       \
+                if (p->f)                                                                  \
+                    NAME##_row(p, u, v, p->f + b * p->n, gf, hf, z1[b], az2[b], bz1[b]);   \
+                else                                                                       \
+                    NAME##_row(p, u, v, NULL, gf, hf, z1[b], az2[b], bz1[b]);              \
+            }                                                                              \
+            return 0;                                                                      \
+        }                                                                                  \
         const int64_t vectors = (A + L - 1) / L, tiles = (vectors + 3) / 4;                \
         int bad = 0;                                                                       \
         for (int64_t t = 0, b0 = 0; t < tiles; t++) {                                      \
@@ -278,36 +288,36 @@ typedef int64_t vi2 __attribute__((vector_size(16), aligned(8)));
 typedef double vd4 __attribute__((vector_size(32), aligned(8)));
 typedef int64_t vi4 __attribute__((vector_size(32), aligned(8)));
 
-/* fhn_step, whose loops over points (2-D) vectorize, fhn_scan, whose
- * loop does, and fhn_increments, whose middle pass does, carry an
- * x86-64-v3 (AVX2) and a baseline copy; the dynamic loader picks one for
- * the CPU when the object loads, and fhn_isa names the level it picked: 3,
- * or 0 for the baseline copy.  The 1-D sweep (SWEEP) runs on 4 lanes
- * (32-byte vectors) at x86-64-v3 and on 2 lanes (16-byte vectors) in the
- * baseline, where 32-byte vectors split in two ran 3-4x slower; it is
- * built once for each level, and fhn_step picks by the same test as the
- * loader.  fhn_ou_blocks has no clone: its clone measured no faster.  The
- * clones are built only by GCC 12 or later, the version tested (GCC 11's
- * target_clones is reported to reject x86-64 levels), and only on glibc,
- * whose ifunc they need; every other compiler, C library and machine
- * builds the baseline copy alone, with the 4-lane sweep where it targets
- * AVX2. */
+/* The step (STEP) is built once for each x86-64 level, its 1-D sweep on 4
+ * lanes (32-byte vectors) at x86-64-v3 (AVX2) and on 2 lanes (16-byte
+ * vectors) in the baseline, where 32-byte vectors split in two ran 3-4x
+ * slower, and its 2-D loop over points vectorized at each level; fhn_step
+ * picks one by fhn_isa's CPU test, which names the level: 3, or 0 for the
+ * baseline.  That is the step's one dispatch.  fhn_scan, whose loop
+ * vectorizes, and fhn_increments, whose middle pass does, carry an
+ * x86-64-v3 and a baseline clone (CLONES); the dynamic loader picks one by
+ * the same test when the object loads.  fhn_ou_blocks has no clone: its
+ * clone measured no faster.  The v3 code is built only by GCC 12 or later,
+ * the version tested (GCC 11's target_clones is reported to reject x86-64
+ * levels), and only on glibc, whose ifunc the clones need; every other
+ * compiler, C library and machine builds the baseline copy alone, with the
+ * 4-lane sweep where it targets AVX2. */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 int fhn_isa(void) { return __builtin_cpu_supports("x86-64-v3") ? 3 : 0; }
-SWEEP(sweep4, vd4, vi4, 4, __attribute__((target("arch=x86-64-v3"))))
-SWEEP(sweep2, vd2, vi2, 2, )
-static int sweep(const fhn_plan *p, int64_t A, double gf, double hf)
+STEP(step4, vd4, vi4, 4, __attribute__((target("arch=x86-64-v3"))))
+STEP(step2, vd2, vi2, 2, )
+static int step(const fhn_plan *p, int64_t A, double gf, double hf)
 {
-    return fhn_isa() ? sweep4(p, A, gf, hf) : sweep2(p, A, gf, hf);
+    return fhn_isa() ? step4(p, A, gf, hf) : step2(p, A, gf, hf);
 }
 #else
 #define CLONES
 int fhn_isa(void) { return 0; }
 #ifdef __AVX2__
-SWEEP(sweep, vd4, vi4, 4, )
+STEP(step, vd4, vi4, 4, )
 #else
-SWEEP(sweep, vd2, vi2, 2, )
+STEP(step, vd2, vi2, 2, )
 #endif
 #endif
 
@@ -331,31 +341,15 @@ CLONES int fhn_scan(const fhn_plan *p, int64_t A)
 }
 
 /* One step of the rows b < A at step j of the z series, with the forcing
- * factors gf and hf.  On 1-D grids it also solves (SWEEP).  Returns
- * whether a value of the new u is out of range (0 on 2-D grids, whose
- * caller solves and then scans). */
-CLONES int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
+ * factors gf and hf: the explicit update on both grids, with the solve on
+ * 1-D grids.  Returns whether a value of the new u is out of range (0 on
+ * 2-D grids, whose caller solves and then scans). */
+int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
 {
-    const int64_t n = p->n, B = p->B;
-    double *z1 = p->scratch, *az2 = z1 + B, *bz1 = az2 + B;
-    if (p->d) { /* the rows of A's last vector of 4 too, whose spare lanes read them */
-        row_z(p, (A + 3) & ~(int64_t)3, j, z1, az2, bz1);
-        return sweep(p, A, gf, hf);
-    }
-    row_z(p, A, j, z1, az2, bz1);
-    double *g = p->scratch + 3 * B, *h = g + n;
-    for (int64_t i = 0; i < n; i++) {
-        g[i] = p->gprof[i] * gf;
-        h[i] = p->hprof[i] * hf;
-    }
-    for (int64_t b = 0; b < A; b++) {
-        double *u = p->u + b * p->rs, *v = p->v + b * p->rs;
-        if (p->f)
-            explicit_row(p, u, v, p->f + b * n, g, h, z1[b], az2[b], bz1[b]);
-        else
-            explicit_row(p, u, v, NULL, g, h, z1[b], az2[b], bz1[b]);
-    }
-    return 0;
+    double *z1 = p->scratch, *az2 = z1 + p->B, *bz1 = az2 + p->B;
+    /* 1-D: the rows of A's last vector of 4 too, whose spare lanes read them */
+    row_z(p, p->d ? (A + 3) & ~(int64_t)3 : A, j, z1, az2, bz1);
+    return step(p, A, gf, hf);
 }
 
 /* The forced parts of m OU blocks of B values (fhnrds.noise.OuProcess).

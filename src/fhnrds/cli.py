@@ -367,8 +367,9 @@ def main(argv=None):
     an invalid config or a failed run, each with the error in the manifest.
     Any other exception is a bug: it is named in the manifest and re-raised."""
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = len(os.sched_getaffinity(0))
+    if args.threads is None:  # the affinity mask is Linux's alone
+        affinity = getattr(os, "sched_getaffinity", None)
+        args.threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(None, args.threads)

@@ -5,12 +5,14 @@ fill and the Gaussian draws of `noise`.
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
 no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the step, the scan and the draws carry an
-x86-64-v3 and a baseline clone, one of which the dynamic loader picks for
-the CPU when the object loads, so a cached object runs on any CPU of its
-architecture and the key needs no CPU (`-march=native` would); the step's
-1-D sweep is built once per level, on vectors of 4 rows and of 2, and
-picked by the same CPU test.  Other compilers build the baseline alone.
+or later on x86-64 glibc the scan and the draws carry an x86-64-v3 and a
+baseline clone, one of which the dynamic loader picks for the CPU when the
+object loads, and the step, whose explicit update is written once for both
+grids, is built once per level (its 1-D sweep on vectors of 4 rows and of
+2), one of which `fhn_step` picks by the same CPU test: the step's one
+dispatch.  So a cached object runs on any CPU of its architecture and the
+key needs no CPU (`-march=native` would).  Other compilers build the
+baseline alone.
 A cold compile takes 0.6-1.3 s on 2 shared cores of an Intel Xeon, as
 busy as the host is, and the object is about 53 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
@@ -101,8 +103,8 @@ def _open(path):
 
 
 def loaded():
-    """The loaded object's file name and the x86-64 level of the clone the
-    loader picked for this CPU (3, or 0 for the baseline copy); None
+    """The loaded object's file name and the x86-64 level of the code picked
+    for this CPU (3, or 0 for the baseline copy); None
     while no solve, OU fill or draw of this process has loaded the
     kernel.  The kernel stays loaded for the life of the process, so this
     names the object of any earlier call too."""

@@ -259,10 +259,12 @@ class _Step:
       rhs = u + dt*(f(u + h1*z1) + gf*G - alpha*v + Lap(h1)*z1 - (alpha*z2)*h2)
       v   = ev*v + gain*(beta*u + hf*H + (beta*z1)*h1)
     from the old u and v, and then solves u from rhs, so that each row is
-    bitwise these numpy expressions evaluated for it alone.  For p = 4 the
-    kernel forms f as `Nonlinearity` does, ((s*s)*s)*sign; for any other p,
-    `Nonlinearity` fills a buffer between two passes of the kernel, since
-    numpy's `**` is not libm's `pow`.
+    bitwise these numpy expressions evaluated for it alone.  The kernel
+    writes that update once for both grids, forming gf*G and hf*H at each
+    point, and picks the code of the step for the CPU by one test.  For
+    p = 4 the kernel forms f as `Nonlinearity` does, ((s*s)*s)*sign; for
+    any other p, `Nonlinearity` fills a buffer between two passes of the
+    kernel, since numpy's `**` is not libm's `pow`.
     """
 
     def __init__(self, spec, grid, dt, B, Z1, Z2, group):
@@ -289,7 +291,7 @@ class _Step:
             raise ValueError("Z1 and Z2 need one column per z series, which `group` indexes per row")
         self._bounds = (len(Z1), B)
         group = np.concatenate((group, np.zeros(rows - B, dtype=np.int64)))
-        scratch = np.zeros(3 * rows + 2 * self.size)
+        scratch = np.zeros(3 * rows)
         self._keep = (u, v, profiles, Z1, Z2, group, scratch)  # the arrays the plan points into
 
         def at(a):
@@ -489,27 +491,23 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
         record(np.arange(first, end), k)
         return end
 
-    # the forcing factors gf, hf are read once per stride block, at the
-    # block's times, all elementwise as per step
-    gfactor, hfactor = spec.g.factor, spec.h.factor
+    # the forcing factors of every step, one call of each over the batch's
+    # step times, each elementwise as its own call at k*dt
+    times = np.arange(kmin, k1) * dt
+    gfs, hfs = (np.broadcast_to(f.factor(times), times.shape) for f in (spec.g, spec.h))
     A = 0
-    for kb in range(kmin, k1, stride):
-        ke = min(kb + stride, k1)
-        times = np.arange(kb, ke) * dt
-        gfs = np.broadcast_to(gfactor(times), times.shape).tolist()
-        hfs = np.broadcast_to(hfactor(times), times.shape).tolist()
-        for i, k in enumerate(range(kb, ke)):
-            if A < B and k0[A] == k:
-                A = enter(A, k)
-                phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
-            if step(A, k - kmin, gfs[i], hfs[i]):
-                row_max = np.abs(step.rows(U, slice(0, A)).reshape(A, -1)).max(axis=1)
-                b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
-                path, init = members[rows[b]]
-                raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
-            due = np.arange(A) if k + 1 == k1 else phase_due[(k + 1) % stride]
-            if len(due):
-                record(due, k + 1)
+    for k, gf, hf in zip(range(kmin, k1), gfs, hfs):
+        if A < B and k0[A] == k:
+            A = enter(A, k)
+            phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
+        if step(A, k - kmin, gf, hf):
+            row_max = np.abs(step.rows(U, slice(0, A)).reshape(A, -1)).max(axis=1)
+            b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
+            path, init = members[rows[b]]
+            raise BlowUpError((k + 1) * dt, float(row_max[b]), (path.seed, tau1 - init.t))
+        due = np.arange(A) if k + 1 == k1 else phase_due[(k + 1) % stride]
+        if len(due):
+            record(due, k + 1)
     if A < B:  # runs that start at tau1 take no step
         enter(A, k1)
 

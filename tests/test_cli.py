@@ -571,6 +571,14 @@ def test_threads_default_to_the_cpus_of_the_process(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "n1" / "manifest.json").read_text())["threads"] == 1
 
 
+def test_threads_default_to_the_cpu_count_without_an_affinity_mask(tmp_path, monkeypatch):
+    # os.sched_getaffinity is Linux's alone: elsewhere (macOS) the default
+    # worker count is os.cpu_count(), and the run still writes its manifest
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.main(["noise", "--out", str(tmp_path / "n")]) == 0
+    assert json.loads((tmp_path / "n" / "manifest.json").read_text())["threads"] == os.cpu_count()
+
+
 def test_manifest_references_every_artifact(tmp_path):
     cfgp = write_cfg(tmp_path, ZERO_DYNAMICS)
     out = tmp_path / "verify1"

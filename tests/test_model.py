@@ -95,21 +95,23 @@ def test_forcing_l2sq_at_record_times_matches_each_time_bitwise():
             assert np.array_equal(got, np.array([f.l2sq_at(tn) for tn in t.tolist()])), (kind, dt)
 
 
-def test_forcing_factor_over_a_stride_is_each_steps_call_bitwise():
-    # solve_batch evaluates each forcing factor once per record stride, at
-    # the times k*dt of the stride's steps, where each step called it alone
+def test_forcing_factor_over_a_span_is_each_steps_call_bitwise():
+    # solve_batch evaluates each forcing factor once over the batch, at the
+    # times k*dt of all its steps, where each step called it alone: spans
+    # of 1, 7, 9,000 and 32,001 steps, from negative starts too
     grid = Grid(n=16, half_width=2.0)
     prof = ScalarField(grid, np.ones(16))
     for kind, a, c in (("constant", 0.0, 0.8), ("exp", 0.05, 1.0), ("exp", -2.0, 1.0),
                        ("sin", 1.0, 0.0), ("sin", 0.7, 1.5)):
         f = Forcing(prof, kind, a, c)
         for dt in (1e-3, 2e-3):
-            for kb in range(-40000, 40000, 70):
-                times = np.arange(kb, kb + 10) * dt
-                got = np.broadcast_to(f.factor(times), times.shape).tolist()
-                want = [f.factor(k * dt) for k in range(kb, kb + 10)]
+            for kb, length in ((-40000, 1), (0, 1), (-3, 7), (12345, 7), (-40000, 9000),
+                               (-4500, 9000), (7, 9000), (-32001, 32001), (-16000, 32001)):
+                times = np.arange(kb, kb + length) * dt
+                got = np.broadcast_to(f.factor(times), times.shape)
+                want = [f.factor(k * dt) for k in range(kb, kb + length)]
                 assert np.array_equal(np.array(got).view(np.uint64),
-                                      np.array(want, dtype=float).view(np.uint64)), (kind, dt, kb)
+                                      np.array(want, dtype=float).view(np.uint64)), (kind, dt, kb, length)
 
 
 NAN = float("nan")
@@ -382,7 +384,9 @@ SOLVE_PARAMS = [
     pytest.param({"grid.dim": 2, "grid.n": 16}, 0.1, id="2d"),  # eigenbasis path in 2-D
     pytest.param({"grid.dim": 2, "grid.n": 16, "grid.boundary": "neumann0"}, 0.1, id="2d-neumann0"),
     pytest.param({"grid.dim": 2, "grid.n": 16, "grid.boundary": "periodic"}, 0.1, id="2d-periodic"),
-    # the forcing factors of the other kinds, evaluated once per stride
+    # the packed f of the 2-D step and the row-major branch of `fhn_shift`
+    pytest.param({"grid.dim": 2, "grid.n": 16, "model.p": 3.0}, 0.1, id="2d-p3"),
+    # the forcing factors of the other kinds, evaluated once per batch
     pytest.param({"forcing.g.kind": "exp", "forcing.g.a": 0.5, "forcing.g.c": 1.0}, 0.4, id="g-exp"),
     pytest.param({"forcing.h.kind": "constant", "forcing.h.c": 0.8}, 0.4, id="h-constant"),
 ]
