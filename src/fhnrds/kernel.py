@@ -104,10 +104,10 @@ def _open(path):
 
 def loaded():
     """The loaded object's file name and the x86-64 level of the code picked
-    for this CPU (3, or 0 for the baseline copy); None
-    while no solve, OU fill or draw of this process has loaded the
-    kernel.  The kernel stays loaded for the life of the process, so this
-    names the object of any earlier call too."""
+    for this CPU (3, or 0 for the baseline copy); None while no solve, OU
+    fill or draw of this process has loaded the kernel.  The kernel stays
+    loaded for the life of the process, so this names the object of any
+    earlier call too."""
     if _lib is None:
         return None
     return {"object": Path(_lib._name).name, "isa": _lib.fhn_isa()}
