@@ -1,5 +1,6 @@
-/* The IMEX step of fhnrds.model.solve_batch, one call per step, and the OU
- * block fill and the Gaussian draws of fhnrds.noise.
+/* The IMEX step of fhnrds.model.solve_batch, one call per step, the norm
+ * sums of fhnrds.fields and of the step's records, and the OU block fill
+ * and the Gaussian draws of fhnrds.noise.
  *
  * Every operation is one IEEE double operation, in the order of the numpy
  * expressions it replaces (model._Step); built with -ffp-contract=off and
@@ -293,9 +294,9 @@ typedef int64_t vi4 __attribute__((vector_size(32), aligned(8)));
  * vectors) in the baseline, where 32-byte vectors split in two ran 3-4x
  * slower, and its 2-D loop over points vectorized at each level; fhn_step
  * picks one by fhn_isa's CPU test, which names the level: 3, or 0 for the
- * baseline.  That is the step's one dispatch.  fhn_scan, whose loop
- * vectorizes, and fhn_increments, whose middle pass does, carry an
- * x86-64-v3 and a baseline clone (CLONES); the dynamic loader picks one by
+ * baseline.  That is the step's one dispatch.  fhn_scan and fhn_norms,
+ * whose loops vectorize, and fhn_increments, whose middle pass does, carry
+ * an x86-64-v3 and a baseline clone (CLONES); the dynamic loader picks one by
  * the same test when the object loads.  fhn_ou_blocks has no clone: its
  * clone measured no faster.  The v3 code is built only by GCC 12 or later,
  * the version tested (GCC 11's target_clones is reported to reject x86-64
@@ -338,6 +339,124 @@ CLONES int fhn_scan(const fhn_plan *p, int64_t A)
             bad |= out_of_range(run[k], threshold);
     }
     return bad != 0;
+}
+
+/* The norm sums of fhnrds.fields, which model.solve_batch's records take
+ * too: for each of the m rows rows[r] of x, whose point i sits at
+ * x[i*ps + rows[r]*rs], with B rows in all,
+ *   out[r]       = the sum of x*x,
+ *   out[m + r]   = the sum of |x|^p               (sums >= 2),
+ *   out[2*m + r] = the sum of |x + h1[i]*z[r]|^p  (sums = 3),
+ * each adding its n points in point order, i = 0, 1, ..., n-1.  |x|^p is
+ * (x*x)*(x*x) for p = 4; the product a*a*...*a of p factors a = |x|, in
+ * that order, for any other integer p from 1 to NORM_PRODUCTS; and libm's
+ * pow(|x|, p) for any other p, whose last bit may differ between CPUs
+ * (glibc picks an FMA variant of pow).  So a row's sums depend neither on
+ * the layout nor on the other rows nor on the build.  Consecutive rows at
+ * unit row stride (the 1-D step's layout) are summed NORM_ROWS at a time,
+ * side by side, read in place as the lanes of a loop that vectorizes: no
+ * sum is reordered, each lane carrying one row's.  Any other rows (2-D
+ * rows, a single field, an index list) are summed one at a time along
+ * their points, each sum carried in a register.  Returns -1, writing
+ * nothing, if a row is outside 0 <= rows[r] < B. */
+#define NORM_ROWS 64
+#define NORM_PRODUCTS 64
+
+/* |x|^p of one value x, with x2 = x*x: kind 4 (p = 4), 1 (q factors), 0 (pow) */
+INLINE double norm_power(double x, double x2, double p, int64_t q, const int kind)
+{
+    if (kind == 4)
+        return x2 * x2;
+    const double a = fabs(x);
+    if (kind == 0)
+        return pow(a, p);
+    double y = a;
+    for (int64_t k = 1; k < q; k++)
+        y = y * a;
+    return y;
+}
+
+/* The sums of the m <= NORM_ROWS rows from x + rows[0] (lanes) or of the
+ * m rows rows[r] one at a time, into out at stride `stride` */
+INLINE void norm_rows(const double *x, int64_t n, int64_t ps, int64_t rs, const int64_t *rows,
+                      int64_t m, double p, int64_t q, const double *h1, const double *z,
+                      double *out, int64_t stride, const int kind, const int sums, const int lanes)
+{
+    if (lanes) {
+        double sq[NORM_ROWS] = {0}, pw[NORM_ROWS] = {0}, spw[NORM_ROWS] = {0};
+        for (int64_t i = 0; i < n; i++) {
+            const double *at = x + i * ps + rows[0];
+            const double h = sums == 3 ? h1[i] : 0.0;
+            for (int64_t r = 0; r < m; r++) {
+                const double v = at[r], v2 = v * v;
+                sq[r] += v2;
+                if (sums >= 2)
+                    pw[r] += norm_power(v, v2, p, q, kind);
+                if (sums == 3) {
+                    const double s = v + h * z[r];
+                    spw[r] += norm_power(s, s * s, p, q, kind);
+                }
+            }
+        }
+        for (int64_t r = 0; r < m; r++) {
+            out[r] = sq[r];
+            if (sums >= 2)
+                out[stride + r] = pw[r];
+            if (sums == 3)
+                out[2 * stride + r] = spw[r];
+        }
+        return;
+    }
+    for (int64_t r = 0; r < m; r++) {
+        const double *at = x + rows[r] * rs;
+        double sq = 0.0, pw = 0.0, spw = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const double v = at[i * ps], v2 = v * v;
+            sq += v2;
+            if (sums >= 2)
+                pw += norm_power(v, v2, p, q, kind);
+            if (sums == 3) {
+                const double s = v + h1[i] * z[r];
+                spw += norm_power(s, s * s, p, q, kind);
+            }
+        }
+        out[r] = sq;
+        if (sums >= 2)
+            out[stride + r] = pw;
+        if (sums == 3)
+            out[2 * stride + r] = spw;
+    }
+}
+
+CLONES int fhn_norms(const double *x, int64_t n, int64_t ps, int64_t rs, int64_t B,
+                     const int64_t *rows, int64_t m, int64_t sums, double p,
+                     const double *h1, const double *z, double *out)
+{
+    int lanes = rs == 1 && m > 1;
+    for (int64_t r = 0; r < m; r++) {
+        if (rows[r] < 0 || rows[r] >= B)
+            return -1;
+        lanes &= rows[r] == rows[0] + r;
+    }
+    const int kind = p == 4.0 ? 4 : p >= 1.0 && p <= NORM_PRODUCTS && p == (double)(int64_t)p ? 1 : 0;
+    const int64_t q = kind == 1 ? (int64_t)p : 0;
+    for (int64_t r0 = 0; r0 < m; r0 += NORM_ROWS) {
+        const int64_t mb = m - r0 < NORM_ROWS ? m - r0 : NORM_ROWS;
+        const double *zr = z ? z + r0 : NULL;
+#define NORM_ROWS_OF(KIND, SUMS)                                                              \
+    lanes ? norm_rows(x, n, ps, rs, rows + r0, mb, p, q, h1, zr, out + r0, m, KIND, SUMS, 1) \
+          : norm_rows(x, n, ps, rs, rows + r0, mb, p, q, h1, zr, out + r0, m, KIND, SUMS, 0)
+        if (sums == 1)
+            NORM_ROWS_OF(4, 1);
+        else if (kind == 4)
+            sums == 2 ? NORM_ROWS_OF(4, 2) : NORM_ROWS_OF(4, 3);
+        else if (kind == 1)
+            sums == 2 ? NORM_ROWS_OF(1, 2) : NORM_ROWS_OF(1, 3);
+        else
+            sums == 2 ? NORM_ROWS_OF(0, 2) : NORM_ROWS_OF(0, 3);
+#undef NORM_ROWS_OF
+    }
+    return 0;
 }
 
 /* One step of the rows b < A at step j of the z series, with the forcing

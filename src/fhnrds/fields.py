@@ -8,11 +8,14 @@ tails used by the diagnostics are mutually consistent by construction.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import kernel
 
 BOUNDARIES = ("dirichlet0", "neumann0", "periodic")
 
@@ -100,38 +103,52 @@ def laplacian_values(values, grid):
     return out / h2
 
 
-def row_dots(values):
-    """x . x for each row x of `values` flattened after its leading axis.
+def norm_sums(x, rows, p=None):
+    """The norm sums of the rows `rows` of `x`, from one call of the kernel's `fhn_norms`.
 
-    A stacked `np.matmul` of (1, n) by (n, 1) rows calls the same BLAS
-    `ddot` as `np.dot` does on one row, so each entry is bitwise the row's
-    own `np.dot` (`tests/test_fields.py` pins it, as it rests on numpy's
-    dispatch); `einsum` sums in another order.  Each call is one row long:
-    OpenBLAS splits a `ddot` longer than 10,000 values over its threads,
-    which in the forked workers of `cli --threads` ran 25 times slower.
+    `x` is a float64 array with a leading row axis, in any layout.
+    Returns a (k, len(rows)) array: the sums of x*x, and with `p` those of
+    |x|^p.  Each sum adds its row's points in point order, so it depends
+    neither on the layout nor on the other rows, and no BLAS call forms
+    it; the records of `model.solve_batch` are the same export's sums
+    (`model._Step.norms`).  |x|^p is (x*x)*(x*x) for p = 4, the product
+    of p factors |x| in order for another integer p up to 64, and libm's
+    `pow` for any other p, which may differ in the last bit between CPUs.
+    A row outside `x` raises IndexError.
     """
-    rows = len(values)
-    return np.matmul(values.reshape(rows, 1, -1), values.reshape(rows, -1, 1))[:, 0, 0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        x = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    if not x.flags.aligned:
+        x = x.copy()
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    out = np.empty((1 if p is None else 2, rows.size))
+    if kernel.load().fhn_norms(x.ctypes.data, x.shape[1], x.strides[1] // 8, x.strides[0] // 8,
+                               x.shape[0], rows.ctypes.data, rows.size, len(out), p or 0.0,
+                               None, None, out.ctypes.data):
+        raise IndexError(f"a row of {rows.tolist()} is outside the {x.shape[0]} rows")
+    return out
 
 
 def l2_sq(values, grid):
-    """Squared L2 norm of raw values, a float; with a leading row axis, one per row."""
+    """Squared L2 norm of raw values, a float; with a leading row axis, one per row.
+
+    Each is the sum of x*x over its points in order (`norm_sums`), times the cell measure.
+    """
     if values.ndim == grid.dim:  # a single field is a batch of one row
         return float(l2_sq(values[None], grid)[0])
-    return row_dots(values) * grid.cell_measure
+    return norm_sums(values, np.arange(len(values)))[0] * grid.cell_measure
 
 
 def lp_p(values, grid, p):
     """Integral of |f|^p (no root), on raw values; with a leading row axis, one per row.
 
-    A single field is a batch of one row.  Each row is bitwise `np.dot(v2, v2) * h`
-    of its squares v2 for p = 4 (the row dots of `l2_sq`), `np.sum(|v|^p) * h` otherwise.
+    A single field is a batch of one row.  Each is the sum of |x|^p over
+    its points in order (`norm_sums`), times the cell measure.
     """
     if values.ndim == grid.dim:
         return float(lp_p(values[None], grid, p)[0])
-    if p == 4:
-        return row_dots(values * values) * grid.cell_measure
-    return np.array([np.sum(row) for row in np.abs(values) ** p]) * grid.cell_measure
+    return norm_sums(values, np.arange(len(values)), p)[1] * grid.cell_measure
 
 
 def superlevel_measure(f, M):

@@ -1,16 +1,17 @@
 """The compiled kernel (`_step.c`), built on first use and loaded with ctypes:
-the IMEX step of `model`, with the 1-D tridiagonal solve, and the OU block
-fill and the Gaussian draws of `noise`.
+the IMEX step of `model`, with the 1-D tridiagonal solve, the norm sums of
+`fields`, which `model`'s records take too, and the OU block fill and the
+Gaussian draws of `noise`.
 
 The source ships in the package.  `load` compiles it once per cache key
 with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
 no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the scan and the draws carry an x86-64-v3 and a
-baseline clone, one of which the dynamic loader picks for the CPU when the
-object loads, and the step, whose explicit update is written once for both
-grids, is built once per level (its 1-D sweep on vectors of 4 rows and of
-2), one of which `fhn_step` picks by the same CPU test: the step's one
-dispatch.  So a cached object runs on any CPU of its architecture and the
+or later on x86-64 glibc the scan, the norm sums and the draws carry an
+x86-64-v3 and a baseline clone, one of which the dynamic loader picks for
+the CPU when the object loads, and the step, whose explicit update is
+written once for both grids, is built once per level (its 1-D sweep on
+vectors of 4 rows and of 2), one of which `fhn_step` picks by the same CPU
+test: the step's one dispatch.  So a cached object runs on any CPU of its architecture and the
 key needs no CPU (`-march=native` would).  Other compilers build the
 baseline alone.
 A cold compile takes 0.6-1.3 s on 2 shared cores of an Intel Xeon, as
@@ -27,7 +28,9 @@ objects of an edited source do not pile up while none in use goes.
 The Gaussian draws call libm's `log` and `sqrt` in Cephes' `ndtri`, as
 `scipy.special.ndtri` does.  glibc picks an FMA variant of `log` on CPUs
 that have FMA, so an increment may differ in its last bit between a CPU
-with FMA and one without; within one process it is bitwise scipy's.
+with FMA and one without; within one process it is bitwise scipy's.  So
+may a norm sum at a p that is not an integer up to 64, which calls libm's
+`pow`.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ _SIGNATURES = {
     "fhn_scan": (ctypes.c_int, (_P, _I64)),
     "fhn_shift": (None, (_P, _I64, _I64)),
     "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),
+    "fhn_norms": (ctypes.c_int, (_P, _I64, _I64, _I64, _I64, _P, _I64, _I64, _F64, _P, _P, _P)),
     "fhn_ou_blocks": (None, (_P, _I64, _I64, _F64, _P)),
     "fhn_increments": (None, (_U64, _I64, _U64, _P, _I64, _F64, _P)),
     "fhn_uniforms": (None, (_U64, _I64, _U64, _P, _I64, _P)),

@@ -18,13 +18,15 @@ in two reproduces the single run bitwise.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import RunError, kernel
-from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p
+# lp_p is looked up here by perfbench/spans.py, which traces the norms
+from .fields import Grid, ScalarField, l2_sq, laplacian_values, lp_p  # noqa: F401
 from .noise import OuProcess, step_index
 
 BLOWUP_THRESHOLD = 1e8
@@ -102,7 +104,10 @@ class Forcing:
         self.kind = kind
         self.a = float(a)
         self.c = float(c)
-        self.profile_l2sq = l2_sq(profile.values, profile.grid)
+
+    @functools.cached_property  # on first use: no config resolve loads the kernel
+    def profile_l2sq(self):
+        return l2_sq(self.profile.values, self.profile.grid)
 
     @classmethod
     def zero(cls, grid):
@@ -264,7 +269,14 @@ class _Step:
     point, and picks the code of the step for the CPU by one test.  For
     p = 4 the kernel forms f as `Nonlinearity` does, ((s*s)*s)*sign; for
     any other p, `Nonlinearity` fills a buffer between two passes of the
-    kernel, since numpy's `**` is not libm's `pow`.
+    kernel, since numpy's `**` is not libm's `pow`.  `advance(A, j, gf,
+    hf)` is the step: on 1-D grids at p = 4 the kernel's `fhn_step` bound
+    to the plan, with no Python around it, and `_advance` otherwise.
+    Calling the `_Step` checks j and A against the z series and the rows
+    first, raising IndexError, so that no pointer past them reaches the
+    kernel; `solve_batch`, whose loop stays within both, calls `advance`.
+    `norms` takes the sums of a record from u and v in place, by the
+    kernel's export bound to them.
     """
 
     def __init__(self, spec, grid, dt, B, Z1, Z2, group):
@@ -304,6 +316,15 @@ class _Step:
             BLOWUP_THRESHOLD, at(self.op.d), at(self.op.e), at(self.op.w), self.op.scale, at(scratch),
         )
         self._addr = ctypes.addressof(self.plan)
+        self.advance = functools.partial(self._step, self._addr) \
+            if self.one_d and self._nl is None else self._advance
+        # the rows of a record, their z1 values and their sums (`norms`), in
+        # scratch whose addresses the kernel's norm sums are bound to
+        self._due, self._z1, self._sums = np.empty(B, dtype=np.int64), np.empty(B), np.empty(4 * B)
+        ps, rs = (rows, 1) if self.one_d else (1, self.size)
+        self._norms = [functools.partial(lib.fhn_norms, at(x), self.size, ps, rs, B, at(self._due))
+                       for x in (u, v)]
+        self._norm_args = (spec.p, at(profiles[0]), at(self._z1), at(self._sums))
 
     def row(self, x, b):
         """Row b of u or v, a view in the grid's shape."""
@@ -313,6 +334,19 @@ class _Step:
         """The rows `sel` of u or v, with a leading row axis."""
         return x[:, sel].T if self.one_d else x[sel]
 
+    def norms(self, due, z1):
+        """The norm sums of the rows `due`, with z1 one value per row: a (4, len(due))
+        array of the sums of u*u, |u|^p, |u + h1*z1|^p and v*v over each row's
+        points, read in place by the kernel's `fhn_norms`, which adds them in
+        point order, as it does for `fields.norm_sums`."""
+        m = len(due)
+        self._due[:m], self._z1[:m] = due, z1
+        p, h1_at, z1_at, out = self._norm_args
+        v_out = out + 3 * m * self._sums.itemsize  # v*v after the three sums of u
+        if self._norms[0](m, 3, p, h1_at, z1_at, out) or self._norms[1](m, 1, 0.0, None, None, v_out):
+            raise IndexError(f"a row of {due} is outside the {self._bounds[1]} rows")
+        return self._sums[: 4 * m].reshape(4, m)
+
     def scan(self, A):
         """Whether a value of u's rows b < A is out of range, NaN included."""
         return self._scan(self._addr, A)
@@ -321,6 +355,9 @@ class _Step:
         """Advance the rows b < A by the step at z row j; returns `scan(A)` of the new u."""
         if not (0 <= j < self._bounds[0] and 0 <= A <= self._bounds[1]):
             raise IndexError(f"step at z row {j} of {self._bounds[0]} with {A} of {self._bounds[1]} rows")
+        return self.advance(A, j, gf, hf)
+
+    def _advance(self, A, j, gf, hf):
         if self._nl is not None:
             self._shift(self._addr, A, j)
             m = A * self.size
@@ -381,9 +418,11 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     are counted from each row's own start.  The arithmetic of a row does
     not depend on the batch: every operation of the step is elementwise,
     the implicit solve treats each row alone, and the records of the rows
-    due at a step are taken at once by `l2_sq` and `lp_p` over a leading
-    row axis of a row-major copy, which give each row bitwise its own norm.
-    Each row is therefore bitwise the run `solve` gives on its own.  Returns
+    due at a step are taken at once, in place in the step's buffers, by the
+    kernel's norm sums (`_Step.norms`, through the export that `l2_sq` and
+    `lp_p` call too), which add each row's points in point order.  Each
+    row is therefore bitwise the run `solve` gives on its own, and each
+    record is bitwise `l2_sq` and `lp_p` of the row's state.  Returns
     one Trajectory per member, in order; the record arrays of the
     trajectories are views of one block.
     """
@@ -429,9 +468,7 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     h1 = spec.h1.values
     h2 = spec.h2.values
     alpha, beta = spec.alpha, spec.beta
-    p = spec.p
     group = np.array(group)
-    zcol = (1,) * grid.dim  # a z value per source broadcasts over its profile
 
     # records at each row's steps 0, stride, 2*stride, ... and at tau1, in
     # Trajectory field order: row b fills recs[:, offsets[b] : offsets[b + 1]]
@@ -445,32 +482,19 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     # are by_phase[k % stride], in row order
     by_phase = [np.flatnonzero(k0a % stride == r) for r in range(stride)]
 
-    # the row-major copies of u and v and u + h1*z1 of a record, in scratch
-    # that every record reuses: three fresh (m, n) arrays per record made
-    # glibc grow and trim its heap on each, about 40,000 page faults in one
-    # `verify` on the verify-1d benchmark config
-    rec_u, rec_v, rec_ut = (np.empty((B,) + grid.shape) for _ in range(3))
+    # the rows of recs that the sums of `_Step.norms` go to
+    norm_at = np.array([[1], [3], [4], [2]])
 
     def record(due, k):
-        """Record the rows `due`, increasing, at step k, all at once from a row-major copy."""
-        m = len(due)
-        sel = slice(due[0], due[-1] + 1) if due[-1] - due[0] == m - 1 else due
-        u, v, ut = rec_u[:m], rec_v[:m], rec_ut[:m]
-        np.copyto(u, step.rows(U, sel))
-        np.copyto(v, step.rows(V, sel))
-        j = k - kmin
-        z1 = Z1[j, group[sel]]
-        np.multiply(h1, z1.reshape((m,) + zcol), out=ut)
-        ut += u  # h1*z1 + u rounds as u + h1*z1
-        nxt[sel] += 1
-        at = nxt[sel] - 1
+        """Record the rows `due`, increasing, at step k, all at once."""
+        j, series = k - kmin, group[due]
+        z1 = Z1[j, series]
+        nxt[due] += 1
+        at = nxt[due] - 1
         recs[0, at] = k * dt
-        recs[1, at] = l2_sq(u, grid)
-        recs[2, at] = l2_sq(v, grid)
-        recs[3, at] = lp_p(u, grid, p)
-        recs[4, at] = lp_p(ut, grid, p)
+        recs[norm_at, at] = step.norms(due, z1) * grid.cell_measure
         recs[5, at] = z1
-        recs[6, at] = Z2[j, group[sel]]
+        recs[6, at] = Z2[j, series]
         if snapshot_stride:
             for b in due.tolist():
                 if (k - k0[b]) % snapshot_stride == 0:
@@ -496,11 +520,12 @@ def solve_batch(spec, solver, members, tau1, snapshot_stride=None, tilde=False):
     times = np.arange(kmin, k1) * dt
     gfs, hfs = (np.broadcast_to(f.factor(times), times.shape) for f in (spec.g, spec.h))
     A = 0
-    for k, gf, hf in zip(range(kmin, k1), gfs, hfs):
+    advance = step.advance
+    for k, gf, hf in zip(range(kmin, k1), gfs.tolist(), hfs.tolist()):
         if A < B and k0[A] == k:
             A = enter(A, k)
             phase_due = [d[: np.searchsorted(d, A)] for d in by_phase]
-        if step(A, k - kmin, gf, hf):
+        if advance(A, k - kmin, gf, hf):
             row_max = np.abs(step.rows(U, slice(0, A)).reshape(A, -1)).max(axis=1)
             b = next(b for b in range(A) if not row_max[b] <= BLOWUP_THRESHOLD)
             path, init = members[rows[b]]

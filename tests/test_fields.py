@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fhnrds.fields import (
     l2_sq,
     laplacian_values,
     lp_p,
+    norm_sums,
     read_snapshot,
     superlevel_measure,
     tail_integrals,
@@ -84,19 +87,37 @@ def test_norms_consistent():
     assert lp_p(v, g, 3.5) == pytest.approx(np.sum(np.abs(v) ** 3.5) * g.cell_measure, rel=1e-12)
 
 
+def point_order_sum(products, h):
+    """The sum of `products` added in order, from the first, times h."""
+    return float(np.add.accumulate(products)[-1] * h)
+
+
+def powers(x, p):
+    """|x|^p of each value as the kernel forms it: (x*x)*(x*x) for p = 4, the
+    product of p factors |x| in order for another integer p, libm's pow else."""
+    a = np.abs(x)
+    if p == 4:
+        return (x * x) * (x * x)
+    if p == int(p):
+        y = a
+        for _ in range(int(p) - 1):
+            y = y * a
+        return y
+    return np.array([math.pow(v, p) for v in a])
+
+
 @pytest.mark.parametrize("dim, rows, n", [
-    (1, 1, 1024), (1, 7, 1000), (1, 20, 1024), (1, 40, 1024), (2, 3, 64),
+    (1, 1, 1024), (1, 7, 1000), (1, 20, 1024), (1, 40, 1024), (1, 70, 128), (2, 3, 64),
     (1, None, 64), (1, None, 128), (1, None, 1024), (2, None, 64),
-], ids=["1x1024", "7x1000", "20x1024", "40x1024", "2d-3x64x64",
+], ids=["1x1024", "7x1000", "20x1024", "40x1024", "70x128", "2d-3x64x64",
         "field-64", "field-128", "field-1024", "field-2d-64x64"])
-@pytest.mark.parametrize("p", [4, 3, 5.5])
+@pytest.mark.parametrize("p", [4, 3, 5.5, 3.5])
 def test_row_axis_norms_are_the_per_row_calls_bitwise(dim, rows, n, p):
-    # l2_sq and lp_p take one path: model.solve_batch records every due row
-    # at once through a leading row axis, and the diagnostics' single fields
-    # (rows None) are a batch of one row.  Each value must stay bitwise the
-    # plain per-field call below, so that a batched run is its solo solve and
-    # the single-field norms keep their values; the stacked matmul reaching
-    # the same BLAS ddot as np.dot rests on numpy's dispatch, so it is pinned
+    # l2_sq and lp_p take one path, the kernel's `fhn_norms`, which
+    # model.solve_batch's records call too; the diagnostics' single fields
+    # (rows None) are a batch of one row.  Each value must stay bitwise its
+    # row's products added in point order, from the first, so that a
+    # batched run is its solo solve and the records do not depend on BLAS
     g = Grid(dim=dim, n=n, half_width=32.0)
     h = g.cell_measure
     shape = g.shape if rows is None else (rows,) + g.shape
@@ -104,21 +125,55 @@ def test_row_axis_norms_are_the_per_row_calls_bitwise(dim, rows, n, p):
 
     def l2_ref(v):
         v = v.ravel()
-        return float(np.dot(v, v) * h)
+        return point_order_sum(v * v, h)
 
     def lp_ref(v):
-        if p == 4:  # the square of each square, by the dot of l2_ref
-            return l2_ref(v * v)
-        return float(np.sum(np.abs(v) ** p) * h)
+        return point_order_sum(powers(v.ravel(), p), h)
 
-    got_l2, got_lp = l2_sq(values, g), lp_p(values, g, p)
     if rows is None:
+        got_l2, got_lp = l2_sq(values, g), lp_p(values, g, p)
         assert type(got_l2) is type(got_lp) is float
         assert got_l2 == l2_ref(values) and got_lp == lp_ref(values)
-    else:
+        return
+    # row-major, and interleaved as a 1-D step's buffers are, whose
+    # consecutive rows the kernel sums side by side as the lanes of a loop
+    for x in (values, np.ascontiguousarray(values.T).T):
+        got_l2, got_lp = l2_sq(x, g), lp_p(x, g, p)
         assert got_l2.shape == got_lp.shape == (rows,)
         assert got_l2.tolist() == [l2_ref(row) for row in values]
         assert got_lp.tolist() == [lp_ref(row) for row in values]
+
+
+@pytest.mark.parametrize("p", [4, 3, 3.5])
+def test_each_kernel_build_sums_norms_in_point_order(kernel_build, p):
+    # conftest's `kernel_build`: the row-axis pins above, on the lanes and
+    # the one-row path, in each build without clones (baseline and x86-64-v3)
+    for dim, rows, n in ((1, 1, 1024), (1, 7, 1000), (1, 40, 1024), (1, 70, 128), (2, 3, 64),
+                         (1, None, 1024), (2, None, 64)):
+        test_row_axis_norms_are_the_per_row_calls_bitwise(dim, rows, n, p)
+
+
+def test_norm_sums_read_any_rows_of_any_layout():
+    # the rows of an index list, in any order and repeated, or a run of
+    # consecutive rows from the middle, of the interleaved (n, B) layout of
+    # a 1-D step, of a row-major copy and of a view with its points
+    # reversed, are each row's sums alone; a row outside is refused
+    rng = np.random.default_rng(3)
+    n, B, p = 50, 9, 4
+    interleaved = rng.standard_normal((n, B))
+    for rows in (np.array([7, 0, 3, 3, 8, 1]), np.arange(2, 7)):
+        for points in (interleaved, interleaved[::-1]):
+            for x in (points.T, np.ascontiguousarray(points.T)):
+                got = norm_sums(x, rows, p)
+                assert got.shape == (2, rows.size)
+                for r, b in enumerate(rows):
+                    row = points[:, b]
+                    assert got[:, r].tolist() == [point_order_sum(row * row, 1.0),
+                                                  point_order_sum(powers(row, p), 1.0)]
+    assert norm_sums(interleaved.T, np.arange(0)).shape == (1, 0)
+    for bad in ([0, B], [-1]):
+        with pytest.raises(IndexError):
+            norm_sums(interleaved.T, np.array(bad))
 
 
 def test_superlevel_and_tails():

@@ -1,5 +1,11 @@
 import dataclasses
+import json
+import os
 import pickle
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from fhnrds import diagnostics as dg
 from fhnrds import model
-from fhnrds.cocycle import FamilySpec, pullback
+from fhnrds.cocycle import FamilySpec, pullback, to_tilde
 from fhnrds.config import ConfigError, check_forcing, default_config
 from fhnrds.fields import Grid, ScalarField, bump_field, l2_sq, laplacian_values, lp_p
 from fhnrds.model import (
@@ -610,6 +616,39 @@ def test_solve_batch_rows_match_single_solves(overrides, t1):
         assert_same_trajectory(traj, alone)
 
 
+@pytest.mark.parametrize("overrides, t1", [
+    pytest.param({}, 0.4, id="1d"),
+    pytest.param({"grid.dim": 2, "grid.n": 16}, 0.1, id="2d"),
+])
+def test_last_record_is_the_norms_of_the_final_state(overrides, t1):
+    # the records are read from the step's own buffers; the last record of
+    # each run is `fields`' norms of its final state, bitwise, and |u~|_p^p
+    # that of u~ = u + h1*z1 (`cocycle.to_tilde`) at the OU values of the
+    # run's last path step, read anew.  Staggered starts, off the record
+    # stride too, make the batch's last record its only record of all rows
+    cfg = default_config(**{**SMALL_GRID, **overrides})
+    spec, solver = cfg.model_spec(), cfg.solver_spec()
+    grid, dt = spec.grid, solver.dt
+    a, b = WienerPath(seed=23, dt=dt), WienerPath(seed=29, dt=dt)
+    members = [(path, FhnState(t, bump_field(grid, amplitude=amp, width=3.0),
+                               bump_field(grid, center=1.0, amplitude=0.5)))
+               for path, t, amp in ((a.shift(-0.5), 0.0, 1.5), (b.shift(0.2), 0.037, -1.0),
+                                    (a.shift(-0.45), 0.05, 0.7), (b, 0.0, 1.2))]
+    trajs = solve_batch(spec, solver, members, t1)
+    k1 = step_index(t1, dt)
+    for (path, init), traj in zip(members, trajs):
+        u, v = traj.final.u.values, traj.final.v.values
+        assert traj.u_l2sq[-1] == l2_sq(u, grid)
+        assert traj.v_l2sq[-1] == l2_sq(v, grid)
+        assert traj.u_lp_p[-1] == lp_p(u, grid, spec.p)
+        last = path.offset + k1 - step_index(init.t, dt)
+        z1, z2 = (OuProcess(path.seed, c, rate, dt).values(last, last)[0]
+                  for c, rate in ((1, spec.lam), (2, spec.sigma)))
+        assert traj.z1[-1] == z1 and traj.z2[-1] == z2
+        utilde = to_tilde(traj.final, spec, z1, z2)[0].values
+        assert traj.utilde_lp_p[-1] == lp_p(utilde, grid, spec.p)
+
+
 @SOLVE_CASES
 def test_each_kernel_build_steps_and_solves_as_numpy(kernel_build, overrides, t1):
     # conftest's `kernel_build` loads the kernel built without clones, for
@@ -764,16 +803,22 @@ def test_blow_up_detected():
 
 def edit_solves(monkeypatch, edit):
     """Let `edit(call, x)` change the rows x of u after each step's implicit solve, calls
-    counted from 1; the step's blow-up scan then reads the edited values."""
-    real = _Step.__call__
+    counted from 1; the step's blow-up scan then reads the edited values.  Each
+    `_Step` made gets an `advance`, the step that `solve_batch` calls, that edits."""
+    real = _Step.__init__
     calls = [0]
 
-    def edited(self, A, *args):
-        real(self, A, *args)
-        calls[0] += 1
-        edit(calls[0], self.rows(self.u, slice(0, A)))
-        return self.scan(A)
-    monkeypatch.setattr(_Step, "__call__", edited)
+    def init(self, *args):
+        real(self, *args)
+        advance = self.advance
+
+        def edited(A, *rest):
+            advance(A, *rest)
+            calls[0] += 1
+            edit(calls[0], self.rows(self.u, slice(0, A)))
+            return self.scan(A)
+        self.advance = edited
+    monkeypatch.setattr(_Step, "__init__", init)
 
 
 def two_runs(dt=1e-3):
@@ -934,3 +979,49 @@ def test_trajectory_records_transformed_norms():
     assert len(traj.snapshots) == 6
     with pytest.raises(ValueError):
         solve(spec, solver, path, 0.0, 0.5, init, snapshot_stride=15)
+
+
+# One small 1-D solve and the norm sums of a fixed state, read row-major
+# and interleaved, printed as the bytes of their doubles.  The state is formed by products and remainders
+# alone, which no numpy dispatch changes
+RECORD_PROBE = """
+import json
+import numpy as np
+from fhnrds.config import default_config
+from fhnrds.fields import ScalarField, norm_sums
+from fhnrds.model import FhnState, solve
+from fhnrds.noise import WienerPath
+
+x = (np.arange(7 * 1024) * 0.6180339887498949 % 1.0 - 0.5).reshape(7, 1024)
+rows = np.arange(7)
+sums = [norm_sums(a, rows, p) for a in (x, np.ascontiguousarray(x.T).T) for p in (None, 4, 3, 3.5)]
+cfg = default_config(**{"grid.n": 64, "grid.half_width": 8.0})
+spec, solver = cfg.model_spec(), cfg.solver_spec()
+init = FhnState(0.0, ScalarField(spec.grid, 3.0 * x[0, :64]), ScalarField(spec.grid, x[1, :64]))
+traj = solve(spec, solver, WienerPath(seed=23, dt=solver.dt), 0.0, 0.4, init)
+records = [getattr(traj, key) for key in ("u_l2sq", "v_l2sq", "u_lp_p", "utilde_lp_p")]
+print(json.dumps({"sums": [s.tobytes().hex() for s in sums],
+                  "records": [r.tobytes().hex() for r in records]}))
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the settings name x86-64 CPUs")
+def test_records_do_not_depend_on_the_blas_core_type():
+    # norm sums add each row's points in order in the kernel, with no BLAS
+    # call, so OpenBLAS's core type moves no bit of them, nor of a 1-D
+    # solve's records, whose step and solve are the kernel's too; numpy's
+    # SIMD dispatch moves no norm sum of a fixed state (it moves the OU
+    # values and the profiles that `exp` forms, so a solve's records too)
+    src = str(Path(model.__file__).resolve().parents[1])
+
+    def run(**setting):
+        env = dict(os.environ, **setting,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", RECORD_PROBE], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    default = run()
+    prescott = run(OPENBLAS_CORETYPE="Prescott")
+    assert prescott == default
+    assert run(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL")["sums"] == default["sums"]
