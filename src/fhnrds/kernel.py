@@ -14,8 +14,8 @@ vectors of 4 rows and of 2), one of which `fhn_step` picks by the same CPU
 test: the step's one dispatch.  So a cached object runs on any CPU of its architecture and the
 key needs no CPU (`-march=native` would).  Other compilers build the
 baseline alone.
-A cold compile takes 0.6-1.3 s on 2 shared cores of an Intel Xeon, as
-busy as the host is, and the object is about 53 KB.  The object goes to
+A cold compile takes 1.5-1.8 s on 2 shared cores of an Intel Xeon, as
+busy as the host is, and the object is about 74 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
