@@ -5,12 +5,14 @@
  * Every operation is one IEEE double operation, in the order of the numpy
  * expressions it replaces (model._Step); built with -ffp-contract=off and
  * without -ffast-math, each rounds as numpy's does, so a step is bitwise
- * the numpy step, and a draw is bitwise scipy.special.ndtri of the numpy
- * hash, whose libm log and sqrt it calls too.  That holds at -O3 and in
- * each x86-64 level built (below): a vector lane rounds as the scalar
- * operation would, no FMA is formed, and no float reduction is reordered.
- * So the draws may run in passes, the middle rational of ndtri vectorized,
- * and the OU windows side by side, each value rounded as one at a time.
+ * the numpy step.  A draw is Cephes' ndtri of a counter hash with its log
+ * written here from + - * / (LOG), so no draw calls libm: the middle of
+ * ndtri is bitwise scipy.special.ndtri, and the tails' bits do not depend
+ * on the CPU.  That holds at -O3 and in each x86-64 level built (below): a
+ * vector lane rounds as the scalar operation would, no FMA is formed, and
+ * no float reduction is reordered.  So the draws may run in passes, ndtri's
+ * middle and tails on vectors, and the OU windows side by side, each value
+ * rounded as one at a time.
  * Point i of row b sits at i*ps + b*rs:
  * rows innermost (ps = B, rs = 1) on 1-D grids, where the step solves
  * across the rows at once on the plan's LDL^T factor, and row-major
@@ -27,6 +29,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
 
@@ -255,6 +258,35 @@ static const int64_t KEEP[8] = {0, 0, 0, 0, -1, -1, -1, -1};
         return any;                                                                        \
     }                                                                                      \
                                                                                            \
+    /* Whether a value of the rows b < A of u is out of range, read in memory              \
+     * order on whole vectors: one run of A*n values on 2-D grids, n runs of A             \
+     * at stride B on 1-D grids.  Four vectors are read at a time, each into a             \
+     * mask of its own that keeps the lanes in range, and the values past a                \
+     * run's last whole vector one at a time. */                                           \
+    ATTR __attribute__((noinline)) static int NAME##_scan(const fhn_plan *p, int64_t A)    \
+    {                                                                                      \
+        const double threshold = p->threshold;                                             \
+        const int one_run = p->ps == 1;                                                    \
+        const int64_t runs = one_run ? 1 : p->n, length = one_run ? A * p->n : A;          \
+        VI in[4] = {~(VI){0}, ~(VI){0}, ~(VI){0}, ~(VI){0}};                               \
+        int bad = 0;                                                                       \
+        for (int64_t r = 0; r < runs; r++) {                                               \
+            const double *run = p->u + r * p->ps;                                          \
+            int64_t k = 0;                                                                 \
+            for (; k + 4 * L <= length; k += 4 * L)                                        \
+                for (int v = 0; v < 4; v++)                                                \
+                    in[v] &= ~NAME##_out(*(const VD *)(run + k + v * L), threshold);       \
+            for (; k + L <= length; k += L)                                                \
+                in[0] &= ~NAME##_out(*(const VD *)(run + k), threshold);                   \
+            for (; k < length; k++)                                                        \
+                bad |= out_of_range(run[k], threshold);                                    \
+        }                                                                                  \
+        const VI all = in[0] & in[1] & in[2] & in[3];                                      \
+        for (int l = 0; l < L; l++)                                                        \
+            bad |= all[l] != -1;                                                           \
+        return bad;                                                                        \
+    }                                                                                      \
+                                                                                           \
     ATTR __attribute__((noinline)) static int NAME(const fhn_plan *p, int64_t A,           \
                                                    double gf, double hf)                   \
     {                                                                                      \
@@ -289,20 +321,21 @@ typedef int64_t vi2 __attribute__((vector_size(16), aligned(8)));
 typedef double vd4 __attribute__((vector_size(32), aligned(8)));
 typedef int64_t vi4 __attribute__((vector_size(32), aligned(8)));
 
-/* The step (STEP) is built once for each x86-64 level, its 1-D sweep on 4
- * lanes (32-byte vectors) at x86-64-v3 (AVX2) and on 2 lanes (16-byte
- * vectors) in the baseline, where 32-byte vectors split in two ran 3-4x
- * slower, and its 2-D loop over points vectorized at each level; fhn_step
- * picks one by fhn_isa's CPU test, which names the level: 3, or 0 for the
- * baseline.  That is the step's one dispatch.  fhn_scan and fhn_norms,
- * whose loops vectorize, and fhn_increments, whose middle pass does, carry
- * an x86-64-v3 and a baseline clone (CLONES); the dynamic loader picks one by
- * the same test when the object loads.  fhn_ou_blocks has no clone: its
- * clone measured no faster.  The v3 code is built only by GCC 12 or later,
- * the version tested (GCC 11's target_clones is reported to reject x86-64
- * levels), and only on glibc, whose ifunc the clones need; every other
- * compiler, C library and machine builds the baseline copy alone, with the
- * 4-lane sweep where it targets AVX2. */
+/* The step (STEP) is built once for each x86-64 level, its 1-D sweep and
+ * its scan on 4 lanes (32-byte vectors) at x86-64-v3 (AVX2) and on 2 lanes
+ * (16-byte vectors) in the baseline, where 32-byte vectors split in two ran
+ * 3-4x slower, and its 2-D loop over points vectorized at each level;
+ * fhn_step and fhn_scan pick one by fhn_isa's CPU test, which names the
+ * level: 3, or 0 for the baseline.  That is the step's one dispatch.
+ * fhn_norms, whose loops vectorize, and fhn_increments, whose draws run on
+ * vectors (fhn_ou_fill draws through it), carry an x86-64-v3 and a
+ * baseline clone (CLONES); the dynamic loader picks one by the same test
+ * when the object loads.  fhn_ou_fill's recursion has no clone: the clone
+ * of its loop measured no faster.  The v3 code is built only by GCC 12 or
+ * later, the version tested (GCC 11's target_clones is reported to reject
+ * x86-64 levels), and only on glibc, whose ifunc the clones need; every
+ * other compiler, C library and machine builds the baseline copy alone,
+ * with the 4-lane sweep where it targets AVX2. */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 int fhn_isa(void) { return __builtin_cpu_supports("x86-64-v3") ? 3 : 0; }
@@ -311,6 +344,10 @@ STEP(step2, vd2, vi2, 2, )
 static int step(const fhn_plan *p, int64_t A, double gf, double hf)
 {
     return fhn_isa() ? step4(p, A, gf, hf) : step2(p, A, gf, hf);
+}
+static int step_scan(const fhn_plan *p, int64_t A)
+{
+    return fhn_isa() ? step4_scan(p, A) : step2_scan(p, A);
 }
 #else
 #define CLONES
@@ -322,23 +359,11 @@ STEP(step, vd2, vi2, 2, )
 #endif
 #endif
 
-/* Whether a value of the rows b < A of u is out of range, read in memory
- * order: one run of A*n values on 2-D grids, n runs of A at stride B on
- * 1-D grids.  The loop over a run vectorizes in the x86-64-v3 clone, a
- * flag as wide as a double letting it; GCC 12 leaves it scalar in the
- * baseline. */
-CLONES int fhn_scan(const fhn_plan *p, int64_t A)
+/* Whether a value of the rows b < A of u is out of range: the scan of the
+ * step's level (STEP), picked by the same CPU test. */
+int fhn_scan(const fhn_plan *p, int64_t A)
 {
-    const double threshold = p->threshold;
-    const int one_run = p->ps == 1;
-    const int64_t runs = one_run ? 1 : p->n, length = one_run ? A * p->n : A;
-    int64_t bad = 0;
-    for (int64_t r = 0; r < runs; r++) {
-        const double *run = p->u + r * p->ps;
-        for (int64_t k = 0; k < length; k++)
-            bad |= out_of_range(run[k], threshold);
-    }
-    return bad != 0;
+    return step_scan(p, A);
 }
 
 /* The norm sums of fhnrds.fields, which model.solve_batch's records take
@@ -471,39 +496,6 @@ int fhn_step(const fhn_plan *p, int64_t A, int64_t j, double gf, double hf)
     return step(p, A, gf, hf);
 }
 
-/* The forced parts of m OU blocks of B values (fhnrds.noise.OuProcess).
- * Window i is the 2B-1 increments from xi + i*B; y = xi[k] + a*y runs over
- * it from y = xi[i*B], and its last B values are added to block i, which
- * holds the decayed stationary draw.  Each y is the one rounded sum that
- * lfilter([1], [1, -a]) forms as xi[k] - (-a)*y.  The windows run OU_LANES
- * at a time, one independent chain each, so the chains' latencies overlap;
- * a group of fewer windows repeats its last window in the spare lanes and
- * writes it once. */
-#define OU_LANES 4
-
-void fhn_ou_blocks(const double *xi, int64_t m, int64_t B, double a, double *blocks)
-{
-    for (int64_t i = 0; i < m; i += OU_LANES) {
-        const int64_t lanes = m - i < OU_LANES ? m - i : OU_LANES;
-        const double *x[OU_LANES];
-        double y[OU_LANES];
-        for (int j = 0; j < OU_LANES; j++) {
-            x[j] = xi + (i + (j < lanes ? j : lanes - 1)) * B;
-            y[j] = x[j][0];
-        }
-        for (int64_t k = 1; k < B; k++)
-            for (int j = 0; j < OU_LANES; j++)
-                y[j] = x[j][k] + a * y[j];
-        for (int j = 0; j < lanes; j++)
-            blocks[(i + j) * B] += y[j];
-        for (int64_t k = 1; k < B; k++) {
-            for (int j = 0; j < OU_LANES; j++)
-                y[j] = x[j][B - 1 + k] + a * y[j];
-            for (int j = 0; j < lanes; j++)
-                blocks[(i + j) * B + k] += y[j];
-        }
-    }
-}
 
 /* The normal draws of fhnrds.noise: a splitmix64-style counter hash of
  * (seed, component, tag, step) gives a uniform in (0, 1), Cephes' ndtri
@@ -536,11 +528,84 @@ INLINE double uniform01(uint64_t key, int64_t k)
     return u < 1.0 - 0x1p-53 ? u : 1.0 - 0x1p-53;
 }
 
+/* The lane types of LOG and of ndtri's tails: d1 one double, v4 a vector of
+ * 4.  For each, the double type (_t) and the int64 type of its bits (_i), a
+ * bit cast each way, the mask of a comparison (-1 where it holds, 0 where it
+ * does not), a select by such a mask, and sqrt, which -fno-math-errno lets
+ * the v4 loop form as one vector instruction.  The v4 operations are macros
+ * and take vectors by pointer, since a 32-byte vector passed by value
+ * changes the ABI of a function built without AVX. */
+typedef double d1_t;
+typedef int64_t d1_i;
+INLINE d1_i d1_bits(double x) { d1_i i; memcpy(&i, &x, sizeof i); return i; }
+INLINE double d1_double(d1_i i) { double x; memcpy(&x, &i, sizeof x); return x; }
+#define d1_mask(c) (-(d1_i)(c))
+#define d1_select(m, a, b) ((m) ? (a) : (b))
+#define d1_sqrt sqrt
+
+typedef vd4 v4_t;
+typedef vi4 v4_i;
+#define v4_bits(x) ((vi4)(x))
+#define v4_double(i) ((vd4)(i))
+#define v4_mask(c) (c)
+#define v4_select(m, a, b) ((vd4)(((vi4)(a) & (m)) | ((vi4)(b) & ~(m))))
+#define v4_sqrt(x)                  \
+    ({                              \
+        vd4 r_ = (x);               \
+        for (int l_ = 0; l_ < 4; l_++) \
+            r_[l_] = sqrt(r_[l_]);  \
+        r_;                         \
+    })
+
+/* The natural log of a finite x > 0 into out, on the lane type V: fdlibm's
+ * __ieee754_log (Sun Microsystems, 1993), with its coefficients and its
+ * order of operations.  x = 2^k (1 + f), sqrt(2)/2 <= 1 + f < sqrt(2), is
+ * split by its bits; with s = f/(2 + f) and R a polynomial in s^2,
+ *   log(x) = k ln2_hi - ((f^2/2 - (s (f^2/2 + R) + k ln2_lo)) - f)
+ * where the bits of x from its mantissa lie in fdlibm's band 1.38 to 1.42,
+ * and
+ *   log(x) = k ln2_hi - ((s (f - R) - k ln2_lo) - f)
+ * elsewhere.  It is made of + - * / and integer operations on the bits, so
+ * its bits depend neither on the CPU nor on libm (glibc's log has an FMA
+ * variant).  It is free of branches, so its lanes run as its doubles do: a
+ * subnormal x is scaled by 2^54 first, both forms are computed and one is
+ * selected, k becomes a double exactly by the bits of 1.5*2^52 + k, and
+ * fdlibm's shortcuts for k = 0 and |f| < 2^-20 are left out, the general
+ * form holding there too.  Within 1 ulp of log (tests/test_noise.py). */
+static const double LOG_LN2_HI = 6.93147180369123816490e-01, LOG_LN2_LO = 1.90821492927058770002e-10;
+static const double LOG_LG[7] = {
+    6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+    2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+    1.479819860511658591e-01,
+};
+
+#define LOG(V, out, x0)                                                                            \
+    do {                                                                                           \
+        const V##_i small_ = V##_mask((x0) < 0x1p-1022);                                           \
+        const V##_t x_ = V##_select(small_, (x0) * 0x1p54, (x0));                                  \
+        const V##_i bits_ = V##_bits(x_);                                                          \
+        V##_i hx_ = bits_ >> 32;                                                                   \
+        V##_i k_ = (hx_ >> 20) - 1023 - (small_ & 54);                                             \
+        hx_ &= 0xFFFFF;                                                                            \
+        const V##_i i_ = (hx_ + 0x95F64) & 0x100000;                                               \
+        k_ += i_ >> 20;                                                                            \
+        const V##_t f_ = V##_double((hx_ | (i_ ^ 0x3FF00000)) << 32 | (bits_ & 0xFFFFFFFF)) - 1.0; \
+        const V##_t dk_ = V##_double(k_ + 0x4338000000000000) - 0x1.8p52;                          \
+        const V##_t s_ = f_ / (2.0 + f_), z_ = s_ * s_, w_ = z_ * z_;                              \
+        const V##_t t1_ = w_ * (LOG_LG[1] + w_ * (LOG_LG[3] + w_ * LOG_LG[5]));                    \
+        const V##_t t2_ = z_ * (LOG_LG[0] + w_ * (LOG_LG[2] + w_ * (LOG_LG[4] + w_ * LOG_LG[6]))); \
+        const V##_t r_ = t2_ + t1_, hfsq_ = 0.5 * f_ * f_;                                         \
+        const V##_t band_ = dk_ * LOG_LN2_HI - ((hfsq_ - (s_ * (hfsq_ + r_) + dk_ * LOG_LN2_LO)) - f_); \
+        const V##_t off_ = dk_ * LOG_LN2_HI - ((s_ * (f_ - r_) - dk_ * LOG_LN2_LO) - f_);          \
+        (out) = V##_select(V##_mask(((hx_ - 0x6147A) | (0x6B851 - hx_)) > 0), band_, off_);        \
+    } while (0)
+
 /* Cephes' ndtri (S. L. Moshier, Methods and Programs for Mathematical
  * Functions, 1989), with its coefficients and its order of operations,
- * as scipy.special.ndtri evaluates it: a rational function of (y - 1/2)^2
- * for exp(-2) < y < 1 - exp(-2), and x - log(x)/x - R(1/x) with
- * x = sqrt(-2 log y) in the tails, whose rational R changes at x = 8. */
+ * as scipy.special.ndtri evaluates it, but with LOG for libm's log: a
+ * rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and
+ * x - log(x)/x - R(1/x) with x = sqrt(-2 log y) in the tails, whose
+ * rational R changes at x = 8. */
 static const double NDTRI_P0[5] = {
     -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
     1.39312609387279679503E1, -1.23916583867381258016E0,
@@ -571,22 +636,24 @@ static const double NDTRI_Q2[8] = {
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
 };
 
-/* Horner's rule on c[0] x^n + ... + c[n], and on x^n + c[0] x^(n-1) + ... */
-INLINE double polevl(double x, const double *c, int n)
-{
-    double a = c[0];
-    for (int i = 1; i <= n; i++)
-        a = a * x + c[i];
-    return a;
-}
+/* Horner's rule into out, on TYPE double or a vector of doubles, with
+ * double coefficients: c[0] x^n + ... + c[n] (POLEVL), and x^n + c[0]
+ * x^(n-1) + ... + c[n-1] (P1EVL), each step a*x + c[i] */
+#define POLEVL(TYPE, out, x, c, n)                    \
+    do {                                              \
+        TYPE a_ = (c)[0] * (x) + (c)[1];              \
+        for (int i_ = 2; i_ <= (n); i_++)             \
+            a_ = a_ * (x) + (c)[i_];                  \
+        (out) = a_;                                   \
+    } while (0)
 
-INLINE double p1evl(double x, const double *c, int n)
-{
-    double a = x + c[0];
-    for (int i = 1; i < n; i++)
-        a = a * x + c[i];
-    return a;
-}
+#define P1EVL(TYPE, out, x, c, n)                     \
+    do {                                              \
+        TYPE a_ = (x) + (c)[0];                       \
+        for (int i_ = 1; i_ < (n); i_++)              \
+            a_ = a_ * (x) + (c)[i_];                  \
+        (out) = a_;                                   \
+    } while (0)
 
 static const double NDTRI_E2 = 0.13533528323661269189; /* exp(-2) */
 
@@ -596,11 +663,36 @@ INLINE double ndtri_mid(double y)
 {
     y = y - 0.5;
     const double y2 = y * y;
-    const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+    double p, q;
+    POLEVL(double, p, y2, NDTRI_P0, 4);
+    P1EVL(double, q, y2, NDTRI_Q0, 8);
+    const double x = y + y * (y2 * p / q);
     return x * 2.50662827463100050242E0; /* sqrt(2 pi) */
 }
 
 INLINE int ndtri_is_mid(double y) { return NDTRI_E2 < y && y <= 1.0 - NDTRI_E2; }
+
+/* The tails of ndtri on the lane type V, for 0 < y <= NDTRI_E2: x =
+ * sqrt(-2 log y) and x0 = x - log(x)/x (NDTRI_X), then out = x0 - R(1/x),
+ * R(z) = z P(z)/Q(z) with P, Q = P1, Q1 for x < 8 (y > exp(-32)) and P2, Q2
+ * otherwise (NDTRI_R). */
+#define NDTRI_X(V, x, x0, y)          \
+    do {                              \
+        V##_t l_, lx_;                \
+        LOG(V, l_, y);                \
+        (x) = V##_sqrt(-2.0 * l_);    \
+        LOG(V, lx_, (x));             \
+        (x0) = (x) - lx_ / (x);       \
+    } while (0)
+
+#define NDTRI_R(V, out, x, x0, P, Q)        \
+    do {                                    \
+        const V##_t z_ = 1.0 / (x);         \
+        V##_t p_, q_;                       \
+        POLEVL(V##_t, p_, z_, P, 8);        \
+        P1EVL(V##_t, q_, z_, Q, 8);         \
+        (out) = (x0) - z_ * p_ / q_;        \
+    } while (0)
 
 INLINE double ndtri(double y0)
 {
@@ -608,7 +700,7 @@ INLINE double ndtri(double y0)
         return -INFINITY;
     if (y0 == 1.0)
         return INFINITY;
-    if (y0 < 0.0 || y0 > 1.0)
+    if (!(y0 > 0.0 && y0 < 1.0)) /* NaN too */
         return NAN;
     double y = y0;
     int negate = 1;
@@ -618,45 +710,98 @@ INLINE double ndtri(double y0)
     }
     if (y > NDTRI_E2)
         return ndtri_mid(y);
-    const double x = sqrt(-2.0 * log(y));
-    const double x0 = x - log(x) / x;
-    const double z = 1.0 / x;
-    double x1;
-    if (x < 8.0) /* y > exp(-32) */
-        x1 = z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8);
+    double x, x0, r;
+    NDTRI_X(d1, x, x0, y);
+    if (x < 8.0)
+        NDTRI_R(d1, r, x, x0, NDTRI_P1, NDTRI_Q1);
     else
-        x1 = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
-    return negate ? -(x0 - x1) : x0 - x1;
+        NDTRI_R(d1, r, x, x0, NDTRI_P2, NDTRI_Q2);
+    return negate ? -r : r;
+}
+
+/* ndtri of 4 uniforms of the tails (u <= NDTRI_E2 or u > 1 - NDTRI_E2)
+ * into out, each lane bitwise ndtri's: the upper tail's 1 - u and its sign by
+ * select, and P2, Q2 formed only for a vector with a lane at x >= 8. */
+INLINE void ndtri_tails(const vd4 *tails, vd4 *out)
+{
+    const vd4 u = *tails;
+    const vi4 upper = u > 1.0 - NDTRI_E2;
+    const vd4 y = v4_select(upper, 1.0 - u, u);
+    vd4 x, x0, r;
+    NDTRI_X(v4, x, x0, y);
+    NDTRI_R(v4, r, x, x0, NDTRI_P1, NDTRI_Q1);
+    const vi4 far = x >= 8.0;
+    if (far[0] | far[1] | far[2] | far[3]) {
+        vd4 r2;
+        NDTRI_R(v4, r2, x, x0, NDTRI_P2, NDTRI_Q2);
+        r = v4_select(far, r2, r);
+    }
+    *out = v4_select(upper, r, -r);
+}
+
+/* out[i] = ndtri(u) * scale for the uniform u of step steps[i] of the
+ * stream `key`, i < n <= DRAW_CHUNK, in three passes: the hash of the
+ * uniforms; the middle rational of every lane, which vectorizes; and the
+ * lanes outside the middle (about 27% of them, u = 1 - 2^-53 included),
+ * exactly those ndtri's own tests send elsewhere, listed without branches,
+ * index and uniform, then run through ndtri_tails 4 at a time. */
+#define DRAW_CHUNK 512
+
+INLINE void draw_chunk(uint64_t key, const int64_t *steps, int64_t n, double scale, double *out)
+{
+    double u[DRAW_CHUNK], tails[DRAW_CHUNK + 3];
+    int64_t at[DRAW_CHUNK], t = 0;
+    for (int64_t i = 0; i < n; i++)
+        u[i] = uniform01(key, steps[i]);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = ndtri_mid(u[i]) * scale;
+    for (int64_t i = 0; i < n; i++) {
+        at[t] = i;
+        tails[t] = u[i];
+        t += !ndtri_is_mid(u[i]);
+    }
+    for (int64_t i = t; i < t + 3; i++) /* the spare lanes of the last vector */
+        tails[i] = NDTRI_E2;
+    for (int64_t i = 0; i < t; i += 4) {
+        vd4 d;
+        ndtri_tails((const vd4 *)(tails + i), &d);
+        d = d * scale;
+        for (int64_t l = 0; l < 4 && i + l < t; l++)
+            out[at[i + l]] = d[l];
+    }
 }
 
 /* out[i] = ndtri(u) * scale for the uniform u of step steps[i] of the
  * stream (seed, component, tag): fhnrds.noise's Wiener increments and
- * stationary OU draws.  Each chunk of DRAW_CHUNK runs in three passes: the
- * hash of its uniforms; the middle rational of every lane, which vectorizes;
- * and the scalar ndtri of the lanes outside the middle (about 27% of them,
- * u = 1 - 2^-53 included), exactly those ndtri's own tests send elsewhere. */
-#define DRAW_CHUNK 512
-
+ * stationary draws, DRAW_CHUNK at a time. */
 CLONES void fhn_increments(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
-                    int64_t count, double scale, double *out)
+                           int64_t count, double scale, double *out)
 {
     const uint64_t key = stream_key(seed, component, tag);
-    double u[DRAW_CHUNK];
+    for (int64_t c = 0; c < count; c += DRAW_CHUNK)
+        draw_chunk(key, steps + c, count - c < DRAW_CHUNK ? count - c : DRAW_CHUNK, scale, out + c);
+}
+
+/* out[i] = damp * (ndtri(u) * scale) for the steps first + i, i < count,
+ * of the stream (seed, component, tag), a chunk of fhn_increments at a
+ * time, each damped while it is in cache (damp = 1 changes no bit) */
+static void draw_steps(uint64_t seed, int64_t component, uint64_t tag, int64_t first, int64_t count,
+                       double scale, double damp, double *out)
+{
+    int64_t steps[DRAW_CHUNK];
     for (int64_t c = 0; c < count; c += DRAW_CHUNK) {
         const int64_t n = count - c < DRAW_CHUNK ? count - c : DRAW_CHUNK;
-        double *o = out + c;
         for (int64_t i = 0; i < n; i++)
-            u[i] = uniform01(key, steps[c + i]);
+            steps[i] = first + c + i;
+        fhn_increments(seed, component, tag, steps, n, scale, out + c);
         for (int64_t i = 0; i < n; i++)
-            o[i] = ndtri_mid(u[i]) * scale;
-        for (int64_t i = 0; i < n; i++)
-            if (!ndtri_is_mid(u[i]))
-                o[i] = ndtri(u[i]) * scale;
+            out[c + i] = damp * out[c + i];
     }
 }
 
-/* The two halves of fhn_increments alone, which the tests pin one by one:
- * the uniforms of the steps, and ndtri(y) * scale of any y. */
+/* The parts of fhn_increments alone, which the tests pin one by one: the
+ * uniforms of the steps, ndtri(y) * scale of any y, and LOG of any finite
+ * x > 0. */
 void fhn_uniforms(uint64_t seed, int64_t component, uint64_t tag, const int64_t *steps,
                   int64_t count, double *out)
 {
@@ -669,4 +814,82 @@ void fhn_ndtri(const double *y, int64_t count, double scale, double *out)
 {
     for (int64_t i = 0; i < count; i++)
         out[i] = ndtri(y[i]) * scale;
+}
+
+void fhn_log(const double *x, int64_t count, double *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        LOG(d1, out[i], x[i]);
+}
+
+/* The OU windows i < lanes from xi, B apart, with their anchors, into the
+ * blocks from out: y = xi[k] + a*y runs over each window of 2B - 1 values
+ * from y = xi[0], and value j of its block is its y at k = B - 1 + j plus
+ * anchor * a^(B+j), the power p carried from pB = a^B by one product a
+ * step.  The OU_LANES windows run side by side, one independent chain each,
+ * so the chains' latencies overlap; fewer windows repeat the last in the
+ * spare lanes and write it once. */
+#define OU_LANES 4
+
+INLINE void ou_windows(const double *xi, const double *anchor, int64_t lanes, int64_t B, double a,
+                       double pB, double *out)
+{
+    const double *x[OU_LANES];
+    double y[OU_LANES], an[OU_LANES];
+    for (int j = 0; j < OU_LANES; j++) {
+        const int64_t w = j < lanes ? j : lanes - 1;
+        x[j] = xi + w * B;
+        an[j] = anchor[w];
+        y[j] = x[j][0];
+    }
+    for (int64_t k = 1; k < B; k++)
+        for (int j = 0; j < OU_LANES; j++)
+            y[j] = x[j][k] + a * y[j];
+    double p = pB;
+    for (int j = 0; j < lanes; j++)
+        out[j * B] = y[j] + an[j] * p;
+    for (int64_t k = 1; k < B; k++) {
+        p = p * a;
+        for (int j = 0; j < OU_LANES; j++)
+            y[j] = x[j][B - 1 + k] + a * y[j];
+        for (int j = 0; j < lanes; j++)
+            out[j * B + k] = y[j] + an[j] * p;
+    }
+}
+
+/* Blocks first, ..., first + count - 1 of an OU process of block length B
+ * (fhnrds.noise.OuProcess) into blocks, count rows of B.  Block m is the
+ * last B values of the recursion over its window, the damped increments
+ * damp * (ndtri(u) * scale) of steps (m-1)*B .. (m+1)*B - 2 of the stream
+ * (seed, component, tag_xi), plus its anchor, the draw ndtri(u) * sd of
+ * step m - 1 of the stream tag_anchor, decayed by a^(B+j) at value j.  xi
+ * is scratch for the (count+1)*B - 1 increments of the blocks' windows,
+ * consecutive windows sharing B - 1, each drawn once: where `carried`, its
+ * first B - 1 values already hold those of steps (first-1)*B .. first*B - 2,
+ * which the fill of the blocks up to first - 1 left there, and are not
+ * drawn again; on return it holds the fill's last B - 1 there.  Each y is
+ * the one rounded sum that lfilter([1], [1, -a]) forms as xi[k] - (-a)*y,
+ * and the powers are products in a fixed order: a^B by squaring, over the
+ * bits of B from the lowest, then a^(B+j) * a for a^(B+j+1). */
+void fhn_ou_fill(uint64_t seed, int64_t component, uint64_t tag_xi, uint64_t tag_anchor,
+                 int64_t first, int64_t count, int64_t B, int64_t carried, double scale,
+                 double damp, double a, double sd, double *xi, double *blocks)
+{
+    const int64_t size = (count + 1) * B - 1, from = carried ? B - 1 : 0;
+    draw_steps(seed, component, tag_xi, (first - 1) * B + from, size - from, scale, damp, xi + from);
+    double pB = 1.0, square = a;
+    for (int64_t e = B; e > 0; e >>= 1) {
+        if (e & 1)
+            pB = pB * square;
+        square = square * square;
+    }
+    double anchor[DRAW_CHUNK];
+    for (int64_t c = 0; c < count; c += DRAW_CHUNK) {
+        const int64_t n = count - c < DRAW_CHUNK ? count - c : DRAW_CHUNK;
+        draw_steps(seed, component, tag_anchor, first - 1 + c, n, sd, 1.0, anchor);
+        for (int64_t i = 0; i < n; i += OU_LANES)
+            ou_windows(xi + (c + i) * B, anchor + i, n - i < OU_LANES ? n - i : OU_LANES, B, a, pB,
+                       blocks + (c + i) * B);
+    }
+    memmove(xi, xi + count * B, (size_t)(B - 1) * sizeof *xi);
 }

@@ -1,21 +1,22 @@
 """The compiled kernel (`_step.c`), built on first use and loaded with ctypes:
 the IMEX step of `model`, with the 1-D tridiagonal solve, the norm sums of
-`fields`, which `model`'s records take too, and the OU block fill and the
-Gaussian draws of `noise`.
+`fields`, which `model`'s records take too, and the Gaussian draws and the
+OU block fill of `noise`, one call per piece of blocks.
 
 The source ships in the package.  `load` compiles it once per cache key
-with sysconfig's CC at `-O3 -fPIC -ffp-contract=off`: no `-ffast-math` and
-no FMA contraction, so every operation rounds as numpy's does.  With GCC 12
-or later on x86-64 glibc the scan, the norm sums and the draws carry an
-x86-64-v3 and a baseline clone, one of which the dynamic loader picks for
-the CPU when the object loads, and the step, whose explicit update is
-written once for both grids, is built once per level (its 1-D sweep on
-vectors of 4 rows and of 2), one of which `fhn_step` picks by the same CPU
-test: the step's one dispatch.  So a cached object runs on any CPU of its architecture and the
-key needs no CPU (`-march=native` would).  Other compilers build the
-baseline alone.
-A cold compile takes 1.5-1.8 s on 2 shared cores of an Intel Xeon, as
-busy as the host is, and the object is about 74 KB.  The object goes to
+with sysconfig's CC at `-O3 -fPIC -ffp-contract=off -fno-math-errno`: no
+`-ffast-math` and no FMA contraction, so every operation rounds as numpy's
+does, and no errno, so `sqrt` is one instruction on vectors too.  With GCC
+12 or later on x86-64 glibc the norm sums and the draws (the OU fill's
+too) carry an x86-64-v3 and a baseline clone, one of which the dynamic loader picks
+for the CPU when the object loads, and the step, whose explicit update is
+written once for both grids, is built once per level with its scan (its
+1-D sweep and the scan on vectors of 4 and of 2), one of which `fhn_step`
+and `fhn_scan` pick by the same CPU test: the step's one dispatch.  So a
+cached object runs on any CPU of its architecture and the key needs no CPU
+(`-march=native` would).  Other compilers build the baseline alone.
+A cold compile takes 1.6-1.7 s on 2 shared cores of an Intel Xeon, as
+busy as the host is, and the object is about 90 KB.  The object goes to
 `$XDG_CACHE_HOME/fhnrds` (default `~/.cache/fhnrds`), or to a directory of
 the user's under `tempfile.gettempdir()` when that is not writable, named
 by a hash of the source, the flags and CC.  It is written under a
@@ -25,12 +26,12 @@ Each load refreshes the mtime of its object, and a cold build deletes the
 other objects of its cache that are older than `STALE_S` (30 days), so
 objects of an edited source do not pile up while none in use goes.
 
-The Gaussian draws call libm's `log` and `sqrt` in Cephes' `ndtri`, as
-`scipy.special.ndtri` does.  glibc picks an FMA variant of `log` on CPUs
-that have FMA, so an increment may differ in its last bit between a CPU
-with FMA and one without; within one process it is bitwise scipy's.  So
-may a norm sum at a p that is not an integer up to 64, which calls libm's
-`pow`.
+The Gaussian draws call no libm function: the `log` of Cephes' `ndtri` is
+fdlibm's, written in the kernel from + - * / and a split of the exponent
+bits, and `sqrt` is the IEEE operation, so a draw, and an OU fill given
+its decay and damping, has the same bits on every CPU.  The one output left whose last bit may differ
+between CPUs is a norm sum at a p that is not an integer up to 64, which
+calls libm's `pow` (glibc picks an FMA variant of it on CPUs with FMA).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from . import RunError
 
-FLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-shared")
+FLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-shared")
 # a cold build deletes the other objects of its cache whose mtime is older
 # than this; each load refreshes the mtime of its object
 STALE_S = 30 * 24 * 3600
@@ -79,10 +80,11 @@ _SIGNATURES = {
     "fhn_shift": (None, (_P, _I64, _I64)),
     "fhn_step": (ctypes.c_int, (_P, _I64, _I64, _F64, _F64)),
     "fhn_norms": (ctypes.c_int, (_P, _I64, _I64, _I64, _I64, _P, _I64, _I64, _F64, _P, _P, _P)),
-    "fhn_ou_blocks": (None, (_P, _I64, _I64, _F64, _P)),
+    "fhn_ou_fill": (None, (_U64, _I64, _U64, _U64, _I64, _I64, _I64, _I64, _F64, _F64, _F64, _F64, _P, _P)),
     "fhn_increments": (None, (_U64, _I64, _U64, _P, _I64, _F64, _P)),
     "fhn_uniforms": (None, (_U64, _I64, _U64, _P, _I64, _P)),
     "fhn_ndtri": (None, (_P, _I64, _F64, _P)),
+    "fhn_log": (None, (_P, _I64, _P)),
     "fhn_isa": (ctypes.c_int, ()),
 }
 

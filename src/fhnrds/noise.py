@@ -6,13 +6,17 @@ far backward in time without perturbing values that were already generated.
 That property is what makes pullback experiments (same noise realization,
 initial time receding to -infinity) well defined at the discrete level.
 
-The hash and its map to N(0, 1) run in the compiled kernel's
-`fhn_increments` (`_step.c`): a splitmix64-style hash gives a uniform in
-(0, 1), and Cephes' `ndtri`, ported with its coefficients and its order
-of operations, inverts the normal distribution function at it.  Each draw
-is bitwise `scipy.special.ndtri(u) * scale` of the numpy hash that the
-tests keep as their reference, so the package needs numpy alone at run
-time.
+The hash and its map to N(0, 1) run in the compiled kernel (`_step.c`): a
+splitmix64-style hash gives a uniform in (0, 1), and Cephes' `ndtri`,
+ported with its coefficients and its order of operations, inverts the
+normal distribution function at it.  Its middle rational is bitwise
+`scipy.special.ndtri` of the numpy hash that the tests keep as their
+reference; its tails (27% of draws) take their two logs from fdlibm's
+`log`, written in the kernel from + - * / alone, so they differ from
+scipy's, which calls libm's, in their last bits (6 units at most) on 0.75%
+of draws, and no draw depends on the CPU.  `wiener_increment` draws any steps through
+`fhn_increments`; an OU fill draws its own increments and stationary draws
+in `fhn_ou_fill`.  The package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -106,11 +110,8 @@ def stationary_variance(rate):
     return 1.0 / (2.0 * rate)
 
 
-# increments hashed at once (a few hundred kB of scratch, so they stay in
-# cache), and window values per piece of a fill; counted in values, not
-# blocks, so the memory of a process does not grow as its block length
-# B = 20/(rate*dt)
-_CHUNK = 1 << 14
+# window values per piece of a fill, counted in values, not blocks, so the
+# memory of a process does not grow as its block length B = 20/(rate*dt)
 _SOLVE_VALUES = 1 << 17
 
 
@@ -133,12 +134,18 @@ class OuProcess:
     next.  A block read again is filled again, bitwise the same; a caller
     that reads overlapping windows reads their union once.
 
-    The recursion y[n] = xi[n] + a*y[n-1] over each window runs in the
-    kernel's `fhn_ou_blocks`, built without FMA contraction, so each y is
-    the rounded product a*y[n-1] plus xi[n], rounded once.
-    `scipy.signal.lfilter([1], [1, -a], xi)` forms xi[n] + (0*xi[n-1] -
-    (-a)*y[n-1]), and (-a)*y is exactly -(a*y), so it rounds the same sum
-    and every block is bitwise the filtered one.
+    Each piece is one call of the kernel's `fhn_ou_fill`, which draws the
+    piece's damped increments and its blocks' stationary draws, and runs the
+    recursion y[n] = xi[n] + a*y[n-1] over each window, built without FMA
+    contraction, so each y is the rounded product a*y[n-1] plus xi[n],
+    rounded once.  `scipy.signal.lfilter([1], [1, -a], xi)` forms xi[n] +
+    (0*xi[n-1] - (-a)*y[n-1]), and (-a)*y is exactly -(a*y), so it rounds
+    the same sum and every block is bitwise the filtered one plus its decayed
+    stationary draw, whose powers of a the kernel forms by products in a
+    fixed order.  Consecutive windows share B-1 increments: the kernel
+    leaves a piece's last B-1 in the read's scratch `_xi`, and the next
+    piece of the read takes them from there when it starts one block on,
+    so each increment of a read's span is drawn once.
     """
 
     def __init__(self, seed, component, rate, dt):
@@ -154,12 +161,10 @@ class OuProcess:
         self._damp = np.exp(-rate * dt / 2.0)  # midpoint damping quadrature
         self.piece_blocks = max(1, _SOLVE_VALUES // (2 * self.B - 1))
         self._blocks = {}  # the blocks of the fill a read is copying out of
-        # the end step and the last B - 1 increments of a read's latest fill,
-        # carried into its next fill when that fill's first window starts
-        # among them, and the decay powers its fills share, which depend only
-        # on B; a read drops both when it is done
-        self._tail = (0, np.empty(0))
-        self._pows = None
+        # a read's increment scratch, and the block after its latest piece,
+        # whose window starts with the B-1 increments that piece left in it;
+        # a read drops both when it is done
+        self._xi, self._next = None, None
 
     def _compute_blocks(self, ms):
         """Fill the blocks of the indices in `ms` into `_blocks`, in place of
@@ -176,34 +181,21 @@ class OuProcess:
                 pieces[-1].append(m)
             else:
                 pieces.append([m])
-        B = self.B
-        if self._pows is None:
-            # y[n] = sum_{j<=n} a^(n-j) xi_j is the forced part of z at step
-            # anchor + n + 1, so steps m*B .. (m+1)*B - 1 are n = B-1 .. 2B-2
-            self._pows = self._decay ** np.arange(B, 2 * B)
-        fill = kernel.load().fhn_ou_blocks
-        longest = max(len(piece) for piece in pieces)
-        xi_buf = np.empty((longest + 1) * B - 1)  # one piece's increments
-        sd = np.sqrt(stationary_variance(self.rate))
-        k1, xi = self._tail  # the end step of the increments drawn last, and their tail
+        B, s = self.B, self.seed
+        size = (max(len(piece) for piece in pieces) + 1) * B - 1  # the longest piece's increments
+        if self._xi is None or self._xi.size < size:
+            xi, self._xi = self._xi, np.empty(size)
+            if xi is not None:  # with the B-1 the piece before left
+                self._xi[: B - 1] = xi[: B - 1]
+        fill = kernel.load().fhn_ou_fill
+        scale, sd = np.sqrt(self.dt), np.sqrt(stationary_variance(self.rate))
         for piece in pieces:
-            # block m filters the 2B-1 increments from step (m-1)*B; consecutive
-            # windows overlap by B-1 steps, so the piece's increments are drawn
-            # once and its windows start B apart in them.  The B-1 it shares
-            # with the piece or fill before are carried over, not drawn again.
-            k0 = (piece[0] - 1) * B
-            carried = k1 - k0 if 0 < k1 - k0 <= xi.size else 0
-            xi_buf[:carried] = xi[xi.size - carried :]
-            xi = xi_buf[: (len(piece) + 1) * B - 1]
-            k1 = k0 + xi.size
-            for i in range(carried, xi.size, _CHUNK):
-                ks = np.arange(k0 + i, k0 + min(i + _CHUNK, xi.size), dtype=np.int64)
-                xi_i = wiener_increment(self.seed, ks, self.dt)
-                np.multiply(self._damp, xi_i, out=xi[i : i + ks.size])
-            blocks = np.multiply.outer(_normals(self.seed, np.array(piece) - 1, _TAG_INIT, sd), self._pows)
-            fill(xi.ctypes.data, len(piece), B, self._decay, blocks.ctypes.data)
+            blocks = np.empty((len(piece), B))
+            fill(s.seed, s.component, _TAG_INCREMENT, _TAG_INIT, piece[0], len(piece), B,
+                 piece[0] == self._next, scale, self._damp, self._decay, sd, self._xi.ctypes.data,
+                 blocks.ctypes.data)
+            self._next = piece[-1] + 1
             self._blocks.update(zip(piece, blocks))
-        self._tail = (k1, xi[xi.size - (B - 1) :].copy())
 
     def read(self, spans):
         """z at the steps of each span (j0, j1, stride): j0, j0 + stride, ...
@@ -231,7 +223,7 @@ class OuProcess:
                         count = (last - j) // stride + 1
                         out[done[s] : done[s] + count] = self._blocks[m][j - m * B : last - m * B + 1 : stride]
                         done[s] += count
-        self._blocks, self._tail, self._pows = {}, (0, np.empty(0)), None
+        self._blocks, self._xi, self._next = {}, None, None
         return outs
 
     def values(self, j0, j1, stride=1):

@@ -665,6 +665,32 @@ def test_each_kernel_build_steps_as_numpy_at_each_size(kernel_build, overrides, 
     test_kernel_step_matches_numpy_step(overrides, t1)
 
 
+@pytest.mark.parametrize("overrides, B", [({"grid.n": 3}, 19), ({"grid.dim": 2, "grid.n": 5}, 3),
+                                          ({"grid.dim": 2, "grid.n": 64}, 3)], ids=["1d", "2d", "2d-64"])
+def test_each_kernel_build_scans_as_numpy(kernel_build, overrides, B):
+    # the scan of each build, on whole vectors four at a time and the values
+    # past a run's last whole vector one at a time: one value out of range
+    # (NaN, infinite, just past the threshold) or just in it, at each point
+    # of u's buffer in turn, spare rows included, is flagged for the rows
+    # b < A exactly when it lies in one of them
+    cfg = default_config(**overrides)
+    spec = cfg.model_spec()
+    z = np.zeros((1, 1))
+    step = model._Step(spec, spec.grid, cfg.solver_spec().dt, B, z, z, [0] * B)
+    u = step._keep[0].reshape(-1) if step.one_d else step._keep[0].reshape(B, -1)
+    rows = step._keep[0].shape[1] if step.one_d else B
+    threshold = model.BLOWUP_THRESHOLD
+    positions = range(u.size) if u.ndim == 1 else [(b, i) for b in range(B) for i in range(0, u.shape[1], 97)]
+    for at in positions:
+        row = at % rows if u.ndim == 1 else at[0]
+        for value, bad in ((np.nan, True), (-np.inf, True), (np.nextafter(threshold, np.inf), True),
+                           (-threshold, False)):
+            u[at] = value
+            for A in range(B + 1):
+                assert step.scan(A) == (bad and row < A), (at, value, A)
+            u[at] = 0.0
+
+
 def count_ou_reads(monkeypatch):
     """Count the OuProcess.values calls, one per z series and component."""
     calls = []

@@ -1,9 +1,16 @@
 import contextlib
 import math
+import os
+import platform
 import re
+import struct
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
+import mpmath
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
@@ -99,7 +106,7 @@ def step_of_uniform(seed, component, tag, y):
 def stationary_draw(proc, m):
     """The stationary draw that anchors block m of `proc`, from the reference hash."""
     u = uniform01(proc.seed.seed, proc.seed.component, m - 1, noise._TAG_INIT)
-    return ndtri(u) * np.sqrt(stationary_variance(proc.rate))
+    return reference_ndtri(u) * np.sqrt(stationary_variance(proc.rate))
 
 
 def kernel_uniforms(seed, component, tag, ks):
@@ -113,6 +120,91 @@ def kernel_ndtri(y, scale):
     y = np.ascontiguousarray(y, dtype=np.float64)
     out = np.empty(y.shape)
     kernel.load().fhn_ndtri(y.ctypes.data, y.size, scale, out.ctypes.data)
+    return out
+
+
+def kernel_log(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    kernel.load().fhn_log(x.ctypes.data, x.size, out.ctypes.data)
+    return out
+
+
+# the kernel's log and ndtri tails in Python floats, one IEEE operation at
+# a time in the kernel's order: fdlibm's log, split by the bits of x
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+LG = [6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+      2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+      1.479819860511658591e-01]
+E2 = 0.13533528323661269189  # exp(-2), where ndtri's middle hands over to its tails
+NDTRI_TAILS = {  # the rationals P, Q of x < 8 and of x >= 8
+    False: ([4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4],
+            [1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4]),
+    True: ([3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+            1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+            3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9],
+           [6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+            2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+            2.89247864745380683936E-6, 6.79019408009981274425E-9]),
+}
+
+
+def twin_log(x):
+    """log of a finite float x > 0 as the kernel's LOG forms it."""
+    k = 0
+    if x < 2.0**-1022:
+        x, k = x * 2.0**54, -54
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    hx = bits >> 32
+    k += (hx >> 20) - 1023
+    hx &= 0xFFFFF
+    i = (hx + 0x95F64) & 0x100000
+    k += i >> 20
+    f = struct.unpack("<d", struct.pack("<q", (hx | (i ^ 0x3FF00000)) << 32 | (bits & 0xFFFFFFFF)))[0] - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6]))) + w * (LG[1] + w * (LG[3] + w * LG[5]))
+    hfsq = 0.5 * f * f
+    if 0x6147A <= hx <= 0x6B851:
+        return k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+    return k * LN2_HI - ((s * (f - r) - k * LN2_LO) - f)
+
+
+def twin_tail(u):
+    """ndtri of a float u in a tail (0 < u <= E2 or 1 - E2 < u < 1), as the kernel forms it."""
+    y = 1.0 - u if u > 1.0 - E2 else u
+    x = math.sqrt(-2.0 * twin_log(y))
+    x0 = x - twin_log(x) / x
+    z = 1.0 / x
+    P, Q = NDTRI_TAILS[x >= 8.0]
+    p, q = P[0] * z + P[1], z + Q[0]
+    for c in P[2:]:
+        p = p * z + c
+    for c in Q[1:]:
+        q = q * z + c
+    r = x0 - z * p / q
+    return r if u > 1.0 - E2 else -r
+
+
+_TWIN_TAILS = {}  # u -> twin_tail(u), shared by the pins of every build
+
+
+def reference_ndtri(u):
+    """The kernel's ndtri of the array `u` in (0, 1): scipy's in the middle,
+    the Python twin in the tails."""
+    u = np.asarray(u, dtype=np.float64)
+    out = ndtri(u)
+    tails = ~((u > E2) & (u <= 1.0 - E2))
+    for i in np.flatnonzero(tails):
+        y = float(u.flat[i])
+        if y not in _TWIN_TAILS:
+            _TWIN_TAILS[y] = twin_tail(y)
+        out.flat[i] = _TWIN_TAILS[y]
     return out
 
 
@@ -134,11 +226,10 @@ def ndtri_points():
     tails, and steps of y in the lower tail whose x = sqrt(-2 log y) lies on
     each side of 8, where the tail rationals change; and 200,000 points
     log-uniform in each tail, down to 2**-54 and up to 1 - 2**-53."""
-    e2 = 0.13533528323661269189
     exponents = np.random.default_rng(11).uniform(-54.0, -1.0, (2, 200_000))
     ys = [2.0**-np.arange(1, 55), 1.0 - 2.0**-np.arange(1, 54), [0.0, 1.0],
           2.0 ** exponents[0], 1.0 - 2.0 ** np.maximum(exponents[1], -53.0)]
-    for y in (e2, 1.0 - e2):
+    for y in (E2, 1.0 - E2):
         down, up = [y], [y]
         for _ in range(40):
             down.append(np.nextafter(down[-1], 0.0))
@@ -158,12 +249,42 @@ def test_kernel_hash_is_the_numpy_hash():
 
 
 def test_kernel_ndtri_is_scipys():
+    # bitwise scipy's ndtri in the middle; in the tails, whose logs are the
+    # kernel's own, bitwise the Python twin, and scipy's to 1e-15 relative
     ys = ndtri_points()
+    mid = (ys > E2) & (ys <= 1.0 - E2)
+    inner = (ys > 0.0) & (ys < 1.0)
+    assert np.any(mid) and np.any(inner & ~mid)
     for scale in (1.0, np.sqrt(1e-3)):
-        assert np.array_equal(kernel_ndtri(ys, scale), ndtri(ys) * scale), scale
-    # ndtri(1) is infinite, as scipy's is; the hash never gives 1, where its
-    # largest sum rounds (test_the_largest_hash_is_clamped_below_one)
-    assert (1.0 - 2.0**-53) + 2.0**-54 == 1.0 and kernel_ndtri([1.0], 1.0)[0] == np.inf
+        got = kernel_ndtri(ys, scale)
+        assert np.array_equal(got[mid], ndtri(ys[mid]) * scale), scale
+        assert np.array_equal(got[inner], reference_ndtri(ys[inner]) * scale), scale
+        np.testing.assert_allclose(got[inner], ndtri(ys[inner]) * scale, rtol=1e-15, atol=0)
+    # ndtri(0) and ndtri(1) are infinite, as scipy's are, and NaN outside
+    # [0, 1]; the hash never gives 1, where its largest sum rounds
+    # (test_the_largest_hash_is_clamped_below_one)
+    assert (1.0 - 2.0**-53) + 2.0**-54 == 1.0
+    assert np.array_equal(kernel_ndtri([0.0, 1.0, -0.5, 1.5, np.nan], 1.0),
+                          [-np.inf, np.inf, np.nan, np.nan, np.nan], equal_nan=True)
+
+
+def test_kernel_log_is_the_twin_within_one_ulp():
+    # the kernel's log, on the arguments ndtri's tails give it: y in
+    # [2**-54, exp(-2)], log-uniform, and x = sqrt(-2 log y) in [2, 9];
+    # bitwise the Python twin, and within 1 ulp of log to 80 bits (mpmath).
+    # Its edges: powers of 2 (f = 0), the ends of fdlibm's band, subnormals
+    rng = np.random.default_rng(12)
+    band = [struct.unpack("<d", struct.pack("<q", (0x3FF00000 | hx) << 32 | low))[0] * 2.0**e
+            for hx in (0x6147A - 1, 0x6147A, 0x6B851, 0x6B851 + 1) for low in (0, 2**32 - 1)
+            for e in (-30, -3, 1, 2)]
+    xs = np.concatenate([2.0 ** rng.uniform(-54.0, -2.0 / math.log(2.0), 60_000), rng.uniform(2.0, 9.0, 60_000),
+                         2.0 ** np.arange(-54.0, 4.0), band, [5e-324, 1e-310, 2.0**-1022, 1.0]])
+    got = kernel_log(xs)
+    assert np.array_equal(got, [twin_log(float(x)) for x in xs])
+    mpmath.mp.prec = 80
+    ulps = [abs((mpmath.mpf(float(v)) - e) / math.ulp(float(e))) if e else abs(v)
+            for v, e in zip(got, (mpmath.log(float(x)) for x in xs))]
+    assert max(ulps) < 1.0, max(ulps)
 
 
 def test_the_largest_hash_is_clamped_below_one():
@@ -176,20 +297,21 @@ def test_the_largest_hash_is_clamped_below_one():
             assert kernel_uniforms(seed, component, tag, [k])[0] == 1.0 - 2.0**-53
             assert uniform01(seed, component, [k], tag)[0] == 1.0 - 2.0**-53
             draw = noise._normals(NoiseSeed(seed, component), [k], tag, np.sqrt(1e-3))
-            assert np.isfinite(draw[0]) and draw[0] == ndtri(1.0 - 2.0**-53) * np.sqrt(1e-3)
+            assert np.isfinite(draw[0]) and draw[0] == reference_ndtri(1.0 - 2.0**-53) * np.sqrt(1e-3)
             # its neighbour below in the hash keeps its uniform
             below = step_of_hash(seed, component, tag, 2**64 - 1 - 2**11)
             assert kernel_uniforms(seed, component, tag, [below])[0] == (2.0**53 - 2) * 2.0**-53 + 2.0**-54
 
 
 def test_increments_are_scipys_ndtri_of_the_numpy_hash():
-    # the fused draw, bitwise scipy's ndtri of the reference uniform times
-    # the scale: the increments at sqrt(dt), and an OU block's stationary
-    # draw at its standard deviation
+    # the fused draw, bitwise the reference ndtri (scipy's in the middle,
+    # the twin in the tails) of the reference uniform times the scale: the
+    # increments at sqrt(dt), and an OU block's stationary draw at its
+    # standard deviation
     for seed, component, ks in STREAMS:
         s = NoiseSeed(seed, component)
         u = uniform01(seed, component, ks, noise._TAG_INCREMENT)
-        assert np.array_equal(wiener_increment(s, ks, 1e-3), ndtri(u) * np.sqrt(1e-3)), (seed, component)
+        assert np.array_equal(wiener_increment(s, ks, 1e-3), reference_ndtri(u) * np.sqrt(1e-3)), (seed, component)
         proc = OuProcess(seed, component, 2.0, 0.01)
         assert np.array_equal(noise._normals(s, ks[:1000], noise._TAG_INIT, np.sqrt(0.25)),
                               stationary_draw(proc, ks[:1000] + 1)), (seed, component)
@@ -203,14 +325,14 @@ def _define(name):
 
 def test_increments_at_the_chunk_edges():
     # fhn_increments hashes, inverts the middle and then the tails chunk by
-    # chunk: counts on each side of one and two chunks, with the branch
-    # neighbours of ndtri_points() and the largest hash at the first and
-    # last lane of a chunk, each draw bitwise fhn_ndtri of fhn_uniforms and
-    # scipy's ndtri of the reference hash, and nothing written past count
+    # chunk, the tails four lanes at a time: counts on each side of one and
+    # two chunks, with the branch neighbours of ndtri_points() and the
+    # largest hash at the first and last lane of a chunk, each draw bitwise
+    # fhn_ndtri of fhn_uniforms and the reference ndtri of the reference
+    # hash, and nothing written past count
     chunk = _define("DRAW_CHUNK")
     seed, component, tag, scale = 2**64 - 1, 2, noise._TAG_INCREMENT, np.sqrt(1e-3)
-    e2 = 0.13533528323661269189
-    ys = [y for y in ndtri_points() if abs(y - e2) < 1e-14 or abs(y - (1.0 - e2)) < 1e-14]
+    ys = [y for y in ndtri_points() if abs(y - E2) < 1e-14 or abs(y - (1.0 - E2)) < 1e-14]
     edges = []
     for y in ys:
         with contextlib.suppress(ValueError):  # a neighbour the hash cannot give
@@ -228,16 +350,91 @@ def test_increments_at_the_chunk_edges():
             assert out[count] == 7.0, count
             u = uniform01(seed, component, ks, tag)
             assert np.array_equal(out[:count], kernel_ndtri(kernel_uniforms(seed, component, tag, ks), scale)), count
-            assert np.array_equal(out[:count], ndtri(u) * scale), count
+            assert np.array_equal(out[:count], reference_ndtri(u) * scale), count
+    # the 160 smallest uniforms of the hash and the 160 largest, interleaved,
+    # each run of four lanes of the tails mixing x < 8 and x >= 8, where the
+    # tails' rational changes, each draw bitwise the reference
+    tops = np.arange(160)
+    ys = np.stack([tops * 2.0**-53 + 2.0**-54, (2.0**53 - 1 - tops) * 2.0**-53 + 2.0**-54], axis=1)
+    ys = np.minimum(ys.ravel(), 1.0 - 2.0**-53)
+    x = np.sqrt(-2.0 * np.log(np.minimum(ys, 1.0 - ys)))
+    assert np.any(x < 8.0) and np.any(x >= 8.0)
+    ks = np.array([step_of_uniform(seed, component, tag, y) for y in ys], dtype=np.int64)
+    out = np.empty(ks.size)
+    lib.fhn_increments(seed, component, tag, ks.ctypes.data, ks.size, scale, out.ctypes.data)
+    assert np.array_equal(out, reference_ndtri(ys) * scale)
 
 
 def test_each_kernel_build_draws_as_scipy(kernel_build):
-    # conftest's `kernel_build`: the hash, ndtri and the fused draw of each build without clones
+    # conftest's `kernel_build`: the hash, ndtri, its log and the fused draw
+    # of each build without clones
     test_kernel_hash_is_the_numpy_hash()
     test_kernel_ndtri_is_scipys()
+    xs = np.concatenate([2.0 ** np.linspace(-54.0, -2.9, 5001), np.linspace(2.0, 9.0, 5001)])
+    assert np.array_equal(kernel_log(xs), [twin_log(float(x)) for x in xs])
     test_the_largest_hash_is_clamped_below_one()
     test_increments_are_scipys_ndtri_of_the_numpy_hash()
     test_increments_at_the_chunk_edges()
+
+
+# the steps below 2**22 of the stream (42, 1, increments) whose draws
+# moved between glibc's FMA and non-FMA `log`, while the draws called
+# libm's (found under GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA)
+FMA_STEPS = [409499, 729841, 1152572, 1184117, 1362508, 1363242, 1507123, 1520385, 1562978,
+             1623206, 2098260, 2343072, 2468907, 2568589, 2769248, 3283473, 3840460, 4191412]
+
+# the draws at the steps given and the OU values of the block that holds
+# the first (at rate 1 and dt 1e-3), the hex of their bytes and of their
+# hash, and `fhnrds noise` at its defaults (horizon 40) into the directory
+# given
+NOISE_PROBE = f"""
+import hashlib, sys
+import numpy as np
+from fhnrds import cli, kernel
+from fhnrds.noise import OuProcess
+ks = np.array(sys.argv[2:], dtype=np.int64)
+draws = np.empty(ks.size)
+kernel.load().fhn_increments(42, 1, {noise._TAG_INCREMENT}, ks.ctypes.data, ks.size, 1.0, draws.ctypes.data)
+z = OuProcess(42, 1, 1.0, 1e-3).values(ks[0] // 20_000 * 20_000, (ks[0] // 20_000 + 1) * 20_000)
+assert cli.main(["noise", "--out", sys.argv[1]]) in (0, 1)
+print(draws.tobytes().hex(), hashlib.sha256(z.tobytes()).hexdigest())
+"""
+
+# the settings of CI's `emulated-cpu` job
+EMULATED_CPUS = [
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL X86_V3"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
+]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the settings name x86-64 CPUs")
+def test_noise_does_not_depend_on_the_cpu(tmp_path):
+    # the draws call no libm function and the OU powers are products in a
+    # fixed order, so under each emulated CPU the draws where glibc's two
+    # `log`s disagree, the OU values they drive and `ou_series.csv` are
+    # byte-identical to the default run's.  While the draws called glibc's
+    # `log`, the draws and 360 of the 20,001 OU values moved under its hwcaps
+    # setting
+    src = str(Path(noise.__file__).resolve().parents[1])
+
+    def run(name, **setting):
+        env = dict(os.environ, **setting,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", NOISE_PROBE, str(tmp_path / name), *map(str, FMA_STEPS)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return *done.stdout.split()[-2:], (tmp_path / name / "ou_series.csv").read_bytes()
+
+    default = run("default")
+    ks = np.array(FMA_STEPS)
+    u = uniform01(42, 1, ks, noise._TAG_INCREMENT)
+    assert bytes.fromhex(default[0]) == reference_ndtri(u).tobytes()
+    assert np.all((u <= E2) | (u > 1.0 - E2))  # all in the tails, where the logs are
+    for i, setting in enumerate(EMULATED_CPUS):
+        assert run(f"cpu{i}", **setting) == default, setting
 
 
 def test_wiener_increment_shape_and_seed_checks():
@@ -356,34 +553,66 @@ def test_ou_block_counts_follow_the_value_bounds(monkeypatch):
         assert OuProcess(seed=1, component=1, rate=2.0, dt=0.01).piece_blocks == piece
 
 
+def decay_powers(a, B):
+    """a^B, ..., a^(2B-1) as the kernel forms them: a^B by squaring, over
+    the bits of B from the lowest, then one product by a each."""
+    a, power, square, e = float(a), 1.0, float(a), B
+    while e:
+        if e & 1:
+            power = power * square
+        square = square * square
+        e >>= 1
+    powers = [power]
+    for _ in range(B - 1):
+        powers.append(powers[-1] * a)
+    return np.array(powers)
+
+
 def filtered_block(proc, m):
     """Block m of `proc` as `lfilter` of its own 2B-1 step window, from the
     stationary draw one block earlier."""
     B, decay = proc.B, proc._decay
     ks = np.arange((m - 1) * B, (m + 1) * B - 1)
     y = lfilter([1.0], [1.0, -decay], proc._damp * wiener_increment(proc.seed, ks, proc.dt))
-    return stationary_draw(proc, m) * decay ** np.arange(B, 2 * B) + y[B - 1 :]
+    return stationary_draw(proc, m) * decay_powers(decay, B) + y[B - 1 :]
 
 
-@pytest.mark.parametrize("chunk", [1 << 14, 502, 1 << 8])
+def count_ou_draws(monkeypatch):
+    """The steps whose increments each `fhn_ou_fill` call of this process
+    draws, one array per call: the piece's window span, less the B-1 it
+    carries from the piece before."""
+    lib = kernel.load()
+    real, drawn = lib.fhn_ou_fill, []
+
+    def counting(seed, component, tag, tag_init, first, count, B, carried, *rest):
+        drawn.append(np.arange((first - 1) * B + (B - 1 if carried else 0), (first + count) * B - 1))
+        return real(seed, component, tag, tag_init, first, count, B, carried, *rest)
+
+    monkeypatch.setattr(lib, "fhn_ou_fill", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("values", [1 << 14, 502, 1 << 8])
 @pytest.mark.parametrize("B", [1, 2, 3, 1001])
-def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
+def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, values):
     # the kernel's recursion is bitwise `lfilter` of each block's own window
-    # of 2B-1 values, whose increments are hashed in chunks: for B = 1001,
-    # one chunk of the default, four of 502 and eight of 256.  Each block is
-    # checked as the lone block of its fill, in a piece of negative indices
-    # or over both signs, and on both sides of a boundary between pieces
-    # (pieces of two blocks, or of one) or between two fills of a read,
-    # across which the B-1 increments the windows share are carried, not
-    # drawn again
-    monkeypatch.setattr(noise, "_CHUNK", chunk)
+    # of 2B-1 values, whose increments the kernel draws 512 at a time: for
+    # B = 1001, four chunks a window.  Each block is checked as the lone
+    # block of its fill, in a piece of negative indices or over both signs,
+    # and on both sides of a boundary between pieces (of the bound `values`
+    # on a piece's window values, of two blocks, or of one) or between two
+    # fills of a read, across which the B-1 increments the windows share are
+    # carried, not drawn again
     default = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
+    monkeypatch.setattr(noise, "_SOLVE_VALUES", values)
+    bound = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
     set_block_counts(monkeypatch, B, 2)
     twos = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
     set_block_counts(monkeypatch, B, 1)
     ones = OuProcess(seed=8, component=2, rate=1.0, dt=20.0 / B)
-    assert default.B == twos.B == ones.B == B and (twos.piece_blocks, ones.piece_blocks) == (2, 1)
-    for proc in (default, twos, ones):
+    assert default.B == bound.B == twos.B == ones.B == B and (twos.piece_blocks, ones.piece_blocks) == (2, 1)
+    assert bound.piece_blocks == max(1, values // (2 * B - 1))
+    for proc in (default, bound, twos, ones):
         for fills in ([[-7]], [[0]], [[3]], [range(-5, 0)], [range(-3, 4)],
                       [range(-9, -5), range(-5, -1)], [range(-2, 1), range(1, 6)]):
             for ms in fills:
@@ -394,23 +623,32 @@ def test_ou_kernel_fill_is_the_filter_of_each_window(monkeypatch, B, chunk):
 
 
 def test_ou_blocks_are_the_filter_of_each_window():
-    # fhn_ou_blocks called directly: m = 1..9 windows, so every group of
-    # OU_LANES and each size of the group left over, over anchor blocks of
-    # non-zero values; each block is its anchor plus the last B values of
-    # `lfilter` over its own window alone
+    # fhn_ou_fill called directly: m = 1..9 windows, so every group of
+    # OU_LANES and each size of the group left over; each block is its
+    # decayed anchor plus the last B values of `lfilter` over its own window
+    # alone.  Carried, the fill draws none of the first B-1 values of its
+    # scratch and filters what the scratch holds there; it leaves its last
+    # B-1 increments there
     lanes = _define("OU_LANES")
     rng = np.random.default_rng(5)
     lib = kernel.load()
     for B in (1, 2, 7, 100):
         for m in range(1, 2 * lanes + 2):
-            a = float(rng.uniform(0.5, 1.0))
-            xi = rng.standard_normal((m + 1) * B - 1)
-            anchors = rng.standard_normal((m, B))
-            blocks = anchors.copy()
-            lib.fhn_ou_blocks(xi.ctypes.data, m, B, a, blocks.ctypes.data)
-            for i in range(m):
-                y = lfilter([1.0], [1.0, -a], xi[i * B : i * B + 2 * B - 1])
-                assert np.array_equal(blocks[i], anchors[i] + y[B - 1 :]), (B, m, i)
+            first, a, scale, damp = int(rng.integers(-50, 50)), *rng.uniform(0.5, 1.0, 3)
+            seed, sd = NoiseSeed(9, 1), 0.7
+            xi = damp * noise._normals(seed, np.arange((first - 1) * B, (first + m) * B - 1), noise._TAG_INCREMENT, scale)
+            carried = rng.standard_normal(B - 1)
+            for carry in (0, 1):
+                scratch = np.concatenate([carried, np.full(m * B, np.nan)])
+                blocks = np.empty((m, B))
+                lib.fhn_ou_fill(seed.seed, seed.component, noise._TAG_INCREMENT, noise._TAG_INIT, first, m, B,
+                                carry, scale, damp, a, sd, scratch.ctypes.data, blocks.ctypes.data)
+                window = np.concatenate([carried, xi[B - 1 :]]) if carry else xi
+                assert np.array_equal(scratch[: B - 1], window[m * B :]), (B, m, carry)
+                anchors = noise._normals(seed, np.arange(first - 1, first + m - 1), noise._TAG_INIT, sd)
+                for i in range(m):
+                    y = lfilter([1.0], [1.0, -a], window[i * B : i * B + 2 * B - 1])
+                    assert np.array_equal(blocks[i], anchors[i] * decay_powers(a, B) + y[B - 1 :]), (B, m, i, carry)
 
 
 def test_each_kernel_build_fills_as_the_filter(kernel_build, monkeypatch):
@@ -446,23 +684,16 @@ def test_ou_blocks_independent_of_fill_order(monkeypatch):
     B, decay = c.B, c._decay
     # a fill over more than two pieces: each increment of its span is drawn
     # once, and each block is the filter of its window of the one span
-    drawn = []
-    real = noise.wiener_increment
-
-    def counting(seed, k, dt):
-        drawn.append(np.asarray(k).copy())
-        return real(seed, k, dt)
-
-    monkeypatch.setattr(noise, "wiener_increment", counting)
+    drawn = count_ou_draws(monkeypatch)
     proc = OuProcess(seed=9, component=2, rate=c.rate, dt=c.dt)  # the B and decay of c
     ms = range(-proc.piece_blocks - 7, proc.piece_blocks + 6)
     proc._compute_blocks(ms)
     span = np.arange((ms[0] - 1) * B, (ms[-1] + 1) * B - 1)
-    assert np.array_equal(np.sort(np.concatenate(drawn)), span)
-    xi = proc._damp * real(proc.seed, span, proc.dt)
+    assert len(drawn) == 3 and np.array_equal(np.sort(np.concatenate(drawn)), span)
+    xi = proc._damp * wiener_increment(proc.seed, span, proc.dt)
     for i, m in enumerate(ms):
         y = lfilter([1.0], [1.0, -decay], xi[i * B : i * B + 2 * B - 1])
-        assert np.array_equal(proc._blocks[m], stationary_draw(proc, m) * decay ** np.arange(B, 2 * B) + y[B - 1 :]), m
+        assert np.array_equal(proc._blocks[m], stationary_draw(proc, m) * decay_powers(decay, B) + y[B - 1 :]), m
 
 
 def test_ou_strided_values_are_the_full_read_strided(monkeypatch):
@@ -533,28 +764,27 @@ def test_ou_reads_that_evict_and_refill_match_a_cold_read(monkeypatch):
                          (j0, j1, 3 * B + 1), (-B - 1, B + 2, 1), (j0, 0, 1), (j0, j1, 1)):
         assert np.array_equal(proc.values(a, b, stride), full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
         assert proc._blocks == {}
-    spans = [(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)]
-    for (a, b, stride), z in zip(spans, proc.read(spans)):
-        assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
-    assert proc._blocks == {}
+    # two disjoint spans: the first group holds a piece of one block and
+    # one of the next span, so the second group's piece of two carries the
+    # B-1 increments into a larger scratch
+    for spans in ([(j0, j1, 5), (j0 + 3, 0, B - 1), (2 * B, j1, 1), (-5 * B, -5 * B, 1)],
+                  [(j0, j0, 1), (-5 * B, -B, 3)]):
+        for (a, b, stride), z in zip(spans, proc.read(spans)):
+            assert np.array_equal(z, full[a - j0 : b - j0 + 1 : stride]), (a, b, stride)
+        assert proc._blocks == {}
 
 
 def test_ou_read_fills_each_block_once(monkeypatch):
     # one read of two overlapping spans in two-block pieces fills each block
     # of their union once and draws each increment once
     set_block_counts(monkeypatch, OuProcess(seed=5, component=1, rate=2.0, dt=0.01).B, 2)
-    drawn, filled = [], []
-    real_draw, real_fill = noise.wiener_increment, OuProcess._compute_blocks
-
-    def counting_draw(seed, k, dt):
-        drawn.append(np.asarray(k).copy())
-        return real_draw(seed, k, dt)
+    drawn, filled = count_ou_draws(monkeypatch), []
+    real_fill = OuProcess._compute_blocks
 
     def counting_fill(proc, ms):
         filled.extend(ms)
         return real_fill(proc, ms)
 
-    monkeypatch.setattr(noise, "wiener_increment", counting_draw)
     monkeypatch.setattr(OuProcess, "_compute_blocks", counting_fill)
     proc = OuProcess(seed=5, component=1, rate=2.0, dt=0.01)
     B = proc.B
@@ -593,14 +823,7 @@ def test_ou_read_overlapping_an_earlier_read_fills_all_it_covers(monkeypatch):
     # those of a fresh process
     B = OuProcess(seed=6, component=2, rate=2.0, dt=0.01).B
     set_block_counts(monkeypatch, B, 4)
-    drawn = []
-    real_draw = noise.wiener_increment
-
-    def counting_draw(seed, k, dt):
-        drawn.append(np.asarray(k).copy())
-        return real_draw(seed, k, dt)
-
-    monkeypatch.setattr(noise, "wiener_increment", counting_draw)
+    drawn = count_ou_draws(monkeypatch)
     for a, b, stride in ((-B + 17, 5 * B - 3, 1), (-B + 2, 5 * B - 1, 3)):
         proc = OuProcess(seed=6, component=2, rate=2.0, dt=0.01)
         proc.values(-9 * B + 3, 3 * B - 1)
