@@ -10,7 +10,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import mpmath
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
@@ -268,22 +267,31 @@ def test_kernel_ndtri_is_scipys():
                           [-np.inf, np.inf, np.nan, np.nan, np.nan], equal_nan=True)
 
 
-def test_kernel_log_is_the_twin_within_one_ulp():
-    # the kernel's log, on the arguments ndtri's tails give it: y in
-    # [2**-54, exp(-2)], log-uniform, and x = sqrt(-2 log y) in [2, 9];
-    # bitwise the Python twin, and within 1 ulp of log to 80 bits (mpmath).
-    # Its edges: powers of 2 (f = 0), the ends of fdlibm's band, subnormals
+def _log_points():
+    """The arguments ndtri's tails give the kernel's log: y in [2**-54,
+    exp(-2)], log-uniform, and x = sqrt(-2 log y) in [2, 9]. Its edges:
+    powers of 2 (f = 0), the ends of fdlibm's band, subnormals."""
     rng = np.random.default_rng(12)
     band = [struct.unpack("<d", struct.pack("<q", (0x3FF00000 | hx) << 32 | low))[0] * 2.0**e
             for hx in (0x6147A - 1, 0x6147A, 0x6B851, 0x6B851 + 1) for low in (0, 2**32 - 1)
             for e in (-30, -3, 1, 2)]
-    xs = np.concatenate([2.0 ** rng.uniform(-54.0, -2.0 / math.log(2.0), 60_000), rng.uniform(2.0, 9.0, 60_000),
-                         2.0 ** np.arange(-54.0, 4.0), band, [5e-324, 1e-310, 2.0**-1022, 1.0]])
+    return np.concatenate([2.0 ** rng.uniform(-54.0, -2.0 / math.log(2.0), 60_000), rng.uniform(2.0, 9.0, 60_000),
+                           2.0 ** np.arange(-54.0, 4.0), band, [5e-324, 1e-310, 2.0**-1022, 1.0]])
+
+
+def test_kernel_log_is_the_python_twin():
+    xs = _log_points()
+    assert np.array_equal(kernel_log(xs), [twin_log(float(x)) for x in xs])
+
+
+def test_kernel_log_is_within_one_ulp():
+    # within 1 ulp of log to 80 bits
+    mpmath = pytest.importorskip("mpmath")
+    xs = _log_points()
     got = kernel_log(xs)
-    assert np.array_equal(got, [twin_log(float(x)) for x in xs])
-    mpmath.mp.prec = 80
-    ulps = [abs((mpmath.mpf(float(v)) - e) / math.ulp(float(e))) if e else abs(v)
-            for v, e in zip(got, (mpmath.log(float(x)) for x in xs))]
+    with mpmath.workprec(80):
+        ulps = [abs((mpmath.mpf(float(v)) - e) / math.ulp(float(e))) if e else abs(v)
+                for v, e in zip(got, (mpmath.log(float(x)) for x in xs))]
     assert max(ulps) < 1.0, max(ulps)
 
 
